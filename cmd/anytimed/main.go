@@ -15,7 +15,6 @@
 //
 //	GET /blur?deadline=50ms    blur, best published output within 50ms
 //	                           (never empty-handed; may shed under load)
-//	GET /blur?hold=50ms        …or hold for a raw duration (may 504)
 //	GET /blur?accept=25        …or until the output reaches 25 dB
 //	GET /equalize?deadline=10ms  histogram equalization, same knobs
 //	GET /cluster?deadline=100ms  k-means clustering, same knobs

@@ -18,7 +18,7 @@
 //	              [-flight-recorder-size 256] [-trace-sample 16]
 //
 // App endpoints are the backends' own (GET /blur, /equalize, /cluster with
-// the usual deadline/hold/accept knobs) — the router is transparent except
+// the usual deadline/accept knobs) — the router is transparent except
 // for three added response headers: X-Anytime-Backend (who served it),
 // X-Anytime-Hedged (whether the race was hedged), and X-Anytime-Trace (the
 // router's end-to-end trace ID; the backend's own is relayed as
@@ -33,7 +33,9 @@
 //	GET /healthz               503 when zero backends are healthy
 //	GET /metrics               Prometheus exposition (anytime_router_*)
 //	GET /debug/requests        router flight recorder: route/budget/
-//	                           forward/hedge spans (?id=<X-Anytime-Trace>)
+//	                           forward/hedge/deliver spans — the events
+//	                           /metrics is counted from
+//	                           (?id=<X-Anytime-Trace>)
 //
 // Backends leave gracefully from their side too: POST /drain on a backend
 // flips its /healthz to 503 "draining", the router's health checker takes
@@ -81,7 +83,7 @@ func main() {
 		CheckInterval: *checkEvery,
 		CheckTimeout:  *checkTimeout,
 		MaxFails:      *maxFails,
-		Hooks:         telemetry.RouterHooks(reg),
+		Sink:          telemetry.RouterHooks(reg),
 		FlightSize:    *flightSize,
 		TraceSample:   *traceSample,
 	})

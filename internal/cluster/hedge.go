@@ -19,14 +19,15 @@ var ErrNoBackend = errors.New("cluster: no backend could serve the request")
 // quality read from the X-Anytime-* headers. A final (precise) snapshot
 // scores +Inf — it beats any approximation.
 type backendResponse struct {
-	member string
-	role   string // primary | hedge
-	status int
-	header http.Header
-	body   []byte
-	rtt    time.Duration
-	snr    float64 // dB; +Inf for a final snapshot
-	final  bool
+	member  string
+	role    string // primary | hedge
+	status  int
+	header  http.Header
+	body    []byte
+	rtt     time.Duration
+	snr     float64 // dB; +Inf for a final snapshot
+	final   bool
+	version uint64
 }
 
 // usable reports whether the response carries a deliverable snapshot.
@@ -71,7 +72,7 @@ type race struct {
 	budget time.Duration
 	timer  timerFunc
 	tr     *reqtrace.Trace
-	h      *Hooks
+	sink   reqtrace.Sink
 }
 
 // runRace executes the hedged-forward protocol and returns exactly one
@@ -106,23 +107,14 @@ func runRace(ctx context.Context, rc race, primary, secondary *upstream) (*backe
 		upCtx, cancel := context.WithCancel(ctx)
 		cancels[up] = cancel
 		launched++
-		if rc.h != nil && rc.h.Forward != nil {
-			rc.h.Forward(up.member, up.role)
-		}
-		rc.tr.Forward(up.member, up.role)
+		rc.sink.Send(rc.tr.Forward(up.member, up.role))
 		go func() {
 			resp := up.do(upCtx)
+			var rtt time.Duration
 			if resp != nil {
-				if rc.h != nil && rc.h.ForwardDone != nil {
-					rc.h.ForwardDone(up.member, up.role, resp.rtt, resp.usable())
-				}
-				rc.tr.ForwardDone(up.member, up.role, resp.rtt, resp.usable())
-			} else {
-				if rc.h != nil && rc.h.ForwardDone != nil {
-					rc.h.ForwardDone(up.member, up.role, 0, false)
-				}
-				rc.tr.ForwardDone(up.member, up.role, 0, false)
+				rtt = resp.rtt
 			}
+			rc.sink.Send(rc.tr.ForwardDone(up.member, up.role, rtt, resp.usable()))
 			results <- outcome{resp, up}
 		}()
 	}
@@ -139,13 +131,10 @@ func runRace(ctx context.Context, rc race, primary, secondary *upstream) (*backe
 	deliver := func(o outcome) (*backendResponse, error) {
 		if loser := pending(o.up); loser != nil {
 			cancels[loser]()
-			if rc.h != nil && rc.h.HedgeCancel != nil {
-				rc.h.HedgeCancel(loser.member)
-			}
-			rc.tr.HedgeCancel(loser.member, loser.role)
+			rc.sink.Send(rc.tr.HedgeCancel(loser.member, loser.role))
 		}
-		if rc.h != nil && rc.h.HedgeWin != nil && launched > 1 {
-			rc.h.HedgeWin(o.up.role)
+		if launched > 1 {
+			rc.sink.Send(rc.tr.HedgeWin(o.up.member, o.up.role))
 		}
 		return o.resp, nil
 	}
@@ -184,10 +173,7 @@ func runRace(ctx context.Context, rc race, primary, secondary *upstream) (*backe
 				return nil, ErrNoBackend
 			}
 		case <-hedgeC:
-			if rc.h != nil && rc.h.Hedge != nil {
-				rc.h.Hedge(rc.hedgeDelay)
-			}
-			rc.tr.HedgeFire(rc.hedgeDelay)
+			rc.sink.Send(rc.tr.HedgeFire(rc.hedgeDelay))
 			launch(secondary)
 		}
 	} else {

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"anytime/internal/reqtrace"
 )
 
 // fakeClock hands runRace scripted timer channels, so "the hedge delay
@@ -80,20 +82,22 @@ func bad(member, role string) *backendResponse {
 	return &backendResponse{member: member, role: role, status: http.StatusServiceUnavailable}
 }
 
-// counterHooks counts every hook firing, for exactly-once assertions.
-type counterHooks struct {
+// counterSink counts the race's hedge decisions, for exactly-once
+// assertions.
+type counterSink struct {
 	hedges, wins, cancels atomic.Int32
 	winRole               atomic.Value // string
 }
 
-func (c *counterHooks) hooks() *Hooks {
-	return &Hooks{
-		Hedge: func(time.Duration) { c.hedges.Add(1) },
-		HedgeWin: func(role string) {
-			c.wins.Add(1)
-			c.winRole.Store(role)
-		},
-		HedgeCancel: func(string) { c.cancels.Add(1) },
+func (c *counterSink) sink(e reqtrace.Event) {
+	switch e.Kind {
+	case reqtrace.KindHedgeFire:
+		c.hedges.Add(1)
+	case reqtrace.KindHedgeWin:
+		c.wins.Add(1)
+		c.winRole.Store(e.Note)
+	case reqtrace.KindHedgeCancel:
+		c.cancels.Add(1)
 	}
 }
 
@@ -101,19 +105,19 @@ func (c *counterHooks) hooks() *Hooks {
 // no hedge, no secondary launch, no cancel.
 func TestRacePrimaryWinsBeforeHedge(t *testing.T) {
 	clk := newFakeClock(1)
-	var ch counterHooks
+	var ch counterSink
 	p := newScripted("a", "primary", ok("a", "primary", 20))
 	s := newScripted("b", "hedge", ok("b", "hedge", 30))
 	close(p.release)
 	resp, err := runRace(context.Background(), race{
 		hedgeDelay: 10 * time.Millisecond, budget: 50 * time.Millisecond,
-		timer: clk.timer, h: ch.hooks(),
+		timer: clk.timer, sink: ch.sink,
 	}, p.up, s.up)
 	if err != nil || resp.member != "a" {
 		t.Fatalf("resp=%+v err=%v, want primary a", resp, err)
 	}
 	if ch.hedges.Load() != 0 || ch.wins.Load() != 0 || ch.cancels.Load() != 0 {
-		t.Errorf("hooks fired on unhedged fast path: hedges=%d wins=%d cancels=%d",
+		t.Errorf("hedge events reported on unhedged fast path: hedges=%d wins=%d cancels=%d",
 			ch.hedges.Load(), ch.wins.Load(), ch.cancels.Load())
 	}
 	select {
@@ -141,7 +145,7 @@ func TestRaceHigherSNRWins(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := newFakeClock(2)
-			var ch counterHooks
+			var ch counterSink
 			sResp := ok("b", "hedge", tc.sSNR)
 			sResp.final = tc.sFinal
 			p := newScripted("a", "primary", ok("a", "primary", tc.pSNR))
@@ -153,7 +157,7 @@ func TestRaceHigherSNRWins(t *testing.T) {
 				defer close(done)
 				resp, err = runRace(context.Background(), race{
 					hedgeDelay: 10 * time.Millisecond, budget: 50 * time.Millisecond,
-					timer: clk.timer, h: ch.hooks(),
+					timer: clk.timer, sink: ch.sink,
 				}, p.up, s.up)
 			}()
 			<-p.started
@@ -185,7 +189,7 @@ func TestRaceHigherSNRWins(t *testing.T) {
 // straggler's context is cancelled.
 func TestRaceBudgetDeliversBestAndCancelsLoser(t *testing.T) {
 	clk := newFakeClock(2)
-	var ch counterHooks
+	var ch counterSink
 	p := newScripted("a", "primary", ok("a", "primary", 20))
 	s := newScripted("b", "hedge", ok("b", "hedge", 99))
 	done := make(chan struct{})
@@ -195,7 +199,7 @@ func TestRaceBudgetDeliversBestAndCancelsLoser(t *testing.T) {
 		defer close(done)
 		resp, err = runRace(context.Background(), race{
 			hedgeDelay: 10 * time.Millisecond, budget: 50 * time.Millisecond,
-			timer: clk.timer, h: ch.hooks(),
+			timer: clk.timer, sink: ch.sink,
 		}, p.up, s.up)
 	}()
 	<-p.started
@@ -258,14 +262,14 @@ func TestRaceBudgetNeverEmptyHanded(t *testing.T) {
 // waiting out the hedge delay, and is not credited as a hedge win.
 func TestRacePrimaryFailureFailsOver(t *testing.T) {
 	clk := newFakeClock(1)
-	var ch counterHooks
+	var ch counterSink
 	p := newScripted("a", "primary", bad("a", "primary"))
 	s := newScripted("b", "hedge", ok("b", "hedge", 25))
 	close(p.release)
 	close(s.release)
 	resp, err := runRace(context.Background(), race{
 		hedgeDelay: 10 * time.Millisecond, budget: 50 * time.Millisecond,
-		timer: clk.timer, h: ch.hooks(),
+		timer: clk.timer, sink: ch.sink,
 	}, p.up, s.up)
 	if err != nil || resp.member != "b" {
 		t.Fatalf("resp=%+v err=%v, want failover to b", resp, err)

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"anytime/internal/reqtrace"
 )
 
 // State is a member's health state. Only Healthy members are on the ring;
@@ -67,7 +69,7 @@ func (m *Member) ObserveRTT(d time.Duration) { m.rtt.observe(d) }
 // transition and swapped atomically — lookups never lock).
 type Membership struct {
 	replicas int
-	h        *Hooks
+	sink     reqtrace.Sink
 
 	mu      sync.Mutex
 	members map[string]*Member
@@ -75,12 +77,13 @@ type Membership struct {
 }
 
 // NewMembership builds a registry over the given backend base URLs, all
-// initially healthy, with the given virtual-node count per member.
-func NewMembership(urls []string, replicas int, h *Hooks) (*Membership, error) {
+// initially healthy, with the given virtual-node count per member. sink,
+// when non-nil, observes every health transition.
+func NewMembership(urls []string, replicas int, sink reqtrace.Sink) (*Membership, error) {
 	if len(urls) == 0 {
 		return nil, fmt.Errorf("cluster: membership needs at least one backend")
 	}
-	ms := &Membership{replicas: replicas, h: h, members: make(map[string]*Member, len(urls))}
+	ms := &Membership{replicas: replicas, sink: sink, members: make(map[string]*Member, len(urls))}
 	for _, u := range urls {
 		if _, err := ms.add(u); err != nil {
 			return nil, err
@@ -167,9 +170,8 @@ func (ms *Membership) SetState(name string, s State) bool {
 	if (old == StateHealthy) != (s == StateHealthy) {
 		ms.rebuild()
 	}
-	if ms.h != nil && ms.h.MemberState != nil {
-		ms.h.MemberState(name, s.String())
-	}
+	// A health transition belongs to no request: the sink alone sees it.
+	ms.sink.Send(reqtrace.Event{Kind: reqtrace.KindMemberState, Name: name, Note: s.String()})
 	return true
 }
 

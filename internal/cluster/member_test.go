@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"anytime/internal/reqtrace"
 )
 
 func TestMembershipLifecycle(t *testing.T) {
@@ -75,20 +77,21 @@ func TestMembershipRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestMembershipStateHook(t *testing.T) {
+func TestMembershipStateSink(t *testing.T) {
 	var transitions atomic.Int32
 	var lastState atomic.Value
-	h := &Hooks{MemberState: func(member, state string) {
-		transitions.Add(1)
-		lastState.Store(member + "=" + state)
-	}}
-	ms, err := NewMembership([]string{"http://a:1"}, 64, h)
+	ms, err := NewMembership([]string{"http://a:1"}, 64, func(e reqtrace.Event) {
+		if e.Kind == reqtrace.KindMemberState {
+			transitions.Add(1)
+			lastState.Store(e.Name + "=" + e.Note)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ms.SetState("a:1", StateDown)
 	if transitions.Load() != 1 || lastState.Load().(string) != "a:1=down" {
-		t.Fatalf("hook saw %d transitions, last %v", transitions.Load(), lastState.Load())
+		t.Fatalf("sink saw %d transitions, last %v", transitions.Load(), lastState.Load())
 	}
 }
 

@@ -27,9 +27,10 @@ const (
 	// digest can't disable hedging for everyone after it. It also serves
 	// as the delay before any samples arrive.
 	DefaultHedgeMax = 250 * time.Millisecond
-	// DefaultDigestSize is the latency-sample window behind the quantile.
-	DefaultDigestSize = 512
 )
+
+// digestSize is the latency-sample window behind the hedge quantile.
+const digestSize = 512
 
 // RouterConfig assembles a Router. Backends is the only required field.
 type RouterConfig struct {
@@ -44,16 +45,15 @@ type RouterConfig struct {
 	// 250ms). HedgeMax also stands in before any samples arrive. Setting
 	// HedgeMax < 0 disables hedging entirely.
 	HedgeMin, HedgeMax time.Duration
-	// DigestSize is the latency-sample window (default 512).
-	DigestSize int
 	// CheckInterval / CheckTimeout / MaxFails size the health checker
 	// (defaults: 1s interval, interval timeout, 3 consecutive fails).
 	CheckInterval, CheckTimeout time.Duration
 	MaxFails                    int
 	// Client performs forwards and probes (default http.DefaultClient).
 	Client *http.Client
-	// Hooks observes routing (telemetry.RouterHooks); may be nil.
-	Hooks *Hooks
+	// Sink observes every routing decision (telemetry.RouterHooks); may be
+	// nil.
+	Sink reqtrace.Sink
 	// FlightSize / TraceSample size the router's own flight recorder
 	// (reqtrace.RecorderConfig defaults apply).
 	FlightSize, TraceSample int
@@ -74,7 +74,7 @@ type Router struct {
 	members *Membership
 	checker *Checker
 	client  *http.Client
-	h       *Hooks
+	sink    reqtrace.Sink
 	rec     *reqtrace.Recorder
 	digest  *Digest
 
@@ -101,16 +101,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.HedgeMax == 0 {
 		cfg.HedgeMax = DefaultHedgeMax
 	}
-	if cfg.DigestSize <= 0 {
-		cfg.DigestSize = DefaultDigestSize
-	}
 	if cfg.Client == nil {
 		cfg.Client = http.DefaultClient
 	}
 	if cfg.MaxFails <= 0 {
 		cfg.MaxFails = 3
 	}
-	members, err := NewMembership(cfg.Backends, cfg.Replicas, cfg.Hooks)
+	members, err := NewMembership(cfg.Backends, cfg.Replicas, cfg.Sink)
 	if err != nil {
 		return nil, err
 	}
@@ -125,9 +122,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		members:  members,
 		checker:  NewChecker(members, cfg.Client, cfg.CheckInterval, cfg.CheckTimeout, cfg.MaxFails),
 		client:   cfg.Client,
-		h:        cfg.Hooks,
+		sink:     cfg.Sink,
 		rec:      rec,
-		digest:   NewDigest(cfg.DigestSize),
+		digest:   NewDigest(digestSize),
 		quantile: cfg.HedgeQuantile,
 		hedgeMin: cfg.HedgeMin,
 		hedgeMax: cfg.HedgeMax,
@@ -329,12 +326,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	deadline := parseDeadline(r)
 	budget, floored := Remaining(deadline, time.Since(arrival), primary.RTT())
 	if deadline > 0 {
-		tr.Budget(budget, floored)
-		if floored {
-			if rt.h != nil && rt.h.BudgetFloored != nil {
-				rt.h.BudgetFloored()
-			}
-		}
+		rt.sink.Send(tr.Budget(budget, floored))
 	}
 
 	// Assemble the race: hedge onto the next ring member if there is one.
@@ -349,7 +341,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		hedgeDelay: rt.HedgeDelay(),
 		timer:      rt.timer,
 		tr:         tr,
-		h:          rt.h,
+		sink:       rt.sink,
 	}
 	// The race's budget timer bounds the selection phase after a hedge
 	// fires. The backends bound themselves via the forwarded header; the
@@ -381,9 +373,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		m.ObserveRTT(resp.rtt)
 	}
 	hedged := resp.role == "hedge"
-	if rt.h != nil && rt.h.Deliver != nil {
-		rt.h.Deliver(resp.member, hedged, elapsed)
-	}
+	rt.sink.Send(tr.RouterDeliver(resp.member, hedged, resp.version, resp.final, elapsed))
 
 	// Relay the winner verbatim, plus the router's own provenance headers.
 	h := w.Header()
@@ -448,6 +438,7 @@ func (rt *Router) upstream(m *Member, role string, r *http.Request, deadline, bu
 				br.snr = v
 			}
 			br.final = resp.Header.Get("X-Anytime-Final") == "true"
+			br.version, _ = strconv.ParseUint(resp.Header.Get("X-Anytime-Version"), 10, 64)
 			return br
 		},
 	}

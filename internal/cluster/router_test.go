@@ -6,12 +6,17 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"anytime/internal/reqtrace"
 	"anytime/internal/serve"
+	"anytime/internal/telemetry"
 )
 
 // fakeBackend emulates just enough of anytimed's surface for router unit
@@ -147,8 +152,9 @@ func TestRouterHedgeRescuesSlowShard(t *testing.T) {
 	slow := newFakeBackend(250*time.Millisecond, 40)
 	fast := newFakeBackend(0, 25)
 	rt := testRouter(t, RouterConfig{
-		HedgeMin: 5 * time.Millisecond,
-		HedgeMax: 5 * time.Millisecond,
+		HedgeMin:    5 * time.Millisecond,
+		HedgeMax:    5 * time.Millisecond,
+		TraceSample: 1,
 	}, slow, fast)
 
 	// Find a key owned by the slow backend so the hedge goes to the fast one.
@@ -186,6 +192,28 @@ func TestRouterHedgeRescuesSlowShard(t *testing.T) {
 	}
 	if rec.Header().Get("X-Anytime-Trace") == "backend-trace-id" {
 		t.Error("router trace ID overwritten by the backend's")
+	}
+
+	// The router's own trace records how the race ended — the spans its
+	// /debug/requests?id= promises and its delivery metrics are read from.
+	// Matched by wire name, as an operator reading the trace would.
+	tr := rt.Recorder().Find(rec.Header().Get("X-Anytime-Trace"))
+	if tr == nil {
+		t.Fatal("hedged request's trace not retained")
+	}
+	spans := map[string]reqtrace.Event{}
+	for _, e := range tr.Events() {
+		spans[e.Kind.String()] = e
+	}
+	if e, ok := spans["hedge.win"]; !ok || e.Name != fast.name() || e.Note != "hedge" {
+		t.Errorf("hedge.win span = %+v (present %v), want member %s role hedge", e, ok, fast.name())
+	}
+	e, ok := spans["deliver"]
+	if !ok || e.Name != fast.name() || e.Note != "hedged" || e.Dur <= 0 || e.Dur > elapsed {
+		t.Errorf("deliver span = %+v (present %v), want member %s, hedged, elapsed in (0, %v]", e, ok, fast.name(), elapsed)
+	}
+	if e.Version != 3 || e.Flag {
+		t.Errorf("deliver span carries snapshot v%d final=%v, want the relayed v3 approximate", e.Version, e.Flag)
 	}
 }
 
@@ -263,7 +291,8 @@ func TestRouterMemberAdmin(t *testing.T) {
 }
 
 // TestRouterDebugRequests: router spans land in the flight recorder and
-// render (route.pick, budget, forward spans present for a traced request).
+// render (route.pick, budget, forward, deliver spans present for a traced
+// request).
 func TestRouterDebugRequests(t *testing.T) {
 	b := newFakeBackend(0, 20)
 	rt := testRouter(t, RouterConfig{TraceSample: 1}, b)
@@ -278,7 +307,7 @@ func TestRouterDebugRequests(t *testing.T) {
 		t.Fatalf("trace %s not retained: %d", id, detail.Code)
 	}
 	body := detail.Body.String()
-	for _, span := range []string{"route.pick", "budget", "forward", "forward.done"} {
+	for _, span := range []string{"route.pick", "budget", "forward", "forward.done", "deliver"} {
 		if !strings.Contains(body, span) {
 			t.Errorf("trace detail missing %q span:\n%s", span, body)
 		}
@@ -331,5 +360,67 @@ func TestRouterRelaysBody(t *testing.T) {
 	want := "payload-" + b.ts.URL
 	if got, _ := io.ReadAll(rec.Body); string(got) != want {
 		t.Fatalf("body %q, want %q", got, want)
+	}
+}
+
+// TestRouterTraceAndMetricsAgree is the router's "cannot disagree" oracle:
+// with every trace retained, the per-kind event counts over the flight
+// recorder equal what telemetry.RouterHooks counted, series by series.
+// One backend is slow enough that its keys hedge and fast enough to answer
+// inside the budget, so every race is resolved by comparison and no attempt
+// is cancelled — a cancelled straggler reports forward.done after its
+// request's trace is sealed, where only the sink can see it.
+func TestRouterTraceAndMetricsAgree(t *testing.T) {
+	slow := newFakeBackend(30*time.Millisecond, 20)
+	fast := newFakeBackend(0, 30)
+	reg := telemetry.NewRegistry()
+	rt := testRouter(t, RouterConfig{
+		HedgeMin:    5 * time.Millisecond,
+		HedgeMax:    5 * time.Millisecond,
+		TraceSample: 1,
+		Sink:        telemetry.RouterHooks(reg),
+	}, slow, fast)
+
+	for i := 0; i < 24; i++ {
+		if rec := routerGet(t, rt, fmt.Sprintf("/blur?input=k%d&deadline=2s", i)); rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, rec.Code)
+		}
+	}
+
+	traced := map[string]int{}
+	for _, tr := range rt.Recorder().Snapshot() {
+		for _, e := range tr.Events() {
+			switch e.Kind {
+			case reqtrace.KindForwardDone:
+				traced[fmt.Sprintf(`anytime_router_forwards_total{member=%q,role=%q,usable="%v"}`, e.Name, e.Note, e.Flag)]++
+			case reqtrace.KindHedgeFire:
+				traced["anytime_router_hedges_total"]++
+			case reqtrace.KindHedgeWin:
+				traced[fmt.Sprintf(`anytime_router_hedge_wins_total{role=%q}`, e.Note)]++
+			case reqtrace.KindHedgeCancel:
+				traced[fmt.Sprintf(`anytime_router_hedge_cancels_total{member=%q}`, e.Name)]++
+			case reqtrace.KindDeliver:
+				traced[fmt.Sprintf(`anytime_router_deliveries_total{hedged="%v",member=%q}`, e.Note == "hedged", e.Name)]++
+			}
+		}
+	}
+	hedged := fmt.Sprintf(`anytime_router_deliveries_total{hedged="true",member=%q}`, fast.name())
+	if traced[hedged] == 0 || traced["anytime_router_hedges_total"] == 0 || traced[`anytime_router_hedge_wins_total{role="hedge"}`] == 0 {
+		t.Fatalf("no hedged delivery among 24 keys — the scenario exercised nothing: %v", traced)
+	}
+
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	counted := map[string]int{}
+	fed := regexp.MustCompile(`(?m)^(anytime_router_(?:forwards|hedges|hedge_wins|hedge_cancels|deliveries)_total(?:\{[^}]*\})?) (\d+)$`)
+	for _, m := range fed.FindAllStringSubmatch(b.String(), -1) {
+		if n, _ := strconv.Atoi(m[2]); n > 0 {
+			counted[m[1]] = n
+		}
+	}
+	if !reflect.DeepEqual(counted, traced) {
+		t.Errorf("metrics and traces disagree:\n metrics %v\n traces  %v", counted, traced)
 	}
 }

@@ -16,6 +16,20 @@ import (
 // latest published approximations.
 var ErrStopped = errors.New("core: automaton stopped")
 
+// Outcome folds a run's terminal error (Automaton.Err, Wait) into the
+// stable outcome vocabulary traces and metrics label runs with: precise,
+// stopped, failed.
+func Outcome(err error) string {
+	switch {
+	case err == nil:
+		return "precise"
+	case errors.Is(err, ErrStopped):
+		return "stopped"
+	default:
+		return "failed"
+	}
+}
+
 type automatonState int
 
 const (

@@ -70,7 +70,7 @@ func TestBudgetExhaustedStillDelivers(t *testing.T) {
 	}
 }
 
-// TestBudgetIgnoredOutsideDeadline: precise and hold requests never consult
+// TestBudgetIgnoredOutsideDeadline: precise requests never consult
 // the budget header — only the deadline knob participates in the fleet
 // budget protocol.
 func TestBudgetIgnoredOutsideDeadline(t *testing.T) {

@@ -51,11 +51,12 @@ type Server struct {
 
 	// reg is the process metrics registry; every request's pipeline
 	// reports into it through hooks (shared across all automata) and
-	// per-buffer observers. slotsInUse mirrors queue occupancy so the
-	// concurrency bound is visible at /metrics.
+	// per-buffer observers, and every serving decision through serveSink —
+	// the same events the request's trace holds. slotsInUse mirrors queue
+	// occupancy so the concurrency bound is visible at /metrics.
 	reg        *telemetry.Registry
 	hooks      *core.Hooks
-	serveHooks *serve.Hooks
+	serveSink  reqtrace.Sink
 	slotsInUse *telemetry.Gauge
 
 	// recorder is the always-on flight recorder: every app request gets a
@@ -162,8 +163,8 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	reg := telemetry.NewRegistry()
-	serveHooks := telemetry.ServeHooks(reg)
-	queue, err := serve.NewQueue(cfg.Slots, cfg.QueueLen, serveHooks)
+	serveSink := telemetry.ServeHooks(reg)
+	queue, err := serve.NewQueue(cfg.Slots, cfg.QueueLen, serveSink)
 	if err != nil {
 		return nil, err
 	}
@@ -186,12 +187,12 @@ func New(size, workers int, cfg Config) (*Server, error) {
 			ShedStart: max(1, cfg.QueueLen/4),
 			ShedFull:  max(2, cfg.QueueLen),
 			MinFactor: cfg.ShedMin,
-			H:         serveHooks,
+			Sink:      serveSink,
 		},
 		shed:       cfg.Overload == "shed",
 		reg:        reg,
 		hooks:      telemetry.PipelineHooks(reg),
-		serveHooks: serveHooks,
+		serveSink:  serveSink,
 		slotsInUse: reg.Gauge(metricSlotsInUse, nil),
 		recorder:   recorder,
 		started:    time.Now(),
@@ -266,10 +267,9 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		}
 		fmt.Fprintln(w, "anytimed — hold a request for more precision")
 		fmt.Fprintln(w, "  GET /blur?deadline=50ms  blur, best output published within 50ms")
-		fmt.Fprintln(w, "  GET /blur?hold=50ms      blur, stopped after 50ms (may 504 if nothing landed)")
 		fmt.Fprintln(w, "  GET /blur?accept=25      blur, stopped at 25 dB")
-		fmt.Fprintln(w, "  GET /equalize?hold=10ms  histogram equalization")
-		fmt.Fprintln(w, "  GET /cluster?hold=100ms  k-means clustering")
+		fmt.Fprintln(w, "  GET /equalize?deadline=10ms  histogram equalization")
+		fmt.Fprintln(w, "  GET /cluster?deadline=100ms  k-means clustering")
 		fmt.Fprintln(w, "  GET /blur?deadline=50ms&input=key   cache key override (ring-affine repeats warm-start)")
 		fmt.Fprintln(w, "  GET /blur/stream         live SSE: watch quality rise per version")
 		fmt.Fprintln(w, "  GET /cluster/stream      live SSE for k-means")
@@ -308,7 +308,7 @@ func (s *Server) newPool(name string, cfg Config, build func() (*core.Automaton,
 		})
 		a.OnReset(slot.OnReset)
 		return serve.Entry[*pix.Image]{Automaton: a, Out: out, Slot: slot}, nil
-	}, s.serveHooks)
+	}, s.serveSink)
 	if err != nil {
 		return nil, err
 	}
@@ -375,9 +375,9 @@ func (s *Server) handleApp(pool *serve.Pool[*pix.Image], ref, input *pix.Image, 
 		}()
 
 		start := time.Now()
-		var snap core.Snapshot[*pix.Image]
-		deadlineFired := false
-		interrupted := false
+		// Every knob runs through internal/serve, so one Result carries the
+		// delivered snapshot and whether the run was cut short.
+		var res serve.Result[*pix.Image]
 		budgeted := false
 		effective := k.deadline
 		// The cache key: the route input's content digest — overridable
@@ -394,20 +394,15 @@ func (s *Server) handleApp(pool *serve.Pool[*pix.Image], ref, input *pix.Image, 
 		admitOut := false
 		switch {
 		case k.accept > 0:
-			res, err := serve.RunUntil(ctx, entry, func(sn core.Snapshot[*pix.Image]) bool {
+			res, err = serve.RunUntil(ctx, entry, func(sn core.Snapshot[*pix.Image]) bool {
 				db, err := metrics.SNR(ref.Pix, sn.Value.Pix)
 				return err == nil && db >= k.accept
-			}, s.serveHooks)
-			if err != nil {
-				httpRunError(w, err)
-				return
-			}
-			snap, interrupted = res.Snapshot, res.Interrupted
+			}, s.serveSink)
 		case k.deadline > 0:
 			// Warm start: a cache hit for this content key installs the
 			// cached approximation as the starting published state, so the
 			// deadline budget below is spent purely on refinement. Only the
-			// deadline contract seeds — the accept/hold knobs reason about
+			// deadline contract seeds — the accept knob reasons about
 			// absolute version numbers and SNR trajectories from a cold
 			// start, and the no-knob path runs to precise regardless.
 			if s.cache != nil {
@@ -440,44 +435,16 @@ func (s *Server) handleApp(pool *serve.Pool[*pix.Image], ref, input *pix.Image, 
 				effective = s.ctrl.Scale(ctx, base, s.queue.Depth())
 			}
 			admitOut = true
-			res, err := serve.Run(ctx, entry, effective, s.serveHooks)
-			if err != nil {
-				httpRunError(w, err)
-				return
-			}
-			snap, deadlineFired = res.Snapshot, res.Interrupted
-			interrupted = res.Interrupted
-		case k.hold > 0:
-			// Legacy raw knob: stop after the hold and take whatever is
-			// published — including nothing (504). The deadline knob is the
-			// contract that never returns empty-handed. The knob bypasses
-			// serve.Run, so the run spans are recorded here.
-			cancel := core.StopAfter(entry.Automaton, k.hold)
-			defer cancel()
-			tr.RunStart(k.hold)
-			if err := entry.Automaton.Start(ctx); err != nil {
-				tr.Error(err.Error())
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			<-entry.Automaton.Done()
-			tr.RunFinish(holdOutcome(entry.Automaton.Err()), time.Since(start))
-			sn, ok := entry.Out.Latest()
-			if !ok {
-				tr.Error("no output produced within the hold window")
-				http.Error(w, "no output produced within the hold window", http.StatusGatewayTimeout)
-				return
-			}
-			snap, interrupted = sn, !sn.Final
+			res, err = serve.Run(ctx, entry, effective, s.serveSink)
 		default:
 			admitOut = true
-			res, err := serve.Run(ctx, entry, 0, s.serveHooks)
-			if err != nil {
-				httpRunError(w, err)
-				return
-			}
-			snap = res.Snapshot
+			res, err = serve.Run(ctx, entry, 0, s.serveSink)
 		}
+		if err != nil {
+			httpRunError(w, err)
+			return
+		}
+		snap := res.Snapshot
 
 		db, err := metrics.SNR(ref.Pix, snap.Value.Pix)
 		if err != nil {
@@ -489,7 +456,7 @@ func (s *Server) handleApp(pool *serve.Pool[*pix.Image], ref, input *pix.Image, 
 		if math.IsInf(snrDB, 0) || math.IsNaN(snrDB) {
 			snrDB = 0 // precise deliveries have no finite SNR; record "unmeasured"
 		}
-		tr.Deliver(uint64(snap.Version), snap.Final, interrupted, snrDB, time.Since(start))
+		tr.Deliver(uint64(snap.Version), snap.Final, res.Interrupted, snrDB, time.Since(start))
 		s.recordDelivered(db, snap.Final)
 		var buf bytes.Buffer
 		if err := pix.EncodePNM(&buf, snap.Value); err != nil {
@@ -508,7 +475,7 @@ func (s *Server) handleApp(pool *serve.Pool[*pix.Image], ref, input *pix.Image, 
 		if k.deadline > 0 {
 			w.Header().Set("X-Anytime-Deadline", k.deadline.String())
 			w.Header().Set("X-Anytime-Effective-Deadline", effective.String())
-			w.Header().Set("X-Anytime-Deadline-Fired", fmt.Sprint(deadlineFired))
+			w.Header().Set("X-Anytime-Deadline-Fired", fmt.Sprint(res.Interrupted))
 			// Echoed only when the budget actually capped the contract: a
 			// budget looser than the deadline never participated, and
 			// echoing it would misreport what governed the request.
@@ -533,21 +500,8 @@ func (s *Server) handleApp(pool *serve.Pool[*pix.Image], ref, input *pix.Image, 
 		// version not newer than the stored one (including a re-admission of
 		// the very entry this run was seeded from) is refused.
 		if admitOut {
-			serve.Admit(s.cache, cacheKey, serve.Result[*pix.Image]{Snapshot: snap}, snrDB)
+			serve.Admit(s.cache, cacheKey, res, snrDB)
 		}
-	}
-}
-
-// holdOutcome folds a held automaton's terminal error into the outcome
-// vocabulary the run.finish span uses (precise | stopped | failed).
-func holdOutcome(err error) string {
-	switch {
-	case err == nil:
-		return "precise"
-	case errors.Is(err, core.ErrStopped):
-		return "stopped"
-	default:
-		return "failed"
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"anytime/internal/pix"
 )
 
-func testServer(t *testing.T) *Server {
+func testServer(t testing.TB) *Server {
 	t.Helper()
 	s, err := New(64, 2, Config{})
 	if err != nil {
@@ -64,14 +64,14 @@ func TestPreciseBlur(t *testing.T) {
 	}
 }
 
-func TestHeldBlurReturnsValidApproximation(t *testing.T) {
+func TestShortDeadlineBlurReturnsValidApproximation(t *testing.T) {
 	s := testServer(t)
-	rec := get(t, s, "/blur?hold=3ms")
+	rec := get(t, s, "/blur?deadline=3ms")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
 	if _, err := pix.DecodePNM(bytes.NewReader(rec.Body.Bytes())); err != nil {
-		t.Fatalf("held response not a valid image: %v", err)
+		t.Fatalf("deadline response not a valid image: %v", err)
 	}
 	if v := rec.Header().Get("X-Anytime-Version"); v == "" || v == "0" {
 		t.Errorf("version header %q", v)
@@ -101,7 +101,7 @@ func TestAcceptKnobStopsAtThreshold(t *testing.T) {
 
 func TestClusterReturnsRGB(t *testing.T) {
 	s := testServer(t)
-	rec := get(t, s, "/cluster?hold=5ms")
+	rec := get(t, s, "/cluster?deadline=5ms")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -135,16 +135,12 @@ func TestEqualizePrecise(t *testing.T) {
 func TestKnobValidation(t *testing.T) {
 	s := testServer(t)
 	cases := []string{
-		"/blur?hold=banana",
-		"/blur?hold=-5ms",
 		"/blur?accept=-1",
 		"/blur?accept=x",
-		"/blur?hold=5ms&accept=10",
-		"/blur?hold=11s",
+		"/blur?accept=NaN",
 		"/blur?deadline=banana",
 		"/blur?deadline=-5ms",
 		"/blur?deadline=11s",
-		"/blur?deadline=5ms&hold=5ms",
 		"/blur?deadline=5ms&accept=10",
 	}
 	for _, path := range cases {
@@ -154,9 +150,22 @@ func TestKnobValidation(t *testing.T) {
 	}
 }
 
+// TestRemovedHoldKnobRefusedByName: ?hold= is outside input that used to
+// mean "stop early"; it must not fall through to a precise run. Every
+// spelling gets a 400 whose body points at the deadline knob.
+func TestRemovedHoldKnobRefusedByName(t *testing.T) {
+	s := testServer(t)
+	for _, path := range []string{"/blur?hold=5ms", "/blur?hold=", "/cluster?hold=banana", "/blur?deadline=5ms&hold=5ms"} {
+		rec := get(t, s, path)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "deadline") {
+			t.Errorf("%s: status %d body %q, want a 400 naming deadline", path, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // TestDeadlineContract pins the serving contract end to end: a deadline far
 // too short for the pipeline still returns 200 with a valid, decodable
-// approximation (never 504, unlike hold), the deadline headers report the
+// approximation (never 504), the deadline headers report the
 // interruption, and the delivered-accuracy metric is recorded.
 func TestDeadlineContract(t *testing.T) {
 	// A larger image than the other tests so a microsecond deadline

@@ -53,12 +53,12 @@ func debugRequestsJSON(t *testing.T, s *Server) requestsJSON {
 func TestTraceHeaderEchoed(t *testing.T) {
 	s := testServer(t)
 	idRe := regexp.MustCompile(`^[0-9a-f]{32}$`)
-	first := get(t, s, "/blur?hold=2ms")
+	first := get(t, s, "/blur?deadline=2ms")
 	if !idRe.MatchString(first.Header().Get("X-Anytime-Trace")) {
 		t.Fatalf("trace header %q", first.Header().Get("X-Anytime-Trace"))
 	}
 	// Even a rejected knob gets an ID — the failure is traced too.
-	bad := get(t, s, "/blur?hold=banana")
+	bad := get(t, s, "/blur?deadline=banana")
 	if !idRe.MatchString(bad.Header().Get("X-Anytime-Trace")) {
 		t.Fatalf("trace header on 400 %q", bad.Header().Get("X-Anytime-Trace"))
 	}

@@ -11,9 +11,6 @@ import (
 
 // knobs are one request's stopping controls. At most one is set.
 type knobs struct {
-	// hold stops the automaton after a raw duration and takes whatever is
-	// published — possibly nothing (504).
-	hold time.Duration
 	// deadline is the serving contract: the best published snapshot when
 	// the deadline fires, never empty-handed, shed under load.
 	deadline time.Duration
@@ -22,50 +19,44 @@ type knobs struct {
 	// budget is the remaining deadline budget a routing tier handed this
 	// backend (serve.BudgetHeader); budgetSet reports whether the header
 	// was present. It caps the deadline knob and is ignored by the
-	// precise/hold/accept paths — zero-deadline precise requests are never
+	// precise/accept paths — zero-deadline precise requests are never
 	// budgeted.
 	budget    time.Duration
 	budgetSet bool
 }
 
-// knobCap bounds the hold/deadline knobs so a stray client cannot park on
-// an execution slot indefinitely.
+// knobCap bounds the deadline knob so a stray client cannot park on an
+// execution slot indefinitely.
 const knobCap = 10 * time.Second
 
-// parseKnobs extracts the hold/accept/deadline stopping knobs from a
-// request, plus the router-propagated deadline budget header.
+// parseKnobs extracts the deadline/accept stopping knobs from a request,
+// plus the router-propagated deadline budget header. The removed hold knob
+// is refused by name: falling through to a precise run would silently
+// change what the client asked for.
 func parseKnobs(r *http.Request) (knobs, error) {
 	var k knobs
 	var err error
-	if h := r.URL.Query().Get("hold"); h != "" {
-		k.hold, err = time.ParseDuration(h)
-		if err != nil || k.hold <= 0 {
-			return knobs{}, fmt.Errorf("bad hold duration %q", h)
-		}
+	q := r.URL.Query()
+	if q.Has("hold") {
+		return knobs{}, fmt.Errorf("the hold knob was removed: use deadline (never empty-handed, never 504)")
 	}
-	if d := r.URL.Query().Get("deadline"); d != "" {
+	if d := q.Get("deadline"); d != "" {
 		k.deadline, err = time.ParseDuration(d)
 		if err != nil || k.deadline <= 0 {
 			return knobs{}, fmt.Errorf("bad deadline %q", d)
 		}
 	}
-	if a := r.URL.Query().Get("accept"); a != "" {
+	if a := q.Get("accept"); a != "" {
 		k.accept, err = strconv.ParseFloat(a, 64)
-		if err != nil || k.accept <= 0 {
+		if err != nil || !(k.accept > 0) { // NaN parses, and must not fall through to a precise run
 			return knobs{}, fmt.Errorf("bad accept threshold %q", a)
 		}
 	}
-	set := 0
-	for _, on := range []bool{k.hold > 0, k.deadline > 0, k.accept > 0} {
-		if on {
-			set++
-		}
+	if k.deadline > 0 && k.accept > 0 {
+		return knobs{}, fmt.Errorf("deadline and accept are mutually exclusive")
 	}
-	if set > 1 {
-		return knobs{}, fmt.Errorf("hold, deadline and accept are mutually exclusive")
-	}
-	if k.hold > knobCap || k.deadline > knobCap {
-		return knobs{}, fmt.Errorf("hold and deadline capped at %v", knobCap)
+	if k.deadline > knobCap {
+		return knobs{}, fmt.Errorf("deadline capped at %v", knobCap)
 	}
 	if k.budget, k.budgetSet, err = serve.ParseBudget(r.Header.Get(serve.BudgetHeader)); err != nil {
 		return knobs{}, err

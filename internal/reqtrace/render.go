@@ -177,6 +177,9 @@ func describe(e Event) string {
 		if e.Val > 0 {
 			s += fmt.Sprintf(" snr=%.1fdB", e.Val)
 		}
+		if e.Name != "" {
+			s += " member=" + e.Name
+		}
 		if e.Note != "" {
 			s += " " + e.Note
 		}
@@ -199,6 +202,8 @@ func describe(e Event) string {
 		return fmt.Sprintf("hedge.fire after=%v", e.Dur)
 	case KindHedgeCancel:
 		return fmt.Sprintf("hedge.cancel member=%s role=%s", e.Name, e.Note)
+	case KindHedgeWin:
+		return fmt.Sprintf("hedge.win member=%s role=%s", e.Name, e.Note)
 	default:
 		return e.Kind.String()
 	}

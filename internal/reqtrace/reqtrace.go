@@ -8,15 +8,21 @@
 // versions published before its deadline fired, and what snapshot was it
 // finally handed.
 //
-// The package follows core.Hooks' nil-guard discipline throughout: every
-// method is safe on a nil receiver and the disabled fast path — a nil
-// *Trace, an unbound Slot, a context without a trace — costs a pointer
-// check (or one atomic load) and zero allocations, so instrumentation
-// points stay in place permanently, exactly like the hooks they ride on.
+// Every method is safe on a nil receiver and the disabled fast path — a
+// nil *Trace, a nil Sink, an unbound Slot, a context without a trace —
+// costs a pointer check (or one atomic load) and zero allocations, so
+// instrumentation points stay in place permanently.
+//
+// An Event is also the only thing a serving-path decision point emits: the
+// serving layers (internal/serve, internal/cluster) report each decision
+// with one statement, sink.Send(tr.QueueGrant(wait)) — the helper appends
+// the event to the request's trace and returns it, and Send hands that same
+// value to the process-level Sink internal/telemetry turns into /metrics,
+// so the trace and the metrics cannot disagree.
 //
 // Traces propagate by context (NewContext/FromContext), so the serving
-// layers (internal/serve) pick them up without new dependencies on the
-// caller. When the Go execution tracer is running, each Trace additionally
+// layers pick them up without new dependencies on the caller. When the Go
+// execution tracer is running, each Trace additionally
 // opens a runtime/trace task, letting `go tool trace` show requests against
 // the scheduler; serve's queue-wait and run phases become regions inside
 // it.
@@ -63,8 +69,10 @@ const (
 	// KindRunStart: the automaton started. Dur is the (effective) deadline
 	// it runs under, zero for run-to-precise.
 	KindRunStart
-	// KindRunFinish: the automaton finished or was stopped. Note is the
-	// outcome (precise | stopped | failed), Dur the run's wall time.
+	// KindRunFinish: the automaton finished or was stopped and its newest
+	// snapshot was handed to the caller. Note is the outcome (precise |
+	// stopped | failed), Dur the run's wall time, Flag whether that
+	// snapshot is the final (precise) output.
 	KindRunFinish
 	// KindReset: the automaton's per-run state was rewound for the next
 	// checkout (the warm-pool discipline).
@@ -79,7 +87,9 @@ const (
 	// KindDeliver: a snapshot was delivered. Version/Flag describe the
 	// snapshot (Flag = final), Val its SNR in dB when the caller measured
 	// one (0 otherwise), Dur the elapsed run time, Note "interrupted" when
-	// the run was cut short.
+	// the run was cut short. On the router Name is the serving member, Note
+	// "hedged" when the hedge attempt supplied it, Dur the router-side
+	// elapsed time.
 	KindDeliver
 	// KindError: the request failed. Note is the error text.
 	KindError
@@ -115,6 +125,13 @@ const (
 	// is the output buffer, Version the seed version the run continues
 	// from.
 	KindCacheSeed
+	// KindHedgeWin: a race that launched both attempts was resolved. Name
+	// is the winning member, Note its role.
+	KindHedgeWin
+	// KindMemberState: a backend changed health state. Name is the member,
+	// Note the new state (healthy | draining | down). It belongs to no
+	// request, so only the Sink sees it.
+	KindMemberState
 )
 
 var kindNames = [...]string{
@@ -140,6 +157,8 @@ var kindNames = [...]string{
 	KindCacheHit:    "cache.hit",
 	KindCacheMiss:   "cache.miss",
 	KindCacheSeed:   "cache.seed",
+	KindHedgeWin:    "hedge.win",
+	KindMemberState: "member.state",
 }
 
 // String returns the kind's stable wire name (also used in JSON).
@@ -328,6 +347,20 @@ func (t *Trace) Start() time.Time {
 	return t.start
 }
 
+// Sink receives every decision the serving path reports, traced request or
+// not: the process-level observer internal/telemetry binds to the metrics
+// registry. Sinks run synchronously on the goroutine that made the decision
+// and must not block; the events they see carry no At (that offset belongs
+// to the trace's copy).
+type Sink func(Event)
+
+// Send hands e to the sink; a nil Sink is the disabled observer.
+func (s Sink) Send(e Event) {
+	if s != nil {
+		s(e)
+	}
+}
+
 // Add appends one event, stamping it with the monotonic offset from the
 // trace's start. Nil traces and sealed traces drop the event.
 func (t *Trace) Add(e Event) {
@@ -354,44 +387,57 @@ func (t *Trace) Add(e Event) {
 	t.mu.Unlock()
 }
 
+// report is Add for the decisions a Sink also observes: it hands e back so
+// the site reports once, sink.Send(tr.QueueGrant(wait)). A nil or sealed
+// trace still returns the event it would have recorded.
+func (t *Trace) report(e Event) Event {
+	t.Add(e)
+	return e
+}
+
 // Instrumentation-point helpers: one per serving-path site, all nil-safe
 // through Add.
 
 // QueueEnter records the request starting to wait at the given depth.
-func (t *Trace) QueueEnter(depth int) { t.Add(Event{Kind: KindQueueEnter, N: depth}) }
+func (t *Trace) QueueEnter(depth int) Event { return t.report(Event{Kind: KindQueueEnter, N: depth}) }
 
 // QueueGrant records the request obtaining a slot after wait.
-func (t *Trace) QueueGrant(wait time.Duration) { t.Add(Event{Kind: KindQueueGrant, Dur: wait}) }
+func (t *Trace) QueueGrant(wait time.Duration) Event {
+	return t.report(Event{Kind: KindQueueGrant, Dur: wait})
+}
 
 // QueueReject records admission control turning the request away with the
 // wait queue at capacity.
-func (t *Trace) QueueReject(capacity int) { t.Add(Event{Kind: KindQueueReject, N: capacity}) }
+func (t *Trace) QueueReject(capacity int) Event {
+	return t.report(Event{Kind: KindQueueReject, N: capacity})
+}
 
 // Shed records the load controller applying factor, yielding the effective
 // deadline.
-func (t *Trace) Shed(factor float64, effective time.Duration) {
-	t.Add(Event{Kind: KindShed, Val: factor, Dur: effective})
+func (t *Trace) Shed(factor float64, effective time.Duration) Event {
+	return t.report(Event{Kind: KindShed, Val: factor, Dur: effective})
 }
 
 // PoolGet records an automaton checkout from pool (warm = reused idle
 // entry).
-func (t *Trace) PoolGet(pool string, warm bool) {
-	t.Add(Event{Kind: KindPoolGet, Name: pool, Flag: warm})
+func (t *Trace) PoolGet(pool string, warm bool) Event {
+	return t.report(Event{Kind: KindPoolGet, Name: pool, Flag: warm})
 }
 
 // PoolPut records the automaton's check-in (retained = kept for reuse).
-func (t *Trace) PoolPut(pool string, retained bool) {
-	t.Add(Event{Kind: KindPoolPut, Name: pool, Flag: retained})
+func (t *Trace) PoolPut(pool string, retained bool) Event {
+	return t.report(Event{Kind: KindPoolPut, Name: pool, Flag: retained})
 }
 
 // RunStart records the automaton starting under deadline (zero =
 // run-to-precise).
 func (t *Trace) RunStart(deadline time.Duration) { t.Add(Event{Kind: KindRunStart, Dur: deadline}) }
 
-// RunFinish records the automaton finishing with the given outcome label
-// after elapsed.
-func (t *Trace) RunFinish(outcome string, elapsed time.Duration) {
-	t.Add(Event{Kind: KindRunFinish, Note: outcome, Dur: elapsed})
+// RunFinish records the run ending with the given outcome label after
+// elapsed and handing over its newest snapshot; final reports whether that
+// is the precise output.
+func (t *Trace) RunFinish(outcome string, final bool, elapsed time.Duration) Event {
+	return t.report(Event{Kind: KindRunFinish, Note: outcome, Flag: final, Dur: elapsed})
 }
 
 // Reset records the automaton's per-run state being rewound.
@@ -417,6 +463,17 @@ func (t *Trace) Deliver(version uint64, final, interrupted bool, snrDB float64, 
 	t.Add(e)
 }
 
+// RouterDeliver records the router relaying member's snapshot (its version
+// and finality) after elapsed; hedged reports that the hedge attempt
+// supplied it. The SNR stays in the backend's own trace.
+func (t *Trace) RouterDeliver(member string, hedged bool, version uint64, final bool, elapsed time.Duration) Event {
+	e := Event{Kind: KindDeliver, Name: member, Version: version, Flag: final, Dur: elapsed}
+	if hedged {
+		e.Note = "hedged"
+	}
+	return t.report(e)
+}
+
 // Error records a request failure.
 func (t *Trace) Error(note string) { t.Add(Event{Kind: KindError, Note: note}) }
 
@@ -431,30 +488,36 @@ func (t *Trace) RoutePick(member, key string, rank int) {
 
 // Budget records the remaining deadline budget granted downstream; floored
 // reports the budget hit zero (best-effort delivery).
-func (t *Trace) Budget(budget time.Duration, floored bool) {
-	t.Add(Event{Kind: KindBudget, Dur: budget, Flag: floored})
+func (t *Trace) Budget(budget time.Duration, floored bool) Event {
+	return t.report(Event{Kind: KindBudget, Dur: budget, Flag: floored})
 }
 
 // Forward records a proxied request leaving for member in the given role
 // (primary | hedge).
-func (t *Trace) Forward(member, role string) {
-	t.Add(Event{Kind: KindForward, Name: member, Note: role})
+func (t *Trace) Forward(member, role string) Event {
+	return t.report(Event{Kind: KindForward, Name: member, Note: role})
 }
 
 // ForwardDone records a proxied request returning after rtt; usable
 // reports whether the response carried a deliverable snapshot.
-func (t *Trace) ForwardDone(member, role string, rtt time.Duration, usable bool) {
-	t.Add(Event{Kind: KindForwardDone, Name: member, Note: role, Dur: rtt, Flag: usable})
+func (t *Trace) ForwardDone(member, role string, rtt time.Duration, usable bool) Event {
+	return t.report(Event{Kind: KindForwardDone, Name: member, Note: role, Dur: rtt, Flag: usable})
 }
 
 // HedgeFire records the hedge delay elapsing with the primary outstanding.
-func (t *Trace) HedgeFire(delay time.Duration) {
-	t.Add(Event{Kind: KindHedgeFire, Dur: delay})
+func (t *Trace) HedgeFire(delay time.Duration) Event {
+	return t.report(Event{Kind: KindHedgeFire, Dur: delay})
+}
+
+// HedgeWin records member, forwarded to in the given role, winning a race
+// that launched both attempts.
+func (t *Trace) HedgeWin(member, role string) Event {
+	return t.report(Event{Kind: KindHedgeWin, Name: member, Note: role})
 }
 
 // HedgeCancel records the losing in-flight request being cancelled.
-func (t *Trace) HedgeCancel(member, role string) {
-	t.Add(Event{Kind: KindHedgeCancel, Name: member, Note: role})
+func (t *Trace) HedgeCancel(member, role string) Event {
+	return t.report(Event{Kind: KindHedgeCancel, Name: member, Note: role})
 }
 
 // Snapshot-cache helpers: the warm-start spans internal/serve and

@@ -23,7 +23,7 @@ func TestNilTraceSwallowsEverything(t *testing.T) {
 	tr.PoolGet("p", true)
 	tr.PoolPut("p", true)
 	tr.RunStart(time.Second)
-	tr.RunFinish("precise", time.Second)
+	tr.RunFinish("precise", true, time.Second)
 	tr.Reset()
 	tr.Publish("buf", 1, 64, false)
 	tr.DeadlineFired(time.Second)
@@ -40,6 +40,34 @@ func TestNilTraceSwallowsEverything(t *testing.T) {
 	if tr.Category() != CategoryOK {
 		t.Errorf("nil trace category = %v", tr.Category())
 	}
+}
+
+// TestHelperReturnsWhatTheTraceHolds: a decision point reports with
+// sink.Send(tr.X(...)), so the value a helper returns must be the event the
+// trace recorded — and, on a nil trace, the event it would have recorded,
+// so untraced requests still reach the sink. A nil Sink swallows the send.
+func TestHelperReturnsWhatTheTraceHolds(t *testing.T) {
+	_, tr := New(context.Background(), "blur")
+	var seen []Event
+	sink := Sink(func(e Event) { seen = append(seen, e) })
+	sink.Send(tr.QueueGrant(3 * time.Millisecond))
+	sink.Send(tr.RunFinish("stopped", false, time.Second))
+	got := tr.Events()
+	for i := range got {
+		got[i].At = 0 // the offset is the trace's own; the sink's copy has none
+	}
+	if len(got) != 2 || got[0] != seen[0] || got[1] != seen[1] {
+		t.Fatalf("sink saw %+v, trace holds %+v", seen, got)
+	}
+	var none *Trace
+	if untraced := none.QueueGrant(3 * time.Millisecond); untraced != seen[0] {
+		t.Fatalf("nil-trace helper built %+v, traced one %+v", untraced, seen[0])
+	}
+	tr.Finish(200)
+	if e := tr.PoolPut("blur", true); e.Kind != KindPoolPut || tr.Len() != 2 {
+		t.Fatalf("sealed trace: helper returned %+v, trace holds %d events", e, tr.Len())
+	}
+	Sink(nil).Send(seen[0]) // must not panic
 }
 
 func TestFromContextMissIsNil(t *testing.T) {

@@ -1,7 +1,6 @@
 package reqtrace
 
 import (
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -93,21 +92,8 @@ func (s *Slot) CoreHooks() *core.Hooks {
 		},
 		AutomatonFinish: func(outcome error, elapsed time.Duration) {
 			if t := s.Trace(); t != nil {
-				t.RunFinish(outcomeLabel(outcome), elapsed)
+				t.RunFinish(core.Outcome(outcome), outcome == nil, elapsed)
 			}
 		},
-	}
-}
-
-// outcomeLabel folds a run's terminal error into the stable outcome
-// vocabulary shared with telemetry: precise, stopped, failed.
-func outcomeLabel(err error) string {
-	switch {
-	case err == nil:
-		return "precise"
-	case errors.Is(err, core.ErrStopped):
-		return "stopped"
-	default:
-		return "failed"
 	}
 }

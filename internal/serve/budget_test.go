@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"anytime/internal/reqtrace"
 )
 
 func TestParseBudget(t *testing.T) {
@@ -109,12 +111,12 @@ func TestControllerKneeBoundaries(t *testing.T) {
 }
 
 // TestControllerScaleFactorOneIsInvisible: at factor exactly 1 Scale must
-// return the deadline untouched AND stay silent — no Shed hook, no trace
-// event. A spurious hook at the knee would inflate the shed metrics on
-// every request that merely grazed the queue.
+// return the deadline untouched AND stay silent — no shed event, on the
+// sink or the trace. A spurious event at the knee would inflate the shed
+// metrics on every request that merely grazed the queue.
 func TestControllerScaleFactorOneIsInvisible(t *testing.T) {
 	fired := 0
-	c := Controller{ShedStart: 8, ShedFull: 32, MinFactor: 0.25, H: &Hooks{Shed: func(float64) { fired++ }}}
+	c := Controller{ShedStart: 8, ShedFull: 32, MinFactor: 0.25, Sink: onKind(reqtrace.KindShed, func(reqtrace.Event) { fired++ })}
 	d := 100 * time.Millisecond
 	if got := c.Scale(context.Background(), d, 8); got != d {
 		t.Fatalf("Scale at the knee = %v, want %v unchanged", got, d)
@@ -123,9 +125,9 @@ func TestControllerScaleFactorOneIsInvisible(t *testing.T) {
 		t.Fatalf("Scale at empty queue = %v, want %v", got, d)
 	}
 	if fired != 0 {
-		t.Fatalf("Shed hook fired %d times at factor 1", fired)
+		t.Fatalf("shed reported %d times at factor 1", fired)
 	}
 	if got := c.Scale(context.Background(), d, 9); got >= d || fired != 1 {
-		t.Fatalf("Scale above the knee = %v (hook %d), want scaled-down and one hook", got, fired)
+		t.Fatalf("Scale above the knee = %v (events %d), want scaled-down and one shed event", got, fired)
 	}
 }

@@ -33,8 +33,9 @@ type Controller struct {
 	ShedFull int
 	// MinFactor is the smallest factor applied, in (0, 1].
 	MinFactor float64
-	// H receives Shed callbacks whenever Scale applies a factor below 1.
-	H *Hooks
+	// Sink observes every shed decision (Scale applying a factor below 1);
+	// may be nil.
+	Sink reqtrace.Sink
 }
 
 // Validate checks the controller's configuration.
@@ -69,8 +70,9 @@ func (c Controller) Factor(depth int) float64 {
 // contract, and shedding it would break the bit-exactness promise; under
 // overload such requests are bounded by admission control instead.
 //
-// A request trace bound into ctx records the shed decision (factor and
-// effective deadline) whenever a factor below 1 is applied.
+// Whenever a factor below 1 is applied, the shed decision (factor and
+// effective deadline) is reported to the request trace bound into ctx and
+// to Sink.
 func (c Controller) Scale(ctx context.Context, deadline time.Duration, depth int) time.Duration {
 	if deadline <= 0 {
 		return deadline
@@ -80,9 +82,6 @@ func (c Controller) Scale(ctx context.Context, deadline time.Duration, depth int
 		return deadline
 	}
 	effective := time.Duration(float64(deadline) * f)
-	if c.H != nil && c.H.Shed != nil {
-		c.H.Shed(f)
-	}
-	reqtrace.FromContext(ctx).Shed(f, effective)
+	c.Sink.Send(reqtrace.FromContext(ctx).Shed(f, effective))
 	return effective
 }

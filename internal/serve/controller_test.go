@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"anytime/internal/reqtrace"
 )
 
 func TestControllerValidation(t *testing.T) {
@@ -45,7 +47,7 @@ func TestControllerRamp(t *testing.T) {
 func TestControllerScale(t *testing.T) {
 	var shed []float64
 	c := Controller{ShedStart: 0, ShedFull: 2, MinFactor: 0.5,
-		H: &Hooks{Shed: func(f float64) { shed = append(shed, f) }}}
+		Sink: onKind(reqtrace.KindShed, func(e reqtrace.Event) { shed = append(shed, e.Val) })}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +65,6 @@ func TestControllerScale(t *testing.T) {
 		t.Fatalf("precise request scaled to %v", got)
 	}
 	if len(shed) != 2 {
-		t.Fatalf("Shed hook fired %d times, want 2 (not for factor 1 or deadline 0)", len(shed))
+		t.Fatalf("shed reported %d times, want 2 (not for factor 1 or deadline 0)", len(shed))
 	}
 }

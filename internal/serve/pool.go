@@ -20,7 +20,7 @@ import (
 type Pool[T any] struct {
 	name  string
 	build func() (Entry[T], error)
-	h     *Hooks
+	sink  reqtrace.Sink
 
 	mu   sync.Mutex
 	idle []Entry[T]
@@ -28,15 +28,16 @@ type Pool[T any] struct {
 
 // NewPool returns a pool retaining at most capacity idle entries, building
 // new ones with build. capacity must be positive — a pool that retains
-// nothing is just a constructor call.
-func NewPool[T any](name string, capacity int, build func() (Entry[T], error), h *Hooks) (*Pool[T], error) {
+// nothing is just a constructor call. sink, when non-nil, observes every
+// checkout and check-in.
+func NewPool[T any](name string, capacity int, build func() (Entry[T], error), sink reqtrace.Sink) (*Pool[T], error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("serve: pool %q capacity %d must be positive", name, capacity)
 	}
 	if build == nil {
 		return nil, fmt.Errorf("serve: pool %q has no build function", name)
 	}
-	return &Pool[T]{name: name, build: build, h: h, idle: make([]Entry[T], 0, capacity)}, nil
+	return &Pool[T]{name: name, build: build, sink: sink, idle: make([]Entry[T], 0, capacity)}, nil
 }
 
 // Name reports the pool's label.
@@ -77,10 +78,7 @@ func (p *Pool[T]) Get(ctx context.Context) (Entry[T], error) {
 		p.idle[n-1] = Entry[T]{} // release the reference
 		p.idle = p.idle[:n-1]
 		p.mu.Unlock()
-		if p.h != nil && p.h.PoolGet != nil {
-			p.h.PoolGet(p.name, true)
-		}
-		tr.PoolGet(p.name, true)
+		p.sink.Send(tr.PoolGet(p.name, true))
 		return e, nil
 	}
 	p.mu.Unlock()
@@ -88,10 +86,7 @@ func (p *Pool[T]) Get(ctx context.Context) (Entry[T], error) {
 	if err != nil {
 		return Entry[T]{}, err
 	}
-	if p.h != nil && p.h.PoolGet != nil {
-		p.h.PoolGet(p.name, false)
-	}
-	tr.PoolGet(p.name, false)
+	p.sink.Send(tr.PoolGet(p.name, false))
 	return e, nil
 }
 
@@ -107,10 +102,7 @@ func (p *Pool[T]) Get(ctx context.Context) (Entry[T], error) {
 // Unbind only after Put, and must do so before sealing the trace.
 func (p *Pool[T]) Put(e Entry[T]) error {
 	if err := e.Automaton.Reset(); err != nil {
-		if p.h != nil && p.h.PoolPut != nil {
-			p.h.PoolPut(p.name, false)
-		}
-		e.Slot.Trace().PoolPut(p.name, false)
+		p.sink.Send(e.Slot.Trace().PoolPut(p.name, false))
 		return fmt.Errorf("serve: pool %q check-in: %w", p.name, err)
 	}
 	p.mu.Lock()
@@ -119,10 +111,7 @@ func (p *Pool[T]) Put(e Entry[T]) error {
 		p.idle = append(p.idle, e)
 	}
 	p.mu.Unlock()
-	if p.h != nil && p.h.PoolPut != nil {
-		p.h.PoolPut(p.name, retained)
-	}
-	e.Slot.Trace().PoolPut(p.name, retained)
+	p.sink.Send(e.Slot.Trace().PoolPut(p.name, retained))
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"anytime/internal/core"
+	"anytime/internal/reqtrace"
 )
 
 // countingEntry builds a trivial one-stage automaton publishing 1, 2, 3
@@ -47,9 +48,8 @@ func TestPoolValidation(t *testing.T) {
 func TestPoolReuseAmortizesConstruction(t *testing.T) {
 	builds := 0
 	var events []bool
-	p, err := NewPool("p", 2, countingBuilder(&builds), &Hooks{
-		PoolGet: func(pool string, warm bool) { events = append(events, warm) },
-	})
+	p, err := NewPool("p", 2, countingBuilder(&builds),
+		onKind(reqtrace.KindPoolGet, func(e reqtrace.Event) { events = append(events, e.Flag) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +114,8 @@ func TestPoolWarmPrebuilds(t *testing.T) {
 func TestPoolDiscardsBeyondCapacity(t *testing.T) {
 	builds := 0
 	var retained []bool
-	p, err := NewPool("p", 1, countingBuilder(&builds), &Hooks{
-		PoolPut: func(pool string, kept bool) { retained = append(retained, kept) },
-	})
+	p, err := NewPool("p", 1, countingBuilder(&builds),
+		onKind(reqtrace.KindPoolPut, func(e reqtrace.Event) { retained = append(retained, e.Flag) }))
 	if err != nil {
 		t.Fatal(err)
 	}

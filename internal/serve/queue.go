@@ -29,7 +29,7 @@ var ErrQueueFull = errors.New("serve: admission queue full")
 type Queue struct {
 	slots      int
 	maxWaiters int
-	h          *Hooks
+	sink       reqtrace.Sink
 
 	mu      sync.Mutex
 	free    int
@@ -39,15 +39,16 @@ type Queue struct {
 
 // NewQueue returns a queue with the given concurrency slots and wait-queue
 // bound. waiters may be zero: then any request arriving while all slots
-// are busy is rejected immediately.
-func NewQueue(slots, waiters int, h *Hooks) (*Queue, error) {
+// are busy is rejected immediately. sink, when non-nil, observes every
+// admission decision.
+func NewQueue(slots, waiters int, sink reqtrace.Sink) (*Queue, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("serve: queue slots %d must be positive", slots)
 	}
 	if waiters < 0 {
 		return nil, fmt.Errorf("serve: queue waiters %d must not be negative", waiters)
 	}
-	return &Queue{slots: slots, maxWaiters: waiters, h: h, free: slots}, nil
+	return &Queue{slots: slots, maxWaiters: waiters, sink: sink, free: slots}, nil
 }
 
 // Acquire obtains an execution slot, waiting in FIFO order behind earlier
@@ -55,10 +56,10 @@ func NewQueue(slots, waiters int, h *Hooks) (*Queue, error) {
 // ctx.Err() if the context is cancelled while waiting (the request's place
 // in line is given up).
 //
-// A request trace bound into ctx (reqtrace.New) records the admission
-// decision — enter/grant with the wait time, or reject — and, when the Go
-// execution tracer is running, the contended wait becomes an
-// "anytime.queue" region of the request's task.
+// The admission decision — enter/grant with the wait time, or reject — is
+// reported once, to the request trace bound into ctx (reqtrace.New) and to
+// the queue's sink. When the Go execution tracer is running, the contended
+// wait becomes an "anytime.queue" region of the request's task.
 func (q *Queue) Acquire(ctx context.Context) error {
 	tr := reqtrace.FromContext(ctx)
 	q.mu.Lock()
@@ -66,28 +67,19 @@ func (q *Queue) Acquire(ctx context.Context) error {
 		q.free--
 		q.running++
 		q.mu.Unlock()
-		if q.h != nil && q.h.QueueAcquire != nil {
-			q.h.QueueAcquire(0)
-		}
-		tr.QueueGrant(0)
+		q.sink.Send(tr.QueueGrant(0))
 		return nil
 	}
 	if len(q.waiters) >= q.maxWaiters {
 		q.mu.Unlock()
-		if q.h != nil && q.h.QueueReject != nil {
-			q.h.QueueReject()
-		}
-		tr.QueueReject(q.maxWaiters)
+		q.sink.Send(tr.QueueReject(q.maxWaiters))
 		return ErrQueueFull
 	}
 	grant := make(chan struct{})
 	q.waiters = append(q.waiters, grant)
 	depth := len(q.waiters)
 	q.mu.Unlock()
-	if q.h != nil && q.h.QueueEnqueue != nil {
-		q.h.QueueEnqueue(depth)
-	}
-	tr.QueueEnter(depth)
+	q.sink.Send(tr.QueueEnter(depth))
 	var region *rtrace.Region
 	if tr != nil {
 		region = rtrace.StartRegion(ctx, "anytime.queue")
@@ -98,11 +90,7 @@ func (q *Queue) Acquire(ctx context.Context) error {
 		if region != nil {
 			region.End()
 		}
-		wait := time.Since(start)
-		if q.h != nil && q.h.QueueAcquire != nil {
-			q.h.QueueAcquire(wait)
-		}
-		tr.QueueGrant(wait)
+		q.sink.Send(tr.QueueGrant(time.Since(start)))
 		return nil
 	case <-ctx.Done():
 		if region != nil {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"anytime/internal/reqtrace"
 )
 
 func TestQueueValidation(t *testing.T) {
@@ -55,15 +57,13 @@ func TestQueueFIFOUnderSaturation(t *testing.T) {
 	const waiters = 16
 	ctx := context.Background()
 	// Enqueue waiters one at a time, recording arrival order. Acquire
-	// inserts into the wait list before returning control via the hook, so
+	// inserts into the wait list before reporting queue.enter to the sink, so
 	// sequential Acquire calls from distinct goroutines have a defined
 	// arrival order once each goroutine reports it has enqueued.
 	enqueued := make(chan int)
 	granted := make(chan int, waiters)
 	var wg sync.WaitGroup
-	hq, err := NewQueue(1, waiters, &Hooks{
-		QueueEnqueue: func(int) { enqueued <- 0 },
-	})
+	hq, err := NewQueue(1, waiters, onKind(reqtrace.KindQueueEnter, func(reqtrace.Event) { enqueued <- 0 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestQueueFIFOUnderSaturation(t *testing.T) {
 func TestQueueRejectsBeyondWaitBound(t *testing.T) {
 	ctx := context.Background()
 	entered := make(chan struct{}, 2)
-	hooked, err := NewQueue(1, 2, &Hooks{QueueEnqueue: func(int) { entered <- struct{}{} }})
+	hooked, err := NewQueue(1, 2, onKind(reqtrace.KindQueueEnter, func(reqtrace.Event) { entered <- struct{}{} }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestQueueCancelledWaiterLeavesLine(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	entered := make(chan struct{})
-	q2, err := NewQueue(1, 4, &Hooks{QueueEnqueue: func(int) { close(entered) }})
+	q2, err := NewQueue(1, 4, onKind(reqtrace.KindQueueEnter, func(reqtrace.Event) { close(entered) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +162,14 @@ func TestQueueCancelledWaiterLeavesLine(t *testing.T) {
 	}
 }
 
-func TestQueueAcquireHookReportsWait(t *testing.T) {
+func TestQueueGrantReportsWait(t *testing.T) {
 	var mu sync.Mutex
 	var waits []time.Duration
-	q, err := NewQueue(1, 1, &Hooks{QueueAcquire: func(w time.Duration) {
+	q, err := NewQueue(1, 1, onKind(reqtrace.KindQueueGrant, func(e reqtrace.Event) {
 		mu.Lock()
-		waits = append(waits, w)
+		waits = append(waits, e.Dur)
 		mu.Unlock()
-	}})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestQueueAcquireHookReportsWait(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(waits) != 2 {
-		t.Fatalf("hook fired %d times, want 2", len(waits))
+		t.Fatalf("queue.grant reported %d times, want 2", len(waits))
 	}
 	if waits[0] != 0 {
 		t.Fatalf("fast-path wait = %v, want 0", waits[0])

@@ -29,8 +29,10 @@
 //     per-request accuracy for throughput as load rises and restoring it
 //     as load drains.
 //
-// All observability is routed through the optional *Hooks parameter;
-// internal/telemetry.ServeHooks binds it to the process metrics registry.
+// Every decision point reports once, as a reqtrace.Event: appended to the
+// request's trace when ctx carries one, and handed to the optional
+// reqtrace.Sink parameter, which internal/telemetry.ServeHooks binds to the
+// process metrics registry.
 package serve
 
 import (
@@ -95,7 +97,7 @@ type Result[T any] struct {
 // ctx.Err(). A stage failure is returned as an error. The caller owns the
 // entry throughout and must still check it back into its pool afterwards;
 // Run always leaves the automaton stopped or finished, ready for Reset.
-func Run[T any](ctx context.Context, e Entry[T], deadline time.Duration, h *Hooks) (Result[T], error) {
+func Run[T any](ctx context.Context, e Entry[T], deadline time.Duration, sink reqtrace.Sink) (Result[T], error) {
 	tr := reqtrace.FromContext(ctx)
 	var region *rtrace.Region
 	if tr != nil {
@@ -103,11 +105,7 @@ func Run[T any](ctx context.Context, e Entry[T], deadline time.Duration, h *Hook
 	}
 	start := time.Now()
 	if err := e.Automaton.Start(ctx); err != nil {
-		if region != nil {
-			region.End()
-		}
-		tr.Error(err.Error())
-		return Result[T]{}, err
+		return runFail[T](tr, region, err)
 	}
 	tr.RunStart(deadline)
 	done := e.Automaton.Done()
@@ -154,16 +152,7 @@ func Run[T any](ctx context.Context, e Entry[T], deadline time.Duration, h *Hook
 	// A run that finished on its own before the deadline delivered the
 	// precise output; only a fired deadline that truly cut work short is an
 	// interruption.
-	interrupted = interrupted && !snap.Final
-	res := Result[T]{Snapshot: snap, Interrupted: interrupted, Elapsed: time.Since(start)}
-	if h != nil && h.Deliver != nil {
-		h.Deliver(interrupted, snap.Final, res.Elapsed)
-	}
-	if region != nil {
-		region.End()
-	}
-	tr.RunFinish(runOutcome(e.Automaton.Err()), res.Elapsed)
-	return res, nil
+	return deliverTraced(sink, tr, region, e.Automaton, snap, interrupted && !snap.Final, start), nil
 }
 
 // runFail ends the trace region and records the failure before returning
@@ -176,19 +165,6 @@ func runFail[T any](tr *reqtrace.Trace, region *rtrace.Region, err error) (Resul
 	return Result[T]{}, err
 }
 
-// runOutcome folds an automaton's terminal error into the outcome
-// vocabulary the telemetry layer uses.
-func runOutcome(err error) string {
-	switch {
-	case err == nil:
-		return "precise"
-	case errors.Is(err, core.ErrStopped):
-		return "stopped"
-	default:
-		return "failed"
-	}
-}
-
 // RunUntil executes a checked-out entry until accept admits a published
 // snapshot (or the automaton reaches its precise output, whichever comes
 // first), then stops the automaton and returns that snapshot. It is the
@@ -199,7 +175,7 @@ func runOutcome(err error) string {
 // accept runs on the request goroutine between versions; it must not
 // retain the snapshot value if the app publishes aliased ring images
 // (pix.SnapshotTiles).
-func RunUntil[T any](ctx context.Context, e Entry[T], accept func(core.Snapshot[T]) bool, h *Hooks) (Result[T], error) {
+func RunUntil[T any](ctx context.Context, e Entry[T], accept func(core.Snapshot[T]) bool, sink reqtrace.Sink) (Result[T], error) {
 	if accept == nil {
 		return Result[T]{}, fmt.Errorf("serve: RunUntil requires an accept predicate")
 	}
@@ -210,11 +186,7 @@ func RunUntil[T any](ctx context.Context, e Entry[T], accept func(core.Snapshot[
 	}
 	start := time.Now()
 	if err := e.Automaton.Start(ctx); err != nil {
-		if region != nil {
-			region.End()
-		}
-		tr.Error(err.Error())
-		return Result[T]{}, err
+		return runFail[T](tr, region, err)
 	}
 	tr.RunStart(0)
 	done := e.Automaton.Done()
@@ -247,12 +219,12 @@ func RunUntil[T any](ctx context.Context, e Entry[T], accept func(core.Snapshot[
 			if !ok {
 				return runFail[T](tr, region, ErrNoOutput)
 			}
-			return deliverTraced(h, tr, region, e.Automaton, final, false, start), nil
+			return deliverTraced(sink, tr, region, e.Automaton, final, false, start), nil
 		}
 		last = snap.Version
 		if snap.Final || accept(snap) {
 			e.Automaton.Stop()
-			return deliverTraced(h, tr, region, e.Automaton, snap, !snap.Final, start), nil
+			return deliverTraced(sink, tr, region, e.Automaton, snap, !snap.Final, start), nil
 		}
 	}
 }
@@ -286,14 +258,13 @@ func waitFirst[T any](ctx context.Context, e Entry[T], done <-chan struct{}) (co
 	return core.Snapshot[T]{}, ErrNoOutput
 }
 
-func deliverTraced[T any](h *Hooks, tr *reqtrace.Trace, region *rtrace.Region, a *core.Automaton, snap core.Snapshot[T], interrupted bool, start time.Time) Result[T] {
+// deliverTraced ends the run's region and reports the hand-over — the one
+// run.finish event both the trace and the delivery metrics are read from.
+func deliverTraced[T any](sink reqtrace.Sink, tr *reqtrace.Trace, region *rtrace.Region, a *core.Automaton, snap core.Snapshot[T], interrupted bool, start time.Time) Result[T] {
 	res := Result[T]{Snapshot: snap, Interrupted: interrupted, Elapsed: time.Since(start)}
-	if h != nil && h.Deliver != nil {
-		h.Deliver(interrupted, snap.Final, res.Elapsed)
-	}
 	if region != nil {
 		region.End()
 	}
-	tr.RunFinish(runOutcome(a.Err()), res.Elapsed)
+	sink.Send(tr.RunFinish(core.Outcome(a.Err()), snap.Final, res.Elapsed))
 	return res
 }

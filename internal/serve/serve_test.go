@@ -8,7 +8,18 @@ import (
 	"time"
 
 	"anytime/internal/core"
+	"anytime/internal/reqtrace"
 )
+
+// onKind returns a sink calling fn for events of kind k: how the tests
+// watch one decision point.
+func onKind(k reqtrace.Kind, fn func(reqtrace.Event)) reqtrace.Sink {
+	return func(e reqtrace.Event) {
+		if e.Kind == k {
+			fn(e)
+		}
+	}
+}
 
 // pacedEntry builds an automaton publishing versions 1..n, blocking on
 // step between publishes so tests control exactly how far it gets.
@@ -39,19 +50,17 @@ func pacedEntry(n int) (Entry[int], chan struct{}) {
 func TestRunPreciseNoDeadline(t *testing.T) {
 	e, step := pacedEntry(3)
 	close(step) // free-running
-	var delivered []bool
-	h := &Hooks{Deliver: func(interrupted, final bool, _ time.Duration) {
-		delivered = append(delivered, interrupted, final)
-	}}
-	res, err := Run(context.Background(), e, 0, h)
+	var finished []reqtrace.Event
+	sink := onKind(reqtrace.KindRunFinish, func(e reqtrace.Event) { finished = append(finished, e) })
+	res, err := Run(context.Background(), e, 0, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Snapshot.Value != 3 || !res.Snapshot.Final || res.Interrupted {
 		t.Fatalf("result %+v, want final value 3", res)
 	}
-	if len(delivered) != 2 || delivered[0] || !delivered[1] {
-		t.Fatalf("Deliver hook saw %v, want [false true]", delivered)
+	if len(finished) != 1 || !finished[0].Flag || finished[0].Note != "precise" || finished[0].Dur != res.Elapsed {
+		t.Fatalf("sink saw %+v, want one final precise run.finish carrying the result's elapsed", finished)
 	}
 }
 
@@ -247,5 +256,47 @@ func TestServeCycleUnderConcurrency(t *testing.T) {
 	defer mu.Unlock()
 	if builds > 8 {
 		t.Fatalf("built %d automata for 16 requests at concurrency 4", builds)
+	}
+}
+
+// TestDisabledObserversAddNoAllocs pins the disabled path's bar: with a nil
+// sink and no trace in the context, a full Acquire → Get → Run → Put →
+// Release cycle allocates only what the automaton run itself does. The
+// bound is the cycle's count at the commit before decision points reported
+// through reqtrace.Sink (8, stable over repeated runs); reporting must never
+// raise it.
+func TestDisabledObserversAddNoAllocs(t *testing.T) {
+	const runAllocs = 8
+	builds := 0
+	q, err := NewQueue(1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPool("p", 1, countingBuilder(&builds), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Warm(1); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := q.Acquire(ctx); err != nil {
+			t.Fatal(err)
+		}
+		e, err := p.Get(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(ctx, e, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		q.Release()
+	})
+	if allocs > runAllocs {
+		t.Errorf("disabled-observer cycle allocates %.1f, want at most %d", allocs, runAllocs)
 	}
 }

@@ -1,9 +1,9 @@
 package telemetry
 
 import (
-	"time"
+	"strconv"
 
-	"anytime/internal/cluster"
+	"anytime/internal/reqtrace"
 )
 
 // Metric names of the router-tier binding.
@@ -19,71 +19,63 @@ const (
 	MetricRouterDeliveryTime  = "anytime_router_delivery_seconds"
 )
 
-// RouterHooks returns a cluster.Hooks recording the routing tier into reg:
+// RouterHooks returns the reqtrace.Sink recording the routing tier into
+// reg — each series is derived from the same event the request's trace
+// holds:
 //
-//   - anytime_router_forwards_total{member,role,usable}: proxied requests
-//     by backend, attempt role (primary | hedge), and whether the response
-//     carried a deliverable snapshot. Counted at completion, so the usable
-//     label is known.
-//   - anytime_router_forward_rtt_seconds{member}: per-backend round-trip
+//   - forward.done → anytime_router_forwards_total{member,role,usable}:
+//     proxied requests by backend, attempt role (primary | hedge), and
+//     whether the response carried a deliverable snapshot (counted at
+//     completion, so the usable label is known), and, for usable ones,
+//     anytime_router_forward_rtt_seconds{member}: per-backend round-trip
 //     histogram — the network term of the budget arithmetic, observable.
-//   - anytime_router_hedges_total: hedge timers that fired (a secondary
-//     request was issued). The ratio to deliveries is the hedge rate; it
-//     should track 1 - HedgeQuantile (~1% at p99).
-//   - anytime_router_hedge_wins_total{role}: resolved races by winning
-//     role. A high hedge share means the hedge delay is too long or a
-//     backend is sick.
-//   - anytime_router_hedge_cancels_total{member}: in-flight losers
-//     cancelled, by backend — who keeps losing races.
-//   - anytime_router_budget_floored_total: requests whose remaining budget
-//     clamped to zero (the fleet spent the whole deadline before any
-//     backend could run) — sustained growth means deadlines are too tight
-//     for the topology.
-//   - anytime_router_member_state_changes_total{member,state}: health
-//     transitions (healthy | draining | down).
-//   - anytime_router_deliveries_total{member,hedged}: responses written,
-//     by serving backend and whether the request hedged.
-//   - anytime_router_delivery_seconds{hedged}: router-side end-to-end
+//   - hedge.fire → anytime_router_hedges_total: hedge timers that fired (a
+//     secondary request was issued). The ratio to deliveries is the hedge
+//     rate; it should track 1 - HedgeQuantile (~1% at p99).
+//   - hedge.win → anytime_router_hedge_wins_total{role}: resolved races by
+//     winning role. A high hedge share means the hedge delay is too long
+//     or a backend is sick.
+//   - hedge.cancel → anytime_router_hedge_cancels_total{member}: in-flight
+//     losers cancelled, by backend — who keeps losing races.
+//   - budget (floored) → anytime_router_budget_floored_total: requests
+//     whose remaining budget clamped to zero (the fleet spent the whole
+//     deadline before any backend could run) — sustained growth means
+//     deadlines are too tight for the topology.
+//   - member.state → anytime_router_member_state_changes_total{member,state}:
+//     health transitions (healthy | draining | down).
+//   - deliver → anytime_router_deliveries_total{member,hedged}: responses
+//     written, by serving backend and whether the request hedged, and
+//     anytime_router_delivery_seconds{hedged}: router-side end-to-end
 //     latency (arrival to response written).
 //
-// All instruments are safe for concurrent use; one Hooks value serves the
-// whole router.
-func RouterHooks(reg *Registry) *cluster.Hooks {
+// All instruments are safe for concurrent use; one sink serves the whole
+// router.
+func RouterHooks(reg *Registry) reqtrace.Sink {
 	hedges := reg.Counter(MetricRouterHedges, nil)
 	floored := reg.Counter(MetricRouterBudgetFloored, nil)
-	return &cluster.Hooks{
-		ForwardDone: func(member, role string, rtt time.Duration, usable bool) {
-			ok := "false"
-			if usable {
-				ok = "true"
+	return func(e reqtrace.Event) {
+		switch e.Kind {
+		case reqtrace.KindForwardDone:
+			reg.Counter(MetricRouterForwards, Labels{"member": e.Name, "role": e.Note, "usable": strconv.FormatBool(e.Flag)}).Inc()
+			if e.Flag {
+				reg.DurationHistogram(MetricRouterForwardRTT, Labels{"member": e.Name}).ObserveDuration(e.Dur)
 			}
-			reg.Counter(MetricRouterForwards, Labels{"member": member, "role": role, "usable": ok}).Inc()
-			if usable {
-				reg.DurationHistogram(MetricRouterForwardRTT, Labels{"member": member}).ObserveDuration(rtt)
-			}
-		},
-		Hedge: func(delay time.Duration) {
+		case reqtrace.KindHedgeFire:
 			hedges.Inc()
-		},
-		HedgeWin: func(role string) {
-			reg.Counter(MetricRouterHedgeWins, Labels{"role": role}).Inc()
-		},
-		HedgeCancel: func(member string) {
-			reg.Counter(MetricRouterHedgeCancels, Labels{"member": member}).Inc()
-		},
-		BudgetFloored: func() {
-			floored.Inc()
-		},
-		MemberState: func(member, state string) {
-			reg.Counter(MetricRouterMemberStates, Labels{"member": member, "state": state}).Inc()
-		},
-		Deliver: func(member string, hedged bool, elapsed time.Duration) {
-			hl := "false"
-			if hedged {
-				hl = "true"
+		case reqtrace.KindHedgeWin:
+			reg.Counter(MetricRouterHedgeWins, Labels{"role": e.Note}).Inc()
+		case reqtrace.KindHedgeCancel:
+			reg.Counter(MetricRouterHedgeCancels, Labels{"member": e.Name}).Inc()
+		case reqtrace.KindBudget:
+			if e.Flag {
+				floored.Inc()
 			}
-			reg.Counter(MetricRouterDeliveries, Labels{"member": member, "hedged": hl}).Inc()
-			reg.DurationHistogram(MetricRouterDeliveryTime, Labels{"hedged": hl}).ObserveDuration(elapsed)
-		},
+		case reqtrace.KindMemberState:
+			reg.Counter(MetricRouterMemberStates, Labels{"member": e.Name, "state": e.Note}).Inc()
+		case reqtrace.KindDeliver:
+			hedged := strconv.FormatBool(e.Note == "hedged")
+			reg.Counter(MetricRouterDeliveries, Labels{"member": e.Name, "hedged": hedged}).Inc()
+			reg.DurationHistogram(MetricRouterDeliveryTime, Labels{"hedged": hedged}).ObserveDuration(e.Dur)
+		}
 	}
 }

@@ -4,22 +4,21 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"anytime/internal/reqtrace"
 )
 
-// TestRouterHooksRecord exercises every binding in RouterHooks by invoking
-// the hooks the way the router does and reading the series back.
+// TestRouterHooksRecord exercises every binding in RouterHooks by sending
+// the sink the events the router emits for an untraced request and reading
+// the series back.
 func TestRouterHooksRecord(t *testing.T) {
 	reg := NewRegistry()
-	h := RouterHooks(reg)
-	if h == nil || h.ForwardDone == nil || h.Hedge == nil || h.HedgeWin == nil ||
-		h.HedgeCancel == nil || h.BudgetFloored == nil || h.MemberState == nil || h.Deliver == nil {
-		t.Fatal("RouterHooks left a callback nil")
-		return // t.Fatal never returns; the return carries the guard fact
-	}
+	sink := RouterHooks(reg)
+	var tr *reqtrace.Trace
 
-	h.ForwardDone("b1:8080", "primary", 3*time.Millisecond, true)
-	h.ForwardDone("b1:8080", "primary", 4*time.Millisecond, true)
-	h.ForwardDone("b2:8080", "hedge", 0, false)
+	sink(tr.ForwardDone("b1:8080", "primary", 3*time.Millisecond, true))
+	sink(tr.ForwardDone("b1:8080", "primary", 4*time.Millisecond, true))
+	sink(tr.ForwardDone("b2:8080", "hedge", 0, false))
 	if got := reg.Counter(MetricRouterForwards, Labels{"member": "b1:8080", "role": "primary", "usable": "true"}).Value(); got != 2 {
 		t.Errorf("primary forwards = %d, want 2", got)
 	}
@@ -33,31 +32,32 @@ func TestRouterHooksRecord(t *testing.T) {
 		t.Errorf("unusable forward observed into the RTT histogram")
 	}
 
-	h.Hedge(12 * time.Millisecond)
+	sink(tr.HedgeFire(12 * time.Millisecond))
 	if got := reg.Counter(MetricRouterHedges, nil).Value(); got != 1 {
 		t.Errorf("hedges = %d, want 1", got)
 	}
-	h.HedgeWin("hedge")
-	h.HedgeWin("primary")
+	sink(tr.HedgeWin("b2:8080", "hedge"))
+	sink(tr.HedgeWin("b1:8080", "primary"))
 	if got := reg.Counter(MetricRouterHedgeWins, Labels{"role": "hedge"}).Value(); got != 1 {
 		t.Errorf("hedge wins = %d, want 1", got)
 	}
-	h.HedgeCancel("b2:8080")
+	sink(tr.HedgeCancel("b2:8080", "hedge"))
 	if got := reg.Counter(MetricRouterHedgeCancels, Labels{"member": "b2:8080"}).Value(); got != 1 {
 		t.Errorf("cancels = %d, want 1", got)
 	}
 
-	h.BudgetFloored()
+	sink(tr.Budget(30*time.Millisecond, false)) // granted, not floored: not counted
+	sink(tr.Budget(0, true))
 	if got := reg.Counter(MetricRouterBudgetFloored, nil).Value(); got != 1 {
 		t.Errorf("budget floored = %d, want 1", got)
 	}
-	h.MemberState("b2:8080", "down")
+	sink(reqtrace.Event{Kind: reqtrace.KindMemberState, Name: "b2:8080", Note: "down"})
 	if got := reg.Counter(MetricRouterMemberStates, Labels{"member": "b2:8080", "state": "down"}).Value(); got != 1 {
 		t.Errorf("state transitions = %d, want 1", got)
 	}
 
-	h.Deliver("b1:8080", true, 20*time.Millisecond)
-	h.Deliver("b1:8080", false, 5*time.Millisecond)
+	sink(tr.RouterDeliver("b1:8080", true, 4, false, 20*time.Millisecond))
+	sink(tr.RouterDeliver("b1:8080", false, 9, true, 5*time.Millisecond))
 	if got := reg.Counter(MetricRouterDeliveries, Labels{"member": "b1:8080", "hedged": "true"}).Value(); got != 1 {
 		t.Errorf("hedged deliveries = %d, want 1", got)
 	}

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -104,20 +103,9 @@ func (p *pipelineObserver) automatonStart(stages int) {
 
 func (p *pipelineObserver) automatonFinish(outcome error, elapsed time.Duration) {
 	p.reg.Gauge(MetricAutomataActive, nil).Dec()
-	labels := Labels{"outcome": outcomeLabel(outcome)}
+	labels := Labels{"outcome": core.Outcome(outcome)}
 	p.reg.Counter(MetricRunsTotal, labels).Inc()
 	p.reg.DurationHistogram(MetricRunDuration, labels).ObserveDuration(elapsed)
-}
-
-func outcomeLabel(err error) string {
-	switch {
-	case err == nil:
-		return "precise"
-	case errors.Is(err, core.ErrStopped):
-		return "stopped"
-	default:
-		return "failed"
-	}
 }
 
 func (p *pipelineObserver) stageStart(stage string) {

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"time"
-
-	"anytime/internal/serve"
-)
+import "anytime/internal/reqtrace"
 
 // Metric names of the serving-runtime binding, exported like the pipeline
 // names above.
@@ -20,74 +16,67 @@ const (
 	MetricServeDeliveryTime  = "anytime_serve_delivery_seconds"
 )
 
-// ServeHooks returns a serve.Hooks recording the serving runtime's
-// behavior into reg:
+// ServeHooks returns the reqtrace.Sink recording the serving runtime's
+// behavior into reg — each series is derived from the same event the
+// request's trace holds:
 //
-//   - anytime_serve_pool_gets_total{pool,source}: checkouts by source
-//     (warm = reused from the idle set, fresh = built on demand). The warm
-//     fraction is the pool hit rate.
-//   - anytime_serve_pool_puts_total{pool,fate}: check-ins by fate
-//     (retained | discarded).
-//   - anytime_serve_queue_depth_max: high-watermark of requests waiting
-//     for an execution slot (sampled at each enqueue; read
-//     serve.Queue.Depth for the instantaneous value).
-//   - anytime_serve_queue_wait_seconds: histogram of slot-wait time,
-//     including the zero-wait fast path.
-//   - anytime_serve_rejected_total: requests turned away by admission
-//     control.
-//   - anytime_serve_shed_factor: the most recent shed factor applied
-//     (×1000, as the registry is integer-valued; 1000 = no shedding).
-//   - anytime_serve_sheds_total: requests whose contract was shed.
-//   - anytime_serve_deliveries_total{outcome}: delivered snapshots by
-//     outcome (precise | approximate).
-//   - anytime_serve_delivery_seconds{outcome}: request run time from
+//   - pool.get → anytime_serve_pool_gets_total{pool,source}: checkouts by
+//     source (warm = reused from the idle set, fresh = built on demand).
+//     The warm fraction is the pool hit rate.
+//   - pool.put → anytime_serve_pool_puts_total{pool,fate}: check-ins by
+//     fate (retained | discarded).
+//   - queue.enter → anytime_serve_queue_depth_max: high-watermark of
+//     requests waiting for an execution slot (sampled at each enqueue;
+//     read serve.Queue.Depth for the instantaneous value).
+//   - queue.grant → anytime_serve_queue_wait_seconds: histogram of
+//     slot-wait time, including the zero-wait fast path.
+//   - queue.reject → anytime_serve_rejected_total: requests turned away by
+//     admission control.
+//   - shed → anytime_serve_shed_factor: the most recent shed factor
+//     applied (×1000, as the registry is integer-valued; 1000 = no
+//     shedding), and anytime_serve_sheds_total: requests whose contract
+//     was shed.
+//   - run.finish → anytime_serve_deliveries_total{outcome}: delivered
+//     snapshots by outcome (precise | approximate), and
+//     anytime_serve_delivery_seconds{outcome}: request run time from
 //     automaton start to delivery, excluding queue wait.
 //
-// One Hooks value serves every pool and queue in the process; all
-// instruments are safe for concurrent use.
-func ServeHooks(reg *Registry) *serve.Hooks {
+// One sink serves every pool and queue in the process; all instruments are
+// safe for concurrent use.
+func ServeHooks(reg *Registry) reqtrace.Sink {
 	queueDepth := reg.Gauge(MetricServeQueueDepthMax, nil)
 	queueWait := reg.DurationHistogram(MetricServeQueueWait, nil)
 	rejects := reg.Counter(MetricServeRejects, nil)
 	shedFactor := reg.Gauge(MetricServeShedFactor, nil)
 	shedFactor.Set(1000)
 	sheds := reg.Counter(MetricServeSheds, nil)
-	return &serve.Hooks{
-		PoolGet: func(pool string, warm bool) {
-			source := "fresh"
-			if warm {
-				source = "warm"
-			}
-			reg.Counter(MetricServePoolGets, Labels{"pool": pool, "source": source}).Inc()
-		},
-		PoolPut: func(pool string, retained bool) {
-			fate := "discarded"
-			if retained {
-				fate = "retained"
-			}
-			reg.Counter(MetricServePoolPuts, Labels{"pool": pool, "fate": fate}).Inc()
-		},
-		QueueEnqueue: func(depth int) {
-			queueDepth.SetMax(int64(depth))
-		},
-		QueueAcquire: func(wait time.Duration) {
-			queueWait.ObserveDuration(wait)
-		},
-		QueueReject: func() {
+	return func(e reqtrace.Event) {
+		switch e.Kind {
+		case reqtrace.KindPoolGet:
+			reg.Counter(MetricServePoolGets, Labels{"pool": e.Name, "source": pick(e.Flag, "warm", "fresh")}).Inc()
+		case reqtrace.KindPoolPut:
+			reg.Counter(MetricServePoolPuts, Labels{"pool": e.Name, "fate": pick(e.Flag, "retained", "discarded")}).Inc()
+		case reqtrace.KindQueueEnter:
+			queueDepth.SetMax(int64(e.N))
+		case reqtrace.KindQueueGrant:
+			queueWait.ObserveDuration(e.Dur)
+		case reqtrace.KindQueueReject:
 			rejects.Inc()
-		},
-		Shed: func(factor float64) {
-			shedFactor.Set(int64(factor * 1000))
+		case reqtrace.KindShed:
+			shedFactor.Set(int64(e.Val * 1000))
 			sheds.Inc()
-		},
-		Deliver: func(interrupted, final bool, elapsed time.Duration) {
-			outcome := "precise"
-			if !final {
-				outcome = "approximate"
-			}
-			labels := Labels{"outcome": outcome}
+		case reqtrace.KindRunFinish:
+			labels := Labels{"outcome": pick(e.Flag, "precise", "approximate")}
 			reg.Counter(MetricServeDeliveries, labels).Inc()
-			reg.DurationHistogram(MetricServeDeliveryTime, labels).ObserveDuration(elapsed)
-		},
+			reg.DurationHistogram(MetricServeDeliveryTime, labels).ObserveDuration(e.Dur)
+		}
 	}
+}
+
+// pick is the label-value ternary the event bindings share.
+func pick(cond bool, yes, no string) string {
+	if cond {
+		return yes
+	}
+	return no
 }

@@ -3,24 +3,23 @@ package telemetry
 import (
 	"testing"
 	"time"
+
+	"anytime/internal/reqtrace"
 )
 
-// TestServeHooksRecord exercises every binding in ServeHooks by invoking
-// the hooks the way the serving runtime does and reading the series back.
+// TestServeHooksRecord exercises every binding in ServeHooks by sending the
+// sink the events the serving runtime emits for an untraced request and
+// reading the series back.
 func TestServeHooksRecord(t *testing.T) {
 	reg := NewRegistry()
-	h := ServeHooks(reg)
-	if h == nil || h.PoolGet == nil || h.PoolPut == nil || h.QueueEnqueue == nil ||
-		h.QueueAcquire == nil || h.QueueReject == nil || h.Shed == nil || h.Deliver == nil {
-		t.Fatal("ServeHooks left a callback nil")
-		return // t.Fatal never returns; the return carries the guard fact
-	}
+	sink := ServeHooks(reg)
+	var tr *reqtrace.Trace
 
-	h.PoolGet("blur", false)
-	h.PoolGet("blur", true)
-	h.PoolGet("blur", true)
-	h.PoolPut("blur", true)
-	h.PoolPut("blur", false)
+	sink(tr.PoolGet("blur", false))
+	sink(tr.PoolGet("blur", true))
+	sink(tr.PoolGet("blur", true))
+	sink(tr.PoolPut("blur", true))
+	sink(tr.PoolPut("blur", false))
 	if got := reg.Counter(MetricServePoolGets, Labels{"pool": "blur", "source": "warm"}).Value(); got != 2 {
 		t.Errorf("warm gets = %d, want 2", got)
 	}
@@ -31,17 +30,17 @@ func TestServeHooksRecord(t *testing.T) {
 		t.Errorf("discarded puts = %d, want 1", got)
 	}
 
-	h.QueueEnqueue(3)
-	h.QueueEnqueue(1) // watermark must not regress
+	sink(tr.QueueEnter(3))
+	sink(tr.QueueEnter(1)) // watermark must not regress
 	if got := reg.Gauge(MetricServeQueueDepthMax, nil).Value(); got != 3 {
 		t.Errorf("queue depth watermark = %d, want 3", got)
 	}
-	h.QueueAcquire(0)
-	h.QueueAcquire(5 * time.Millisecond)
+	sink(tr.QueueGrant(0))
+	sink(tr.QueueGrant(5 * time.Millisecond))
 	if got := reg.DurationHistogram(MetricServeQueueWait, nil).Count(); got != 2 {
 		t.Errorf("queue wait observations = %d, want 2", got)
 	}
-	h.QueueReject()
+	sink(tr.QueueReject(8))
 	if got := reg.Counter(MetricServeRejects, nil).Value(); got != 1 {
 		t.Errorf("rejects = %d, want 1", got)
 	}
@@ -49,7 +48,7 @@ func TestServeHooksRecord(t *testing.T) {
 	if got := reg.Gauge(MetricServeShedFactor, nil).Value(); got != 1000 {
 		t.Errorf("initial shed factor = %d, want 1000", got)
 	}
-	h.Shed(0.25)
+	sink(tr.Shed(0.25, 10*time.Millisecond))
 	if got := reg.Gauge(MetricServeShedFactor, nil).Value(); got != 250 {
 		t.Errorf("shed factor = %d, want 250", got)
 	}
@@ -57,8 +56,8 @@ func TestServeHooksRecord(t *testing.T) {
 		t.Errorf("sheds = %d, want 1", got)
 	}
 
-	h.Deliver(true, false, 10*time.Millisecond)
-	h.Deliver(false, true, 20*time.Millisecond)
+	sink(tr.RunFinish("stopped", false, 10*time.Millisecond))
+	sink(tr.RunFinish("precise", true, 20*time.Millisecond))
 	if got := reg.Counter(MetricServeDeliveries, Labels{"outcome": "approximate"}).Value(); got != 1 {
 		t.Errorf("approximate deliveries = %d, want 1", got)
 	}
