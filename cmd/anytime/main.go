@@ -176,15 +176,15 @@ func run(o opts) error {
 	if h := core.ChainHooks(pipelineHooks, slot.CoreHooks()); h != nil {
 		ar.automa.SetHooks(h)
 	}
-	var rec *telemetry.AccuracyRecorder
+	var rec *harness.Collector
 	if o.curve != "" {
-		rec = telemetry.NewAccuracyRecorder(ar.ref)
+		rec = harness.NewCollector(ar.ref, 0)
 		if o.tiles {
 			// The recorder retains every published image until export —
 			// far past the tile ring's reuse window — so it must copy.
 			rec.CopyOnRecord()
 		}
-		telemetry.ObserveAccuracy(rec, ar.out)
+		ar.out.OnPublish(rec.Observe)
 	}
 	baseline, err := harness.TimeBaseline(ar.baseline, 3)
 	if err != nil {
@@ -298,7 +298,7 @@ func run(o opts) error {
 		fmt.Printf("wrote %s\n", o.curve)
 		// The recorder feeds the same Profile type the harness plots the
 		// paper's §V figures from — one code path for live and offline.
-		profile, err := rec.Profile(o.app, baseline)
+		profile, err := rec.Finish(o.app, baseline)
 		if err != nil {
 			return err
 		}

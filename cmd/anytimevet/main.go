@@ -1,9 +1,8 @@
 // Command anytimevet runs the repo's automaton-discipline analyzers
 // (internal/analysis): static proofs of the paper's §III invariants —
-// single-writer buffers, immutable snapshots, unforkable atomic state,
-// deterministic replay packages, nil-guarded telemetry hooks — plus the
-// serving-tier contracts grown since (context threading, goroutine
-// termination, budget monotonicity, hotpath alloc budgets).
+// single-writer buffers, immutable snapshots, deterministic replay packages
+// — plus the serving-tier contracts grown since (context threading,
+// goroutine termination, budget monotonicity, hotpath alloc budgets).
 //
 // Two modes:
 //

@@ -60,28 +60,44 @@ func writeCfg(t *testing.T, src string, vetxOnly bool) (cfgPath, vetxPath string
 	return cfgPath, vetxPath
 }
 
-const dirtySrc = `package p
+// bufferSrc stands in for core.Buffer: singlewriter matches the type and
+// method by name, so the snippets need no imports.
+const bufferSrc = `package p
 
-type Hooks struct{ F func() }
+type Buffer[T any] struct{ cur T }
 
-func call(h *Hooks) {
-	h.F()
+func (b *Buffer[T]) Publish(v T, final bool) { b.cur = v }
+`
+
+// dirtySrc publishes to one buffer from the spawning goroutine and a
+// spawned one — the singlewriter fixture's first case.
+const dirtySrc = bufferSrc + `
+func twoWriters() {
+	buf := &Buffer[int]{}
+	done := make(chan struct{})
+	go func() {
+		buf.Publish(1, false)
+		close(done)
+	}()
+	<-done
+	buf.Publish(2, true)
 }
 `
 
-const cleanSrc = `package p
-
-type Hooks struct{ F func() }
-
-func call(h *Hooks) {
-	if h != nil && h.F != nil {
-		h.F()
-	}
+const cleanSrc = bufferSrc + `
+func oneWriter() {
+	buf := &Buffer[int]{}
+	done := make(chan struct{})
+	go func() {
+		buf.Publish(1, true)
+		close(done)
+	}()
+	<-done
 }
 `
 
-// TestUnitcheckConvicts drives the full vettool path on a planted hooknil
-// violation: exit code 2 (the vet diagnostics convention) and a vetx file
+// TestUnitcheckConvicts drives the full vettool path on a planted
+// singlewriter violation: exit code 2 (the vet diagnostics convention) and a vetx file
 // written for the build cache.
 func TestUnitcheckConvicts(t *testing.T) {
 	cfgPath, vetxPath := writeCfg(t, dirtySrc, false)
@@ -116,15 +132,15 @@ func TestUnitcheckVetxOnly(t *testing.T) {
 	}
 }
 
-// TestAnalyzerSelection: disabling hooknil must let the dirty package pass,
-// and selecting only an unrelated analyzer must too.
+// TestAnalyzerSelection: disabling singlewriter must let the dirty package
+// pass, and selecting only an unrelated analyzer must too.
 func TestAnalyzerSelection(t *testing.T) {
 	cfgPath, _ := writeCfg(t, dirtySrc, false)
-	if got := run([]string{"-hooknil=false", cfgPath}, devNull(t)); got != 0 {
-		t.Errorf("-hooknil=false exited %d, want 0", got)
+	if got := run([]string{"-singlewriter=false", cfgPath}, devNull(t)); got != 0 {
+		t.Errorf("-singlewriter=false exited %d, want 0", got)
 	}
 	cfgPath2, _ := writeCfg(t, dirtySrc, false)
-	if got := run([]string{"-singlewriter", cfgPath2}, devNull(t)); got != 0 {
-		t.Errorf("-singlewriter only exited %d, want 0", got)
+	if got := run([]string{"-snapshotmut", cfgPath2}, devNull(t)); got != 0 {
+		t.Errorf("-snapshotmut only exited %d, want 0", got)
 	}
 }

@@ -4,8 +4,9 @@
 // schedules run. Where the conformance harness (internal/conform) catches a
 // violation only when a seeded schedule happens to trip it, these analyzers
 // convict the misuse pattern itself — a second goroutine publishing to a
-// single-writer buffer, a reader mutating a published snapshot, a by-value
-// copy of an atomic-bearing struct — before the code ever runs.
+// single-writer buffer, a reader mutating a published snapshot — before the
+// code ever runs. (By-value copies of atomic-bearing structs are left to
+// stock go vet: copylocks convicts them through sync/atomic's noCopy.)
 //
 // The framework mirrors the API shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) so the suite can be rebased onto the real
@@ -21,7 +22,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer describes one static check: a name usable in -<name>=false
@@ -74,9 +74,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		SingleWriterAnalyzer,
 		SnapshotMutAnalyzer,
-		AtomicFieldAnalyzer,
 		DetNonDetAnalyzer,
-		HookNilAnalyzer,
 		CtxFlowAnalyzer,
 		GoroLeakAnalyzer,
 		BudgetFlowAnalyzer,
@@ -201,33 +199,18 @@ func receiverObject(info *types.Info, call *ast.CallExpr) types.Object {
 	}
 }
 
-// exprString renders a guard expression for structural comparison
-// (whitespace-free, parens stripped). It intentionally covers only the
-// shapes that appear in nil-guard conditions: identifiers, selector
-// chains, derefs, and indexes with literal/ident keys.
-func exprString(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return exprString(x.X) + "." + x.Sel.Name
-	case *ast.ParenExpr:
-		return exprString(x.X)
-	case *ast.StarExpr:
-		return "*" + exprString(x.X)
-	case *ast.IndexExpr:
-		return exprString(x.X) + "[" + exprString(x.Index) + "]"
-	case *ast.BasicLit:
-		return x.Value
-	case *ast.CallExpr:
-		args := make([]string, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = exprString(a)
-		}
-		return exprString(x.Fun) + "(" + strings.Join(args, ",") + ")"
-	default:
-		return fmt.Sprintf("%T@%d", e, e.Pos())
+// typeOf returns the type recorded for expression e, or nil.
+func typeOf(info *types.Info, e ast.Expr) types.Type {
+	tv, ok := info.Types[e]
+	if !ok {
+		return nil
 	}
+	return tv.Type
+}
+
+func isNilIdent(e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id.Name == "nil"
 }
 
 // sortDiagnostics orders diagnostics by file position for stable output.

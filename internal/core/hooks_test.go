@@ -382,3 +382,66 @@ func TestChainHooksDrivesAutomaton(t *testing.T) {
 		t.Fatalf("chained observers saw a=%d b=%d lifecycle callbacks, want 2 each", a.Load(), b.Load())
 	}
 }
+
+// TestAllNilHooksReachEveryCallSite attaches a non-nil Hooks whose every
+// field is nil and drives all seven hook call sites — automaton start and
+// finish, stage start and finish, a checkpoint that blocks at a paused gate
+// and resumes, an asynchronous edge (EdgeWait) and a synchronous one
+// (EdgeRecv). Each site guards the field as well as the pointer; with any
+// one field guard removed this run calls a nil func and panics (a stage
+// panic surfaces as the Wait error, the others crash the test). It is the
+// whole of what the hooknil analyzer checked once core.Hooks was the only
+// hooks struct left.
+func TestAllNilHooksReachEveryCallSite(t *testing.T) {
+	mid := NewBuffer[int]("mid", nil)
+	st, err := NewStream[int](1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atGate := make(chan struct{})
+	release := make(chan struct{})
+	a := New()
+	stages := map[string]func(*Context) error{
+		"source": func(c *Context) error {
+			if err := c.Checkpoint(); err != nil {
+				return err
+			}
+			close(atGate)
+			<-release
+			if err := c.Checkpoint(); err != nil { // the gate is paused by now
+				return err
+			}
+			if _, err := mid.Publish(1, true); err != nil {
+				return err
+			}
+			return st.Send(c, Update[int]{Seq: 1, Data: 1, Last: true})
+		},
+		"async": func(c *Context) error {
+			return AsyncConsume(c, mid, func(Snapshot[int]) error { return nil })
+		},
+		"sync": func(c *Context) error {
+			return SyncConsume(c, st, func(Update[int]) error { return nil })
+		},
+	}
+	for name, loop := range stages {
+		if err := a.AddStage(name, loop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.SetHooks(&Hooks{})
+	if err := a.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-atGate:
+	case <-a.Done(): // a stage failed before the pause; Wait says why
+		t.Fatalf("run with all-nil hooks ended early: %v", a.Wait())
+	}
+	a.Pause()
+	close(release)
+	time.Sleep(5 * time.Millisecond) // let the source block at the gate
+	a.Resume()
+	if err := a.Wait(); err != nil {
+		t.Fatalf("run with all-nil hooks: %v", err)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -32,9 +33,11 @@ func (g *gatedWriter) Write(b []byte) (int, error) {
 // decision reaches the trace and the metrics sink as one event, so with
 // every trace retained the per-kind event counts over the flight recorder
 // must equal what /metrics counted. The traffic is a mix of deadline,
-// accept and precise requests on all three routes, plus a burst against one
-// slot and a four-deep waiting room that forces queue waits, sheds and a
-// rejection.
+// accept and precise requests on all three routes, a cache leg (repeated
+// key, sibling hit, sibling miss), plus a burst against one slot and a
+// four-deep waiting room that forces queue waits, sheds and a rejection.
+// The recorder's own counters close the loop: the anytime_reqtrace_* series
+// must equal the stats /debug/requests.json reports.
 func TestTraceAndMetricsAgree(t *testing.T) {
 	s, err := New(64, 2, Config{Slots: 1, QueueLen: 4, TraceSample: 1})
 	if err != nil {
@@ -45,6 +48,20 @@ func TestTraceAndMetricsAgree(t *testing.T) {
 	for _, path := range []string{"/blur", "/blur?deadline=1us", "/blur?deadline=1s", "/blur?accept=10", "/equalize?deadline=1us", "/cluster"} {
 		if rec := get(t, s, path); rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d", path, rec.Code)
+		}
+	}
+
+	// The cache leg: a repeated key misses then hits and warm-seeds, a
+	// ?prior= naming it delta-seeds, and a ?prior= naming nothing misses
+	// twice (its own key, then the sibling).
+	for _, c := range []struct{ path, want string }{
+		{"/blur?deadline=1s&input=k1", "miss"},
+		{"/blur?deadline=1s&input=k1", "hit"},
+		{"/blur?deadline=1s&input=k2&prior=k1", "delta"},
+		{"/blur?deadline=1s&input=k3&prior=nosuch", "miss"},
+	} {
+		if rec := get(t, s, c.path); rec.Code != http.StatusOK || rec.Header().Get("X-Anytime-Cache") != c.want {
+			t.Fatalf("%s: status %d, X-Anytime-Cache %q, want %q", c.path, rec.Code, rec.Header().Get("X-Anytime-Cache"), c.want)
 		}
 	}
 
@@ -105,6 +122,12 @@ func TestTraceAndMetricsAgree(t *testing.T) {
 				outcome := pick(e.Flag, "precise", "approximate")
 				events[fmt.Sprintf(`anytime_serve_deliveries_total{outcome=%q}`, outcome)]++
 				events[fmt.Sprintf(`anytime_serve_delivery_seconds_count{outcome=%q}`, outcome)]++
+			case reqtrace.KindCacheHit:
+				events[fmt.Sprintf(`anytime_snapcache_hits_total{app=%q}`, e.Name)]++
+			case reqtrace.KindCacheMiss:
+				events[fmt.Sprintf(`anytime_snapcache_misses_total{app=%q}`, e.Name)]++
+			case reqtrace.KindCacheSeed:
+				events[fmt.Sprintf(`anytime_snapcache_seeds_total{mode=%q}`, e.Note)]++
 			}
 		}
 	}
@@ -116,6 +139,10 @@ func TestTraceAndMetricsAgree(t *testing.T) {
 		`anytime_serve_deliveries_total{outcome="precise"}`:        2,
 		`anytime_serve_deliveries_total{outcome="approximate"}`:    1,
 		`anytime_serve_pool_gets_total{pool="blur",source="warm"}`: 1,
+		`anytime_snapcache_hits_total{app="blur"}`:                 2,
+		`anytime_snapcache_misses_total{app="blur"}`:               4,
+		`anytime_snapcache_seeds_total{mode="warm"}`:               1,
+		`anytime_snapcache_seeds_total{mode="delta"}`:              1,
 	} {
 		if events[series] < atLeast {
 			t.Errorf("trace events for %s = %d, want at least %d", series, events[series], atLeast)
@@ -128,7 +155,7 @@ func TestTraceAndMetricsAgree(t *testing.T) {
 	}
 	// Both directions: every traced event was counted, and every series
 	// of the event-fed families counted only what some trace holds.
-	fed := regexp.MustCompile(`(?m)^(anytime_serve_(?:pool_gets_total|pool_puts_total|rejected_total|sheds_total|deliveries_total|queue_wait_seconds_count|delivery_seconds_count)(?:\{[^}]*\})?) \d+$`)
+	fed := regexp.MustCompile(`(?m)^(anytime_(?:serve_(?:pool_gets_total|pool_puts_total|rejected_total|sheds_total|deliveries_total|queue_wait_seconds_count|delivery_seconds_count)|snapcache_(?:hits|misses|seeds)_total)(?:\{[^}]*\})?) \d+$`)
 	for _, m := range fed.FindAllStringSubmatch(after, -1) {
 		if _, traced := events[m[1]]; !traced {
 			events[m[1]] = 0
@@ -141,6 +168,27 @@ func TestTraceAndMetricsAgree(t *testing.T) {
 	}
 	if got := counterValue(t, after, "anytime_serve_queue_depth_max"); got != depthMax || depthMax != 4 {
 		t.Errorf("queue depth watermark: /metrics %d, deepest queue.enter %d, want both 4", got, depthMax)
+	}
+
+	// The recorder's series are its Stats read at collection time, so they
+	// equal what /debug/requests.json reports — in both directions.
+	stats := debugRequestsJSON(t, s).Stats
+	var recorded uint64
+	for _, m := range regexp.MustCompile(`(?m)^anytime_reqtrace_recorded_total\{category="([^"]+)"\} (\d+)$`).FindAllStringSubmatch(after, -1) {
+		n, _ := strconv.ParseUint(m[2], 10, 64)
+		recorded += n
+		if n != stats.ByCategory[m[1]] {
+			t.Errorf("recorded_total{category=%q}: /metrics %d, requests.json %d", m[1], n, stats.ByCategory[m[1]])
+		}
+	}
+	if recorded != stats.Recorded || recorded == 0 {
+		t.Errorf("recorded_total sums to %d over /metrics, requests.json says %d (by category %v)", recorded, stats.Recorded, stats.ByCategory)
+	}
+	if got := counterValue(t, after, "anytime_reqtrace_sampled_out_total"); uint64(got) != stats.SampledOut {
+		t.Errorf("sampled_out_total: /metrics %d, requests.json %d", got, stats.SampledOut)
+	}
+	if got := counterValue(t, after, "anytime_reqtrace_evicted_total"); uint64(got) != stats.Evicted {
+		t.Errorf("evicted_total: /metrics %d, requests.json %d", got, stats.Evicted)
 	}
 }
 

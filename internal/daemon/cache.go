@@ -8,7 +8,6 @@ import (
 	"anytime/internal/reqtrace"
 	"anytime/internal/serve"
 	"anytime/internal/snapcache"
-	"anytime/internal/telemetry"
 )
 
 // cacheEpoch fingerprints the configuration a cached snapshot depends on:
@@ -49,9 +48,10 @@ func (s *Server) seedDelta(ctx context.Context, entry serve.Entry[*pix.Image], a
 	tr := reqtrace.FromContext(ctx)
 	pe, ok := s.cache.Get(snapcache.Key{App: app, Digest: prior, Epoch: s.cacheEpoch})
 	if !ok {
+		s.serveSink.Send(tr.CacheMiss(app, prior, true))
 		return "", 0
 	}
-	tr.CacheHit(prior, uint64(pe.Version), true)
+	s.serveSink.Send(tr.CacheHit(app, prior, uint64(pe.Version), true))
 	// The sibling entry's input is this route's own input (one fixed input
 	// per route); diff yields the tiles that cannot be trusted.
 	stale, err := pix.TileDiff(input, input)
@@ -63,6 +63,5 @@ func (s *Server) seedDelta(ctx context.Context, entry serve.Entry[*pix.Image], a
 	if !serve.Seed(ctx, entry, &pix.SeedFrame{Image: pe.Value, Stale: stale}, pe.Version) {
 		return "", 0
 	}
-	s.reg.Counter(telemetry.MetricSnapcacheSeeds, telemetry.Labels{"mode": "delta"}).Inc()
 	return "delta", pe.Version
 }

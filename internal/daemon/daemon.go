@@ -171,7 +171,6 @@ func New(size, workers int, cfg Config) (*Server, error) {
 	recorder, err := reqtrace.NewRecorder(reqtrace.RecorderConfig{
 		Size:        cfg.FlightSize,
 		SampleEvery: cfg.TraceSample,
-		Hooks:       telemetry.ReqtraceHooks(reg),
 	})
 	if err != nil {
 		return nil, err
@@ -209,7 +208,6 @@ func New(size, workers int, cfg Config) (*Server, error) {
 			// Pools publish SnapshotClone images (immutable forever), so the
 			// cache can retain them without a defensive copy.
 			SizeOf: func(im *pix.Image) int { return len(im.Pix) * 4 },
-			Hooks:  telemetry.SnapcacheHooks(reg),
 		})
 		if err != nil {
 			return nil, err
@@ -410,7 +408,6 @@ func (s *Server) handleApp(pool *serve.Pool[*pix.Image], ref, input *pix.Image, 
 				if ce, hit := serve.SeedFromCache(ctx, entry, s.cache, cacheKey); hit {
 					cacheState = "hit"
 					seedVersion = ce.Version
-					s.reg.Counter(telemetry.MetricSnapcacheSeeds, telemetry.Labels{"mode": "warm"}).Inc()
 				} else if prior := r.URL.Query().Get("prior"); prior != "" {
 					// Delta start: the client names a sibling key (the
 					// previous frame of a stream) whose entry we can reuse

@@ -15,11 +15,12 @@ import (
 // and kinds arrive as their stable string names).
 type requestsJSON struct {
 	Stats struct {
-		Held       int    `json:"held"`
-		Capacity   int    `json:"capacity"`
-		Recorded   uint64 `json:"recorded"`
-		SampledOut uint64 `json:"sampled_out"`
-		Evicted    uint64 `json:"evicted"`
+		Held       int               `json:"held"`
+		Capacity   int               `json:"capacity"`
+		Recorded   uint64            `json:"recorded"`
+		SampledOut uint64            `json:"sampled_out"`
+		Evicted    uint64            `json:"evicted"`
+		ByCategory map[string]uint64 `json:"by_category"`
 	} `json:"stats"`
 	Traces []struct {
 		ID       string `json:"id"`

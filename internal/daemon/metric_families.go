@@ -40,7 +40,8 @@ func MetricFamilies() []string {
 		telemetry.MetricServeDeliveries,
 		telemetry.MetricServeDeliveryTime,
 
-		// Snapshot cache (internal/snapcache via telemetry.SnapcacheHooks).
+		// Snapshot cache: hits, misses and seeds from the cache.* events
+		// (telemetry.ServeHooks), the rest from snapcache.Stats at collection.
 		telemetry.MetricSnapcacheHits,
 		telemetry.MetricSnapcacheMisses,
 		telemetry.MetricSnapcacheEvictions,
@@ -48,7 +49,7 @@ func MetricFamilies() []string {
 		telemetry.MetricSnapcacheEntries,
 		telemetry.MetricSnapcacheSeeds,
 
-		// Flight recorder (internal/reqtrace via telemetry.ReqtraceHooks).
+		// Flight recorder (reqtrace.Recorder.Stats at collection).
 		telemetry.MetricReqtraceRecorded,
 		telemetry.MetricReqtraceSampledOut,
 		telemetry.MetricReqtraceEvicted,

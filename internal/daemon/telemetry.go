@@ -32,7 +32,7 @@ const (
 	metricDeliveredSNR = "anytimed_delivered_snr_millidb"
 	// metricBuildInfo is the conventional constant-1 info gauge carrying the
 	// build's identity as labels; metricUptime is seconds since the server
-	// was constructed, refreshed at each scrape.
+	// was constructed, refreshed at each collection.
 	metricBuildInfo = "anytimed_build_info"
 	metricUptime    = "anytimed_uptime_seconds"
 )
@@ -102,7 +102,12 @@ func (w *statusWriter) status() int {
 // profiler. These bypass the request middleware so scrapes don't count as
 // traffic.
 func (s *Server) registerOps(enablePprof bool) {
-	s.mux.Handle("GET /metrics", s.metricsHandler())
+	s.reg.Gauge(metricBuildInfo, telemetry.Labels{
+		"version":   buildVersion(),
+		"goversion": runtime.Version(),
+	}).Set(1)
+	s.reg.OnCollect(s.collect)
+	s.mux.Handle("GET /metrics", s.reg.Handler())
 	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	publishExpvarRegistry(s.reg)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -138,22 +143,28 @@ func (s *Server) registerOps(enablePprof bool) {
 	}
 }
 
-// metricsHandler wraps the registry's Prometheus handler with the two
-// process-identity series: anytimed_build_info (a constant-1 gauge whose
-// labels carry the module version and Go toolchain) and
-// anytimed_uptime_seconds, refreshed at scrape time so it is current
-// without a background ticker.
-func (s *Server) metricsHandler() http.Handler {
-	s.reg.Gauge(metricBuildInfo, telemetry.Labels{
-		"version":   buildVersion(),
-		"goversion": runtime.Version(),
-	}).Set(1)
-	uptime := s.reg.Gauge(metricUptime, nil)
-	inner := s.reg.Handler()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		uptime.Set(int64(time.Since(s.started).Seconds()))
-		inner.ServeHTTP(w, r)
-	})
+// collect is the registry's collection callback: it refreshes every series
+// that mirrors state kept elsewhere — process uptime, the cache's Stats and
+// the flight recorder's Stats, each read once under its owner's lock — so
+// /metrics, /debug/vars and the summary table see the same values as
+// /debug/requests, current without a background ticker. Labeled series
+// appear with their first nonzero count, like the event-fed ones.
+func (s *Server) collect() {
+	s.reg.Gauge(metricUptime, nil).Set(int64(time.Since(s.started).Seconds()))
+	if s.cache != nil {
+		st := s.cache.Stats()
+		s.reg.Gauge(telemetry.MetricSnapcacheBytes, nil).Set(st.Bytes)
+		s.reg.Gauge(telemetry.MetricSnapcacheEntries, nil).Set(int64(st.Entries))
+		for reason, n := range st.Evictions {
+			s.reg.Counter(telemetry.MetricSnapcacheEvictions, telemetry.Labels{"reason": reason}).Store(n)
+		}
+	}
+	st := s.recorder.Stats()
+	s.reg.Counter(telemetry.MetricReqtraceSampledOut, nil).Store(st.SampledOut)
+	s.reg.Counter(telemetry.MetricReqtraceEvicted, nil).Store(st.Evicted)
+	for category, n := range st.ByCategory {
+		s.reg.Counter(telemetry.MetricReqtraceRecorded, telemetry.Labels{"category": category}).Store(n)
+	}
 }
 
 // buildVersion reports the main module's version from the binary's embedded

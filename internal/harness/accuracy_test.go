@@ -1,4 +1,4 @@
-package telemetry
+package harness
 
 import (
 	"context"
@@ -42,8 +42,8 @@ func TestAccuracyRecorderCurve(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := core.NewBuffer[*pix.Image]("out", nil)
-	rec := NewAccuracyRecorder(ref)
-	ObserveAccuracy(rec, out)
+	rec := NewCollector(ref, 0)
+	out.OnPublish(rec.Observe)
 	a := noisyToPrecise(t, ref, out)
 	rec.Begin()
 	if err := a.Start(context.Background()); err != nil {
@@ -77,13 +77,13 @@ func TestAccuracyRecorderCurve(t *testing.T) {
 	if !isInf(last.SNR) {
 		t.Errorf("final SNR = %v, want +Inf (bit-exact)", last.SNR)
 	}
-	// Cached call returns the same curve.
+	// A second export reuses the scored points and returns the same curve.
 	again, err := rec.Curve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again) != len(curve) {
-		t.Error("cached curve differs")
+	if len(again) != len(curve) || again[0] != curve[0] {
+		t.Error("second curve differs")
 	}
 }
 
@@ -95,8 +95,8 @@ func TestAccuracyRecorderJSONAndProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := core.NewBuffer[*pix.Image]("out", nil)
-	rec := NewAccuracyRecorder(ref)
-	ObserveAccuracy(rec, out)
+	rec := NewCollector(ref, 0)
+	out.OnPublish(rec.Observe)
 	a := noisyToPrecise(t, ref, out)
 	rec.Begin()
 	if err := a.Start(context.Background()); err != nil {
@@ -123,8 +123,8 @@ func TestAccuracyRecorderJSONAndProfile(t *testing.T) {
 		t.Errorf("JSON export wrong: %+v", decoded)
 	}
 
-	// The harness Profile conversion is the shared plot code path.
-	p, err := rec.Profile("refine", 10*time.Millisecond)
+	// The same points export as the figures' Profile.
+	p, err := rec.Finish("refine", 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestAccuracyRecorderJSONAndProfile(t *testing.T) {
 	if !strings.Contains(plot.String(), "refine") {
 		t.Errorf("plot output:\n%s", plot.String())
 	}
-	if _, err := rec.Profile("x", 0); err == nil {
+	if _, err := rec.Finish("x", 0); err == nil {
 		t.Error("nonpositive baseline accepted")
 	}
 

@@ -87,15 +87,19 @@ func (p Profile) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// Collector accumulates timestamped output snapshots during a run and
-// converts them to a Profile afterwards, so SNR computation never delays
-// the pipeline being measured.
+// Collector is the per-publish accuracy recorder: it stores a timestamp and
+// the published image for every output of a run (immutable by Property 3)
+// and scores them against the precise reference only when a curve is asked
+// for, so SNR computation never delays the pipeline being measured. It is
+// fed either by an app's OnSnapshot callback (Record) or as a buffer publish
+// observer (Observe), and exports the figures' Profile or the live
+// accuracy-versus-wallclock curve (Curve, WriteJSON) from the same points.
 type Collector struct {
 	ref   *pix.Image
 	total int // total sample size for Fraction, 0 if unused
-	copy  bool
 
 	mu     sync.Mutex
+	copy   bool
 	start  time.Time
 	points []rawPoint
 }
@@ -104,27 +108,49 @@ type rawPoint struct {
 	at        time.Duration
 	img       *pix.Image
 	processed int
+	version   core.Version
+	final     bool
+	snr       float64 // valid once scored
+	scored    bool
+}
+
+// Sample is one exported point of the accuracy-versus-wallclock curve.
+type Sample struct {
+	// Elapsed is wall time since Begin (or the collector's creation).
+	Elapsed time.Duration `json:"elapsed_ns"`
+	// Version is the snapshot's buffer version (0 for points fed through
+	// Record, which carries none).
+	Version core.Version `json:"version"`
+	// SNR is the accuracy in decibels against the precise reference
+	// (+Inf when bit-exact; serialized as "inf" in JSON).
+	SNR float64 `json:"-"`
+	// Final marks the precise output.
+	Final bool `json:"final"`
 }
 
 // NewCollector returns a collector comparing snapshots against the precise
 // reference output. sampleTotal, if nonzero, scales recorded processed
 // counts into Fraction.
 func NewCollector(ref *pix.Image, sampleTotal int) *Collector {
-	return &Collector{ref: ref, total: sampleTotal}
+	return &Collector{ref: ref, total: sampleTotal, start: time.Now()}
 }
 
-// CopyOnRecord makes Record deep-copy each snapshot instead of retaining
-// the published pointer. Required when the observed stage publishes through
-// the zero-copy tile ring (pix.SnapshotTiles), whose snapshots are reused
-// after ring-depth further publishes; a collector retains images until
-// Finish, far past that window. Call it before the automaton starts.
+// CopyOnRecord makes the collector deep-copy each snapshot instead of
+// retaining the published pointer. Required when the observed stage
+// publishes through the zero-copy tile ring (pix.SnapshotTiles), whose
+// snapshots are reused after ring-depth further publishes; a collector
+// retains images until export, far past that window. Recording then costs
+// a full-image copy per publish — exactly the overhead the ring removed —
+// so enable it only on instrumented runs. Call it before the automaton
+// starts.
 func (c *Collector) CopyOnRecord() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.copy = true
 }
 
-// Begin marks the automaton's start time.
+// Begin (re)sets the time origin and discards prior points. Call it
+// immediately before starting the automaton.
 func (c *Collector) Begin() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -137,31 +163,76 @@ func (c *Collector) Begin() {
 // tile-ring snapshots are not — see CopyOnRecord). processed may be 0 when
 // the producing stage does not report sample sizes.
 func (c *Collector) Record(processed int, img *pix.Image) {
+	c.add(rawPoint{img: img, processed: processed})
+}
+
+// Observe stores one buffer publish with its version and finality; attach
+// it with buf.OnPublish(c.Observe) before the automaton starts. It coexists
+// with tracers and metric observers on the same buffer.
+func (c *Collector) Observe(s core.Snapshot[*pix.Image]) {
+	c.add(rawPoint{img: s.Value, version: s.Version, final: s.Final})
+}
+
+func (c *Collector) add(rp rawPoint) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.copy {
-		img = img.Clone()
+		rp.img = rp.img.Clone()
 	}
-	c.points = append(c.points, rawPoint{at: now.Sub(c.start), img: img, processed: processed})
+	rp.at = now.Sub(c.start)
+	c.points = append(c.points, rp)
 }
 
-// Finish computes the profile, normalizing runtimes by baseline.
+// scoreLocked computes the SNR of every point not yet scored; each image is
+// scored once however many exports follow. Called with mu held.
+func (c *Collector) scoreLocked() error {
+	for i := range c.points {
+		rp := &c.points[i]
+		if rp.scored {
+			continue
+		}
+		db, err := metrics.SNR(c.ref.Pix, rp.img.Pix)
+		if err != nil {
+			return fmt.Errorf("harness: accuracy sample %d (v%d): %w", i, rp.version, err)
+		}
+		rp.snr, rp.scored = db, true
+	}
+	return nil
+}
+
+// Curve returns the recorded points with SNR computed against the
+// reference, in publish order.
+func (c *Collector) Curve() ([]Sample, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.scoreLocked(); err != nil {
+		return nil, err
+	}
+	curve := make([]Sample, len(c.points))
+	for i, rp := range c.points {
+		curve[i] = Sample{Elapsed: rp.at, Version: rp.version, SNR: rp.snr, Final: rp.final}
+	}
+	return curve, nil
+}
+
+// Finish computes the profile — the structure EXPERIMENTS figures are
+// plotted from — normalizing runtimes by baseline (the precise run's wall
+// time).
 func (c *Collector) Finish(app string, baseline time.Duration) (Profile, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if baseline <= 0 {
 		return Profile{}, fmt.Errorf("harness: nonpositive baseline %v", baseline)
 	}
+	if err := c.scoreLocked(); err != nil {
+		return Profile{}, err
+	}
 	p := Profile{App: app, Baseline: baseline}
 	for _, rp := range c.points {
-		db, err := metrics.SNR(c.ref.Pix, rp.img.Pix)
-		if err != nil {
-			return Profile{}, err
-		}
 		pt := Point{
 			Runtime: float64(rp.at) / float64(baseline),
-			SNR:     db,
+			SNR:     rp.snr,
 		}
 		if c.total > 0 {
 			pt.Fraction = float64(rp.processed) / float64(c.total)
@@ -172,6 +243,32 @@ func (c *Collector) Finish(app string, baseline time.Duration) (Profile, error) 
 		}
 	}
 	return p, nil
+}
+
+// WriteJSON emits the curve as a JSON array of
+// {elapsed_ns, version, snr_db, final} objects, with +Inf SNR serialized as
+// "inf" like Profile.MarshalJSON.
+func (c *Collector) WriteJSON(w io.Writer) error {
+	curve, err := c.Curve()
+	if err != nil {
+		return err
+	}
+	type jsonSample struct {
+		ElapsedNS int64  `json:"elapsed_ns"`
+		Version   uint64 `json:"version"`
+		SNRdB     string `json:"snr_db"`
+		Final     bool   `json:"final"`
+	}
+	out := make([]jsonSample, len(curve))
+	for i, s := range curve {
+		out[i] = jsonSample{
+			ElapsedNS: int64(s.Elapsed),
+			Version:   uint64(s.Version),
+			SNRdB:     metrics.FormatDB(s.SNR),
+			Final:     s.Final,
+		}
+	}
+	return json.NewEncoder(w).Encode(out)
 }
 
 // TimeBaseline runs fn reps times and returns the fastest duration (the

@@ -2,26 +2,12 @@ package reqtrace
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// Hooks is the recorder's observer interface, nil-guarded like core.Hooks:
-// internal/telemetry binds it to the process metrics registry so the
-// recorder's retention decisions are visible as exemplar counters at
-// /metrics.
-type Hooks struct {
-	// Recorded runs when a trace is retained, with its category label
-	// (error, rejected, deadline-miss, shed, slow, sampled).
-	Recorded func(category string)
-	// SampledOut runs when an OK trace is dropped by sampling — the trace
-	// is counted, not kept.
-	SampledOut func()
-	// Evicted runs when retaining a trace overwrote the ring's oldest.
-	Evicted func()
-}
 
 // Recorder is the always-on flight recorder: a bounded ring of completed,
 // sealed traces with category sampling. Errors, rejections, deadline
@@ -39,7 +25,6 @@ type Recorder struct {
 	size    int
 	sample  uint64
 	slowN   int
-	h       *Hooks
 	created time.Time
 
 	okSeen atomic.Uint64 // OK traces seen, for 1-in-SampleEvery sampling
@@ -47,8 +32,8 @@ type Recorder struct {
 	mu      sync.Mutex
 	ring    []*Trace // ring[0..len) valid; next is the overwrite cursor
 	next    int
-	slow    []time.Duration // ascending; the N slowest retained OK elapsed times
-	kept    uint64
+	slow    []time.Duration   // ascending; the N slowest retained OK elapsed times
+	kept    map[string]uint64 // traces ever retained, by the label they were filed under
 	sampled uint64
 	evicted uint64
 }
@@ -63,8 +48,6 @@ type RecorderConfig struct {
 	// SlowN is how many of the slowest OK traces bypass sampling
 	// (default 8; negative disables the slow category).
 	SlowN int
-	// Hooks receives the recorder's retention callbacks; may be nil.
-	Hooks *Hooks
 }
 
 // NewRecorder returns an empty flight recorder.
@@ -91,9 +74,9 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		size:    cfg.Size,
 		sample:  uint64(cfg.SampleEvery),
 		slowN:   cfg.SlowN,
-		h:       cfg.Hooks,
 		created: time.Now(),
 		ring:    make([]*Trace, 0, cfg.Size),
+		kept:    make(map[string]uint64),
 	}, nil
 }
 
@@ -124,19 +107,10 @@ func (r *Recorder) Record(t *Trace) (Category, bool) {
 			r.mu.Lock()
 			r.sampled++
 			r.mu.Unlock()
-			if r.h != nil && r.h.SampledOut != nil {
-				r.h.SampledOut()
-			}
 			return CategoryOK, false
 		}
 	}
-	evicted := r.retain(t)
-	if r.h != nil && r.h.Recorded != nil {
-		r.h.Recorded(label)
-	}
-	if evicted && r.h != nil && r.h.Evicted != nil {
-		r.h.Evicted()
-	}
+	r.retain(t, label)
 	return cat, true
 }
 
@@ -161,21 +135,21 @@ func (r *Recorder) admitSlow(elapsed time.Duration) bool {
 	return true
 }
 
-// retain files t in the ring, reporting whether an older trace was
-// overwritten.
-func (r *Recorder) retain(t *Trace) (evicted bool) {
+// retain files t in the ring under label (its category, or "sampled" for
+// an unremarkable OK trace the sampler kept), overwriting the oldest trace
+// once the ring is full.
+func (r *Recorder) retain(t *Trace, label string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.kept++
+	r.kept[label]++
 	if len(r.ring) < r.size {
 		r.ring = append(r.ring, t)
 		r.next = len(r.ring) % r.size
-		return false
+		return
 	}
 	r.ring[r.next] = t
 	r.next = (r.next + 1) % r.size
 	r.evicted++
-	return true
 }
 
 // Snapshot returns the retained traces, newest first. The returned traces
@@ -210,13 +184,18 @@ func (r *Recorder) Find(id string) *Trace {
 	return nil
 }
 
-// Stats is the recorder's own bookkeeping, exposed at /debug/requests.
+// Stats is the recorder's own bookkeeping, exposed at /debug/requests and —
+// read at collection time — as the anytime_reqtrace_* series at /metrics,
+// so the two views are one set of counters.
 type Stats struct {
 	Held       int    `json:"held"`        // traces currently retained
 	Capacity   int    `json:"capacity"`    // ring size
 	Recorded   uint64 `json:"recorded"`    // traces ever retained
 	SampledOut uint64 `json:"sampled_out"` // OK traces counted but dropped
 	Evicted    uint64 `json:"evicted"`     // retained traces overwritten
+	// ByCategory splits Recorded by the label each trace was filed under:
+	// error | rejected | deadline-miss | shed | slow | sampled.
+	ByCategory map[string]uint64 `json:"by_category"`
 }
 
 // Stats returns the recorder's counters.
@@ -226,11 +205,15 @@ func (r *Recorder) Stats() Stats {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return Stats{
+	st := Stats{
 		Held:       len(r.ring),
 		Capacity:   r.size,
-		Recorded:   r.kept,
 		SampledOut: r.sampled,
 		Evicted:    r.evicted,
+		ByCategory: maps.Clone(r.kept),
 	}
+	for _, n := range r.kept {
+		st.Recorded += n
+	}
+	return st
 }

@@ -115,15 +115,17 @@ const (
 	// KindHedgeCancel: the race was decided and the losing in-flight
 	// request was cancelled. Name is the cancelled member, Note its role.
 	KindHedgeCancel
-	// KindCacheHit: the snapshot cache held an entry for the request's
-	// content key. Name is the input digest, Version the cached version,
-	// Note "delta" when the hit came from a delta-start sibling entry.
+	// KindCacheHit: the snapshot cache held an entry for the looked-up
+	// content key. Name is the app, Note the input digest, Version the
+	// cached version, Flag set when the key named a delta-start sibling.
 	KindCacheHit
-	// KindCacheMiss: no usable cache entry. Name is the input digest.
+	// KindCacheMiss: no usable cache entry. Name is the app, Note the input
+	// digest, Flag set when the key named a delta-start sibling.
 	KindCacheMiss
 	// KindCacheSeed: the automaton was seeded from the cached entry. Name
 	// is the output buffer, Version the seed version the run continues
-	// from.
+	// from, Note the mode (warm = the whole cached snapshot | delta = a
+	// sibling's frame with its changed tiles marked stale).
 	KindCacheSeed
 	// KindHedgeWin: a race that launched both attempts was resolved. Name
 	// is the winning member, Note its role.
@@ -184,8 +186,8 @@ type Event struct {
 	N       int           `json:"n,omitempty"`       // queue depth, payload bytes
 	Dur     time.Duration `json:"dur_ns,omitempty"`  // wait, deadline, run time
 	Val     float64       `json:"val,omitempty"`     // shed factor, SNR dB
-	Flag    bool          `json:"flag,omitempty"`    // warm, retained, final
-	Note    string        `json:"note,omitempty"`    // outcome, error text
+	Flag    bool          `json:"flag,omitempty"`    // warm, retained, final, delta
+	Note    string        `json:"note,omitempty"`    // outcome, error text, digest
 }
 
 // Category classifies a completed trace for the flight recorder's retention
@@ -523,24 +525,23 @@ func (t *Trace) HedgeCancel(member, role string) Event {
 // Snapshot-cache helpers: the warm-start spans internal/serve and
 // cmd/anytimed record around internal/snapcache lookups.
 
-// CacheHit records the cache holding an entry for the request's content
-// digest at the given version; delta marks a delta-start hit (the entry
-// belongs to a sibling frame, to be reused through a tile diff).
-func (t *Trace) CacheHit(digest string, version uint64, delta bool) {
-	e := Event{Kind: KindCacheHit, Name: digest, Version: version}
-	if delta {
-		e.Note = "delta"
-	}
-	t.Add(e)
+// CacheHit records the cache holding an entry for app's content digest at
+// the given version; delta marks a delta-start lookup (the key names a
+// sibling frame, to be reused through a tile diff).
+func (t *Trace) CacheHit(app, digest string, version uint64, delta bool) Event {
+	return t.report(Event{Kind: KindCacheHit, Name: app, Note: digest, Version: version, Flag: delta})
 }
 
-// CacheMiss records the cache holding no usable entry for digest.
-func (t *Trace) CacheMiss(digest string) { t.Add(Event{Kind: KindCacheMiss, Name: digest}) }
+// CacheMiss records the cache holding no usable entry for app's digest.
+func (t *Trace) CacheMiss(app, digest string, delta bool) Event {
+	return t.report(Event{Kind: KindCacheMiss, Name: app, Note: digest, Flag: delta})
+}
 
-// CacheSeed records the automaton being seeded: its output buffer starts
-// at version, and the run's publishes continue from there.
-func (t *Trace) CacheSeed(buffer string, version uint64) {
-	t.Add(Event{Kind: KindCacheSeed, Name: buffer, Version: version})
+// CacheSeed records the automaton being seeded in the given mode (warm |
+// delta): its output buffer starts at version, and the run's publishes
+// continue from there.
+func (t *Trace) CacheSeed(buffer, mode string, version uint64) Event {
+	return t.report(Event{Kind: KindCacheSeed, Name: buffer, Note: mode, Version: version})
 }
 
 // Finish seals the trace with the response status, fixing its elapsed time

@@ -14,7 +14,10 @@ import (
 // before Start, so the deadline budget is spent purely on refinement. The
 // helpers here are the pool-integrated glue: SeedFromCache between
 // Pool.Get and Run, Admit after the response is delivered — both nil-safe
-// so a daemon with caching disabled pays only a pointer check.
+// so a daemon with caching disabled pays only a pointer check. Each lookup
+// and each seed is reported once, as a cache.hit / cache.miss / cache.seed
+// event into the request's trace and the sink of the pool the entry was
+// checked out of.
 
 // SeedFromCache looks up key and, on a hit, seeds the entry's automaton
 // with the cached value at its cached version. It returns the cache entry
@@ -31,10 +34,10 @@ func SeedFromCache[T any](ctx context.Context, e Entry[T], c *snapcache.Cache[T]
 	tr := reqtrace.FromContext(ctx)
 	ce, ok := c.Get(key)
 	if !ok {
-		tr.CacheMiss(key.Digest)
+		e.sink.Send(tr.CacheMiss(key.App, key.Digest, false))
 		return zero, false
 	}
-	tr.CacheHit(key.Digest, uint64(ce.Version), false)
+	e.sink.Send(tr.CacheHit(key.App, key.Digest, uint64(ce.Version), false))
 	if !Seed(ctx, e, ce.Value, ce.Version) {
 		return zero, false
 	}
@@ -44,9 +47,11 @@ func SeedFromCache[T any](ctx context.Context, e Entry[T], c *snapcache.Cache[T]
 // Seed installs payload as the entry's starting published state at the
 // given version, reporting success. The delta-start path calls it directly
 // with a pix.SeedFrame built from a sibling cache entry; the plain warm
-// start goes through SeedFromCache. On failure the automaton is Reset
-// (a partially applied seed must never start) and the caller should run
-// cold.
+// start goes through SeedFromCache. The cache.seed event's mode follows
+// from the payload: a value of the buffer's own type is a whole snapshot
+// (warm), anything else a partial frame (delta). On failure the automaton
+// is Reset (a partially applied seed must never start) and the caller
+// should run cold.
 func Seed[T any](ctx context.Context, e Entry[T], payload any, version core.Version) bool {
 	tr := reqtrace.FromContext(ctx)
 	if err := e.Automaton.SeedFrom(payload, version); err != nil {
@@ -56,7 +61,11 @@ func Seed[T any](ctx context.Context, e Entry[T], payload any, version core.Vers
 		}
 		return false
 	}
-	tr.CacheSeed(e.Out.Name(), uint64(version))
+	mode := "delta"
+	if _, whole := payload.(T); whole {
+		mode = "warm"
+	}
+	e.sink.Send(tr.CacheSeed(e.Out.Name(), mode, uint64(version)))
 	return true
 }
 

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"anytime/internal/core"
+	"anytime/internal/reqtrace"
 	"anytime/internal/snapcache"
 )
 
@@ -138,11 +140,18 @@ func TestAdmitSkipsEmptyResult(t *testing.T) {
 
 func TestPooledSeedAcrossCheckouts(t *testing.T) {
 	// A pooled entry: cold request admits, the next checkout of the same
-	// (Reset) entry seeds from the cache.
+	// (Reset) entry seeds from the cache. The pool's sink is the one the
+	// seed path reports to — the entry carries it from checkout.
 	c := intCache(t)
 	key := snapcache.Key{App: "count", Digest: "d", Epoch: 1}
 	entry := seedEntry(t, 2)
-	pool, err := NewPool("count", 1, func() (Entry[int], error) { return entry, nil }, nil)
+	var cacheEvents []reqtrace.Event
+	pool, err := NewPool("count", 1, func() (Entry[int], error) { return entry, nil }, func(e reqtrace.Event) {
+		switch e.Kind {
+		case reqtrace.KindCacheHit, reqtrace.KindCacheMiss, reqtrace.KindCacheSeed:
+			cacheEvents = append(cacheEvents, e)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,5 +192,13 @@ func TestPooledSeedAcrossCheckouts(t *testing.T) {
 	}
 	if err := pool.Put(e); err != nil {
 		t.Fatal(err)
+	}
+	want := []reqtrace.Event{
+		{Kind: reqtrace.KindCacheMiss, Name: "count", Note: "d"},
+		{Kind: reqtrace.KindCacheHit, Name: "count", Note: "d", Version: 2},
+		{Kind: reqtrace.KindCacheSeed, Name: "out", Note: "warm", Version: 2},
+	}
+	if !slices.Equal(cacheEvents, want) {
+		t.Fatalf("pool sink saw cache events %+v, want %+v", cacheEvents, want)
 	}
 }

@@ -65,6 +65,11 @@ type Entry[T any] struct {
 	// and Unbinds after Put; a nil Slot (tracing disabled) costs each
 	// observer one pointer check.
 	Slot *reqtrace.Slot
+
+	// sink is the observer of the pool the entry was checked out of
+	// (Pool.Get stamps it), so the seed helpers report to the same place
+	// the checkout did; nil for an entry built outside a pool.
+	sink reqtrace.Sink
 }
 
 // Result is the outcome of a Run or RunUntil: the delivered snapshot and

@@ -22,6 +22,7 @@ package snapcache
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,21 +54,6 @@ type Entry[T any] struct {
 	SNRdB   float64
 }
 
-// Hooks observes cache behavior; see telemetry.SnapcacheHooks for the
-// standard metrics binding. Any field may be nil.
-type Hooks struct {
-	// Hit fires on a successful lookup.
-	Hit func(app string)
-	// Miss fires on a failed lookup, including TTL expiry at lookup time.
-	Miss func(app string)
-	// Evict fires when an entry is dropped: "lru" (capacity), "ttl"
-	// (expired at lookup), or "replaced" (overwritten by a newer version).
-	Evict func(reason string)
-	// Size fires after any mutation with the cache's total payload bytes
-	// and entry count.
-	Size func(bytes int64, entries int)
-}
-
 // Config parameterizes New.
 type Config[T any] struct {
 	// MaxBytes bounds the total payload size (per SizeOf). Default 64 MiB.
@@ -81,8 +67,6 @@ type Config[T any] struct {
 	// nil when cached values are immutable (the serving tier caches
 	// SnapshotClone images, which are).
 	Clone func(T) T
-	// Hooks observes hits, misses, evictions, and size changes.
-	Hooks *Hooks
 	// Now is the clock; nil means time.Now. A test seam for TTL behavior.
 	Now func() time.Time
 }
@@ -101,9 +85,10 @@ type Cache[T any] struct {
 
 	admit sync.Mutex // serializes admissions (single-writer)
 
-	mu      sync.RWMutex
-	entries map[Key]*item[T]
-	bytes   int64
+	mu        sync.RWMutex
+	entries   map[Key]*item[T]
+	bytes     int64
+	evictions map[string]uint64 // by reason: lru | ttl | replaced
 
 	clock atomic.Int64 // logical time for LRU stamps
 }
@@ -129,7 +114,7 @@ func New[T any](cfg Config[T]) (*Cache[T], error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &Cache[T]{cfg: cfg, entries: make(map[Key]*item[T])}, nil
+	return &Cache[T]{cfg: cfg, entries: make(map[Key]*item[T]), evictions: make(map[string]uint64)}, nil
 }
 
 // Get looks up the entry for k. The hot path takes only the read lock and
@@ -152,20 +137,13 @@ func (c *Cache[T]) Get(k Key) (Entry[T], bool) {
 		// Recheck: a concurrent Put may have replaced the item.
 		if cur, still := c.entries[k]; still && cur == it {
 			c.drop(k, cur, "ttl")
-			c.sizeHook()
 		}
 		c.mu.Unlock()
 		ok = false
 	}
 	if !ok {
-		if h := c.hooks(); h != nil && h.Miss != nil {
-			h.Miss(k.App)
-		}
 		var zero Entry[T]
 		return zero, false
-	}
-	if h := c.hooks(); h != nil && h.Hit != nil {
-		h.Hit(k.App)
 	}
 	e := it.e
 	if c.cfg.Clone != nil {
@@ -217,7 +195,6 @@ func (c *Cache[T]) Put(k Key, e Entry[T]) bool {
 		}
 		c.drop(vk, victim, "lru")
 	}
-	c.sizeHook()
 	return true
 }
 
@@ -240,23 +217,31 @@ func (c *Cache[T]) lruLocked(keep *item[T]) (Key, *item[T]) {
 	return vk, victim
 }
 
-// drop removes it (known present under k) and fires the evict hook.
-// Called with mu held.
+// drop removes it (known present under k) and counts the eviction under
+// its reason: "lru" (capacity), "ttl" (expired at lookup), or "replaced"
+// (overwritten by a newer version). Called with mu held.
 func (c *Cache[T]) drop(k Key, it *item[T], reason string) {
 	delete(c.entries, k)
 	c.bytes -= it.bytes
-	if h := c.hooks(); h != nil && h.Evict != nil {
-		h.Evict(reason)
-	}
+	c.evictions[reason]++
 }
 
-func (c *Cache[T]) sizeHook() {
-	if h := c.hooks(); h != nil && h.Size != nil {
-		h.Size(c.bytes, len(c.entries))
-	}
+// Stats is the cache's own bookkeeping, one consistent reading under its
+// lock. Hits and misses are not here: the serving tier reports each lookup
+// as a reqtrace event (cache.hit / cache.miss), which is what /metrics
+// counts.
+type Stats struct {
+	Entries   int
+	Bytes     int64
+	Evictions map[string]uint64 // entries dropped, by reason
 }
 
-func (c *Cache[T]) hooks() *Hooks { return c.cfg.Hooks }
+// Stats returns the cache's current size and eviction counts.
+func (c *Cache[T]) Stats() Stats {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return Stats{Entries: len(c.entries), Bytes: c.bytes, Evictions: maps.Clone(c.evictions)}
+}
 
 // Len reports the number of cached entries.
 func (c *Cache[T]) Len() int {

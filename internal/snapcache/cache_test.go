@@ -11,51 +11,23 @@ import (
 )
 
 // testCache builds a byte-slice cache with a controllable clock.
-func testCache(t *testing.T, maxBytes int64, ttl time.Duration) (*Cache[[]byte], *time.Time, *counts) {
+func testCache(t *testing.T, maxBytes int64, ttl time.Duration) (*Cache[[]byte], *time.Time) {
 	t.Helper()
 	now := time.Unix(1000, 0)
-	n := &counts{}
 	c, err := New(Config[[]byte]{
 		MaxBytes: maxBytes,
 		TTL:      ttl,
 		SizeOf:   func(b []byte) int { return len(b) },
-		Hooks:    n.hooks(),
 		Now:      func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, &now, n
-}
-
-type counts struct {
-	mu                       sync.Mutex
-	hits, misses             int
-	evicts                   map[string]int
-	lastBytes                int64
-	lastEntries, sizeReports int
-}
-
-func (n *counts) hooks() *Hooks {
-	n.evicts = map[string]int{}
-	return &Hooks{
-		Hit:  func(string) { n.mu.Lock(); n.hits++; n.mu.Unlock() },
-		Miss: func(string) { n.mu.Lock(); n.misses++; n.mu.Unlock() },
-		Evict: func(reason string) {
-			n.mu.Lock()
-			n.evicts[reason]++
-			n.mu.Unlock()
-		},
-		Size: func(b int64, e int) {
-			n.mu.Lock()
-			n.lastBytes, n.lastEntries, n.sizeReports = b, e, n.sizeReports+1
-			n.mu.Unlock()
-		},
-	}
+	return c, &now
 }
 
 func TestCacheHitMiss(t *testing.T) {
-	c, _, n := testCache(t, 1<<20, time.Minute)
+	c, _ := testCache(t, 1<<20, time.Minute)
 	k := Key{App: "conv2d", Digest: "abc", Epoch: 1}
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
@@ -67,11 +39,8 @@ func TestCacheHitMiss(t *testing.T) {
 	if !ok || string(e.Value) != "snap" || e.Version != 3 || e.SNRdB != 21.5 {
 		t.Fatalf("Get = %+v, %v", e, ok)
 	}
-	if n.hits != 1 || n.misses != 1 {
-		t.Fatalf("hooks saw %d hits %d misses", n.hits, n.misses)
-	}
-	if c.Len() != 1 || c.Bytes() != 4 || n.lastBytes != 4 || n.lastEntries != 1 {
-		t.Fatalf("size: Len=%d Bytes=%d hook=(%d,%d)", c.Len(), c.Bytes(), n.lastBytes, n.lastEntries)
+	if st := c.Stats(); c.Len() != 1 || c.Bytes() != 4 || st.Bytes != 4 || st.Entries != 1 || len(st.Evictions) != 0 {
+		t.Fatalf("size: Len=%d Bytes=%d Stats=%+v", c.Len(), c.Bytes(), st)
 	}
 }
 
@@ -79,7 +48,7 @@ func TestCacheHitMiss(t *testing.T) {
 // The epoch check is what guarantees a config change can never seed a
 // request with an approximation computed under the old config.
 func TestCacheKeyHygiene(t *testing.T) {
-	c, _, _ := testCache(t, 1<<20, time.Minute)
+	c, _ := testCache(t, 1<<20, time.Minute)
 	base := Key{App: "conv2d", Digest: "abc", Epoch: 1}
 	c.Put(base, Entry[[]byte]{Value: []byte("base"), Version: 1})
 	for _, k := range []Key{
@@ -99,7 +68,7 @@ func TestCacheKeyHygiene(t *testing.T) {
 }
 
 func TestCacheTTLExpiryMidStream(t *testing.T) {
-	c, now, n := testCache(t, 1<<20, time.Minute)
+	c, now := testCache(t, 1<<20, time.Minute)
 	k := Key{App: "conv2d", Digest: "abc", Epoch: 1}
 	c.Put(k, Entry[[]byte]{Value: []byte("old"), Version: 9})
 	*now = now.Add(30 * time.Second)
@@ -113,8 +82,8 @@ func TestCacheTTLExpiryMidStream(t *testing.T) {
 	if _, ok := c.Get(k); ok {
 		t.Fatal("expired entry hit")
 	}
-	if n.evicts["ttl"] != 1 {
-		t.Fatalf("ttl evictions = %d, want 1", n.evicts["ttl"])
+	if got := c.Stats().Evictions; got["ttl"] != 1 || len(got) != 1 {
+		t.Fatalf("evictions = %v, want only ttl: 1", got)
 	}
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatalf("expired entry retained: Len=%d Bytes=%d", c.Len(), c.Bytes())
@@ -129,7 +98,7 @@ func TestCacheTTLExpiryMidStream(t *testing.T) {
 }
 
 func TestCacheExpiredEntryReplaceable(t *testing.T) {
-	c, now, _ := testCache(t, 1<<20, time.Minute)
+	c, now := testCache(t, 1<<20, time.Minute)
 	k := Key{App: "conv2d", Digest: "abc", Epoch: 1}
 	c.Put(k, Entry[[]byte]{Value: []byte("old"), Version: 9})
 	*now = now.Add(2 * time.Minute)
@@ -144,7 +113,7 @@ func TestCacheExpiredEntryReplaceable(t *testing.T) {
 }
 
 func TestCacheVersionMonotoneReplace(t *testing.T) {
-	c, _, n := testCache(t, 1<<20, time.Minute)
+	c, _ := testCache(t, 1<<20, time.Minute)
 	k := Key{App: "conv2d", Digest: "abc", Epoch: 1}
 	c.Put(k, Entry[[]byte]{Value: []byte("v5"), Version: 5})
 	// An older or equal version must not replace a refined entry.
@@ -161,8 +130,8 @@ func TestCacheVersionMonotoneReplace(t *testing.T) {
 	if string(e.Value) != "v6" {
 		t.Fatalf("value = %q", e.Value)
 	}
-	if n.evicts["replaced"] != 1 {
-		t.Fatalf("replaced evictions = %d, want 1", n.evicts["replaced"])
+	if got := c.Stats().Evictions; got["replaced"] != 1 || len(got) != 1 {
+		t.Fatalf("evictions = %v, want only replaced: 1", got)
 	}
 	// Version 0 is never admissible (it promises a seed that has no
 	// published state).
@@ -172,7 +141,7 @@ func TestCacheVersionMonotoneReplace(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c, _, n := testCache(t, 30, time.Minute)
+	c, _ := testCache(t, 30, time.Minute)
 	keys := make([]Key, 3)
 	for i := range keys {
 		keys[i] = Key{App: "a", Digest: fmt.Sprintf("d%d", i), Epoch: 1}
@@ -190,8 +159,8 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Errorf("recently used %+v evicted", k)
 		}
 	}
-	if n.evicts["lru"] != 1 {
-		t.Fatalf("lru evictions = %d, want 1", n.evicts["lru"])
+	if got := c.Stats().Evictions; got["lru"] != 1 || len(got) != 1 {
+		t.Fatalf("evictions = %v, want only lru: 1", got)
 	}
 	if c.Bytes() > 30 {
 		t.Fatalf("cache over budget: %d", c.Bytes())
@@ -204,9 +173,9 @@ func TestCacheLRUEviction(t *testing.T) {
 
 // Eviction under concurrent admission: hammer a small cache from many
 // writers and readers at once (run with -race). The invariants: never over
-// budget at rest, and every hook fires without racing.
+// budget at rest, and Stats reads a consistent size while they run.
 func TestCacheConcurrentAdmission(t *testing.T) {
-	c, _, _ := testCache(t, 200, time.Minute)
+	c, _ := testCache(t, 200, time.Minute)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -217,6 +186,9 @@ func TestCacheConcurrentAdmission(t *testing.T) {
 				c.Put(k, Entry[[]byte]{Value: make([]byte, 20), Version: core.Version(i + 1)})
 				c.Get(k)
 				c.Get(Key{App: "a", Digest: "d0", Epoch: 1})
+				if st := c.Stats(); st.Bytes != int64(st.Entries)*20 {
+					t.Errorf("torn Stats: %+v", st)
+				}
 			}
 		}(w)
 	}
@@ -230,11 +202,9 @@ func TestCacheConcurrentAdmission(t *testing.T) {
 }
 
 func TestCacheCloneIsolation(t *testing.T) {
-	n := &counts{}
 	c, err := New(Config[[]byte]{
 		SizeOf: func(b []byte) int { return len(b) },
 		Clone:  func(b []byte) []byte { return append([]byte(nil), b...) },
-		Hooks:  n.hooks(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,6 +36,9 @@ type Registry struct {
 
 	mu     sync.Mutex
 	series map[string]*series // keyed by name + canonical labels
+
+	collectMu sync.Mutex // serializes collect, so mirrored counters stay monotone
+	collect   func()
 }
 
 // series is one registered time series: exactly one of the instrument
@@ -162,9 +165,26 @@ func (r *Registry) DurationHistogram(name string, labels Labels) *Histogram {
 	return s.hist
 }
 
-// snapshot returns the registered series sorted by name then label key, for
-// deterministic exposition.
+// OnCollect registers fn to run before every exposition. WritePrometheus,
+// Expvar and WriteSummary all read through snapshot, so series that mirror
+// state another package keeps under its own lock (a cache's size, a
+// recorder's counters, process uptime) are refreshed for all three by the
+// one callback and cannot disagree between them. fn runs without the
+// registry lock held and may create instruments; a later call replaces it.
+func (r *Registry) OnCollect(fn func()) {
+	r.collectMu.Lock()
+	r.collect = fn
+	r.collectMu.Unlock()
+}
+
+// snapshot runs the collection callback, then returns the registered series
+// sorted by name then label key, for deterministic exposition.
 func (r *Registry) snapshot() []*series {
+	r.collectMu.Lock()
+	if r.collect != nil {
+		r.collect()
+	}
+	r.collectMu.Unlock()
 	r.mu.Lock()
 	out := make([]*series, 0, len(r.series))
 	for _, s := range r.series {
@@ -192,6 +212,11 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
+
+// Store sets the count to n. It is for a series mirrored from a monotone
+// count its owner keeps, refreshed from Registry.OnCollect; an event-fed
+// counter uses Inc and Add.
+func (c *Counter) Store(n uint64) { c.v.Store(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }

@@ -238,3 +238,35 @@ func TestWriteSummaryTable(t *testing.T) {
 		}
 	}
 }
+
+// TestOnCollectRefreshesEveryExposition: the collection callback runs before
+// each of the three read paths, so a series mirrored from state kept outside
+// the registry is current — and the same — in all of them, and may first
+// appear from inside the callback.
+func TestOnCollectRefreshesEveryExposition(t *testing.T) {
+	reg := NewRegistry()
+	var owned uint64 // the count its owner keeps
+	reg.OnCollect(func() { reg.Counter("mirrored_total", Labels{"of": "owner"}).Store(owned) })
+
+	owned = 3
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), `mirrored_total{of="owner"} 3`) {
+		t.Errorf("prometheus exposition not refreshed:\n%s", prom.String())
+	}
+	owned = 4
+	vars, ok := reg.Expvar().(map[string]map[string]any)
+	if !ok || vars["mirrored_total"][`{of="owner"}`] != uint64(4) {
+		t.Errorf("expvar not refreshed: %v", reg.Expvar())
+	}
+	owned = 5
+	var summary strings.Builder
+	if err := reg.WriteSummary(&summary); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(summary.String(), "5 (") {
+		t.Errorf("summary not refreshed:\n%s", summary.String())
+	}
+}

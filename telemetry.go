@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"anytime/internal/core"
+	"anytime/internal/harness"
 	"anytime/internal/telemetry"
 )
 
@@ -72,22 +73,22 @@ func WriteMetricsSummary(reg *MetricsRegistry, w io.Writer) error { return reg.W
 // live equivalent of the paper's §V runtime–accuracy profiles. SNR against
 // the precise reference is computed lazily at export time, so recording
 // never delays the pipeline being measured.
-type AccuracyRecorder = telemetry.AccuracyRecorder
+type AccuracyRecorder = harness.Collector
 
 // AccuracySample is one exported point of an accuracy-versus-time curve.
-type AccuracySample = telemetry.AccuracySample
+type AccuracySample = harness.Sample
 
 // NewAccuracyRecorder returns a recorder comparing published images against
 // the precise reference ref. Call its Begin immediately before Start.
 func NewAccuracyRecorder(ref *Image) *AccuracyRecorder {
-	return telemetry.NewAccuracyRecorder(ref)
+	return harness.NewCollector(ref, 0)
 }
 
 // ObserveAccuracy attaches rec as a publish observer of buf; it coexists
 // with tracers and metric observers on the same buffer. Attach before
 // Start.
 func ObserveAccuracy(rec *AccuracyRecorder, buf *Buffer[*Image]) {
-	telemetry.ObserveAccuracy(rec, buf)
+	buf.OnPublish(rec.Observe)
 }
 
 // Metric names of the pipeline instrument families PipelineHooks,
