@@ -1,8 +1,7 @@
 // Command anytimevet runs the repo's automaton-discipline analyzers
 // (internal/analysis): static proofs of the paper's §III invariants —
 // single-writer buffers, immutable snapshots, deterministic replay packages
-// — plus the serving-tier contracts grown since (context threading,
-// goroutine termination, budget monotonicity, hotpath alloc budgets).
+// — plus the serving tier's context threading.
 //
 // Two modes:
 //
@@ -13,21 +12,23 @@
 // (tests included; -tests=false excludes them) and exits 1 if any
 // diagnostic survives its //lint:ignore filter. Vet-tool mode speaks
 // cmd/go's unitchecker protocol: -V=full, -flags, and per-package .cfg
-// files with pre-built export data; interprocedural facts ride in the
-// protocol's .vetx files.
+// files with pre-built export data. The analyzers are intraprocedural, so
+// the protocol's .vetx fact files are written empty and never read.
 //
 // Each analyzer can be disabled with -<name>=false, or the run restricted
 // by setting only some to true (go vet's multichecker convention).
 // -format selects the output: text (one finding per line, the problem-
 // matcher shape), json (an array document), or sarif (SARIF 2.1.0 for
 // code-scanning upload). -audit lists every //lint:ignore suppression with
-// its justification and fails on bare ones.
+// its justification and fails on bare ones and on ones naming an analyzer
+// the suite does not have.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"go/token"
+	"io"
 	"os"
 	"strings"
 
@@ -46,7 +47,7 @@ func run(args []string, stderr *os.File) int {
 			fmt.Println("anytimevet version v2 (anytime automaton discipline suite)")
 			return 0
 		case args[0] == "-flags":
-			printFlagDefs()
+			printFlagDefs(os.Stdout)
 			return 0
 		}
 	}
@@ -57,7 +58,7 @@ func run(args []string, stderr *os.File) int {
 		tests   = fs.Bool("tests", true, "also analyze test files (standalone mode)")
 		format  = fs.String("format", "text", "output format: text, json, or sarif")
 		jsonOut = fs.Bool("json", false, "emit diagnostics as JSON (alias for -format=json)")
-		audit   = fs.Bool("audit", false, "list every //lint:ignore suppression and fail on bare ones")
+		audit   = fs.Bool("audit", false, "list every //lint:ignore suppression and fail on bare or unknown-analyzer ones")
 		_       = fs.Int("c", -1, "(ignored; accepted for cmd/go compatibility)")
 		enables = make(map[string]*bool)
 	)
@@ -126,17 +127,13 @@ func standalone(patterns []string, analyzers []*analysis.Analyzer, tests bool, f
 		fmt.Fprintln(stderr, "anytimevet:", err)
 		return 1
 	}
-	// One fact store threaded through the packages, which Load returns in
-	// dependency order: facts exported while analyzing serve are visible
-	// when daemon (which imports it) is analyzed.
-	facts := analysis.NewFactStore()
 	var all []analysis.Diagnostic
 	// The same file can be analyzed under its base package and its test
 	// variant when both are targets (the loader prevents the common case,
 	// but patterns can name both); dedupe on position+analyzer+message.
 	seen := make(map[string]bool)
 	for _, pkg := range pkgs {
-		diags, err := analysis.RunPackageFacts(fset, pkg, analyzers, facts)
+		diags, err := analysis.RunPackage(fset, pkg, analyzers)
 		if err != nil {
 			fmt.Fprintf(stderr, "anytimevet: %s: %v\n", pkg.ID, err)
 			return 1
@@ -173,7 +170,8 @@ func emitDocument(fset *token.FileSet, analyzers []*analysis.Analyzer, diags []a
 
 // auditSuppressions loads the tree and prints every lint:ignore directive
 // with its justification: the reviewed inventory CI keeps. Bare ignores
-// (no justification) fail the audit.
+// (no justification) and ignores naming an unknown analyzer (they suppress
+// nothing) fail the audit.
 func auditSuppressions(patterns []string, tests bool, stderr *os.File) int {
 	fset := token.NewFileSet()
 	wd, err := os.Getwd()
@@ -186,8 +184,7 @@ func auditSuppressions(patterns []string, tests bool, stderr *os.File) int {
 		fmt.Fprintln(stderr, "anytimevet:", err)
 		return 1
 	}
-	bare := 0
-	total := 0
+	bare, unknown, total := 0, 0, 0
 	seen := make(map[string]bool)
 	for _, pkg := range pkgs {
 		for _, s := range analysis.CollectSuppressions(fset, pkg.Files) {
@@ -201,11 +198,16 @@ func auditSuppressions(patterns []string, tests bool, stderr *os.File) int {
 				fmt.Printf("%s: BARE //lint:ignore %s — justification required\n", s.Posn, s.Analyzer)
 				continue
 			}
+			if s.Unknown() {
+				unknown++
+				fmt.Printf("%s: UNKNOWN //lint:ignore %s — no such analyzer, nothing is suppressed\n", s.Posn, s.Analyzer)
+				continue
+			}
 			fmt.Printf("%s: //lint:ignore %s — %s\n", s.Posn, s.Analyzer, s.Justification)
 		}
 	}
-	fmt.Printf("anytimevet audit: %d suppression(s), %d bare\n", total, bare)
-	if bare > 0 {
+	fmt.Printf("anytimevet audit: %d suppression(s), %d bare, %d unknown\n", total, bare, unknown)
+	if bare+unknown > 0 {
 		return 1
 	}
 	return 0
@@ -217,7 +219,7 @@ func printDiag(stderr *os.File, fset *token.FileSet, d analysis.Diagnostic) {
 
 // printFlagDefs answers cmd/go's -flags probe: a JSON array describing the
 // flags a `go vet -vettool` invocation may pass through.
-func printFlagDefs() {
+func printFlagDefs(w io.Writer) {
 	type flagDef struct {
 		Name  string `json:"Name"`
 		Bool  bool   `json:"Bool"`
@@ -227,12 +229,12 @@ func printFlagDefs() {
 	for _, a := range analysis.All() {
 		defs = append(defs, flagDef{Name: a.Name, Bool: true, Usage: a.Doc})
 	}
-	fmt.Print("[")
+	fmt.Fprint(w, "[")
 	for i, d := range defs {
 		if i > 0 {
-			fmt.Print(",")
+			fmt.Fprint(w, ",")
 		}
-		fmt.Printf("{\"Name\":%q,\"Bool\":%v,\"Usage\":%q}", d.Name, d.Bool, d.Usage)
+		fmt.Fprintf(w, "{\"Name\":%q,\"Bool\":%v,\"Usage\":%q}", d.Name, d.Bool, d.Usage)
 	}
-	fmt.Println("]")
+	fmt.Fprintln(w, "]")
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -20,13 +22,27 @@ func devNull(t *testing.T) *os.File {
 }
 
 // TestProbes covers the two queries cmd/go issues before handing over any
-// package: the version string and the flag definitions.
+// package: the version string and the flag definitions, which are `tests`
+// plus exactly the four analyzers.
 func TestProbes(t *testing.T) {
 	if got := run([]string{"-V=full"}, devNull(t)); got != 0 {
 		t.Errorf("-V=full exited %d, want 0", got)
 	}
 	if got := run([]string{"-flags"}, devNull(t)); got != 0 {
 		t.Errorf("-flags exited %d, want 0", got)
+	}
+	var out bytes.Buffer
+	printFlagDefs(&out)
+	var defs []struct{ Name string }
+	if err := json.Unmarshal(out.Bytes(), &defs); err != nil {
+		t.Fatalf("-flags output is not JSON: %v\n%s", err, out.String())
+	}
+	var names []string
+	for _, d := range defs {
+		names = append(names, d.Name)
+	}
+	if want := []string{"tests", "singlewriter", "snapshotmut", "detnondet", "ctxflow"}; !slices.Equal(names, want) {
+		t.Errorf("-flags lists %v, want %v", names, want)
 	}
 }
 
@@ -121,26 +137,33 @@ func TestUnitcheckClean(t *testing.T) {
 }
 
 // TestUnitcheckVetxOnly: when cmd/go only needs facts for a dependency, the
-// tool must write the vetx file and stay silent even about violations.
+// tool must write the (empty) vetx file and stay silent even about
+// violations.
 func TestUnitcheckVetxOnly(t *testing.T) {
 	cfgPath, vetxPath := writeCfg(t, dirtySrc, true)
 	if got := run([]string{cfgPath}, devNull(t)); got != 0 {
 		t.Errorf("VetxOnly exited %d, want 0", got)
 	}
-	if _, err := os.Stat(vetxPath); err != nil {
-		t.Errorf("vetx output not written: %v", err)
+	if fi, err := os.Stat(vetxPath); err != nil || fi.Size() != 0 {
+		t.Errorf("vetx output not written empty: %v, %v", fi, err)
 	}
 }
 
 // TestAnalyzerSelection: disabling singlewriter must let the dirty package
-// pass, and selecting only an unrelated analyzer must too.
+// pass, and selecting only an unrelated analyzer must too; each of the four
+// analyzers is a flag, and the three deleted ones are refused as unknown.
 func TestAnalyzerSelection(t *testing.T) {
+	for name, want := range map[string]int{
+		"singlewriter": 2, "snapshotmut": 0, "detnondet": 0, "ctxflow": 0,
+		"goroleak": 1, "hotalloc": 1, "budgetflow": 1,
+	} {
+		cfgPath, _ := writeCfg(t, dirtySrc, false)
+		if got := run([]string{"-" + name, cfgPath}, devNull(t)); got != want {
+			t.Errorf("-%s exited %d, want %d", name, got, want)
+		}
+	}
 	cfgPath, _ := writeCfg(t, dirtySrc, false)
 	if got := run([]string{"-singlewriter=false", cfgPath}, devNull(t)); got != 0 {
 		t.Errorf("-singlewriter=false exited %d, want 0", got)
-	}
-	cfgPath2, _ := writeCfg(t, dirtySrc, false)
-	if got := run([]string{"-snapshotmut", cfgPath2}, devNull(t)); got != 0 {
-		t.Errorf("-snapshotmut only exited %d, want 0", got)
 	}
 }

@@ -34,12 +34,10 @@ type vetConfig struct {
 // unitcheck analyzes one package under cmd/go's vet protocol. Exit codes
 // follow the vet convention: 0 clean, 1 tool failure, 2 diagnostics.
 //
-// Interprocedural facts ride the protocol's vetx channel: the fact store
-// is seeded from every dependency's PackageVetx file, the analyzers run
-// (exporting facts about this package's objects), and the accumulated
-// store is serialized to VetxOutput for downstream packages. VetxOnly
-// packages (dependencies cmd/go analyzes purely for their facts) run the
-// same pipeline but report nothing.
+// The analyzers keep no cross-package facts, so the protocol's vetx channel
+// is satisfied with an empty VetxOutput and PackageVetx is never read.
+// VetxOnly packages (dependencies cmd/go runs the tool on purely for their
+// facts) are done once that file exists.
 func unitcheck(cfgFile string, analyzers []*analysis.Analyzer, format string, stderr *os.File) int {
 	data, err := os.ReadFile(cfgFile)
 	if err != nil {
@@ -52,14 +50,16 @@ func unitcheck(cfgFile string, analyzers []*analysis.Analyzer, format string, st
 		return 1
 	}
 
-	// cmd/go requires the facts ("vetx") output to exist; write the empty
-	// form first so every early exit below still satisfies the build cache,
-	// then overwrite with the real store after analysis.
+	// cmd/go requires the facts ("vetx") output to exist; written first, it
+	// satisfies the build cache on every exit below.
 	if cfg.VetxOutput != "" {
 		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
 			fmt.Fprintln(stderr, "anytimevet:", err)
 			return 1
 		}
+	}
+	if cfg.VetxOnly {
+		return 0
 	}
 	if cfg.Compiler != "" && cfg.Compiler != "gc" {
 		fmt.Fprintf(stderr, "anytimevet: unsupported compiler %q\n", cfg.Compiler)
@@ -84,26 +84,10 @@ func unitcheck(cfgFile string, analyzers []*analysis.Analyzer, format string, st
 		return 1
 	}
 
-	facts := analysis.NewFactStore()
-	for _, vetx := range cfg.PackageVetx {
-		if data, err := os.ReadFile(vetx); err == nil {
-			facts.Merge(data)
-		}
-	}
-	diags, err := analysis.RunPackageFacts(fset, pkg, analyzers, facts)
+	diags, err := analysis.RunPackage(fset, pkg, analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "anytimevet: %s: %v\n", cfg.ImportPath, err)
 		return 1
-	}
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, facts.Encode(), 0o666); err != nil {
-			fmt.Fprintln(stderr, "anytimevet:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		// The package was only needed for downstream facts; report nothing.
-		return 0
 	}
 	if format == "text" {
 		for _, d := range diags {

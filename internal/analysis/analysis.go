@@ -33,8 +33,8 @@ type Analyzer struct {
 	// Doc is the one-paragraph description printed by `anytimevet help`.
 	Doc string
 	// Run inspects the package in pass and reports diagnostics through
-	// pass.Report. The interface{} result mirrors x/tools (facts plumbing);
-	// the suite's analyzers all return (nil, nil).
+	// pass.Report. The interface{} result mirrors x/tools' signature; the
+	// suite's analyzers all return (nil, nil).
 	Run func(pass *Pass) (interface{}, error)
 }
 
@@ -48,11 +48,6 @@ type Pass struct {
 	// Report delivers one diagnostic. The driver installs it; analyzers
 	// normally use Reportf.
 	Report func(Diagnostic)
-	// Facts carries interprocedural facts across packages: the driver
-	// threads one store through the packages in dependency order (or decodes
-	// it from cmd/go's .vetx files in unitchecker mode). Analyzers read
-	// facts about imported objects and export facts about their own.
-	Facts *FactStore
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.
@@ -76,9 +71,6 @@ func All() []*Analyzer {
 		SnapshotMutAnalyzer,
 		DetNonDetAnalyzer,
 		CtxFlowAnalyzer,
-		GoroLeakAnalyzer,
-		BudgetFlowAnalyzer,
-		HotAllocAnalyzer,
 	}
 }
 

@@ -42,16 +42,15 @@ func loadTree(tb testing.TB) (*token.FileSet, []*Package) {
 }
 
 // BenchmarkAnytimevetSuite runs the whole suite over the full repo
-// tree (tests included), one shared fact store per iteration — exactly
-// the work `go run ./cmd/anytimevet ./...` does after loading.
+// tree (tests included) — exactly the work `go run ./cmd/anytimevet ./...`
+// does after loading.
 func BenchmarkAnytimevetSuite(b *testing.B) {
 	fset, pkgs := loadTree(b)
 	analyzers := All()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		facts := NewFactStore()
 		for _, pkg := range pkgs {
-			if _, err := RunPackageFacts(fset, pkg, analyzers, facts); err != nil {
+			if _, err := RunPackage(fset, pkg, analyzers); err != nil {
 				b.Fatalf("%s: %v", pkg.ID, err)
 			}
 		}
@@ -79,9 +78,8 @@ func BenchmarkAnytimevetPerAnalyzer(b *testing.B) {
 	for _, a := range All() {
 		b.Run(a.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				facts := NewFactStore()
 				for _, pkg := range pkgs {
-					if _, err := RunPackageFacts(fset, pkg, []*Analyzer{a}, facts); err != nil {
+					if _, err := RunPackage(fset, pkg, []*Analyzer{a}); err != nil {
 						b.Fatalf("%s: %v", pkg.ID, err)
 					}
 				}

@@ -145,7 +145,7 @@ func checkCtxFunc(pass *Pass, decl *ast.FuncDecl) {
 			}
 			return out
 		},
-	}, nil, "")
+	})
 
 	hasCtx := len(ctxParams) > 0
 	cancelObjs := make(map[types.Object]bool)
@@ -210,10 +210,9 @@ func checkCtxFunc(pass *Pass, decl *ast.FuncDecl) {
 		}
 		return true
 	})
-	du := buildDefUse([]*ast.File{wrapDecl(decl)}, info)
 	for obj := range cancelObjs {
 		uses := 0
-		for _, id := range du.uses[obj] {
+		for _, id := range st.du.uses[obj] {
 			if id.Pos() != obj.Pos() && !discarded[id.Pos()] {
 				uses++
 			}

@@ -1,143 +1,18 @@
 package analysis
 
 // dataflow.go is the suite's SSA-lite dataflow engine: def-use chains over
-// the go/types-resolved AST, a package-wide taint fixpoint, and an
-// exported-facts store for interprocedural reasoning. The engine is
-// deliberately flow-insensitive within a function (an object is tainted if
-// any assignment reaching it is tainted) and flow-sensitive only across
-// the call graph via per-function summaries: that is cheap enough to run
-// on every build and precise enough for the serving-tier contracts the
-// analyzers enforce — a budget is a budget on every path, and a context
-// derived from the request stays derived no matter the branch taken.
-//
-// Interprocedural flow uses the same facts idiom as x/tools: analyzing a
-// package may export facts about its objects (functions, fields); a later
-// package importing those objects consults the store. The standalone
-// driver threads one store through the packages in dependency order; the
-// unitchecker driver serializes the store into cmd/go's .vetx files.
+// the go/types-resolved AST and a taint fixpoint over them. The engine is
+// deliberately flow-insensitive (an object is tainted if any assignment
+// reaching it is tainted) and intraprocedural — ctxflow, its one client,
+// runs it over a single function declaration at a time: a context derived
+// from the request stays derived no matter the branch taken.
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
-
-// ---- facts ----
-
-// FactStore holds facts exported about objects, keyed by a stable object
-// path (package path + receiver + name), so facts survive serialization
-// across unitchecker processes.
-type FactStore struct {
-	m map[string]map[string]string // objPath -> fact name -> payload
-}
-
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{m: make(map[string]map[string]string)}
-}
-
-// ObjectPath renders the stable cross-package key for obj:
-// "pkg/path.Name" for package-level objects, "pkg/path.Recv.Name" for
-// methods and struct fields. Objects without a package (builtins) key by
-// bare name.
-func ObjectPath(obj types.Object) string {
-	if obj == nil {
-		return ""
-	}
-	var sb strings.Builder
-	if p := obj.Pkg(); p != nil {
-		sb.WriteString(p.Path())
-		sb.WriteByte('.')
-	}
-	if fn, ok := obj.(*types.Func); ok {
-		if recv := fn.Signature().Recv(); recv != nil {
-			if n := namedName(recv.Type()); n != "" {
-				sb.WriteString(n)
-				sb.WriteByte('.')
-			}
-		}
-	}
-	if v, ok := obj.(*types.Var); ok && v.IsField() {
-		// Field objects carry no owner pointer; position-qualify instead so
-		// two same-named fields of different structs never collide.
-		fmt.Fprintf(&sb, "field%d.", obj.Pos())
-	}
-	sb.WriteString(obj.Name())
-	return sb.String()
-}
-
-// Export records a fact about obj. Facts are write-once: re-exporting
-// overwrites the payload (analyzers export deterministic payloads, so the
-// last write is as good as the first).
-func (s *FactStore) Export(obj types.Object, fact, payload string) {
-	key := ObjectPath(obj)
-	if key == "" {
-		return
-	}
-	f := s.m[key]
-	if f == nil {
-		f = make(map[string]string)
-		s.m[key] = f
-	}
-	f[fact] = payload
-}
-
-// Get looks up a fact about obj.
-func (s *FactStore) Get(obj types.Object, fact string) (string, bool) {
-	p, ok := s.m[ObjectPath(obj)][fact]
-	return p, ok
-}
-
-// factFile is the serialized form written into cmd/go's .vetx files.
-type factFile struct {
-	Facts map[string]map[string]string `json:"facts"`
-}
-
-// Encode serializes every fact in the store (the unitchecker writes the
-// whole accumulated store; downstream packages deduplicate on merge).
-func (s *FactStore) Encode() []byte {
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := factFile{Facts: make(map[string]map[string]string, len(keys))}
-	for _, k := range keys {
-		out.Facts[k] = s.m[k]
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
-// Merge folds serialized facts (an upstream package's vetx) into the
-// store. Unparsable data is ignored: an empty vetx file is the protocol's
-// "no facts" value.
-func (s *FactStore) Merge(data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	var in factFile
-	if err := json.Unmarshal(data, &in); err != nil {
-		return
-	}
-	for key, facts := range in.Facts {
-		f := s.m[key]
-		if f == nil {
-			f = make(map[string]string, len(facts))
-			s.m[key] = f
-		}
-		for name, payload := range facts {
-			f[name] = payload
-		}
-	}
-}
 
 // ---- def-use chains ----
 
@@ -269,37 +144,22 @@ type taintConfig struct {
 	// when the argument at argIdx is tainted (derivation functions such as
 	// context.WithTimeout). nil = taint stops at the call.
 	passthrough func(call *ast.CallExpr, argIdx int) []int
-	// binop reports whether taint survives a binary operation (e.g. budget
-	// taint survives '-' but is reported and survives '+').
-	binop func(op token.Token) bool
 }
 
-// taintState is the result of the package fixpoint: tainted objects plus
-// per-function result summaries for the facts layer.
+// taintState is the result of the fixpoint: the tainted objects.
 type taintState struct {
 	du  *defUse
 	cfg taintConfig
 	// objs holds the tainted variable/field objects.
 	objs map[types.Object]bool
-	// funcResults summarizes package functions whose results carry taint:
-	// map from function object to the set of tainted result indices.
-	funcResults map[*types.Func]map[int]bool
-	// facts resolves summaries for out-of-package callees.
-	facts    *FactStore
-	factName string
 }
 
-// runTaint computes the package-wide taint fixpoint. factName, when
-// non-empty, names the fact consulted (and exported by exportSummaries)
-// for cross-package function-result taint.
-func runTaint(files []*ast.File, info *types.Info, cfg taintConfig, facts *FactStore, factName string) *taintState {
+// runTaint computes the taint fixpoint over files.
+func runTaint(files []*ast.File, info *types.Info, cfg taintConfig) *taintState {
 	st := &taintState{
-		du:          buildDefUse(files, info),
-		cfg:         cfg,
-		objs:        make(map[types.Object]bool),
-		funcResults: make(map[*types.Func]map[int]bool),
-		facts:       facts,
-		factName:    factName,
+		du:   buildDefUse(files, info),
+		cfg:  cfg,
+		objs: make(map[types.Object]bool),
 	}
 	if cfg.rootObject != nil {
 		for _, f := range files {
@@ -343,7 +203,7 @@ func runTaint(files []*ast.File, info *types.Info, cfg taintConfig, facts *FactS
 				}
 			}
 		}
-		if !st.summarizeReturns(files, info) && !changed {
+		if !changed {
 			break
 		}
 	}
@@ -367,11 +227,6 @@ func (st *taintState) tainted(e ast.Expr) bool {
 		return false
 	case *ast.CallExpr:
 		return st.callResultTainted(x, 0)
-	case *ast.BinaryExpr:
-		if st.cfg.binop != nil && !st.cfg.binop(x.Op) {
-			return false
-		}
-		return st.tainted(x.X) || st.tainted(x.Y)
 	case *ast.StarExpr:
 		return st.tainted(x.X)
 	case *ast.UnaryExpr:
@@ -388,9 +243,7 @@ func (st *taintState) tainted(e ast.Expr) bool {
 }
 
 // callResultTainted reports whether result index of call is tainted: the
-// call is a configured root, a derivation over a tainted argument, a
-// package function summarized as budget-returning, or an imported function
-// carrying the fact.
+// call is a configured root or a derivation over a tainted argument.
 func (st *taintState) callResultTainted(call *ast.CallExpr, index int) bool {
 	if st.cfg.rootCall != nil {
 		for _, i := range st.cfg.rootCall(call) {
@@ -411,128 +264,13 @@ func (st *taintState) callResultTainted(call *ast.CallExpr, index int) bool {
 			}
 		}
 	}
-	if fn := calleeFunc(st.du.info, call); fn != nil {
-		if res, ok := st.funcResults[fn]; ok && res[index] {
-			return true
-		}
-		if st.factName != "" && st.facts != nil {
-			if payload, ok := st.facts.Get(fn, st.factName); ok {
-				for _, tok := range strings.Split(payload, ",") {
-					if tok == fmt.Sprint(index) {
-						return true
-					}
-				}
-			}
-		}
-	}
 	return false
-}
-
-// summarizeReturns records, for every function declaration, which result
-// indices return tainted values, and reports whether a summary changed
-// (the fixpoint driver re-runs the assignment pass when it did, since call
-// results feed assignments).
-func (st *taintState) summarizeReturns(files []*ast.File, info *types.Info) bool {
-	changed := false
-	for _, f := range files {
-		for _, d := range f.Decls {
-			decl, ok := d.(*ast.FuncDecl)
-			if !ok || decl.Body == nil {
-				continue
-			}
-			fn, _ := info.Defs[decl.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			ast.Inspect(decl.Body, func(n ast.Node) bool {
-				if _, ok := n.(*ast.FuncLit); ok {
-					return false // a literal's returns are its own
-				}
-				ret, ok := n.(*ast.ReturnStmt)
-				if !ok {
-					return true
-				}
-				for i, res := range ret.Results {
-					if st.tainted(res) && !st.funcResults[fn][i] {
-						if st.funcResults[fn] == nil {
-							st.funcResults[fn] = make(map[int]bool)
-						}
-						st.funcResults[fn][i] = true
-						changed = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	return changed
-}
-
-// exportSummaries publishes the taint summaries of exported package
-// functions as facts, so downstream packages treat their calls as sources.
-func (st *taintState) exportSummaries() {
-	if st.facts == nil || st.factName == "" {
-		return
-	}
-	for fn, res := range st.funcResults {
-		if !fn.Exported() {
-			continue
-		}
-		indices := make([]string, 0, len(res))
-		for i := range res {
-			indices = append(indices, fmt.Sprint(i))
-		}
-		sort.Strings(indices)
-		st.facts.Export(fn, st.factName, strings.Join(indices, ","))
-	}
 }
 
 // ---- shared resolution helpers ----
 
-// calleeFunc resolves a call to the *types.Func it statically invokes
-// (package function or method), or nil for builtins, conversions, and
-// func-typed values.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[f].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[f.Sel].(*types.Func)
-		return fn
-	case *ast.IndexExpr: // generic instantiation f[T](...)
-		if id, ok := ast.Unparen(f.X).(*ast.Ident); ok {
-			fn, _ := info.Uses[id].(*types.Func)
-			return fn
-		}
-	}
-	return nil
-}
-
-// calleeIs reports whether call statically invokes a function named name
-// in a package whose path or name matches pkg (path suffix match, so
-// "serve" matches both the real anytime/internal/serve and a fixture
-// package named serve).
-func calleeIs(info *types.Info, call *ast.CallExpr, pkg, name string) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Name() != name || fn.Pkg() == nil {
-		return false
-	}
-	return pkgMatches(fn.Pkg(), pkg)
-}
-
-// pkgMatches reports whether p is the package named by short: exact path,
-// path suffix ("/short"), or package name (fixtures).
-func pkgMatches(p *types.Package, short string) bool {
-	if p == nil {
-		return false
-	}
-	return p.Path() == short || strings.HasSuffix(p.Path(), "/"+short) || p.Name() == short
-}
-
-// isTestFile reports whether pos lies in a _test.go file. The serving-tier
-// analyzers skip test files: tests legitimately build root contexts, spawn
-// unsupervised goroutines, and fabricate budgets.
+// isTestFile reports whether pos lies in a _test.go file. ctxflow skips
+// test files: tests legitimately build root contexts.
 func isTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
@@ -548,17 +286,4 @@ func isContextType(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-// funcDeclFor finds the declaration of fn among files (same package), or
-// nil.
-func funcDeclFor(files []*ast.File, info *types.Info, fn *types.Func) *ast.FuncDecl {
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if decl, ok := d.(*ast.FuncDecl); ok && info.Defs[decl.Name] == fn {
-				return decl
-			}
-		}
-	}
-	return nil
 }

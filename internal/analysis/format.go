@@ -146,8 +146,9 @@ func FormatSARIF(fset *token.FileSet, analyzers []*Analyzer, diags []Diagnostic,
 
 // Suppression is one //lint:ignore directive found in a tree: where, which
 // analyzer it silences, and the justification (empty = bare, a finding in
-// itself). The CI suppression-audit step prints every suppression and
-// fails on bare ones, so the ignore inventory stays reviewed.
+// itself, as is an analyzer the suite does not have). The CI
+// suppression-audit step prints every suppression and fails on those two
+// kinds, so the ignore inventory stays reviewed.
 type Suppression struct {
 	Posn          string `json:"posn"`
 	Analyzer      string `json:"analyzer"`
@@ -156,6 +157,10 @@ type Suppression struct {
 
 // Bare reports whether the suppression lacks a justification.
 func (s Suppression) Bare() bool { return strings.TrimSpace(s.Justification) == "" }
+
+// Unknown reports whether the suppression names no analyzer of the suite,
+// and so silences nothing.
+func (s Suppression) Unknown() bool { return !knownAnalyzer(s.Analyzer) }
 
 // CollectSuppressions scans the files' comments for every lint:ignore
 // directive, in source order.

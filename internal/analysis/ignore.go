@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -14,7 +15,9 @@ import (
 // analyzer there. The justification is mandatory — a bare ignore is itself
 // reported — so every suppression in the tree documents why the convicted
 // pattern is intentional (the conformance self-tests plant violations on
-// purpose, for example).
+// purpose, for example). So is a directive naming an analyzer the suite
+// does not have ("*" aside): it suppresses nothing, and left alone it would
+// read as a reviewed suppression long after its analyzer was deleted.
 const ignorePrefix = "//lint:ignore "
 
 // ignoreIndex records, per file line, which analyzers are suppressed.
@@ -23,7 +26,8 @@ type ignoreIndex struct {
 	// byLine maps filename → line → analyzer names suppressed there
 	// ("*" suppresses all).
 	byLine map[string]map[int][]string
-	// malformed collects ignore directives missing a justification.
+	// malformed collects ignore directives missing a justification or
+	// naming an unknown analyzer.
 	malformed []Diagnostic
 }
 
@@ -48,6 +52,14 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) *ignoreIndex {
 					})
 					continue
 				}
+				if !knownAnalyzer(name) {
+					idx.malformed = append(idx.malformed, Diagnostic{
+						Pos:      c.Pos(),
+						Message:  fmt.Sprintf("lint:ignore names unknown analyzer %q: it suppresses nothing", name),
+						Analyzer: "ignore",
+					})
+					continue
+				}
 				pos := fset.Position(c.Pos())
 				lines := idx.byLine[pos.Filename]
 				if lines == nil {
@@ -62,6 +74,12 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) *ignoreIndex {
 	return idx
 }
 
+// knownAnalyzer reports whether a directive may name name: a suite
+// analyzer, or "*" for all of them.
+func knownAnalyzer(name string) bool {
+	return name == "*" || ByName(name) != nil
+}
+
 // suppressed reports whether d is covered by an ignore directive.
 func (idx *ignoreIndex) suppressed(d Diagnostic) bool {
 	pos := idx.fset.Position(d.Pos)
@@ -74,20 +92,8 @@ func (idx *ignoreIndex) suppressed(d Diagnostic) bool {
 }
 
 // RunPackage executes the analyzers over pkg, applying ignore directives,
-// and returns the surviving diagnostics in source order. Facts exported by
-// the analyzers land in a fresh throwaway store; multi-package drivers use
-// RunPackageFacts to thread one store through in dependency order.
+// and returns the surviving diagnostics in source order.
 func RunPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunPackageFacts(fset, pkg, analyzers, NewFactStore())
-}
-
-// RunPackageFacts is RunPackage with an explicit fact store: facts exported
-// while analyzing this package accumulate into facts, and facts already
-// present (from upstream packages) are visible to the analyzers.
-func RunPackageFacts(fset *token.FileSet, pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
-	if facts == nil {
-		facts = NewFactStore()
-	}
 	idx := buildIgnoreIndex(fset, pkg.Files)
 	diags := append([]Diagnostic(nil), idx.malformed...)
 	for _, a := range analyzers {
@@ -97,7 +103,6 @@ func RunPackageFacts(fset *token.FileSet, pkg *Package, analyzers []*Analyzer, f
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			Facts:     facts,
 		}
 		pass.Report = func(d Diagnostic) {
 			d.Analyzer = a.Name

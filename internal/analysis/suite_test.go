@@ -111,15 +111,49 @@ func twoWriters() {
 	}
 }
 
+// TestIgnoreUnknownAnalyzerIsReported: a directive naming an analyzer the
+// suite does not have suppresses nothing, so it is a diagnostic — the fate
+// of a //lint:ignore left behind when its analyzer is deleted.
+func TestIgnoreUnknownAnalyzerIsReported(t *testing.T) {
+	t.Parallel()
+	diags := checkSource(t, `package p
+
+func f() int {
+	//lint:ignore nosuchcheck its analyzer is gone
+	return 0
+}
+
+func g() int {
+	//lint:ignore * every analyzer, by design
+	return 0
+}
+`, All())
+	if len(diags) != 1 {
+		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
+	}
+	if diags[0].Analyzer != "ignore" || !strings.Contains(diags[0].Message, `unknown analyzer "nosuchcheck"`) {
+		t.Fatalf("unexpected diagnostic: %s: %s", diags[0].Analyzer, diags[0].Message)
+	}
+}
+
+// TestByName pins the suite to its four analyzers: the three that police
+// the paper's §III properties and ctxflow.
 func TestByName(t *testing.T) {
 	t.Parallel()
-	for _, a := range All() {
-		if ByName(a.Name) != a {
-			t.Errorf("ByName(%q) did not return the suite analyzer", a.Name)
+	want := []string{"singlewriter", "snapshotmut", "detnondet", "ctxflow"}
+	all := All()
+	if len(all) != len(want) {
+		t.Fatalf("suite has %d analyzers, want %v", len(all), want)
+	}
+	for i, a := range all {
+		if a.Name != want[i] || ByName(a.Name) != a {
+			t.Errorf("analyzer %d is %q (ByName ok: %v), want %q", i, a.Name, ByName(a.Name) == a, want[i])
 		}
 	}
-	if ByName("nosuch") != nil {
-		t.Error("ByName of an unknown name must be nil")
+	for _, gone := range []string{"nosuch", "goroleak", "hotalloc", "budgetflow"} {
+		if ByName(gone) != nil {
+			t.Errorf("ByName(%q) must be nil", gone)
+		}
 	}
 }
 
@@ -135,17 +169,36 @@ func TestCtxFlowOutOfScope(t *testing.T) {
 	RunFixture(t, CtxFlowAnalyzer, "ctxscope")
 }
 
-func TestGoroLeakFixture(t *testing.T) {
+// TestSuppressionCollection: CollectSuppressions inventories every ignore
+// directive, bare and unknown-analyzer ones flagged.
+func TestSuppressionCollection(t *testing.T) {
 	t.Parallel()
-	RunFixture(t, GoroLeakAnalyzer, "goroleak")
-}
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "src.go", `package p
 
-func TestBudgetFlowFixture(t *testing.T) {
-	t.Parallel()
-	RunFixture(t, BudgetFlowAnalyzer, "budgetflow")
+func a() {
+	//lint:ignore ctxflow deliberate root context
+	_ = 1 + 1
+	//lint:ignore singlewriter
+	_ = 2 + 2
+	//lint:ignore goroleak its analyzer is gone
+	_ = 3 + 3
 }
-
-func TestHotAllocFixture(t *testing.T) {
-	t.Parallel()
-	RunFixture(t, HotAllocAnalyzer, "hotalloc")
+`, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sups := CollectSuppressions(fset, []*ast.File{f})
+	if len(sups) != 3 {
+		t.Fatalf("got %d suppressions, want 3: %v", len(sups), sups)
+	}
+	if sups[0].Analyzer != "ctxflow" || sups[0].Bare() || sups[0].Unknown() {
+		t.Errorf("first suppression misread: %+v", sups[0])
+	}
+	if sups[1].Analyzer != "singlewriter" || !sups[1].Bare() {
+		t.Errorf("bare suppression not flagged: %+v", sups[1])
+	}
+	if sups[2].Analyzer != "goroleak" || !sups[2].Unknown() {
+		t.Errorf("unknown-analyzer suppression not flagged: %+v", sups[2])
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anytime/internal/pix"
+	"anytime/internal/testgate"
 )
 
 // The per-pixel convolution is the serving-path kernel: the automaton calls
@@ -59,4 +60,20 @@ func BenchmarkPrecise256(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// allocSink keeps the gated calls' results alive so the compiler cannot
+// drop them.
+var allocSink int32
+
+// TestKernelAllocBudget is the run-time allocation gate of the per-pixel
+// kernels: the automaton calls them once per sampled pixel, so one
+// allocation here is one per pixel. Each row is a function and its budget.
+func TestKernelAllocBudget(t *testing.T) {
+	in := testImage(t, 64, 64)
+	weights, wsum := kernelWeights(Box, 9)
+	r := &reader{img: in}
+	testgate.Allocs(t, "convolvePixel interior", 0, func() { allocSink += convolvePixel(r, weights, wsum, in.W, in.H, 4, 32, 32) })
+	testgate.Allocs(t, "convolvePixel border", 0, func() { allocSink += convolvePixel(r, weights, wsum, in.W, in.H, 4, 1, 2) })
+	testgate.Allocs(t, "convolveInterior", 0, func() { allocSink += convolveInterior(in.Pix, weights, wsum, in.W, 4, 32, 32) })
 }

@@ -161,8 +161,6 @@ func (r *reader) at(x, y int) int32 {
 // Reads through approximate storage always take the slow path: the fault
 // stream of store.Array is stateful, so the read sequence must stay
 // exactly as it was.
-//
-//anytime:hotpath
 func convolvePixel(r *reader, weights []int64, wsum int64, w, h, half int, x, y int) int32 {
 	if r.arr == nil && r.drop == 0 && x >= half && y >= half && x+half < w && y+half < h {
 		return convolveInterior(r.img.Pix, weights, wsum, w, half, x, y)
@@ -185,8 +183,6 @@ func convolvePixel(r *reader, weights []int64, wsum int64, w, h, half int, x, y 
 // row, eliminated inside the loop by the full-slice expression) and the
 // row sum is unrolled four wide so the multiply-accumulate chains
 // pipeline.
-//
-//anytime:hotpath
 func convolveInterior(px []int32, weights []int64, wsum int64, w, half, x, y int) int32 {
 	size := 2*half + 1
 	weights = weights[:size:size]

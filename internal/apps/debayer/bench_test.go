@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anytime/internal/pix"
+	"anytime/internal/testgate"
 )
 
 // The per-pixel bilinear interpolation is debayer's serving-path kernel;
@@ -65,4 +66,19 @@ func BenchmarkPrecise256(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// allocSink keeps the gated calls' results alive so the compiler cannot
+// drop them.
+var allocSink int32
+
+// TestKernelAllocBudget is the run-time allocation gate of the per-pixel
+// kernels: the automaton calls them once per sampled pixel, so one
+// allocation here is one per pixel. Each row is a function and its budget.
+func TestKernelAllocBudget(t *testing.T) {
+	m, _ := mosaic(t, 64, 64)
+	testgate.Allocs(t, "interpolate interior", 0, func() { r, g, b := interpolate(m, 32, 33); allocSink += r + g + b })
+	testgate.Allocs(t, "interpolate border", 0, func() { r, g, b := interpolate(m, 0, 63); allocSink += r + g + b })
+	testgate.Allocs(t, "interpolateInterior", 0, func() { r, g, b := interpolateInterior(m, 33, 32); allocSink += r + g + b })
+	testgate.Allocs(t, "channelAt", 0, func() { allocSink += channelAt(m, 0, 0, 2) })
 }

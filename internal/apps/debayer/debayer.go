@@ -70,8 +70,6 @@ func (cfg Config) validate(in *pix.Image) error {
 // fast path; border pixels fall back to the channel-by-channel scan. Both
 // visit exactly the same mosaic sites per channel, so results are
 // bit-identical.
-//
-//anytime:hotpath
 func interpolate(m *pix.Image, x, y int) (r, g, b int32) {
 	if x >= 1 && y >= 1 && x+1 < m.W && y+1 < m.H {
 		return interpolateInterior(m, x, y)
@@ -97,8 +95,6 @@ func interpolate(m *pix.Image, x, y int) (r, g, b int32) {
 // bounds-check-free) and the GRBG parity of a site reduces to the parities
 // of its coordinates. The channel sampled at (x, y) itself returns the raw
 // sensor value, as in channelAt.
-//
-//anytime:hotpath
 func interpolateInterior(m *pix.Image, x, y int) (r, g, b int32) {
 	w := m.W
 	px := m.Pix
@@ -152,8 +148,6 @@ func interpolateInterior(m *pix.Image, x, y int) (r, g, b int32) {
 // channelAt estimates channel c at (x, y) by averaging the mosaic samples
 // of that channel in the 3x3 neighborhood (including (x, y) itself when the
 // mosaic samples c there).
-//
-//anytime:hotpath
 func channelAt(m *pix.Image, x, y, c int) int32 {
 	if pix.BayerChannelGRBG(x, y) == c {
 		return m.Gray(x, y)

@@ -5,6 +5,7 @@ import (
 
 	"anytime/internal/perm"
 	"anytime/internal/pix"
+	"anytime/internal/testgate"
 )
 
 // histeq's two diffusive stages are table-lookup kernels: the histogram
@@ -79,4 +80,28 @@ func BenchmarkPrecise256(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// allocSink keeps the gated calls' results alive: the two builders return a
+// pointer to a table that must then be on the heap, which is their one
+// allocation per consumed parent version.
+var allocSink struct {
+	cdf *CDF
+	lut *LUT
+	bin int
+}
+
+// TestKernelAllocBudget is the run-time allocation gate of the histeq
+// kernels: binOf runs once per sampled pixel and may not allocate; buildCDF
+// and buildLUT run once per consumed version and allocate the table they
+// return, nothing else. Each row is a function and its budget.
+func TestKernelAllocBudget(t *testing.T) {
+	var h Hist
+	for _, v := range testImage(t, 64, 64).Pix {
+		h.Counts[binOf(v)]++
+	}
+	cdf := buildCDF(&h)
+	testgate.Allocs(t, "binOf", 0, func() { allocSink.bin += binOf(300) + binOf(-1) + binOf(7) })
+	testgate.Allocs(t, "buildCDF", 1, func() { allocSink.cdf = buildCDF(&h) })
+	testgate.Allocs(t, "buildLUT", 1, func() { allocSink.lut = buildLUT(cdf) })
 }

@@ -122,8 +122,6 @@ type LUT struct {
 }
 
 // buildCDF computes the cumulative distribution of h.
-//
-//anytime:hotpath
 func buildCDF(h *Hist) *CDF {
 	var c CDF
 	var run int64
@@ -138,8 +136,6 @@ func buildCDF(h *Hist) *CDF {
 // buildLUT normalizes a CDF into the standard equalization table
 // lut[v] = round((cdf[v]-cdfMin) * 255 / (n-cdfMin)). For degenerate
 // inputs (constant images) it falls back to the identity map.
-//
-//anytime:hotpath
 func buildLUT(c *CDF) *LUT {
 	var l LUT
 	var cdfMin int64
@@ -166,8 +162,6 @@ func buildLUT(c *CDF) *LUT {
 	return &l
 }
 
-//
-//anytime:hotpath
 func binOf(v int32) int {
 	if v < 0 {
 		return 0

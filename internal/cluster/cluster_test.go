@@ -16,6 +16,9 @@ import (
 
 	"anytime/internal/cluster"
 	"anytime/internal/daemon"
+	"anytime/internal/reqtrace"
+	"anytime/internal/serve"
+	"anytime/internal/testgate"
 )
 
 // harness is the in-process fleet: N real anytimed servers (internal/daemon,
@@ -28,7 +31,15 @@ type harness struct {
 	router   *cluster.Router
 	front    *httptest.Server
 	client   *http.Client
+
+	mu   sync.Mutex
+	legs []leg
 }
+
+// leg is one forwarded request (health probes aside) as its backend saw it:
+// the budget header the router sent and the effective deadline the daemon
+// answered with (empty on a leg the router cancelled before it delivered).
+type leg struct{ budget, effective string }
 
 func newHarness(t *testing.T, n int, cfg cluster.RouterConfig) *harness {
 	t.Helper()
@@ -38,7 +49,15 @@ func newHarness(t *testing.T, n int, cfg cluster.RouterConfig) *harness {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			srv.ServeHTTP(w, r)
+			if r.URL.Path == "/healthz" {
+				return
+			}
+			h.mu.Lock()
+			h.legs = append(h.legs, leg{r.Header.Get(serve.BudgetHeader), w.Header().Get("X-Anytime-Effective-Deadline")})
+			h.mu.Unlock()
+		}))
 		t.Cleanup(ts.Close)
 		h.backends = append(h.backends, ts)
 		h.names = append(h.names, strings.TrimPrefix(ts.URL, "http://"))
@@ -81,12 +100,36 @@ func (h *harness) get(t *testing.T, path string) *http.Response {
 // TestClusterDeadlineContract: the per-node contract holds through the
 // router — a deadline request returns 200 with a versioned snapshot and an
 // SNR, the budget header reaches the backend, and the end-to-end time is
-// bounded by the deadline, not the precise run time.
+// bounded by the deadline, not the precise run time. Every request is
+// hedged at once, so the budget chain is checked on primary and hedge legs
+// alike: effective deadline ≤ forwarded budget ≤ client deadline, the
+// forwarded value being exactly the one the router reported computing; a
+// precise request carries neither. The whole fleet — checker, hedged
+// forwards with a cancelled loser, daemon runs — leaves no goroutine behind.
 func TestClusterDeadlineContract(t *testing.T) {
-	h := newHarness(t, 3, cluster.RouterConfig{})
+	testgate.Goroutines(t)
+	const deadline = 50 * time.Millisecond
+	var mu sync.Mutex
+	computed := make(map[string]bool) // budgets the router reported, as rendered on the wire
+	h := newHarness(t, 3, cluster.RouterConfig{
+		HedgeMin: time.Nanosecond, HedgeMax: time.Nanosecond,
+		Sink: func(e reqtrace.Event) {
+			if e.Kind == reqtrace.KindBudget {
+				mu.Lock()
+				computed[serve.FormatBudget(e.Dur)] = true
+				mu.Unlock()
+			}
+		},
+	})
+	resp := h.get(t, "/blur?input=k0")
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.Header.Get("X-Anytime-Final") != "true" {
+		t.Errorf("precise request through the router: final=%q", resp.Header.Get("X-Anytime-Final"))
+	}
 	for i := 0; i < 10; i++ {
 		start := time.Now()
-		resp := h.get(t, fmt.Sprintf("/blur?input=k%d&deadline=50ms", i))
+		resp := h.get(t, fmt.Sprintf("/blur?input=k%d&deadline=%v", i, deadline))
 		elapsed := time.Since(start)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -108,12 +151,43 @@ func TestClusterDeadlineContract(t *testing.T) {
 			t.Fatalf("deadline request took %v", elapsed)
 		}
 	}
+
+	// Closing a backend waits for its handlers, cancelled legs included.
+	for _, b := range h.backends {
+		b.Close()
+	}
+	budgeted, delivered := 0, 0
+	for _, l := range h.legs {
+		if l.budget == "" {
+			if l.effective != "" {
+				t.Errorf("precise leg answered with effective deadline %q", l.effective)
+			}
+			continue
+		}
+		budgeted++
+		fwd, err := time.ParseDuration(l.budget)
+		if err != nil || fwd > deadline || !computed[l.budget] {
+			t.Errorf("forwarded budget %q (%v): want at most the client's %v and a value the router reported computing", l.budget, err, deadline)
+		}
+		if l.effective == "" {
+			continue // the race's loser, cancelled before it delivered
+		}
+		delivered++
+		if eff, err := time.ParseDuration(l.effective); err != nil || eff > max(fwd, time.Nanosecond) {
+			t.Errorf("effective deadline %q (%v) above the forwarded budget %v", l.effective, err, fwd)
+		}
+	}
+	if budgeted <= 10 || delivered < 10 {
+		t.Errorf("%d budgeted legs, %d delivered, for 10 requests: want a delivery for each and hedge legs besides", budgeted, delivered)
+	}
 }
 
 // TestClusterAffinity: while membership is stable, one key stays on one
 // backend — the consistent-hash property the warm pools depend on.
 func TestClusterAffinity(t *testing.T) {
-	h := newHarness(t, 3, cluster.RouterConfig{})
+	// No hedging: a slow primary (the race detector on a busy host) would
+	// otherwise be answered by the next ring member and read as a move.
+	h := newHarness(t, 3, cluster.RouterConfig{HedgeMax: -1})
 	owners := map[string]string{}
 	for round := 0; round < 5; round++ {
 		for k := 0; k < 9; k++ {
@@ -255,7 +329,8 @@ func TestClusterDrainLifecycle(t *testing.T) {
 	if !waitTrue(t, func() bool { return h.router.Membership().Member(name).State() == cluster.StateDraining }) {
 		t.Fatal("checker never saw the drain")
 	}
-	if h.router.Membership().Ring().Size() != 2 {
+	// The ring is rebuilt just after the state flips, not atomically with it.
+	if !waitTrue(t, func() bool { return h.router.Membership().Ring().Size() == 2 }) {
 		t.Fatal("draining member still on the ring")
 	}
 	// Traffic flows around it.
@@ -280,7 +355,7 @@ func TestClusterDrainLifecycle(t *testing.T) {
 	if !waitTrue(t, func() bool { return h.router.Membership().Member(name).State() == cluster.StateHealthy }) {
 		t.Fatal("backend never rejoined after DELETE /drain")
 	}
-	if h.router.Membership().Ring().Size() != 3 {
+	if !waitTrue(t, func() bool { return h.router.Membership().Ring().Size() == 3 }) {
 		t.Fatal("rejoined member not back on the ring")
 	}
 }
@@ -290,8 +365,10 @@ func TestClusterDrainLifecycle(t *testing.T) {
 // run. Low rate, short window; asserts the report is coherent and no
 // request came back empty-handed.
 func TestClusterLoadgenSmoke(t *testing.T) {
+	testgate.Goroutines(t)
+	dur, minSent := 2*time.Second, 100
 	if testing.Short() {
-		t.Skip("load smoke")
+		dur, minSent = 250*time.Millisecond, 10
 	}
 	h := newHarness(t, 3, cluster.RouterConfig{})
 	rep, err := cluster.RunLoad(t.Context(), cluster.LoadConfig{
@@ -299,7 +376,7 @@ func TestClusterLoadgenSmoke(t *testing.T) {
 		Routes:   []string{"/blur", "/equalize"},
 		Deadline: 40 * time.Millisecond,
 		Rate:     60,
-		Duration: 2 * time.Second,
+		Duration: dur,
 		Curve:    "poisson",
 		Seed:     7,
 		Keys:     12,
@@ -308,7 +385,7 @@ func TestClusterLoadgenSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sent < 100 {
+	if rep.Sent < minSent {
 		t.Fatalf("sent %d, want the full schedule", rep.Sent)
 	}
 	if rep.NonOK != 0 || rep.Errors != 0 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"anytime/internal/reqtrace"
+	"anytime/internal/testgate"
 )
 
 // fakeClock hands runRace scripted timer channels, so "the hedge delay
@@ -188,6 +189,7 @@ func TestRaceHigherSNRWins(t *testing.T) {
 // hedge is still out — the usable primary is delivered immediately and the
 // straggler's context is cancelled.
 func TestRaceBudgetDeliversBestAndCancelsLoser(t *testing.T) {
+	testgate.Goroutines(t)
 	clk := newFakeClock(2)
 	var ch counterSink
 	p := newScripted("a", "primary", ok("a", "primary", 20))
@@ -316,6 +318,7 @@ func TestRaceNoSecondary(t *testing.T) {
 // TestRaceContextCancelPropagates: the client going away tears the race
 // down and cancels every in-flight attempt.
 func TestRaceContextCancelPropagates(t *testing.T) {
+	testgate.Goroutines(t)
 	clk := newFakeClock(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	p := newScripted("a", "primary", ok("a", "primary", 20))
@@ -342,6 +345,7 @@ func TestRaceContextCancelPropagates(t *testing.T) {
 // TestRaceNoBudgetFirstUsableWins: precise requests (no budget) deliver the
 // first usable answer after a hedge instead of waiting for both.
 func TestRaceNoBudgetFirstUsableWins(t *testing.T) {
+	testgate.Goroutines(t)
 	clk := newFakeClock(1) // hedge timer only: no budget timer must be requested
 	p := newScripted("a", "primary", ok("a", "primary", 20))
 	s := newScripted("b", "hedge", ok("b", "hedge", 25))

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"anytime/internal/reqtrace"
+	"anytime/internal/testgate"
 )
 
 func TestMembershipLifecycle(t *testing.T) {
@@ -98,6 +99,7 @@ func TestMembershipStateSink(t *testing.T) {
 // TestCheckerTransitions drives a real checker against stub backends in
 // every health shape: healthy, draining (503 + body), and dead.
 func TestCheckerTransitions(t *testing.T) {
+	testgate.Goroutines(t)
 	var draining atomic.Bool
 	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/healthz" {
@@ -163,6 +165,7 @@ func TestCheckerTransitions(t *testing.T) {
 }
 
 func TestCheckerStartStop(t *testing.T) {
+	testgate.Goroutines(t)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
 	}))
@@ -186,6 +189,7 @@ func TestCheckerStartStop(t *testing.T) {
 // loop without an explicit Stop — an operator tearing down a router by
 // cancelling its root ctx must not strand the checker goroutine.
 func TestCheckerCtxCancelStopsLoop(t *testing.T) {
+	testgate.Goroutines(t)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
 	}))

@@ -352,7 +352,6 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		// backends were already handed the unwidened value, and the +25% slack
 		// only keeps the selection phase from abandoning a response that the
 		// backend is still entitled to deliver at its own deadline.
-		//lint:ignore budgetflow race-timer slack, not the propagated budget: backends already received the unwidened value
 		rc.budget = budget + budget/4
 	}
 

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"anytime/internal/testgate"
 )
 
 func TestAutomatonLifecycle(t *testing.T) {
@@ -66,6 +68,7 @@ func TestAutomatonRejectsNilStageAndLateAdd(t *testing.T) {
 }
 
 func TestAutomatonStopInterrupts(t *testing.T) {
+	testgate.Goroutines(t)
 	a := New()
 	started := make(chan struct{})
 	if err := a.AddStage("spin", func(c *Context) error {
@@ -105,6 +108,7 @@ func TestAutomatonStopBeforeStartIsNoop(t *testing.T) {
 }
 
 func TestAutomatonParentContextCancels(t *testing.T) {
+	testgate.Goroutines(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	a := New()
 	if err := a.AddStage("spin", func(c *Context) error {
@@ -167,6 +171,7 @@ func TestAutomatonPauseHaltsProgress(t *testing.T) {
 }
 
 func TestAutomatonStopWhilePaused(t *testing.T) {
+	testgate.Goroutines(t)
 	a := New()
 	if err := a.AddStage("spin", func(c *Context) error {
 		for {

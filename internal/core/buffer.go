@@ -98,8 +98,9 @@ type Buffer[T any] struct {
 	arenaNext int
 
 	// errFinalized is the publish-past-final error, preformatted at
-	// construction: Publish is a hotpath (//anytime:hotpath) and may not
-	// call fmt, whose operands box.
+	// construction: Publish is held to an alloc budget
+	// (TestBufferPublishAmortizedAllocFree) and may not call fmt, whose
+	// operands box.
 	errFinalized error
 }
 
@@ -139,8 +140,6 @@ func (b *Buffer[T]) OnPublish(fn func(Snapshot[T])) {
 
 // nextCell hands out the next arena cell, growing the chunk geometrically
 // up to snapArenaCap. Publisher-private; see Buffer.arena.
-//
-//anytime:hotpath
 func (b *Buffer[T]) nextCell() *Snapshot[T] {
 	if b.arenaNext == len(b.arena) {
 		size := 2 * len(b.arena)
@@ -165,8 +164,6 @@ func (b *Buffer[T]) nextCell() *Snapshot[T] {
 // Only the owning stage may call Publish (Property 2); calls are therefore
 // sequential, and the fast path is one atomic store plus one atomic swap —
 // no lock, and no allocation beyond the amortized snapshot cell.
-//
-//anytime:hotpath
 func (b *Buffer[T]) Publish(v T, final bool) (Snapshot[T], error) {
 	if b.clone != nil {
 		v = b.clone(v)

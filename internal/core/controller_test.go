@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"anytime/internal/testgate"
 )
 
 // slowCounter builds an automaton publishing 1..n with a small delay.
@@ -30,6 +32,7 @@ func slowCounter(t *testing.T, n int, delay time.Duration) (*Automaton, *Buffer[
 }
 
 func TestStopWhenAcceptsEarly(t *testing.T) {
+	testgate.Goroutines(t)
 	a, out := slowCounter(t, 1000, time.Millisecond)
 	accepted := StopWhen(a, out, func(s Snapshot[int]) bool { return s.Value >= 5 })
 	if err := a.Start(context.Background()); err != nil {
@@ -70,6 +73,7 @@ func TestStopWhenFallsThroughToFinal(t *testing.T) {
 }
 
 func TestStopWhenSurvivesExternalStop(t *testing.T) {
+	testgate.Goroutines(t)
 	a, out := slowCounter(t, 1_000_000, time.Millisecond)
 	accepted := StopWhen(a, out, func(s Snapshot[int]) bool { return false })
 	if err := a.Start(context.Background()); err != nil {
@@ -88,6 +92,7 @@ func TestStopWhenSurvivesExternalStop(t *testing.T) {
 }
 
 func TestStopAfterEnforcesDeadline(t *testing.T) {
+	testgate.Goroutines(t)
 	a, out := slowCounter(t, 1_000_000, time.Millisecond)
 	cancel := StopAfter(a, 20*time.Millisecond)
 	defer cancel()
@@ -108,6 +113,7 @@ func TestStopAfterEnforcesDeadline(t *testing.T) {
 }
 
 func TestStopAfterCancelDisarms(t *testing.T) {
+	testgate.Goroutines(t)
 	a, _ := slowCounter(t, 5, 0)
 	cancel := StopAfter(a, time.Millisecond)
 	cancel() // disarm before start: the automaton must finish precisely

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"anytime/internal/testgate"
 )
 
 // runSingle runs one stage function inside a fresh automaton and returns
@@ -181,6 +183,7 @@ func TestDiffusiveEveryPositionExactlyOnce(t *testing.T) {
 // TestDiffusiveSnapshotQuiescence: snapshot must never run concurrently
 // with apply (the publisher needs a quiescent working buffer to clone).
 func TestDiffusiveSnapshotQuiescence(t *testing.T) {
+	testgate.Goroutines(t)
 	var inApply atomic.Int32
 	out := NewBuffer[int]("out", nil)
 	err := runSingle(t, "q", func(c *Context) error {
@@ -204,6 +207,7 @@ func TestDiffusiveSnapshotQuiescence(t *testing.T) {
 }
 
 func TestDiffusiveApplyErrorPropagates(t *testing.T) {
+	testgate.Goroutines(t)
 	boom := errors.New("boom")
 	out := NewBuffer[int]("out", nil)
 	for _, workers := range []int{1, 4} {

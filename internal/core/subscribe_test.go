@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"anytime/internal/testgate"
 )
 
 func TestSubscribeDeliversAllWhenKeptUp(t *testing.T) {
@@ -58,6 +60,7 @@ func TestSubscribeSkipsStaleForSlowConsumer(t *testing.T) {
 }
 
 func TestSubscribeClosesOnFinal(t *testing.T) {
+	testgate.Goroutines(t)
 	b := NewBuffer[int]("b", nil)
 	sub := b.Subscribe(context.Background())
 	if _, err := b.Publish(7, true); err != nil {
@@ -73,6 +76,7 @@ func TestSubscribeClosesOnFinal(t *testing.T) {
 }
 
 func TestSubscribeHonorsContext(t *testing.T) {
+	testgate.Goroutines(t)
 	b := NewBuffer[int]("b", nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	sub := b.Subscribe(ctx)

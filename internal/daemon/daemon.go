@@ -361,12 +361,12 @@ func (s *Server) handleApp(pool *serve.Pool[*pix.Image], ref, input *pix.Image, 
 			return
 		}
 		entry.Slot.Bind(tr)
-		// Check-in is deferred until after the response body is written:
-		// the next checkout may start republishing, and a snapshot's
-		// backing is only guaranteed immutable until the tile ring cycles
-		// around (the conformance immutability window). A failed check-in
-		// drops the entry; the pool rebuilds on demand. Unbind follows Put
-		// so the check-in's reset/pool.put events reach the trace.
+		// Check-in is deferred so that it follows the response write and
+		// precedes the trace's sealing: the reset and pool.put spans land
+		// inside the sealed trace without sitting on the client's critical
+		// path. A failed check-in drops the entry; the pool rebuilds on
+		// demand. Unbind follows Put so the check-in's reset/pool.put
+		// events reach the trace.
 		defer func() {
 			_ = pool.Put(entry)
 			entry.Slot.Unbind()

@@ -8,8 +8,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"anytime/internal/pix"
+	"anytime/internal/testgate"
 )
 
 func testServer(t testing.TB) *Server {
@@ -65,6 +67,7 @@ func TestPreciseBlur(t *testing.T) {
 }
 
 func TestShortDeadlineBlurReturnsValidApproximation(t *testing.T) {
+	testgate.Goroutines(t)
 	s := testServer(t)
 	rec := get(t, s, "/blur?deadline=3ms")
 	if rec.Code != http.StatusOK {
@@ -79,6 +82,7 @@ func TestShortDeadlineBlurReturnsValidApproximation(t *testing.T) {
 }
 
 func TestAcceptKnobStopsAtThreshold(t *testing.T) {
+	testgate.Goroutines(t)
 	s := testServer(t)
 	rec := get(t, s, "/blur?accept=10")
 	if rec.Code != http.StatusOK {
@@ -290,5 +294,40 @@ func TestClusterStream(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), `"final":true`) {
 		t.Error("cluster stream missing final event")
+	}
+}
+
+// hangUpAtFlush is a stream client that leaves at the first event.
+type hangUpAtFlush struct {
+	*httptest.ResponseRecorder
+	hangUp context.CancelFunc
+}
+
+func (w hangUpAtFlush) Flush() { w.hangUp() }
+
+// TestHangUpLeavesNothingRunning is the daemon's end of the goroutine gate:
+// a client that goes away mid-run — under a deadline it does not wait out,
+// or after the first event of a stream — takes its automaton, its
+// subscription and serve.Run's watcher down with it.
+func TestHangUpLeavesNothingRunning(t *testing.T) {
+	testgate.Goroutines(t)
+	s, err := New(256, 2, Config{}) // large enough that a run outlives the hang-up
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, hangUp := context.WithCancel(context.Background())
+	defer time.AfterFunc(2*time.Millisecond, hangUp).Stop()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/blur?deadline=10s", nil).WithContext(ctx))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("hang-up mid-run answered %d, want the unseen 503", rec.Code)
+	}
+
+	ctx, hangUp = context.WithCancel(context.Background())
+	defer hangUp()
+	stream := hangUpAtFlush{httptest.NewRecorder(), hangUp}
+	s.ServeHTTP(stream, httptest.NewRequest(http.MethodGet, "/blur/stream", nil).WithContext(ctx))
+	if body := stream.Body.String(); !strings.Contains(body, "data: ") || strings.Contains(body, `"final":true`) {
+		t.Errorf("stream left at its first event ran to the end:\n%s", body)
 	}
 }

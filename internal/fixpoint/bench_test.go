@@ -1,6 +1,10 @@
 package fixpoint
 
-import "testing"
+import (
+	"testing"
+
+	"anytime/internal/testgate"
+)
 
 func benchVectors(n int) ([]int32, []int32) {
 	a := make([]int32, n)
@@ -55,4 +59,26 @@ func BenchmarkTruncateMantissa(b *testing.B) {
 		sink += TruncateMantissa(float64(i)*1.7, 12)
 	}
 	_ = sink
+}
+
+// allocSink keeps the gated calls' results alive so the compiler cannot
+// drop them.
+var allocSink int64
+
+// TestKernelAllocBudget is the run-time allocation gate of the arithmetic
+// kernels every app's inner loop bottoms out in. Each row is a function and
+// its budget.
+func TestKernelAllocBudget(t *testing.T) {
+	x, y := benchVectors(256)
+	a, _ := NewMatrix(16, 16)
+	b, _ := NewMatrix(16, 16)
+	dst, _ := NewMatrix(16, 16)
+	copy(a.Data, x)
+	copy(b.Data, y)
+	testgate.Allocs(t, "Dot", 0, func() { v, _ := Dot(x, y); allocSink += v })
+	testgate.Allocs(t, "BitSerialDot", 0, func() {
+		v, _ := BitSerialDot(x, y, 16, func(_ uint, partial int64) { allocSink += partial })
+		allocSink += v
+	})
+	testgate.Allocs(t, "MatMulInto", 0, func() { MatMulInto(dst, a, b) })
 }

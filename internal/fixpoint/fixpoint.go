@@ -138,8 +138,6 @@ func errBadWidth(width uint) error {
 
 // Dot returns the exact integer dot product of a and b with a 64-bit
 // accumulator. The slices must have equal length.
-//
-//anytime:hotpath
 func Dot(a, b []int32) (int64, error) {
 	if len(a) != len(b) {
 		return 0, errLenMismatch(len(a), len(b))
@@ -157,8 +155,6 @@ func Dot(a, b []int32) (int64, error) {
 // planes processed so far and the running partial sum. After k planes the
 // partial equals dot(a, KeepTop(b, k, width)); after all width planes it
 // equals the exact dot product. This is the computation of paper Figure 6.
-//
-//anytime:hotpath
 func BitSerialDot(a, b []int32, width uint, emit func(planesDone uint, partial int64)) (int64, error) {
 	if len(a) != len(b) {
 		return 0, errLenMismatch(len(a), len(b))

@@ -84,8 +84,6 @@ func MatMul(a, b *Matrix) (*Matrix, error) {
 }
 
 // MatMulInto computes a·b into dst, which must have shape a.Rows x b.Cols.
-//
-//anytime:hotpath
 func MatMulInto(dst, a, b *Matrix) {
 	for r := 0; r < a.Rows; r++ {
 		arow := a.Data[r*a.Cols : (r+1)*a.Cols]

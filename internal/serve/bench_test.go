@@ -14,8 +14,10 @@ import (
 // "setup" is everything a request pays before its stage goroutines can do
 // useful work: construction (fresh) versus checkout+check-in (pooled,
 // where the check-in pays the Reset rewind). The run itself is excluded —
-// it is identical in both regimes. Results are recorded in
-// BENCH_serve_pool.json and cited in docs/OPERATIONS.md.
+// it is identical in both regimes. The pooled side's successors are
+// serve.pool_cycle_us and core.reset_us in cmd/anytimebench/README.md
+// ("Numbers observed"); the fresh side has none there, so
+// docs/OPERATIONS.md quotes this benchmark for it, with host and commit.
 
 func benchInput(b *testing.B) *pix.Image {
 	b.Helper()
@@ -28,7 +30,7 @@ func benchInput(b *testing.B) *pix.Image {
 
 func BenchmarkPooledVsFresh(b *testing.B) {
 	in := benchInput(b)
-	cfg := conv2d.Config{Workers: 2, Snapshot: pix.SnapshotTiles}
+	cfg := conv2d.Config{Workers: 2}
 	build := func() (serve.Entry[*pix.Image], error) {
 		run, err := conv2d.New(in, cfg)
 		if err != nil {

@@ -177,9 +177,7 @@ func runFail[T any](tr *reqtrace.Trace, region *rtrace.Region, err error) (Resul
 // Buffer.WaitNewer, not by registering an OnPublish observer, because
 // observers are permanent and a pooled buffer serves many requests.
 //
-// accept runs on the request goroutine between versions; it must not
-// retain the snapshot value if the app publishes aliased ring images
-// (pix.SnapshotTiles).
+// accept runs on the request goroutine between versions.
 func RunUntil[T any](ctx context.Context, e Entry[T], accept func(core.Snapshot[T]) bool, sink reqtrace.Sink) (Result[T], error) {
 	if accept == nil {
 		return Result[T]{}, fmt.Errorf("serve: RunUntil requires an accept predicate")

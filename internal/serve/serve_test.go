@@ -9,6 +9,7 @@ import (
 
 	"anytime/internal/core"
 	"anytime/internal/reqtrace"
+	"anytime/internal/testgate"
 )
 
 // onKind returns a sink calling fn for events of kind k: how the tests
@@ -65,6 +66,7 @@ func TestRunPreciseNoDeadline(t *testing.T) {
 }
 
 func TestRunDeadlineDeliversBestApproximation(t *testing.T) {
+	testgate.Goroutines(t)
 	e, step := pacedEntry(3)
 	// Allow exactly one publish, then stall: the deadline must fire and
 	// deliver version 1 rather than erroring or waiting for precision.
@@ -82,6 +84,7 @@ func TestRunDeadlineDeliversBestApproximation(t *testing.T) {
 }
 
 func TestRunDeadlineWaitsForFirstPublish(t *testing.T) {
+	testgate.Goroutines(t)
 	e, step := pacedEntry(2)
 	// Nothing published when the deadline fires; Run must hold on for the
 	// first version instead of failing.
@@ -111,6 +114,7 @@ func TestRunFinishBeforeDeadlineIsPrecise(t *testing.T) {
 }
 
 func TestRunClientDisconnect(t *testing.T) {
+	testgate.Goroutines(t)
 	e, _ := pacedEntry(2) // never steps: stalls before first publish
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -141,6 +145,7 @@ func TestRunStageFailurePropagates(t *testing.T) {
 }
 
 func TestRunUntilAcceptsEarlySnapshot(t *testing.T) {
+	testgate.Goroutines(t)
 	e, step := pacedEntry(5)
 	close(step)
 	res, err := RunUntil(context.Background(), e, func(s core.Snapshot[int]) bool {
@@ -169,6 +174,7 @@ func TestRunUntilAcceptsEarlySnapshot(t *testing.T) {
 }
 
 func TestRunUntilNeverAcceptedRunsToPrecision(t *testing.T) {
+	testgate.Goroutines(t)
 	e, step := pacedEntry(3)
 	close(step)
 	res, err := RunUntil(context.Background(), e, func(core.Snapshot[int]) bool { return false }, nil)
@@ -189,6 +195,7 @@ func TestRunUntilNilPredicate(t *testing.T) {
 }
 
 func TestRunUntilClientDisconnect(t *testing.T) {
+	testgate.Goroutines(t)
 	e, _ := pacedEntry(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
