@@ -1,13 +1,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"anytime/internal/apps/conv2d"
+	"anytime/internal/core"
 	"anytime/internal/harness"
 	"anytime/internal/metrics"
 	"anytime/internal/pix"
+	"anytime/internal/serve"
 	"anytime/internal/snapcache"
 )
 
@@ -42,6 +45,11 @@ func runCacheDemo(o opts) error {
 	}
 	budget := time.Duration(o.halt * float64(baseline))
 	fmt.Printf("cache demo: conv2d %dx%d, budget %v (%.2fx baseline %v)\n", o.size, o.size, budget, o.halt, baseline)
+	// Every run below gets the same deadline contract anytimed serves.
+	halt := func(run *conv2d.Run) (core.Snapshot[*pix.Image], error) {
+		res, err := serve.Run(context.Background(), serve.Entry[*pix.Image]{Automaton: run.Automaton, Out: run.Out}, budget, nil)
+		return res.Snapshot, err
+	}
 
 	cache, err := snapcache.New(snapcache.Config[*pix.Image]{
 		SizeOf: func(im *pix.Image) int { return len(im.Pix) * 4 },
@@ -60,7 +68,7 @@ func runCacheDemo(o opts) error {
 	if _, ok := cache.Get(keyA); ok {
 		return fmt.Errorf("fresh cache reported a hit")
 	}
-	cold, err := harness.RunUntil(run.Automaton, run.Out, budget)
+	cold, err := halt(run)
 	if err != nil {
 		return err
 	}
@@ -83,7 +91,7 @@ func runCacheDemo(o opts) error {
 	if err := run.Automaton.SeedFrom(entry.Value, entry.Version); err != nil {
 		return err
 	}
-	warm, err := harness.RunUntil(run.Automaton, run.Out, budget)
+	warm, err := halt(run)
 	if err != nil {
 		return err
 	}
@@ -120,7 +128,7 @@ func runCacheDemo(o opts) error {
 	if err := runB.Automaton.SeedFrom(&pix.SeedFrame{Image: entry.Value, Stale: stale}, entry.Version); err != nil {
 		return err
 	}
-	delta, err := harness.RunUntil(runB.Automaton, runB.Out, budget)
+	delta, err := halt(runB)
 	if err != nil {
 		return err
 	}

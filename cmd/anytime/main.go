@@ -41,16 +41,13 @@ import (
 	"runtime"
 	"time"
 
-	"anytime/internal/apps/conv2d"
-	"anytime/internal/apps/debayer"
-	"anytime/internal/apps/dwt53"
-	"anytime/internal/apps/histeq"
-	"anytime/internal/apps/kmeans"
+	"anytime/internal/apps"
 	"anytime/internal/core"
 	"anytime/internal/harness"
 	"anytime/internal/metrics"
 	"anytime/internal/pix"
 	"anytime/internal/reqtrace"
+	"anytime/internal/serve"
 	"anytime/internal/telemetry"
 	"anytime/internal/trace"
 )
@@ -127,10 +124,9 @@ func publishPolicy(name string) (core.PublishPolicy, error) {
 
 // appRun bundles what the driver needs from each application.
 type appRun struct {
-	baseline func() error    // one precise execution (timed)
-	ref      *pix.Image      // precise output for SNR
-	automa   *core.Automaton // constructed automaton
-	out      *core.Buffer[*pix.Image]
+	baseline func() error            // one precise execution (timed)
+	ref      *pix.Image              // precise output for SNR
+	entry    serve.Entry[*pix.Image] // constructed automaton and its output buffer
 }
 
 func run(o opts) error {
@@ -138,10 +134,9 @@ func run(o opts) error {
 		return runCacheDemo(o)
 	}
 	if o.accept > 0 && o.tiles {
-		// The accept controller evaluates snapshots on its own goroutine
-		// (core.StopWhen), concurrently with further publishes — a retaining
-		// consumer by the tile ring's contract. Fall back to clone snapshots
-		// rather than race on ring storage.
+		// serve.RunUntil scores each snapshot while the automaton keeps
+		// publishing — a retaining consumer by the tile ring's contract.
+		// Fall back to clone snapshots rather than race on ring storage.
 		o.tiles = false
 		fmt.Println("note: -accept evaluates snapshots asynchronously; ignoring -tiles")
 	}
@@ -152,14 +147,14 @@ func run(o opts) error {
 	var tr *trace.Tracer
 	if o.trace {
 		tr = trace.New()
-		trace.Attach(tr, ar.out)
+		trace.Attach(tr, ar.entry.Out)
 	}
 	var reg *telemetry.Registry
 	var pipelineHooks *core.Hooks
 	if o.telemetry {
 		reg = telemetry.NewRegistry()
 		pipelineHooks = telemetry.PipelineHooks(reg)
-		telemetry.ObserveBuffer(reg, ar.out)
+		telemetry.ObserveBuffer(reg, ar.entry.Out)
 	}
 	// The request tracer attaches like anytimed's serving path does: a Slot
 	// carries the (eventual) trace, the publish observer and lifecycle hooks
@@ -168,13 +163,13 @@ func run(o opts) error {
 	var slot *reqtrace.Slot
 	if o.reqtrace {
 		slot = &reqtrace.Slot{}
-		out := ar.out
+		out := ar.entry.Out
 		out.OnPublish(func(s core.Snapshot[*pix.Image]) {
 			slot.Publish(out.Name(), uint64(s.Version), len(s.Value.Pix), s.Final)
 		})
 	}
 	if h := core.ChainHooks(pipelineHooks, slot.CoreHooks()); h != nil {
-		ar.automa.SetHooks(h)
+		ar.entry.Automaton.SetHooks(h)
 	}
 	var rec *harness.Collector
 	if o.curve != "" {
@@ -184,7 +179,7 @@ func run(o opts) error {
 			// far past the tile ring's reuse window — so it must copy.
 			rec.CopyOnRecord()
 		}
-		ar.out.OnPublish(rec.Observe)
+		ar.entry.Out.OnPublish(rec.Observe)
 	}
 	baseline, err := harness.TimeBaseline(ar.baseline, 3)
 	if err != nil {
@@ -205,43 +200,27 @@ func run(o opts) error {
 		slot.Bind(rtr)
 	}
 
-	var snap core.Snapshot[*pix.Image]
-	start := time.Now()
-	if o.accept > 0 {
-		// Automated accuracy control (paper §III-A): stop as soon as the
-		// whole-application output reaches the acceptability bar.
-		accepted := core.StopWhen(ar.automa, ar.out, func(s core.Snapshot[*pix.Image]) bool {
+	// The three stopping rules of §III-A — accuracy bar, time budget, run to
+	// precise — are the serving runtime's; the CLI only picks one.
+	var res serve.Result[*pix.Image]
+	ctx := context.Background()
+	switch {
+	case o.accept > 0:
+		res, err = serve.RunUntil(ctx, ar.entry, func(s core.Snapshot[*pix.Image]) bool {
 			db, err := metrics.SNR(ar.ref.Pix, s.Value.Pix)
 			return err == nil && db >= o.accept
-		})
-		if err := ar.automa.Start(context.Background()); err != nil {
-			return err
-		}
-		s, ok := <-accepted
-		if !ok {
-			return fmt.Errorf("automaton ended without any output")
-		}
-		snap = s
-	} else if o.halt >= 1 {
-		if err := ar.automa.Start(context.Background()); err != nil {
-			return err
-		}
-		if err := ar.automa.Wait(); err != nil {
-			return err
-		}
-		s, ok := ar.out.Latest()
-		if !ok {
-			return fmt.Errorf("automaton produced no output")
-		}
-		snap = s
-	} else {
-		s, err := harness.RunUntil(ar.automa, ar.out, time.Duration(o.halt*float64(baseline)))
-		if err != nil {
-			return err
-		}
-		snap = s
+		}, nil)
+	case o.halt >= 1:
+		res, err = serve.Run(ctx, ar.entry, 0, nil)
+	default:
+		// A zero deadline means "no deadline" to serve.Run; -halt 0 means the
+		// earliest output.
+		res, err = serve.Run(ctx, ar.entry, max(1, time.Duration(o.halt*float64(baseline))), nil)
 	}
-	elapsed := time.Since(start)
+	if err != nil {
+		return err
+	}
+	snap, elapsed := res.Snapshot, res.Elapsed
 
 	db, err := metrics.SNR(ar.ref.Pix, snap.Value.Pix)
 	if err != nil {
@@ -336,133 +315,36 @@ func build(o opts) (*appRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	snapMode := pix.SnapshotClone
-	if o.tiles {
-		snapMode = pix.SnapshotTiles
-	}
-	grayInput := func() (*pix.Image, error) {
-		if o.in != "" {
-			im, err := pix.ReadPNMFile(o.in)
-			if err != nil {
-				return nil, err
-			}
-			if im.C != 1 {
-				return nil, fmt.Errorf("%s needs a grayscale (PGM) input", o.app)
-			}
-			return im, nil
-		}
-		return pix.SyntheticGray(o.size, o.size, o.seed)
-	}
-	switch o.app {
-	case "conv2d":
-		in, err := grayInput()
-		if err != nil {
-			return nil, err
-		}
-		cfg := conv2d.Config{Workers: o.workers, Snapshot: snapMode, Publish: policy}
-		ref, err := conv2d.Precise(in, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := conv2d.New(in, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &appRun{
-			baseline: func() error { _, err := conv2d.Precise(in, cfg); return err },
-			ref:      ref, automa: r.Automaton, out: r.Out,
-		}, nil
-	case "histeq":
-		in, err := grayInput()
-		if err != nil {
-			return nil, err
-		}
-		cfg := histeq.Config{Workers: o.workers, Snapshot: snapMode, Publish: policy}
-		ref, err := histeq.Precise(in, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := histeq.New(in, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &appRun{
-			baseline: func() error { _, err := histeq.Precise(in, cfg); return err },
-			ref:      ref, automa: r.Automaton, out: r.Out,
-		}, nil
-	case "dwt53":
-		in, err := grayInput()
-		if err != nil {
-			return nil, err
-		}
-		// dwt53 is iterative (whole-image passes), not diffusive: the tile
-		// ring and publish policies don't apply to it.
-		cfg := dwt53.Config{Workers: o.workers}
-		r, err := dwt53.New(in, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &appRun{
-			baseline: func() error { _, err := dwt53.Precise(in, cfg); return err },
-			ref:      in, automa: r.Automaton, out: r.Out,
-		}, nil
-	case "debayer":
-		var in *pix.Image
-		if o.in != "" {
-			in, err = pix.ReadPNMFile(o.in)
-			if err == nil && in.C != 1 {
-				err = fmt.Errorf("debayer needs a grayscale Bayer mosaic (PGM) input")
-			}
-		} else {
-			var rgb *pix.Image
-			rgb, err = pix.SyntheticRGB(o.size, o.size, o.seed)
-			if err == nil {
-				in, err = pix.BayerGRBG(rgb)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		cfg := debayer.Config{Workers: o.workers, Snapshot: snapMode, Publish: policy}
-		ref, err := debayer.Precise(in, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := debayer.New(in, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &appRun{
-			baseline: func() error { _, err := debayer.Precise(in, cfg); return err },
-			ref:      ref, automa: r.Automaton, out: r.Out,
-		}, nil
-	case "kmeans":
-		var in *pix.Image
-		if o.in != "" {
-			in, err = pix.ReadPNMFile(o.in)
-			if err == nil && in.C != 3 {
-				err = fmt.Errorf("kmeans needs an RGB (PPM) input")
-			}
-		} else {
-			in, err = pix.SyntheticRGB(o.size, o.size, o.seed)
-		}
-		if err != nil {
-			return nil, err
-		}
-		cfg := kmeans.Config{Workers: o.workers, Snapshot: snapMode, Publish: policy}
-		ref, err := kmeans.Precise(in, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := kmeans.New(in, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &appRun{
-			baseline: func() error { _, err := kmeans.Precise(in, cfg); return err },
-			ref:      ref, automa: r.Automaton, out: r.Out,
-		}, nil
-	default:
+	app, ok := apps.Named(o.app)
+	if !ok {
 		return nil, fmt.Errorf("unknown app %q", o.app)
 	}
+	ao := apps.Options{Workers: o.workers, Publish: policy}
+	if o.tiles {
+		ao.Snapshot = pix.SnapshotTiles
+	}
+	var in *pix.Image
+	if o.in != "" {
+		if in, err = pix.ReadPNMFile(o.in); err == nil && in.C != app.Input.Channels() {
+			err = fmt.Errorf("%s needs a %d-channel input, %s has %d", o.app, app.Input.Channels(), o.in, in.C)
+		}
+	} else {
+		in, err = app.Input.Synthetic(o.size, o.seed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	ref, err := app.Precise(in, ao)
+	if err != nil {
+		return nil, err
+	}
+	a, out, err := app.New(in, ao)
+	if err != nil {
+		return nil, err
+	}
+	return &appRun{
+		baseline: func() error { _, err := app.Precise(in, ao); return err },
+		ref:      ref,
+		entry:    serve.Entry[*pix.Image]{Automaton: a, Out: out},
+	}, nil
 }

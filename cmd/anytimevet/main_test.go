@@ -23,7 +23,7 @@ func devNull(t *testing.T) *os.File {
 
 // TestProbes covers the two queries cmd/go issues before handing over any
 // package: the version string and the flag definitions, which are `tests`
-// plus exactly the four analyzers.
+// plus exactly the three analyzers.
 func TestProbes(t *testing.T) {
 	if got := run([]string{"-V=full"}, devNull(t)); got != 0 {
 		t.Errorf("-V=full exited %d, want 0", got)
@@ -41,7 +41,7 @@ func TestProbes(t *testing.T) {
 	for _, d := range defs {
 		names = append(names, d.Name)
 	}
-	if want := []string{"tests", "singlewriter", "snapshotmut", "detnondet", "ctxflow"}; !slices.Equal(names, want) {
+	if want := []string{"tests", "singlewriter", "snapshotmut", "ctxflow"}; !slices.Equal(names, want) {
 		t.Errorf("-flags lists %v, want %v", names, want)
 	}
 }
@@ -150,12 +150,12 @@ func TestUnitcheckVetxOnly(t *testing.T) {
 }
 
 // TestAnalyzerSelection: disabling singlewriter must let the dirty package
-// pass, and selecting only an unrelated analyzer must too; each of the four
-// analyzers is a flag, and the three deleted ones are refused as unknown.
+// pass, and selecting only an unrelated analyzer must too; each of the three
+// analyzers is a flag, and the four deleted ones are refused as unknown.
 func TestAnalyzerSelection(t *testing.T) {
 	for name, want := range map[string]int{
-		"singlewriter": 2, "snapshotmut": 0, "detnondet": 0, "ctxflow": 0,
-		"goroleak": 1, "hotalloc": 1, "budgetflow": 1,
+		"singlewriter": 2, "snapshotmut": 0, "ctxflow": 0,
+		"goroleak": 1, "hotalloc": 1, "budgetflow": 1, "detnondet": 1,
 	} {
 		cfgPath, _ := writeCfg(t, dirtySrc, false)
 		if got := run([]string{"-" + name, cfgPath}, devNull(t)); got != want {

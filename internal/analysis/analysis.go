@@ -69,7 +69,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		SingleWriterAnalyzer,
 		SnapshotMutAnalyzer,
-		DetNonDetAnalyzer,
 		CtxFlowAnalyzer,
 	}
 }

@@ -4,13 +4,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // ctxScopes names the request-path packages: every function there runs on
 // behalf of a client request (or of fleet machinery whose lifetime an
 // operator must be able to bound), so context must flow from the edge of
 // the process to every blocking operation. Fixture packages match by
-// package name, the same convention as detnondet.
+// package name.
 var ctxScopes = []string{
 	"anytime/internal/serve",
 	"anytime/internal/cluster",
@@ -366,4 +367,28 @@ func inScopes(pkg *types.Package, scopes []string) bool {
 		}
 	}
 	return false
+}
+
+func pathBase(p string) string {
+	if i := strings.LastIndexByte(p, '/'); i >= 0 {
+		return p[i+1:]
+	}
+	return p
+}
+
+// calleePkgFunc resolves a call to a package-level function (not a method,
+// not a builtin), or nil.
+func calleePkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		obj = info.Uses[f.Sel]
+	case *ast.Ident:
+		obj = info.Uses[f]
+	}
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Signature().Recv() != nil {
+		return nil
+	}
+	return fn
 }

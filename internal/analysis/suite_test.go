@@ -22,18 +22,6 @@ func TestSnapshotMutFixture(t *testing.T) {
 	RunFixture(t, SnapshotMutAnalyzer, "snapshotmut")
 }
 
-func TestDetNonDetFixture(t *testing.T) {
-	t.Parallel()
-	RunFixture(t, DetNonDetAnalyzer, "detnondet")
-}
-
-// TestDetNonDetOutOfScope runs the same nondeterminism patterns in a
-// package outside the replay scope: zero diagnostics expected.
-func TestDetNonDetOutOfScope(t *testing.T) {
-	t.Parallel()
-	RunFixture(t, DetNonDetAnalyzer, "detscope")
-}
-
 // TestIgnoreDirectiveSuppresses runs singlewriter over a fixture whose only
 // violation carries a justified //lint:ignore: the run must come back
 // clean.
@@ -136,11 +124,11 @@ func g() int {
 	}
 }
 
-// TestByName pins the suite to its four analyzers: the three that police
+// TestByName pins the suite to its three analyzers: the two that police
 // the paper's §III properties and ctxflow.
 func TestByName(t *testing.T) {
 	t.Parallel()
-	want := []string{"singlewriter", "snapshotmut", "detnondet", "ctxflow"}
+	want := []string{"singlewriter", "snapshotmut", "ctxflow"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %v", len(all), want)

@@ -59,10 +59,11 @@ type Config struct {
 	// Publish selects when round snapshots are built and published. The
 	// default, core.PublishEveryRound, publishes at every round boundary.
 	Publish core.PublishPolicy
-	// OnSnapshot, if non-nil, is invoked after each publish with the
-	// number of output pixels computed so far and the published image.
-	// It runs on the stage goroutine; under pix.SnapshotTiles it must not
-	// retain img past the call.
+	// OnSnapshot, if non-nil, is invoked with each round snapshot as it is
+	// built — before it is published — together with the number of output
+	// pixels computed so far (the sample-size axis of Figures 19–20, which a
+	// core.Snapshot does not carry). It runs on the stage goroutine; under
+	// pix.SnapshotTiles it must not retain img past the call.
 	OnSnapshot func(processed int, img *pix.Image)
 }
 

@@ -32,10 +32,6 @@ type Config struct {
 	// Publish selects when round snapshots are built and published.
 	// Default core.PublishEveryRound.
 	Publish core.PublishPolicy
-	// OnSnapshot, if non-nil, is invoked after each publish with the
-	// number of output pixels computed so far and the published image.
-	// Under pix.SnapshotTiles it must not retain img past the call.
-	OnSnapshot func(processed int, img *pix.Image)
 }
 
 func (cfg Config) withDefaults(pixels int) Config {
@@ -241,16 +237,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 				snap.Mark(worker, dst)
 				return nil
 			},
-			func(processed int) (*pix.Image, error) {
-				img, err := snap.Snapshot()
-				if err != nil {
-					return nil, err
-				}
-				if cfg.OnSnapshot != nil {
-					cfg.OnSnapshot(processed, img)
-				}
-				return img, nil
-			},
+			func(int) (*pix.Image, error) { return snap.Snapshot() },
 			core.RoundConfig{Granularity: cfg.Granularity, Workers: cfg.Workers, Policy: cfg.Publish})
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"anytime/internal/core"
 	"anytime/internal/metrics"
 	"anytime/internal/pix"
 )
@@ -140,20 +141,18 @@ func TestSNRTrendsUpward(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snrs []float64
-	run, err := New(m, Config{
-		Granularity: 64 * 64 / 16,
-		OnSnapshot: func(processed int, img *pix.Image) {
-			db, err := metrics.SNR(want.Pix, img.Pix)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			snrs = append(snrs, db)
-		},
-	})
+	run, err := New(m, Config{Granularity: 64 * 64 / 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	run.Out.OnPublish(func(s core.Snapshot[*pix.Image]) {
+		db, err := metrics.SNR(want.Pix, s.Value.Pix)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		snrs = append(snrs, db)
+	})
 	if err := run.Automaton.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}

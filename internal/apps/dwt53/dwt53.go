@@ -2,7 +2,6 @@ package dwt53
 
 import (
 	"fmt"
-	"sync"
 
 	"anytime/internal/core"
 	"anytime/internal/par"
@@ -19,11 +18,6 @@ type Config struct {
 	Strides perforate.Schedule
 	// Workers is the number of row/column workers. Default 1.
 	Workers int
-	// OnPass, if non-nil, is invoked after each forward pass with the
-	// stride used and the inverse-transformed image (what a viewer would
-	// see if the automaton were stopped there). It runs on the inverse
-	// stage's goroutine.
-	OnPass func(stride int, img *pix.Image)
 }
 
 func (cfg Config) withDefaults() Config {
@@ -166,9 +160,6 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	out := core.NewBuffer[*pix.Image]("dwt53", nil)
 	a := core.New()
 
-	strideOf := make(map[core.Version]int, len(cfg.Strides))
-	var strideMu sync.Mutex
-
 	passes := make([]func() (*pix.Image, error), len(cfg.Strides))
 	for i, stride := range cfg.Strides {
 		passes[i] = func() (*pix.Image, error) {
@@ -176,23 +167,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		}
 	}
 	if err := a.AddStage("forward", func(c *core.Context) error {
-		// Wrap Iterative to record which stride produced which version.
-		i := 0
-		wrapped := make([]func() (*pix.Image, error), len(passes))
-		for j, p := range passes {
-			stride := cfg.Strides[j]
-			wrapped[j] = func() (*pix.Image, error) {
-				img, err := p()
-				if err == nil {
-					strideMu.Lock()
-					i++
-					strideOf[core.Version(i)] = stride
-					strideMu.Unlock()
-				}
-				return img, err
-			}
-		}
-		return core.Iterative(c, coefBuf, wrapped)
+		return core.Iterative(c, coefBuf, passes)
 	}); err != nil {
 		return nil, err
 	}
@@ -202,27 +177,14 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 			if err != nil {
 				return err
 			}
-			if _, err := out.Publish(img, s.Final); err != nil {
-				return err
-			}
-			if cfg.OnPass != nil {
-				strideMu.Lock()
-				stride := strideOf[s.Version]
-				strideMu.Unlock()
-				cfg.OnPass(stride, img)
-			}
-			return nil
+			_, err = out.Publish(img, s.Final)
+			return err
 		})
 	}); err != nil {
 		return nil, err
 	}
-	// Warm-pool support: rewind both buffers and the version→stride record
-	// (a reused run renumbers versions from 1, so stale entries would be
-	// overwritten anyway — clearing keeps the map from conflating runs).
+	// Warm-pool support: rewind both buffers.
 	a.OnReset(func() {
-		strideMu.Lock()
-		clear(strideOf)
-		strideMu.Unlock()
 		coefBuf.Reset()
 		out.Reset()
 	})

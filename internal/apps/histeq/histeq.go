@@ -58,10 +58,6 @@ type Config struct {
 	// Publish selects when the diffusive stages build and publish round
 	// snapshots. Default core.PublishEveryRound.
 	Publish core.PublishPolicy
-	// OnSnapshot, if non-nil, is invoked after each publish of the final
-	// output with the published image. Under pix.SnapshotTiles it must not
-	// retain img past the call.
-	OnSnapshot func(img *pix.Image)
 }
 
 func (cfg Config) withDefaults(pixels int) Config {
@@ -338,16 +334,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 					}
 					return nil
 				},
-				func(processed int) (*pix.Image, error) {
-					img, err := snap.Snapshot()
-					if err != nil {
-						return nil, err
-					}
-					if cfg.OnSnapshot != nil {
-						cfg.OnSnapshot(img)
-					}
-					return img, nil
-				},
+				func(int) (*pix.Image, error) { return snap.Snapshot() },
 				core.RoundConfig{Granularity: cfg.ApplyGranularity, Workers: cfg.Workers, Policy: cfg.Publish},
 				s.Final)
 		})

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"anytime/internal/core"
 	"anytime/internal/metrics"
 	"anytime/internal/pix"
 )
@@ -203,19 +204,18 @@ func TestOutputSNRTrendsToInf(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snrs []float64
-	run, err := New(in, Config{
-		OnSnapshot: func(img *pix.Image) {
-			db, err := metrics.SNR(want.Pix, img.Pix)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			snrs = append(snrs, db)
-		},
-	})
+	run, err := New(in, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	run.Out.OnPublish(func(s core.Snapshot[*pix.Image]) {
+		db, err := metrics.SNR(want.Pix, s.Value.Pix)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		snrs = append(snrs, db)
+	})
 	if err := run.Automaton.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -44,10 +44,6 @@ type Config struct {
 	// Publish selects when round snapshots are built and published.
 	// Default core.PublishEveryRound.
 	Publish core.PublishPolicy
-	// OnSnapshot, if non-nil, is invoked after each publish of the
-	// rendered output image. Under pix.SnapshotTiles it must not retain
-	// img past the call.
-	OnSnapshot func(img *pix.Image)
 }
 
 func (cfg Config) withDefaults(pixels int) Config {
@@ -294,16 +290,6 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	publishSnapshot := func() (*pix.Image, error) {
-		img, err := snap.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		if cfg.OnSnapshot != nil {
-			cfg.OnSnapshot(img)
-		}
-		return img, nil
-	}
 	cfgWorkers := cfg.Workers
 
 	// Stage 1: diffusive clustering + coloring. Each Lloyd iteration is a
@@ -341,7 +327,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 					}
 					return nil
 				},
-				func(processed int) (*pix.Image, error) { return publishSnapshot() },
+				func(int) (*pix.Image, error) { return snap.Snapshot() },
 				core.RoundConfig{Granularity: cfg.ClusterGranularity, Workers: cfgWorkers, Policy: cfg.Publish},
 				false)
 			if err != nil {
@@ -378,7 +364,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 				}
 				return nil
 			},
-			func(processed int) (*pix.Image, error) { return publishSnapshot() },
+			func(int) (*pix.Image, error) { return snap.Snapshot() },
 			core.RoundConfig{Granularity: cfg.ClusterGranularity, Workers: cfgWorkers, Policy: cfg.Publish},
 			true)
 	}); err != nil {

@@ -187,7 +187,7 @@ func (rt *Router) routes() {
 	rt.mux.HandleFunc("GET /members", rt.handleMembersList)
 	rt.mux.HandleFunc("POST /members", rt.handleMemberAdd)
 	rt.mux.HandleFunc("DELETE /members", rt.handleMemberRemove)
-	rt.registerDebugRequests()
+	rt.rec.Mount(rt.mux, "router flight recorder")
 	// Everything else is an app route, proxied onto the ring.
 	rt.mux.HandleFunc("/", rt.handleProxy)
 }
@@ -247,41 +247,6 @@ func (rt *Router) handleMemberRemove(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.members.Remove(name)
 	fmt.Fprintln(w, "removed")
-}
-
-// registerDebugRequests mounts the router's own flight recorder, same
-// shape as the backend's: router spans (route.pick, budget, forward,
-// hedge.*, deliver) instead of automaton spans.
-func (rt *Router) registerDebugRequests() {
-	rt.mux.HandleFunc("GET /debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if id := r.URL.Query().Get("id"); id != "" {
-			t := rt.rec.Find(id)
-			if t == nil {
-				http.Error(w, "trace not found (evicted, sampled out, or never seen)", http.StatusNotFound)
-				return
-			}
-			_ = t.WriteDetail(w, 60)
-			return
-		}
-		st := rt.rec.Stats()
-		fmt.Fprintf(w, "router flight recorder: %d/%d traces held, %d recorded, %d sampled out, %d evicted\n",
-			st.Held, st.Capacity, st.Recorded, st.SampledOut, st.Evicted)
-		fmt.Fprintf(w, "detail: GET /debug/requests?id=<ID>  (IDs are echoed as X-Anytime-Trace)\n\n")
-		_ = reqtrace.WriteList(w, rt.rec.Snapshot())
-	})
-	rt.mux.HandleFunc("GET /debug/requests.json", func(w http.ResponseWriter, r *http.Request) {
-		traces := rt.rec.Snapshot()
-		views := make([]reqtrace.View, 0, len(traces))
-		for _, t := range traces {
-			views = append(views, t.View())
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(struct {
-			Stats  reqtrace.Stats  `json:"stats"`
-			Traces []reqtrace.View `json:"traces"`
-		}{rt.rec.Stats(), views})
-	})
 }
 
 // handleProxy is the routing hot path: key → ring lookup → budget →

@@ -53,7 +53,7 @@ func TestCacheWarmStartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !img.Equal(s.blurRef) {
+	if !img.Equal(refOf(t, s, "blur")) {
 		t.Fatal("warm-started precise output differs from the cold baseline")
 	}
 }

@@ -21,9 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"anytime/internal/apps/conv2d"
-	"anytime/internal/apps/histeq"
-	"anytime/internal/apps/kmeans"
+	"anytime/internal/apps"
 	"anytime/internal/core"
 	"anytime/internal/metrics"
 	"anytime/internal/pix"
@@ -37,8 +35,7 @@ import (
 // runtime — per-route warm pools, the FIFO admission queue, and the load
 // controller — so request handling only pays for the automaton run itself.
 type Server struct {
-	mux     *http.ServeMux
-	workers int
+	mux *http.ServeMux
 
 	// queue is the FIFO admission queue bounding concurrently running
 	// automata (replacing the old unfair channel semaphore): slots execute,
@@ -80,18 +77,30 @@ type Server struct {
 	// docs/CACHING.md.
 	cache      *snapcache.Cache[*pix.Image]
 	cacheEpoch uint64
-	grayDigest string
-	rgbDigest  string
 
-	grayIn  *pix.Image
-	rgbIn   *pix.Image
-	blurRef *pix.Image
-	eqRef   *pix.Image
-	kmRef   *pix.Image
+	routes []route
+}
 
-	blurPool *serve.Pool[*pix.Image]
-	eqPool   *serve.Pool[*pix.Image]
-	kmPool   *serve.Pool[*pix.Image]
+// route is one served application: its warm pool (named after the URL
+// path, which is also the /metrics pool label and the cache key's app), the
+// prepared input with its content digest, and the precise reference
+// deliveries are scored against.
+type route struct {
+	pool   *serve.Pool[*pix.Image]
+	ref    *pix.Image
+	input  *pix.Image
+	digest string
+}
+
+// routeTable maps each URL path to its row of the apps table; stream adds
+// the path's /stream endpoint.
+var routeTable = []struct {
+	path, app string
+	stream    bool
+}{
+	{"blur", "conv2d", true},
+	{"equalize", "histeq", false},
+	{"cluster", "kmeans", true},
 }
 
 // Config carries the operational knobs from main. Zero values take
@@ -154,14 +163,6 @@ func New(size, workers int, cfg Config) (*Server, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	gray, err := pix.SyntheticGray(size, size, 1)
-	if err != nil {
-		return nil, err
-	}
-	rgb, err := pix.SyntheticRGB(size, size, 1)
-	if err != nil {
-		return nil, err
-	}
 	reg := telemetry.NewRegistry()
 	serveSink := telemetry.ServeHooks(reg)
 	queue, err := serve.NewQueue(cfg.Slots, cfg.QueueLen, serveSink)
@@ -176,9 +177,8 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		mux:     http.NewServeMux(),
-		workers: workers,
-		queue:   queue,
+		mux:   http.NewServeMux(),
+		queue: queue,
 		// The ramp starts at a quarter of the waiting room and bottoms out
 		// when the room is full; with no waiting room the depth is always
 		// zero and the controller never fires.
@@ -195,8 +195,6 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		slotsInUse: reg.Gauge(metricSlotsInUse, nil),
 		recorder:   recorder,
 		started:    time.Now(),
-		grayIn:     gray,
-		rgbIn:      rgb,
 	}
 	if err := s.ctrl.Validate(); err != nil {
 		return nil, err
@@ -214,50 +212,39 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		}
 	}
 	s.cacheEpoch = cacheEpoch(size, workers)
-	s.grayDigest = snapcache.DigestImage(gray)
-	s.rgbDigest = snapcache.DigestImage(rgb)
-	if s.blurRef, err = conv2d.Precise(gray, conv2d.Config{Workers: workers}); err != nil {
-		return nil, err
-	}
-	if s.eqRef, err = histeq.Precise(gray, histeq.Config{Workers: workers}); err != nil {
-		return nil, err
-	}
-	if s.kmRef, err = kmeans.Precise(rgb, kmeans.Config{Workers: workers}); err != nil {
-		return nil, err
-	}
-	if s.blurPool, err = s.newPool("blur", cfg, func() (*core.Automaton, *core.Buffer[*pix.Image], error) {
-		run, err := conv2d.New(s.grayIn, conv2d.Config{Workers: s.workers})
-		if err != nil {
-			return nil, nil, err
+	// Routes over the same kind of input share one image and one digest:
+	// inputs keeps, per kind, a route with just those two fields set.
+	inputs := map[apps.Input]route{}
+	for _, rd := range routeTable {
+		app, ok := apps.Named(rd.app)
+		if !ok {
+			return nil, fmt.Errorf("route /%s: unknown app %q", rd.path, rd.app)
 		}
-		return run.Automaton, run.Out, nil
-	}); err != nil {
-		return nil, err
-	}
-	if s.eqPool, err = s.newPool("equalize", cfg, func() (*core.Automaton, *core.Buffer[*pix.Image], error) {
-		run, err := histeq.New(s.grayIn, histeq.Config{Workers: s.workers})
-		if err != nil {
-			return nil, nil, err
+		rt, ok := inputs[app.Input]
+		if !ok {
+			if rt.input, err = app.Input.Synthetic(size, 1); err != nil {
+				return nil, err
+			}
+			rt.digest = snapcache.DigestImage(rt.input)
+			inputs[app.Input] = rt
 		}
-		return run.Automaton, run.Out, nil
-	}); err != nil {
-		return nil, err
-	}
-	if s.kmPool, err = s.newPool("cluster", cfg, func() (*core.Automaton, *core.Buffer[*pix.Image], error) {
-		run, err := kmeans.New(s.rgbIn, kmeans.Config{Workers: s.workers})
-		if err != nil {
-			return nil, nil, err
+		opts := apps.Options{Workers: workers}
+		if rt.ref, err = app.Precise(rt.input, opts); err != nil {
+			return nil, err
 		}
-		return run.Automaton, run.Out, nil
-	}); err != nil {
-		return nil, err
+		in := rt.input
+		build := func() (*core.Automaton, *core.Buffer[*pix.Image], error) { return app.New(in, opts) }
+		if rt.pool, err = s.newPool(rd.path, cfg, build); err != nil {
+			return nil, err
+		}
+		s.routes = append(s.routes, rt)
+		s.handle("GET /"+rd.path, s.handleApp(rt))
+		if rd.stream {
+			s.handle("GET /"+rd.path+"/stream", s.handleStream(build, rt.ref))
+		}
 	}
-	s.handle("GET /blur", s.handleApp(s.blurPool, s.blurRef, s.grayIn, s.grayDigest))
-	s.handle("GET /equalize", s.handleApp(s.eqPool, s.eqRef, s.grayIn, s.grayDigest))
-	s.handle("GET /cluster", s.handleApp(s.kmPool, s.kmRef, s.rgbIn, s.rgbDigest))
-	s.registerStreams()
 	s.registerOps(cfg.Pprof)
-	s.registerDebugRequests()
+	s.recorder.Mount(s.mux, "flight recorder")
 	s.handle("GET /", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -323,7 +310,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // request gets a reqtrace.Trace (its ID is echoed in X-Anytime-Trace);
 // completed traces go to the flight recorder, which always keeps the
 // interesting ones — see /debug/requests.
-func (s *Server) handleApp(pool *serve.Pool[*pix.Image], ref, input *pix.Image, inputDigest string) http.HandlerFunc {
+func (s *Server) handleApp(rt route) http.HandlerFunc {
+	pool, ref, input, inputDigest := rt.pool, rt.ref, rt.input, rt.digest
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx, tr := reqtrace.New(r.Context(), pool.Name())
 		r = r.WithContext(ctx)

@@ -23,6 +23,19 @@ func testServer(t testing.TB) *Server {
 	return s
 }
 
+// refOf reads the precise reference of the route served at /path from the
+// route table.
+func refOf(t *testing.T, s *Server, path string) *pix.Image {
+	t.Helper()
+	for _, rt := range s.routes {
+		if rt.pool.Name() == path {
+			return rt.ref
+		}
+	}
+	t.Fatalf("no route /%s", path)
+	return nil
+}
+
 func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
@@ -61,7 +74,7 @@ func TestPreciseBlur(t *testing.T) {
 	if img.W != 64 || img.H != 64 || img.C != 1 {
 		t.Errorf("unexpected image geometry %dx%dx%d", img.W, img.H, img.C)
 	}
-	if !img.Equal(s.blurRef) {
+	if !img.Equal(refOf(t, s, "blur")) {
 		t.Error("precise response differs from the reference")
 	}
 }
@@ -131,7 +144,7 @@ func TestEqualizePrecise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !img.Equal(s.eqRef) {
+	if !img.Equal(refOf(t, s, "equalize")) {
 		t.Error("precise equalize differs from reference")
 	}
 }
@@ -228,7 +241,7 @@ func TestPooledReuseStaysPreciseAcrossRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !img.Equal(s.blurRef) {
+		if !img.Equal(refOf(t, s, "blur")) {
 			t.Fatalf("cycle %d: pooled precise output differs from the reference", cycle)
 		}
 	}
@@ -329,5 +342,27 @@ func TestHangUpLeavesNothingRunning(t *testing.T) {
 	s.ServeHTTP(stream, httptest.NewRequest(http.MethodGet, "/blur/stream", nil).WithContext(ctx))
 	if body := stream.Body.String(); !strings.Contains(body, "data: ") || strings.Contains(body, `"final":true`) {
 		t.Errorf("stream left at its first event ran to the end:\n%s", body)
+	}
+}
+
+// TestEveryRoutePreciseMatchesReference: with no knob, each route of the
+// table delivers its final version, bit-identical to the route's reference.
+func TestEveryRoutePreciseMatchesReference(t *testing.T) {
+	s := testServer(t)
+	if len(s.routes) != len(routeTable) {
+		t.Fatalf("%d routes built from a table of %d", len(s.routes), len(routeTable))
+	}
+	for _, rt := range s.routes {
+		rec := get(t, s, "/"+rt.pool.Name())
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Anytime-Final") != "true" {
+			t.Fatalf("/%s: status %d, final %q", rt.pool.Name(), rec.Code, rec.Header().Get("X-Anytime-Final"))
+		}
+		img, err := pix.DecodePNM(bytes.NewReader(rec.Body.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !img.Equal(rt.ref) {
+			t.Errorf("precise /%s differs from its reference", rt.pool.Name())
+		}
 	}
 }

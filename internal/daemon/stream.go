@@ -5,15 +5,13 @@ import (
 	"net/http"
 	"time"
 
-	"anytime/internal/apps/conv2d"
-	"anytime/internal/apps/kmeans"
 	"anytime/internal/core"
 	"anytime/internal/metrics"
 	"anytime/internal/pix"
 	"anytime/internal/telemetry"
 )
 
-// registerStreams adds the Server-Sent Events endpoints: the client watches
+// handleStream serves one Server-Sent Events endpoint: the client watches
 // the whole-application output quality rise live, one event per published
 // version, and decides for itself when to stop listening — the
 // hold-the-power-button interaction with the button on the client side.
@@ -24,30 +22,14 @@ import (
 // few long-lived stream watchers cannot starve the request path's warm
 // instances. They do share the admission queue — a stream occupies an
 // execution slot like any request.
-func (s *Server) registerStreams() {
-	s.handle("GET /blur/stream", s.handleStream(func() (*core.Automaton, *core.Buffer[*pix.Image], *pix.Image, error) {
-		run, err := conv2d.New(s.grayIn, conv2d.Config{Workers: s.workers})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return run.Automaton, run.Out, s.blurRef, nil
-	}))
-	s.handle("GET /cluster/stream", s.handleStream(func() (*core.Automaton, *core.Buffer[*pix.Image], *pix.Image, error) {
-		run, err := kmeans.New(s.rgbIn, kmeans.Config{Workers: s.workers})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return run.Automaton, run.Out, s.kmRef, nil
-	}))
-}
-
-// handleStream emits one SSE event per published output version:
+//
+// One SSE event is emitted per published output version:
 //
 //	data: {"version":3,"final":false,"snr_db":"24.18","elapsed_ms":12}
 //
 // The stream ends at the final (precise) version; closing the request
 // stops the automaton.
-func (s *Server) handleStream(build func() (*core.Automaton, *core.Buffer[*pix.Image], *pix.Image, error)) http.HandlerFunc {
+func (s *Server) handleStream(build func() (*core.Automaton, *core.Buffer[*pix.Image], error), ref *pix.Image) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		flusher, ok := w.(http.Flusher)
 		if !ok {
@@ -60,7 +42,7 @@ func (s *Server) handleStream(build func() (*core.Automaton, *core.Buffer[*pix.I
 			return
 		}
 		defer release()
-		a, out, ref, err := build()
+		a, out, err := build()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

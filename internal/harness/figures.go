@@ -1,18 +1,18 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
+	"anytime/internal/apps"
 	"anytime/internal/apps/conv2d"
-	"anytime/internal/apps/debayer"
-	"anytime/internal/apps/dwt53"
-	"anytime/internal/apps/histeq"
-	"anytime/internal/apps/kmeans"
 	"anytime/internal/core"
 	"anytime/internal/metrics"
 	"anytime/internal/pix"
+	"anytime/internal/serve"
 )
 
 // Options configures the figure experiments.
@@ -21,7 +21,8 @@ type Options struct {
 	// EXPERIMENTS.md run uses 512, matching the paper's "large image
 	// input sets" at laptop scale).
 	Size int
-	// Workers is the worker count per parallel stage. Default 4.
+	// Workers is the worker count per parallel stage. Default
+	// runtime.GOMAXPROCS(0), like cmd/anytime.
 	Workers int
 	// Seed drives the synthetic inputs. Default 1.
 	Seed uint64
@@ -35,7 +36,7 @@ func (o Options) withDefaults() Options {
 		o.Size = 256
 	}
 	if o.Workers == 0 {
-		o.Workers = 4
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -46,182 +47,73 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Fig11Conv2D measures the runtime–accuracy profile of the 2dconv anytime
-// automaton (paper Figure 11).
-func Fig11Conv2D(opt Options) (Profile, error) {
-	opt = opt.withDefaults()
-	in, err := pix.SyntheticGray(opt.Size, opt.Size, opt.Seed)
-	if err != nil {
-		return Profile{}, err
-	}
-	baseCfg := conv2d.Config{Workers: opt.Workers}
-	ref, err := conv2d.Precise(in, baseCfg)
-	if err != nil {
-		return Profile{}, err
-	}
-	baseline, err := TimeBaseline(func() error {
-		_, err := conv2d.Precise(in, baseCfg)
-		return err
-	}, opt.BaselineReps)
-	if err != nil {
-		return Profile{}, err
-	}
-	col := NewCollector(ref, 0)
-	run, err := conv2d.New(in, conv2d.Config{
-		Workers:    opt.Workers,
-		OnSnapshot: func(processed int, img *pix.Image) { col.Record(processed, img) },
-	})
-	if err != nil {
-		return Profile{}, err
-	}
-	col.Begin()
-	if _, err := RunToCompletion(run.Automaton); err != nil {
-		return Profile{}, err
-	}
-	return col.Finish("2dconv", baseline)
+// subject is what every per-app figure starts from: the app's paper label,
+// the precise reference, the timed precise baseline, and a fresh automaton
+// over the synthetic input.
+type subject struct {
+	label    string
+	ref      *pix.Image
+	baseline time.Duration
+	a        *core.Automaton
+	out      *core.Buffer[*pix.Image]
 }
 
-// Fig12Histeq measures the runtime–accuracy profile of the histeq automaton
-// (paper Figure 12).
-func Fig12Histeq(opt Options) (Profile, error) {
+func prepare(name string, opt Options) (subject, error) {
 	opt = opt.withDefaults()
-	in, err := pix.SyntheticGray(opt.Size, opt.Size, opt.Seed)
-	if err != nil {
-		return Profile{}, err
+	app, ok := apps.Named(name)
+	if !ok {
+		return subject{}, fmt.Errorf("harness: unknown app %q", name)
 	}
-	baseCfg := histeq.Config{Workers: opt.Workers}
-	ref, err := histeq.Precise(in, baseCfg)
+	s := subject{label: app.Label}
+	ao := apps.Options{Workers: opt.Workers}
+	in, err := app.Input.Synthetic(opt.Size, opt.Seed)
 	if err != nil {
-		return Profile{}, err
+		return subject{}, err
 	}
-	baseline, err := TimeBaseline(func() error {
-		_, err := histeq.Precise(in, baseCfg)
+	if s.ref, err = app.Precise(in, ao); err != nil {
+		return subject{}, err
+	}
+	s.baseline, err = TimeBaseline(func() error {
+		_, err := app.Precise(in, ao)
 		return err
 	}, opt.BaselineReps)
 	if err != nil {
-		return Profile{}, err
+		return subject{}, err
 	}
-	col := NewCollector(ref, 0)
-	run, err := histeq.New(in, histeq.Config{
-		Workers:    opt.Workers,
-		OnSnapshot: func(img *pix.Image) { col.Record(0, img) },
-	})
-	if err != nil {
-		return Profile{}, err
-	}
-	col.Begin()
-	if _, err := RunToCompletion(run.Automaton); err != nil {
-		return Profile{}, err
-	}
-	return col.Finish("histeq", baseline)
+	s.a, s.out, err = app.New(in, ao)
+	return s, err
 }
 
-// Fig13DWT53 measures the runtime–accuracy profile of the dwt53 automaton
-// (paper Figure 13).
-func Fig13DWT53(opt Options) (Profile, error) {
-	opt = opt.withDefaults()
-	in, err := pix.SyntheticGray(opt.Size, opt.Size, opt.Seed)
-	if err != nil {
-		return Profile{}, err
-	}
-	baseCfg := dwt53.Config{Workers: opt.Workers}
-	// The reversible 5/3 baseline reconstructs the input exactly, so the
-	// input is the accuracy reference.
-	baseline, err := TimeBaseline(func() error {
-		_, err := dwt53.Precise(in, baseCfg)
-		return err
-	}, opt.BaselineReps)
-	if err != nil {
-		return Profile{}, err
-	}
-	col := NewCollector(in, 0)
-	run, err := dwt53.New(in, dwt53.Config{
-		Workers: opt.Workers,
-		OnPass:  func(stride int, img *pix.Image) { col.Record(0, img) },
-	})
-	if err != nil {
-		return Profile{}, err
-	}
-	col.Begin()
-	if _, err := RunToCompletion(run.Automaton); err != nil {
-		return Profile{}, err
-	}
-	return col.Finish("dwt53", baseline)
+// run executes a under internal/serve's deadline contract — the one place
+// the stopping rule is written: d = 0 runs to the precise output, d > 0
+// delivers the newest version published within d (waiting for the first
+// rather than returning empty-handed).
+func run(a *core.Automaton, out *core.Buffer[*pix.Image], d time.Duration) (serve.Result[*pix.Image], error) {
+	return serve.Run(context.Background(), serve.Entry[*pix.Image]{Automaton: a, Out: out}, d, nil)
 }
 
-// Fig14Debayer measures the runtime–accuracy profile of the debayer
-// automaton (paper Figure 14).
-func Fig14Debayer(opt Options) (Profile, error) {
-	opt = opt.withDefaults()
-	rgb, err := pix.SyntheticRGB(opt.Size, opt.Size, opt.Seed)
+// profile measures the runtime–accuracy profile of one app's automaton
+// (paper Figures 11–15) by observing every publish of a single run.
+func profile(name string, opt Options) (Profile, error) {
+	s, err := prepare(name, opt)
 	if err != nil {
 		return Profile{}, err
 	}
-	in, err := pix.BayerGRBG(rgb)
-	if err != nil {
-		return Profile{}, err
-	}
-	baseCfg := debayer.Config{Workers: opt.Workers}
-	ref, err := debayer.Precise(in, baseCfg)
-	if err != nil {
-		return Profile{}, err
-	}
-	baseline, err := TimeBaseline(func() error {
-		_, err := debayer.Precise(in, baseCfg)
-		return err
-	}, opt.BaselineReps)
-	if err != nil {
-		return Profile{}, err
-	}
-	col := NewCollector(ref, 0)
-	run, err := debayer.New(in, debayer.Config{
-		Workers:    opt.Workers,
-		OnSnapshot: func(processed int, img *pix.Image) { col.Record(processed, img) },
-	})
-	if err != nil {
-		return Profile{}, err
-	}
+	col := NewCollector(s.ref, 0)
+	s.out.OnPublish(col.Observe)
 	col.Begin()
-	if _, err := RunToCompletion(run.Automaton); err != nil {
+	if _, err := run(s.a, s.out, 0); err != nil {
 		return Profile{}, err
 	}
-	return col.Finish("debayer", baseline)
+	return col.Finish(s.label, s.baseline)
 }
 
-// Fig15Kmeans measures the runtime–accuracy profile of the kmeans automaton
-// (paper Figure 15).
-func Fig15Kmeans(opt Options) (Profile, error) {
-	opt = opt.withDefaults()
-	in, err := pix.SyntheticRGB(opt.Size, opt.Size, opt.Seed)
-	if err != nil {
-		return Profile{}, err
-	}
-	baseCfg := kmeans.Config{Workers: opt.Workers}
-	ref, err := kmeans.Precise(in, baseCfg)
-	if err != nil {
-		return Profile{}, err
-	}
-	baseline, err := TimeBaseline(func() error {
-		_, err := kmeans.Precise(in, baseCfg)
-		return err
-	}, opt.BaselineReps)
-	if err != nil {
-		return Profile{}, err
-	}
-	col := NewCollector(ref, 0)
-	run, err := kmeans.New(in, kmeans.Config{
-		Workers:    opt.Workers,
-		OnSnapshot: func(img *pix.Image) { col.Record(0, img) },
-	})
-	if err != nil {
-		return Profile{}, err
-	}
-	col.Begin()
-	if _, err := RunToCompletion(run.Automaton); err != nil {
-		return Profile{}, err
-	}
-	return col.Finish("kmeans", baseline)
-}
+// Fig11Conv2D … Fig15Kmeans are the paper's Figures 11–15, one app each.
+func Fig11Conv2D(opt Options) (Profile, error)  { return profile("conv2d", opt) }
+func Fig12Histeq(opt Options) (Profile, error)  { return profile("histeq", opt) }
+func Fig13DWT53(opt Options) (Profile, error)   { return profile("dwt53", opt) }
+func Fig14Debayer(opt Options) (Profile, error) { return profile("debayer", opt) }
+func Fig15Kmeans(opt Options) (Profile, error)  { return profile("kmeans", opt) }
 
 // SnapshotResult is the output of a halt-and-evaluate run (Figures 16–18):
 // the image the user would see stopping the automaton at the target
@@ -242,101 +134,38 @@ func (r SnapshotResult) Write(w io.Writer) error {
 	return err
 }
 
-// Fig16Conv2DSnapshot halts the 2dconv automaton at the paper's 21% of
-// baseline runtime (Figure 16, paper: SNR 15.8 dB).
-func Fig16Conv2DSnapshot(opt Options) (SnapshotResult, error) {
-	opt = opt.withDefaults()
-	in, err := pix.SyntheticGray(opt.Size, opt.Size, opt.Seed)
+// haltAt halts one app's automaton at frac of its baseline runtime and
+// scores what it held (paper Figures 16–18).
+func haltAt(name string, frac float64, opt Options) (SnapshotResult, error) {
+	s, err := prepare(name, opt)
 	if err != nil {
 		return SnapshotResult{}, err
 	}
-	cfg := conv2d.Config{Workers: opt.Workers}
-	ref, err := conv2d.Precise(in, cfg)
+	res, err := run(s.a, s.out, time.Duration(frac*float64(s.baseline)))
 	if err != nil {
 		return SnapshotResult{}, err
 	}
-	baseline, err := TimeBaseline(func() error {
-		_, err := conv2d.Precise(in, cfg)
-		return err
-	}, opt.BaselineReps)
-	if err != nil {
-		return SnapshotResult{}, err
-	}
-	run, err := conv2d.New(in, cfg)
-	if err != nil {
-		return SnapshotResult{}, err
-	}
-	return haltAndScore("2dconv", 0.21, baseline, ref, run.Automaton, run.Out)
-}
-
-// Fig17DWT53Snapshot halts the dwt53 automaton at the paper's 78% of
-// baseline runtime (Figure 17, paper: SNR 16.8 dB).
-func Fig17DWT53Snapshot(opt Options) (SnapshotResult, error) {
-	opt = opt.withDefaults()
-	in, err := pix.SyntheticGray(opt.Size, opt.Size, opt.Seed)
-	if err != nil {
-		return SnapshotResult{}, err
-	}
-	cfg := dwt53.Config{Workers: opt.Workers}
-	baseline, err := TimeBaseline(func() error {
-		_, err := dwt53.Precise(in, cfg)
-		return err
-	}, opt.BaselineReps)
-	if err != nil {
-		return SnapshotResult{}, err
-	}
-	run, err := dwt53.New(in, cfg)
-	if err != nil {
-		return SnapshotResult{}, err
-	}
-	return haltAndScore("dwt53", 0.78, baseline, in, run.Automaton, run.Out)
-}
-
-// Fig18KmeansSnapshot halts the kmeans automaton at the paper's 63% of
-// baseline runtime (Figure 18, paper: SNR 16.7 dB).
-func Fig18KmeansSnapshot(opt Options) (SnapshotResult, error) {
-	opt = opt.withDefaults()
-	in, err := pix.SyntheticRGB(opt.Size, opt.Size, opt.Seed)
-	if err != nil {
-		return SnapshotResult{}, err
-	}
-	cfg := kmeans.Config{Workers: opt.Workers}
-	ref, err := kmeans.Precise(in, cfg)
-	if err != nil {
-		return SnapshotResult{}, err
-	}
-	baseline, err := TimeBaseline(func() error {
-		_, err := kmeans.Precise(in, cfg)
-		return err
-	}, opt.BaselineReps)
-	if err != nil {
-		return SnapshotResult{}, err
-	}
-	run, err := kmeans.New(in, cfg)
-	if err != nil {
-		return SnapshotResult{}, err
-	}
-	return haltAndScore("kmeans", 0.63, baseline, ref, run.Automaton, run.Out)
-}
-
-func haltAndScore(app string, frac float64, baseline time.Duration, ref *pix.Image, a *core.Automaton, out *core.Buffer[*pix.Image]) (SnapshotResult, error) {
-	snap, err := RunUntil(a, out, time.Duration(frac*float64(baseline)))
-	if err != nil {
-		return SnapshotResult{}, err
-	}
-	db, err := metrics.SNR(ref.Pix, snap.Value.Pix)
+	snap := res.Snapshot
+	db, err := metrics.SNR(s.ref.Pix, snap.Value.Pix)
 	if err != nil {
 		return SnapshotResult{}, err
 	}
 	return SnapshotResult{
-		App:      app,
+		App:      s.label,
 		Target:   frac,
 		SNR:      db,
 		Final:    snap.Final,
 		Image:    snap.Value,
-		Baseline: baseline,
+		Baseline: s.baseline,
 	}, nil
 }
+
+// Fig16Conv2DSnapshot … Fig18KmeansSnapshot are the paper's Figures 16–18,
+// at the paper's halt points: 2dconv at 21% (paper: 15.8 dB), dwt53 at 78%
+// (16.8 dB), kmeans at 63% (16.7 dB).
+func Fig16Conv2DSnapshot(opt Options) (SnapshotResult, error) { return haltAt("conv2d", 0.21, opt) }
+func Fig17DWT53Snapshot(opt Options) (SnapshotResult, error)  { return haltAt("dwt53", 0.78, opt) }
+func Fig18KmeansSnapshot(opt Options) (SnapshotResult, error) { return haltAt("kmeans", 0.63, opt) }
 
 // Sweep is one labelled sample-size/accuracy series of Figures 19–20.
 type Sweep struct {
@@ -425,12 +254,12 @@ func Fig20Storage(opt Options) ([]Sweep, error) {
 func conv2dSweep(in, ref *pix.Image, label string, cfg conv2d.Config) (Sweep, error) {
 	col := NewCollector(ref, in.Pixels())
 	cfg.OnSnapshot = func(processed int, img *pix.Image) { col.Record(processed, img) }
-	run, err := conv2d.New(in, cfg)
+	r, err := conv2d.New(in, cfg)
 	if err != nil {
 		return Sweep{}, err
 	}
 	col.Begin()
-	if _, err := RunToCompletion(run.Automaton); err != nil {
+	if _, err := run(r.Automaton, r.Out, 0); err != nil {
 		return Sweep{}, err
 	}
 	profile, err := col.Finish(label, time.Second)

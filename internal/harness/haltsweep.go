@@ -34,23 +34,19 @@ func HaltSweep(build func() (*core.Automaton, *core.Buffer[*pix.Image], error), 
 		if err != nil {
 			return Profile{}, err
 		}
-		start := time.Now()
-		snap, err := RunUntil(a, out, time.Duration(frac*float64(baseline)))
-		elapsed := time.Since(start)
+		res, err := run(a, out, time.Duration(frac*float64(baseline)))
 		if err != nil {
 			return Profile{}, err
 		}
-		db, err := metrics.SNR(ref.Pix, snap.Value.Pix)
+		db, err := metrics.SNR(ref.Pix, res.Snapshot.Value.Pix)
 		if err != nil {
 			return Profile{}, err
 		}
 		p.Points = append(p.Points, Point{
-			Runtime: float64(elapsed) / float64(baseline),
+			Runtime: float64(res.Elapsed) / float64(baseline),
 			SNR:     db,
 		})
-		if elapsed > p.Total {
-			p.Total = elapsed
-		}
+		p.Total = max(p.Total, res.Elapsed)
 	}
 	return p, nil
 }

@@ -39,13 +39,12 @@ func TestHaltSweepValidation(t *testing.T) {
 }
 
 // TestHaltSweepMatchesObserverProfile validates the harness's central
-// methodological claim (see the package comment): a halted run at fraction
-// x observes the same accuracy that the single-run observer profile
-// recorded at (or before) x. We compare the halted SNR at each fraction
-// against the observer profile's best-under bound — the halted run may be
-// slightly ahead or behind by one snapshot, so the check is a sandwich:
-// halted SNR must be at least the observer's best at half the fraction and
-// at most the observer's best at twice the fraction.
+// methodological claim (see the package comment): each snapshot the
+// single-run observer records is exactly what a halt at that moment would
+// observe. The image at version v is a pure function of v — tree order and
+// granularity are fixed and rounds are barriers — so a halted run that
+// delivers version v must score the observer run's SNR at version v,
+// whatever the two runs' clocks did.
 func TestHaltSweepMatchesObserverProfile(t *testing.T) {
 	in, err := pix.SyntheticGray(160, 160, 3)
 	if err != nil {
@@ -56,34 +55,36 @@ func TestHaltSweepMatchesObserverProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := TimeBaseline(func() error {
-		_, err := conv2d.Precise(in, cfg)
-		return err
-	}, 3)
+	build := conv2dBuild(t, in)
+
+	// Observer curve from a single run.
+	a, out, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Observer profile from a single run.
 	col := NewCollector(ref, 0)
-	obsCfg := cfg
-	obsCfg.OnSnapshot = func(processed int, img *pix.Image) { col.Record(processed, img) }
-	run, err := conv2d.New(in, obsCfg)
+	out.OnPublish(col.Observe)
+	if _, err := run(a, out, 0); err != nil {
+		t.Fatal(err)
+	}
+	observed, err := col.Curve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	col.Begin()
-	if _, err := RunToCompletion(run.Automaton); err != nil {
-		t.Fatal(err)
-	}
-	observed, err := col.Finish("2dconv", baseline)
-	if err != nil {
-		t.Fatal(err)
+	snrAt := make(map[core.Version]float64, len(observed))
+	for _, s := range observed {
+		snrAt[s.Version] = s.SNR
 	}
 
-	// Halting sweep, the paper's procedure.
-	fractions := []float64{0.4, 0.8}
-	swept, err := HaltSweep(conv2dBuild(t, in), ref, baseline, fractions)
+	// Halting sweep, the paper's procedure, at budgets from "first output"
+	// to "most of the run". Each halted buffer still holds what was scored.
+	var halted []*core.Buffer[*pix.Image]
+	fractions := []float64{0.001, 0.1, 0.2, 0.4, 0.8}
+	swept, err := HaltSweep(func() (*core.Automaton, *core.Buffer[*pix.Image], error) {
+		a, out, err := build()
+		halted = append(halted, out)
+		return a, out, err
+	}, ref, observed[len(observed)-1].Elapsed, fractions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,16 +92,14 @@ func TestHaltSweepMatchesObserverProfile(t *testing.T) {
 		t.Fatalf("%d sweep points", len(swept.Points))
 	}
 	for i, pt := range swept.Points {
-		if math.IsInf(pt.SNR, 1) {
-			continue // finished early; trivially consistent
+		snap, _ := halted[i].Latest()
+		t.Logf("halt@%.3f: version %d of %d, %v dB", fractions[i], snap.Version, len(observed), pt.SNR)
+		want, ok := snrAt[snap.Version]
+		if !ok {
+			t.Fatalf("halt@%.3f delivered version %d, which the observer run never published", fractions[i], snap.Version)
 		}
-		lower, okL := observed.BestUnder(fractions[i] / 2)
-		upper, okU := observed.BestUnder(fractions[i] * 2)
-		if okL && pt.SNR < lower-3 {
-			t.Errorf("halt@%.1f: swept SNR %.1f well below observer's %.1f at half the budget", fractions[i], pt.SNR, lower)
-		}
-		if okU && !math.IsInf(upper, 1) && pt.SNR > upper+3 {
-			t.Errorf("halt@%.1f: swept SNR %.1f well above observer's %.1f at twice the budget", fractions[i], pt.SNR, upper)
+		if pt.SNR != want {
+			t.Errorf("halt@%.3f: version %d scores %v dB halted, %v dB observed", fractions[i], snap.Version, pt.SNR, want)
 		}
 	}
 }
@@ -127,49 +126,5 @@ func TestHaltSweepGenerousBudgetReachesPrecise(t *testing.T) {
 	}
 	if !math.IsInf(p.Points[0].SNR, 1) {
 		t.Errorf("generous budget did not reach precise output: %v dB", p.Points[0].SNR)
-	}
-}
-
-// TestRunUntilWaitsForFirstOutput: a halt deadline shorter than the time to
-// the first publish must still return the first valid output rather than
-// erroring — the earliest halt point of an anytime computation is its
-// first available snapshot.
-func TestRunUntilWaitsForFirstOutput(t *testing.T) {
-	out := core.NewBuffer[*pix.Image]("out", nil)
-	a := core.New()
-	if err := a.AddStage("slowstart", func(c *core.Context) error {
-		time.Sleep(30 * time.Millisecond) // first publish well past the halt
-		img := pix.MustNew(1, 1, 1)
-		if _, err := out.Publish(img, false); err != nil {
-			return err
-		}
-		for {
-			if err := c.Checkpoint(); err != nil {
-				return err
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := RunUntil(a, out, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Version != 1 {
-		t.Errorf("got version %d, want the first output", snap.Version)
-	}
-}
-
-// TestRunUntilErrorsWhenNothingEverPublished: an automaton that finishes
-// without publishing is a genuine error.
-func TestRunUntilErrorsWhenNothingEverPublished(t *testing.T) {
-	out := core.NewBuffer[*pix.Image]("out", nil)
-	a := core.New()
-	if err := a.AddStage("mute", func(c *core.Context) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunUntil(a, out, time.Millisecond); err == nil {
-		t.Error("silent automaton did not error")
 	}
 }

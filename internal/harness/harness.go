@@ -15,7 +15,6 @@
 package harness
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -91,8 +90,9 @@ func (p Profile) WriteCSV(w io.Writer) error {
 // the published image for every output of a run (immutable by Property 3)
 // and scores them against the precise reference only when a curve is asked
 // for, so SNR computation never delays the pipeline being measured. It is
-// fed either by an app's OnSnapshot callback (Record) or as a buffer publish
-// observer (Observe), and exports the figures' Profile or the live
+// fed as a buffer publish observer (Observe) or, where the processed-sample
+// count is the x-axis (Figures 19–20), by conv2d's OnSnapshot callback
+// (Record), and exports the figures' Profile or the live
 // accuracy-versus-wallclock curve (Curve, WriteJSON) from the same points.
 type Collector struct {
 	ref   *pix.Image
@@ -289,53 +289,6 @@ func TimeBaseline(fn func() error, reps int) (time.Duration, error) {
 		}
 	}
 	return best, nil
-}
-
-// RunToCompletion starts the automaton, waits for its precise output, and
-// returns the total wall time.
-func RunToCompletion(a *core.Automaton) (time.Duration, error) {
-	start := time.Now()
-	if err := a.Start(context.Background()); err != nil {
-		return 0, err
-	}
-	if err := a.Wait(); err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
-}
-
-// RunUntil starts the automaton, stops it after d (unless it finishes
-// first), and returns the latest output snapshot — the paper's
-// halt-and-evaluate methodology for Figures 16–18. If the deadline lands
-// before the automaton's first publish, RunUntil waits for that first
-// snapshot: the earliest valid halt point of an anytime computation is its
-// first available output.
-func RunUntil(a *core.Automaton, out *core.Buffer[*pix.Image], d time.Duration) (core.Snapshot[*pix.Image], error) {
-	if err := a.Start(context.Background()); err != nil {
-		return core.Snapshot[*pix.Image]{}, err
-	}
-	select {
-	case <-a.Done():
-	case <-time.After(d):
-	}
-	if _, ok := out.Latest(); !ok {
-		// Nothing published yet; wait for the first output (bounded by the
-		// automaton finishing, in which case WaitNewer errors and Latest
-		// below reports the truth).
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			<-a.Done()
-			cancel()
-		}()
-		_, _ = out.WaitNewer(ctx, 0)
-		cancel()
-	}
-	a.Stop()
-	snap, ok := out.Latest()
-	if !ok {
-		return snap, fmt.Errorf("harness: automaton finished without publishing any output (halt after %v)", d)
-	}
-	return snap, nil
 }
 
 // MarshalJSON renders the profile for external tooling: points as

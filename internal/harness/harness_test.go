@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"anytime/internal/core"
 	"anytime/internal/metrics"
 	"anytime/internal/pix"
 )
@@ -77,37 +76,6 @@ func TestCollectorFinishRejectsBadBaseline(t *testing.T) {
 	col := NewCollector(pix.MustNew(1, 1, 1), 0)
 	if _, err := col.Finish("x", 0); err == nil {
 		t.Error("zero baseline accepted")
-	}
-}
-
-func TestRunUntilStopsAutomaton(t *testing.T) {
-	out := core.NewBuffer[*pix.Image]("out", nil)
-	a := core.New()
-	if err := a.AddStage("slow", func(c *core.Context) error {
-		img := pix.MustNew(1, 1, 1)
-		for i := 0; ; i++ {
-			if err := c.Checkpoint(); err != nil {
-				return err
-			}
-			if _, err := out.Publish(img.Clone(), false); err != nil {
-				return err
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := RunUntil(a, out, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Final {
-		t.Error("snap marked final")
-	}
-	select {
-	case <-a.Done():
-	case <-time.After(time.Second):
-		t.Fatal("RunUntil left the automaton running")
 	}
 }
 

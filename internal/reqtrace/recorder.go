@@ -1,8 +1,10 @@
 package reqtrace
 
 import (
+	"encoding/json"
 	"fmt"
 	"maps"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -216,4 +218,49 @@ func (r *Recorder) Stats() Stats {
 		st.Recorded += n
 	}
 	return st
+}
+
+// Mount registers the recorder's inspection endpoints on mux; title opens
+// the summary line ("flight recorder" on a backend, "router flight recorder"
+// on the router). Mounted directly, they bypass any request middleware —
+// looking at the recorder must not show up in it.
+//
+//	GET /debug/requests          newest-first summary table of retained traces
+//	GET /debug/requests?id=<ID>  one trace in full: span tree + publish timeline
+//	GET /debug/requests.json     the same data machine-readable
+//
+// The ID is the X-Anytime-Trace response header, so "this request was slow,
+// why?" is one copy-paste away from its full span timeline — if the trace
+// was interesting enough to keep (errors, rejections, deadline misses, shed
+// requests, and the slowest always are; unremarkable successes are sampled).
+func (r *Recorder) Mount(mux *http.ServeMux, title string) {
+	mux.HandleFunc("GET /debug/requests", func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		if id := req.URL.Query().Get("id"); id != "" {
+			t := r.Find(id)
+			if t == nil {
+				http.Error(w, "trace not found (evicted, sampled out, or never seen)", http.StatusNotFound)
+				return
+			}
+			_ = t.WriteDetail(w, 60)
+			return
+		}
+		st := r.Stats()
+		fmt.Fprintf(w, "%s: %d/%d traces held, %d recorded, %d sampled out, %d evicted\n",
+			title, st.Held, st.Capacity, st.Recorded, st.SampledOut, st.Evicted)
+		fmt.Fprintf(w, "detail: GET /debug/requests?id=<ID>  (IDs are echoed as X-Anytime-Trace)\n\n")
+		_ = WriteList(w, r.Snapshot())
+	})
+	mux.HandleFunc("GET /debug/requests.json", func(w http.ResponseWriter, _ *http.Request) {
+		traces := r.Snapshot()
+		views := make([]View, 0, len(traces))
+		for _, t := range traces {
+			views = append(views, t.View())
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(struct {
+			Stats  Stats  `json:"stats"`
+			Traces []View `json:"traces"`
+		}{r.Stats(), views})
+	})
 }

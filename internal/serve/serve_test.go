@@ -99,6 +99,20 @@ func TestRunDeadlineWaitsForFirstPublish(t *testing.T) {
 	if res.Snapshot.Version != 1 || !res.Interrupted {
 		t.Fatalf("result %+v, want interrupted version 1", res)
 	}
+
+	// The wait is bounded by the automaton: one that finishes without ever
+	// publishing — before the deadline or while Run waits past it — is the
+	// one way an admitted request ends empty-handed.
+	for _, linger := range []time.Duration{0, 30 * time.Millisecond} {
+		a := core.New()
+		if err := a.AddStage("mute", func(*core.Context) error { time.Sleep(linger); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		mute := Entry[int]{Automaton: a, Out: core.NewBuffer[int]("mute", nil)}
+		if _, err := Run(context.Background(), mute, 5*time.Millisecond, nil); !errors.Is(err, ErrNoOutput) {
+			t.Errorf("mute automaton finishing after %v: %v, want ErrNoOutput", linger, err)
+		}
+	}
 }
 
 func TestRunFinishBeforeDeadlineIsPrecise(t *testing.T) {
