@@ -2,20 +2,31 @@ package apps
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
+	"anytime/internal/apps/conv2d"
+	"anytime/internal/apps/debayer"
 	"anytime/internal/conform"
+	"anytime/internal/core"
+	"anytime/internal/perm"
 	"anytime/internal/pix"
 	"anytime/internal/serve"
+	"anytime/internal/testgate"
 )
 
 // TestEveryAppReachesItsPrecise: for every row, the automaton New builds,
 // run to completion under the serving contract, ends on a final snapshot
 // bit-identical to Precise — and a wrong-channel input is refused by both.
+// The four diffusive rows, which the daemon pools and warm-starts, reach it
+// again after an interrupted run and Reset, and again when seeded with their
+// own mid-run snapshot, publishing first at the seed's version + 1.
 func TestEveryAppReachesItsPrecise(t *testing.T) {
 	for _, app := range table {
 		t.Run(app.Name, func(t *testing.T) {
+			testgate.Goroutines(t)
 			o := Options{Workers: 2}
 			in, err := app.Input.Synthetic(32, 7)
 			if err != nil {
@@ -32,15 +43,69 @@ func TestEveryAppReachesItsPrecise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := serve.Run(context.Background(), serve.Entry[*pix.Image]{Automaton: a, Out: out}, 0, nil)
-			if err != nil {
-				t.Fatal(err)
+			// published lists the current run's versions; a run is cancelled
+			// from inside the publish of version stopAt, so exactly stopAt
+			// versions exist when it returns.
+			var published []core.Version
+			var stopAt core.Version
+			var cancel context.CancelFunc
+			out.OnPublish(func(s core.Snapshot[*pix.Image]) {
+				published = append(published, s.Version)
+				if s.Version == stopAt {
+					cancel()
+				}
+			})
+			entry := serve.Entry[*pix.Image]{Automaton: a, Out: out}
+			toPrecise := func(when string) {
+				t.Helper()
+				published = nil
+				res, err := serve.Run(context.Background(), entry, 0, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				if !res.Snapshot.Final || res.Interrupted {
+					t.Errorf("%s: run to completion ended on %+v", when, res)
+				}
+				if !res.Snapshot.Value.Equal(want) {
+					t.Errorf("%s: final output differs from Precise", when)
+				}
 			}
-			if !res.Snapshot.Final || res.Interrupted {
-				t.Errorf("run to completion ended on %+v", res)
-			}
-			if !res.Snapshot.Value.Equal(want) {
-				t.Error("final output differs from Precise")
+			toPrecise("cold")
+
+			if app.Name != "dwt53" { // iterative: not pooled, no seed hook
+				if err := a.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				var ctx context.Context
+				ctx, cancel = context.WithCancel(context.Background())
+				defer cancel()
+				stopAt = 2
+				if _, err := serve.Run(ctx, entry, 0, nil); !errors.Is(err, context.Canceled) {
+					t.Fatalf("interrupted run returned %v", err)
+				}
+				stopAt = 0
+				mid, _ := out.Latest()
+				if mid.Version != 2 || mid.Final {
+					t.Fatalf("interrupted run ended on version %d, final %v", mid.Version, mid.Final)
+				}
+				if err := a.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				toPrecise("after interrupt and Reset")
+				if published[0] != 1 {
+					t.Errorf("after Reset the first publish is version %d", published[0])
+				}
+
+				if err := a.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.SeedFrom(mid.Value, mid.Version); err != nil {
+					t.Fatal(err)
+				}
+				toPrecise("seeded")
+				if published[0] != mid.Version+1 {
+					t.Errorf("seeded at version %d, the first publish is version %d", mid.Version, published[0])
+				}
 			}
 
 			wrong := RGB
@@ -84,5 +149,80 @@ func TestTableMatchesConformSuite(t *testing.T) {
 	}
 	if _, ok := Named("nope"); ok {
 		t.Error("Named found an app that is not in the table")
+	}
+}
+
+// TestMapAppsPublishHoldFilledPrefixes pins the two single-stage map apps
+// version by version: under either snapshot mode, version v is Precise at
+// the first v×granularity positions of the 2D tree order and, everywhere
+// else, the value of the nearest such position above it in the tree.
+func TestMapAppsPublishHoldFilledPrefixes(t *testing.T) {
+	testgate.Goroutines(t)
+	const size, workers, granularity = 40, 2, 150 // 4 tiles, 11 versions
+	type build func(in *pix.Image, mode pix.SnapshotMode) (*core.Automaton, *core.Buffer[*pix.Image], error)
+	builds := map[string]build{
+		"conv2d": func(in *pix.Image, mode pix.SnapshotMode) (*core.Automaton, *core.Buffer[*pix.Image], error) {
+			r, err := conv2d.New(in, conv2d.Config{Workers: workers, Granularity: granularity, Snapshot: mode})
+			if err != nil {
+				return nil, nil, err
+			}
+			return r.Automaton, r.Out, nil
+		},
+		"debayer": func(in *pix.Image, mode pix.SnapshotMode) (*core.Automaton, *core.Buffer[*pix.Image], error) {
+			r, err := debayer.New(in, debayer.Config{Workers: workers, Granularity: granularity, Snapshot: mode})
+			if err != nil {
+				return nil, nil, err
+			}
+			return r.Automaton, r.Out, nil
+		},
+	}
+	ord, err := perm.Tree2D(size, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range builds {
+		app, _ := Named(name)
+		in, err := app.Input.Synthetic(size, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		precise, err := app.Precise(in, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []pix.SnapshotMode{pix.SnapshotClone, pix.SnapshotTiles} {
+			t.Run(fmt.Sprintf("%s/mode%d", name, mode), func(t *testing.T) {
+				a, out, err := build(in, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mask := make([]bool, size*size)
+				processed, versions := 0, 0
+				out.OnPublish(func(s core.Snapshot[*pix.Image]) {
+					versions++
+					for ; processed < min(versions*granularity, size*size); processed++ {
+						mask[ord.At(processed)] = true
+					}
+					want, err := pix.HoldFill(precise, mask)
+					if err != nil {
+						t.Error(err)
+					} else if !s.Value.Equal(want) {
+						t.Errorf("version %d is not Precise hold-filled from the first %d positions", s.Version, processed)
+					}
+					if s.Final != (processed == size*size) {
+						t.Errorf("version %d: final = %v at %d positions", s.Version, s.Final, processed)
+					}
+				})
+				if err := a.Start(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				if want := (size*size + granularity - 1) / granularity; versions != want {
+					t.Errorf("%d versions published, want %d", versions, want)
+				}
+			})
+		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"anytime/internal/core"
 	"anytime/internal/fixpoint"
 	"anytime/internal/par"
-	"anytime/internal/perm"
 	"anytime/internal/pix"
 	"anytime/internal/sampling"
 	"anytime/internal/store"
@@ -100,6 +99,9 @@ func (cfg Config) validate(in *pix.Image) error {
 	}
 	if cfg.Workers < 1 {
 		return fmt.Errorf("conv2d: workers %d must be positive", cfg.Workers)
+	}
+	if cfg.Granularity < 0 {
+		return fmt.Errorf("conv2d: negative granularity %d", cfg.Granularity)
 	}
 	if cfg.Storage != nil && (cfg.Storage.Prob < 0 || cfg.Storage.Prob > 1) {
 		return fmt.Errorf("conv2d: storage probability %v out of range", cfg.Storage.Prob)
@@ -259,18 +261,12 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	if err := cfg.validate(in); err != nil {
 		return nil, err
 	}
-	ord, err := perm.Tree2D(in.H, in.W)
+	a := core.New()
+	t, err := sampling.NewTreeImage(a, "conv2d", in.W, in.H, 1, cfg.Workers, cfg.Snapshot)
 	if err != nil {
 		return nil, err
 	}
-	working, err := pix.NewGray(in.W, in.H)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := pix.NewSnapshotter(working, cfg.Workers, cfg.Snapshot)
-	if err != nil {
-		return nil, err
-	}
+	t.OnSnapshot = cfg.OnSnapshot
 	half := cfg.KernelSize / 2
 	weights, wsum := kernelWeights(cfg.Kernel, cfg.KernelSize)
 	drop := uint(8 - cfg.PixelBits)
@@ -290,56 +286,20 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		}
 	}
 
-	out := core.NewBuffer[*pix.Image]("conv2d", nil)
-	a := core.New()
+	round := core.RoundConfig{Granularity: cfg.Granularity, Workers: cfg.Workers, Policy: cfg.Publish}
 	err = a.AddStage("convolve", func(c *core.Context) error {
-		return sampling.MapWorkers(c, out, ord,
-			func(worker, dst int) error {
-				x, y := dst%in.W, dst/in.W
-				working.SetGray(x, y, convolvePixel(readers[worker], weights, wsum, in.W, in.H, half, x, y))
-				snap.Mark(worker, dst)
-				return nil
-			},
-			func(processed int) (*pix.Image, error) {
-				img, err := snap.Snapshot()
-				if err != nil {
-					return nil, err
-				}
-				if cfg.OnSnapshot != nil {
-					cfg.OnSnapshot(processed, img)
-				}
-				return img, nil
-			},
-			core.RoundConfig{Granularity: cfg.Granularity, Workers: cfg.Workers, Policy: cfg.Publish})
+		return t.Pass(c, func(worker, lo, hi int) error {
+			r, dst := readers[worker], t.Working.Pix
+			for pos := lo; pos < hi; pos++ {
+				d := t.At(pos)
+				dst[d] = convolvePixel(r, weights, wsum, in.W, in.H, half, d%in.W, d/in.W)
+				t.Mark(worker, d)
+			}
+			return nil
+		}, round, true)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Warm-pool support: rewinding the snapshotter mask and output buffer is
-	// all the per-run state this app has (the tree permutation, kernel
-	// weights, and working arena are input-independent and reusable as-is).
-	a.OnReset(func() {
-		snap.Reset()
-		out.Reset()
-	})
-	// Warm-start support: a cached output frame — optionally a pix.SeedFrame
-	// carrying the stale tiles of a delta start — becomes the starting
-	// published state. The run still computes every pixel from the input, so
-	// the forced-precise final is bit-identical to a cold run's.
-	a.OnSeed(func(seed any, v core.Version) error {
-		img, stale, err := pix.AsSeedFrame(seed, in.W, in.H, 1)
-		if err != nil {
-			return fmt.Errorf("conv2d: %w", err)
-		}
-		img.CloneInto(working)
-		if err := snap.Seed(stale); err != nil {
-			return err
-		}
-		first, err := snap.Snapshot()
-		if err != nil {
-			return err
-		}
-		return out.Seed(first, v)
-	})
-	return &Run{Automaton: a, Out: out}, nil
+	return &Run{Automaton: a, Out: t.Out}, nil
 }

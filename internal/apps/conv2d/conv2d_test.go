@@ -27,6 +27,7 @@ func TestConfigValidation(t *testing.T) {
 		{KernelSize: -3},
 		{PixelBits: 9},
 		{Workers: -1},
+		{Granularity: -1},
 		{Storage: &StorageConfig{Prob: 2}},
 	}
 	for _, cfg := range cases {

@@ -10,7 +10,6 @@ import (
 
 	"anytime/internal/core"
 	"anytime/internal/par"
-	"anytime/internal/perm"
 	"anytime/internal/pix"
 	"anytime/internal/sampling"
 )
@@ -212,60 +211,25 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	if err := cfg.validate(in); err != nil {
 		return nil, err
 	}
-	ord, err := perm.Tree2D(in.H, in.W)
-	if err != nil {
-		return nil, err
-	}
-	working, err := pix.NewRGB(in.W, in.H)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := pix.NewSnapshotter(working, cfg.Workers, cfg.Snapshot)
-	if err != nil {
-		return nil, err
-	}
-	out := core.NewBuffer[*pix.Image]("debayer", nil)
 	a := core.New()
+	t, err := sampling.NewTreeImage(a, "debayer", in.W, in.H, 3, cfg.Workers, cfg.Snapshot)
+	if err != nil {
+		return nil, err
+	}
+	round := core.RoundConfig{Granularity: cfg.Granularity, Workers: cfg.Workers, Policy: cfg.Publish}
 	err = a.AddStage("interpolate", func(c *core.Context) error {
-		return sampling.MapWorkers(c, out, ord,
-			func(worker, dst int) error {
-				x, y := dst%in.W, dst/in.W
-				r, g, b := interpolate(in, x, y)
-				working.Set(x, y, 0, r)
-				working.Set(x, y, 1, g)
-				working.Set(x, y, 2, b)
-				snap.Mark(worker, dst)
-				return nil
-			},
-			func(int) (*pix.Image, error) { return snap.Snapshot() },
-			core.RoundConfig{Granularity: cfg.Granularity, Workers: cfg.Workers, Policy: cfg.Publish})
+		return t.Pass(c, func(worker, lo, hi int) error {
+			dst := t.Working.Pix
+			for pos := lo; pos < hi; pos++ {
+				d := t.At(pos)
+				dst[d*3], dst[d*3+1], dst[d*3+2] = interpolate(in, d%in.W, d/in.W)
+				t.Mark(worker, d)
+			}
+			return nil
+		}, round, true)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Warm-pool support: like conv2d, the only per-run state is the
-	// snapshotter mask and the output buffer.
-	a.OnReset(func() {
-		snap.Reset()
-		out.Reset()
-	})
-	// Warm-start support: a cached RGB output frame (or a pix.SeedFrame with
-	// delta-start stale tiles) becomes the starting published state; the run
-	// still interpolates every pixel, so the precise final is unchanged.
-	a.OnSeed(func(seed any, v core.Version) error {
-		img, stale, err := pix.AsSeedFrame(seed, in.W, in.H, 3)
-		if err != nil {
-			return fmt.Errorf("debayer: %w", err)
-		}
-		img.CloneInto(working)
-		if err := snap.Seed(stale); err != nil {
-			return err
-		}
-		first, err := snap.Snapshot()
-		if err != nil {
-			return err
-		}
-		return out.Seed(first, v)
-	})
-	return &Run{Automaton: a, Out: out}, nil
+	return &Run{Automaton: a, Out: t.Out}, nil
 }

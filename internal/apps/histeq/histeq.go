@@ -25,6 +25,7 @@ import (
 	"anytime/internal/par"
 	"anytime/internal/perm"
 	"anytime/internal/pix"
+	"anytime/internal/sampling"
 )
 
 // Bins is the number of intensity bins (8-bit images).
@@ -206,7 +207,10 @@ type Run struct {
 }
 
 // New builds the four-stage histeq automaton described in the package
-// comment.
+// comment. A warm start seeds only the output image: the histogram, CDF and
+// LUT stages recompute from scratch (they are cheap and input-global, so a
+// delta start buys nothing there), and the apply stage overwrites every
+// pixel per consumed LUT version, so the precise final is unchanged.
 func New(in *pix.Image, cfg Config) (*Run, error) {
 	cfg = cfg.withDefaults(in.Pixels())
 	if err := cfg.validate(in); err != nil {
@@ -217,15 +221,10 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	outOrd, err := perm.Tree2D(in.H, in.W)
-	if err != nil {
-		return nil, err
-	}
 
 	histBuf := core.NewBuffer[*Hist]("hist", nil)
 	cdfBuf := core.NewBuffer[*CDF]("cdf", nil)
 	lutBuf := core.NewBuffer[*LUT]("lut", nil)
-	out := core.NewBuffer[*pix.Image]("histeq", nil)
 	a := core.New()
 
 	// Stage 1: diffusive histogram via pseudo-random input sampling, with
@@ -309,72 +308,44 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	// Stage 4: diffusive application with tree-based output sampling; one
 	// full anytime pass per consumed LUT version, final pass on the final
 	// LUT.
-	working, err := pix.NewGray(in.W, in.H)
+	t, err := sampling.NewTreeImage(a, "histeq", in.W, in.H, 1, cfg.Workers, cfg.Snapshot)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := pix.NewSnapshotter(working, cfg.Workers, cfg.Snapshot)
-	if err != nil {
-		return nil, err
-	}
+	applyRound := core.RoundConfig{Granularity: cfg.ApplyGranularity, Workers: cfg.Workers, Policy: cfg.Publish}
 	if err := a.AddStage("apply", func(c *core.Context) error {
 		return core.AsyncConsume(c, lutBuf, func(s core.Snapshot[*LUT]) error {
 			lut := s.Value
-			return core.DiffusiveBatch(c, out, pixels,
-				func(worker, lo, hi int) error {
-					// One lookup and one store per pixel: hoist the
-					// table, source, and destination so the loop carries
-					// no pointer chases through lut/working/in.
-					tab := &lut.Map
-					src, dst := in.Pix, working.Pix
-					for pos := lo; pos < hi; pos++ {
-						d := outOrd.At(pos)
-						dst[d] = tab[binOf(src[d])]
-						snap.Mark(worker, d)
-					}
-					return nil
-				},
-				func(int) (*pix.Image, error) { return snap.Snapshot() },
-				core.RoundConfig{Granularity: cfg.ApplyGranularity, Workers: cfg.Workers, Policy: cfg.Publish},
-				s.Final)
+			return t.Pass(c, func(worker, lo, hi int) error {
+				// One lookup and one store per pixel: hoist the table,
+				// source, and destination so the loop carries no pointer
+				// chases through lut/working/in.
+				tab := &lut.Map
+				src, dst := in.Pix, t.Working.Pix
+				for pos := lo; pos < hi; pos++ {
+					d := t.At(pos)
+					dst[d] = tab[binOf(src[d])]
+					t.Mark(worker, d)
+				}
+				return nil
+			}, applyRound, s.Final)
 		})
 	}); err != nil {
 		return nil, err
 	}
-	// Warm-pool support. The per-run state of this pipeline is the four
-	// buffers, the apply snapshotter, and — crucially — the worker-private
-	// histogram partials, which live outside the stage function: without
-	// zeroing them a reused automaton would double-count every pixel and
-	// publish a wrong (though well-formed) histogram.
+	// Warm-pool support. Beyond the output image (rewound by t), the per-run
+	// state of this pipeline is the three intermediate buffers and —
+	// crucially — the worker-private histogram partials, which live outside
+	// the stage function: without zeroing them a reused automaton would
+	// double-count every pixel and publish a wrong (though well-formed)
+	// histogram.
 	a.OnReset(func() {
 		for _, p := range partials {
 			*p = Hist{}
 		}
-		snap.Reset()
 		histBuf.Reset()
 		cdfBuf.Reset()
 		lutBuf.Reset()
-		out.Reset()
 	})
-	// Warm-start support: seed only the output buffer — the histogram, CDF,
-	// and LUT stages recompute from scratch (they are cheap and
-	// input-global, so a delta start buys nothing there), and the apply
-	// stage overwrites every pixel per consumed LUT version, so the precise
-	// final is unchanged.
-	a.OnSeed(func(seed any, v core.Version) error {
-		img, stale, err := pix.AsSeedFrame(seed, in.W, in.H, 1)
-		if err != nil {
-			return fmt.Errorf("histeq: %w", err)
-		}
-		img.CloneInto(working)
-		if err := snap.Seed(stale); err != nil {
-			return err
-		}
-		first, err := snap.Snapshot()
-		if err != nil {
-			return err
-		}
-		return out.Seed(first, v)
-	})
-	return &Run{Automaton: a, HistBuf: histBuf, CDFBuf: cdfBuf, LUTBuf: lutBuf, Out: out}, nil
+	return &Run{Automaton: a, HistBuf: histBuf, CDFBuf: cdfBuf, LUTBuf: lutBuf, Out: t.Out}, nil
 }

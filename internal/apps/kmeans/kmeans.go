@@ -21,8 +21,8 @@ import (
 	"sync"
 
 	"anytime/internal/core"
-	"anytime/internal/perm"
 	"anytime/internal/pix"
+	"anytime/internal/sampling"
 )
 
 // Config parameterizes the baseline and the automaton.
@@ -266,31 +266,23 @@ type Run struct {
 }
 
 // New builds the two-stage kmeans automaton described in the package
-// comment.
+// comment. A warm start seeds only the output image: the partials/model
+// handshake must start from version 1 (the cluster stage waits on exact
+// model versions per iteration), and every pixel is recolored each pass, so
+// a seeded run's precise final is unchanged.
 func New(in *pix.Image, cfg Config) (*Run, error) {
 	cfg = cfg.withDefaults(in.Pixels())
 	if err := cfg.validate(in); err != nil {
 		return nil, err
 	}
-	n := in.Pixels()
-	ord, err := perm.Tree2D(in.H, in.W)
-	if err != nil {
-		return nil, err
-	}
 	partialsBuf := core.NewBuffer[*Partials]("kmeans-partials", nil)
 	modelBuf := core.NewBuffer[*Model]("kmeans-model", nil)
-	out := core.NewBuffer[*pix.Image]("kmeans", nil)
 	a := core.New()
-
-	working, err := pix.NewRGB(in.W, in.H)
+	t, err := sampling.NewTreeImage(a, "kmeans", in.W, in.H, 3, cfg.Workers, cfg.Snapshot)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := pix.NewSnapshotter(working, cfg.Workers, cfg.Snapshot)
-	if err != nil {
-		return nil, err
-	}
-	cfgWorkers := cfg.Workers
+	round := core.RoundConfig{Granularity: cfg.ClusterGranularity, Workers: cfg.Workers, Policy: cfg.Publish}
 
 	// Stage 1: diffusive clustering + coloring. Each Lloyd iteration is a
 	// pass over the tree-ordered pixels with worker-private partials; the
@@ -299,43 +291,40 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	// both sampling resolution and centroid quality increase.
 	if err := a.AddStage("cluster", func(c *core.Context) error {
 		cents := initCentroids(in, cfg.K)
-		parts := make([]*accum, cfgWorkers)
+		parts := make([]*accum, cfg.Workers)
 		for w := range parts {
 			parts[w] = newAccum(cfg.K)
 		}
-		for t := 1; t <= cfg.Iters; t++ {
+		for it := 1; it <= cfg.Iters; it++ {
 			for _, p := range parts {
 				p.reset()
 			}
 			prev := cents
-			err := core.DiffusiveBatch(c, out, n,
-				func(worker, lo, hi int) error {
-					acc := parts[worker]
-					for pos := lo; pos < hi; pos++ {
-						p := ord.At(pos)
-						r, g, b := in.Pix[p*3], in.Pix[p*3+1], in.Pix[p*3+2]
-						i := nearest(prev, r, g, b)
-						acc.sum[i][0] += int64(r)
-						acc.sum[i][1] += int64(g)
-						acc.sum[i][2] += int64(b)
-						acc.count[i]++
-						ci := prev[i]
-						working.Pix[p*3] = ci[0]
-						working.Pix[p*3+1] = ci[1]
-						working.Pix[p*3+2] = ci[2]
-						snap.Mark(worker, p)
-					}
-					return nil
-				},
-				func(int) (*pix.Image, error) { return snap.Snapshot() },
-				core.RoundConfig{Granularity: cfg.ClusterGranularity, Workers: cfgWorkers, Policy: cfg.Publish},
-				false)
+			err := t.Pass(c, func(worker, lo, hi int) error {
+				acc := parts[worker]
+				dst := t.Working.Pix
+				for pos := lo; pos < hi; pos++ {
+					p := t.At(pos)
+					r, g, b := in.Pix[p*3], in.Pix[p*3+1], in.Pix[p*3+2]
+					i := nearest(prev, r, g, b)
+					acc.sum[i][0] += int64(r)
+					acc.sum[i][1] += int64(g)
+					acc.sum[i][2] += int64(b)
+					acc.count[i]++
+					ci := prev[i]
+					dst[p*3] = ci[0]
+					dst[p*3+1] = ci[1]
+					dst[p*3+2] = ci[2]
+					t.Mark(worker, p)
+				}
+				return nil
+			}, round, false)
 			if err != nil {
 				return err
 			}
 			// Hand the completed pass's partials to the reduce stage and
 			// wait for the next iteration's centroids.
-			merged := &Partials{Sum: make([][3]int64, cfg.K), Count: make([]int64, cfg.K), Iter: t}
+			merged := &Partials{Sum: make([][3]int64, cfg.K), Count: make([]int64, cfg.K), Iter: it}
 			for _, part := range parts {
 				for i := 0; i < cfg.K; i++ {
 					merged.Sum[i][0] += part.sum[i][0]
@@ -344,10 +333,10 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 					merged.Count[i] += part.count[i]
 				}
 			}
-			if _, err := partialsBuf.Publish(merged, t == cfg.Iters); err != nil {
+			if _, err := partialsBuf.Publish(merged, it == cfg.Iters); err != nil {
 				return err
 			}
-			model, err2 := modelBuf.WaitNewer(c.Context(), core.Version(t-1))
+			model, err2 := modelBuf.WaitNewer(c.Context(), core.Version(it-1))
 			if err2 != nil {
 				return core.ErrStopped
 			}
@@ -355,18 +344,14 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		}
 		// Final pass: color every pixel with the final centroids, exactly
 		// as the baseline renders its output.
-		return core.DiffusiveBatch(c, out, n,
-			func(worker, lo, hi int) error {
-				for pos := lo; pos < hi; pos++ {
-					p := ord.At(pos)
-					writeRendered(in, working, cents, p)
-					snap.Mark(worker, p)
-				}
-				return nil
-			},
-			func(int) (*pix.Image, error) { return snap.Snapshot() },
-			core.RoundConfig{Granularity: cfg.ClusterGranularity, Workers: cfgWorkers, Policy: cfg.Publish},
-			true)
+		return t.Pass(c, func(worker, lo, hi int) error {
+			for pos := lo; pos < hi; pos++ {
+				p := t.At(pos)
+				writeRendered(in, t.Working, cents, p)
+				t.Mark(worker, p)
+			}
+			return nil
+		}, round, true)
 	}); err != nil {
 		return nil, err
 	}
@@ -387,33 +372,12 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	}
 	// Warm-pool support. Both stages create their iteration state (centroids,
 	// per-worker accumulators) inside the stage function, so a restart
-	// rebuilds it; what persists across runs is the three buffers and the
-	// snapshotter. Rewinding the buffers also restarts the version numbering
-	// the cluster↔reduce WaitNewer handshake counts on.
+	// rebuilds it; what persists across runs, beyond the output image t
+	// rewinds, is the two handshake buffers. Rewinding them also restarts
+	// the version numbering the cluster↔reduce WaitNewer handshake counts on.
 	a.OnReset(func() {
-		snap.Reset()
 		partialsBuf.Reset()
 		modelBuf.Reset()
-		out.Reset()
 	})
-	// Warm-start support: seed only the output buffer — the
-	// partials/model handshake must start from version 1 (the cluster stage
-	// waits on exact model versions per iteration), and every pixel is
-	// recolored each pass, so a seeded run's precise final is unchanged.
-	a.OnSeed(func(seed any, v core.Version) error {
-		img, stale, err := pix.AsSeedFrame(seed, in.W, in.H, 3)
-		if err != nil {
-			return fmt.Errorf("kmeans: %w", err)
-		}
-		img.CloneInto(working)
-		if err := snap.Seed(stale); err != nil {
-			return err
-		}
-		first, err := snap.Snapshot()
-		if err != nil {
-			return err
-		}
-		return out.Seed(first, v)
-	})
-	return &Run{Automaton: a, ModelBuf: modelBuf, Out: out}, nil
+	return &Run{Automaton: a, ModelBuf: modelBuf, Out: t.Out}, nil
 }

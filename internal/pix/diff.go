@@ -87,8 +87,8 @@ type SeedFrame struct {
 
 // AsSeedFrame normalizes a seed payload — a bare *Image or a *SeedFrame —
 // into image + stale set, validating the payload type and geometry against
-// the app's working frame. It is the shared front half of every tile app's
-// OnSeed hook.
+// the app's working frame. It is the front half of the tile apps' one
+// OnSeed hook (sampling.NewTreeImage).
 func AsSeedFrame(seed any, w, h, c int) (*Image, *DirtyTiles, error) {
 	var img *Image
 	var stale *DirtyTiles

@@ -12,7 +12,7 @@ import "fmt"
 //
 // filled[y*W+x] reports whether pixel (x, y) has been computed. The result
 // is a fresh image; src is not modified. Pixels with no filled ancestor
-// (possible only when nothing is filled) are left zero.
+// (possible only when nothing is filled) keep their src value.
 func HoldFill(src *Image, filled []bool) (*Image, error) {
 	if len(filled) != src.W*src.H {
 		return nil, fmt.Errorf("pix: HoldFill mask length %d != %d pixels", len(filled), src.W*src.H)

@@ -67,7 +67,7 @@ func TestHoldFillAllFilledIsClone(t *testing.T) {
 	}
 }
 
-func TestHoldFillNothingFilledStaysZero(t *testing.T) {
+func TestHoldFillNothingFilledKeepsSource(t *testing.T) {
 	im := MustNew(8, 8, 1)
 	im.Fill(50)
 	got, err := HoldFill(im, make([]bool, 64))

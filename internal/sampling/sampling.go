@@ -11,6 +11,11 @@
 //     order into worker-private accumulators; snapshots merge the partials
 //     and, for non-idempotent operators, weight them by population/sample
 //     size.
+//
+// An app whose output is an image sampled in 2D tree order (Figure 5)
+// starts at TreeImage instead: it owns the order, the working image, the
+// hold-filled snapshots, the output buffer and their reset and seed hooks,
+// and the app writes only the per-pixel loop.
 package sampling
 
 import (
