@@ -52,8 +52,9 @@ type Config struct {
 	Storage *StorageConfig
 	// Snapshot selects how round snapshots are rendered. The default,
 	// pix.SnapshotClone, publishes immutable clones; pix.SnapshotTiles is
-	// the zero-copy publish path (see pix.TileCloner for the aliasing
-	// contract consumers must then honor).
+	// the zero-copy publish path: a snapshot's storage is reused after
+	// pix.SnapshotRingDepth further publishes, so consumers must read
+	// promptly or copy.
 	Snapshot pix.SnapshotMode
 	// Publish selects when round snapshots are built and published. The
 	// default, core.PublishEveryRound, publishes at every round boundary.
@@ -262,7 +263,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		return nil, err
 	}
 	a := core.New()
-	t, err := sampling.NewTreeImage(a, "conv2d", in.W, in.H, 1, cfg.Workers, cfg.Snapshot)
+	t, err := sampling.NewTreeImage(a, "conv2d", in.W, in.H, 1, cfg.Snapshot)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +294,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 			for pos := lo; pos < hi; pos++ {
 				d := t.At(pos)
 				dst[d] = convolvePixel(r, weights, wsum, in.W, in.H, half, d%in.W, d/in.W)
-				t.Mark(worker, d)
+				t.Mark(d)
 			}
 			return nil
 		}, round, true)

@@ -20,13 +20,14 @@ type Config struct {
 	Workers int
 	// Granularity is the number of output pixels interpolated per
 	// published snapshot. Default pixels/12 (publishing an RGB snapshot
-	// costs a full-image render, so it must stay coarse relative to the
+	// costs a full-image copy, so it must stay coarse relative to the
 	// cheap per-pixel interpolation).
 	Granularity int
 	// Snapshot selects how round snapshots are rendered. The default,
 	// pix.SnapshotClone, publishes immutable clones; pix.SnapshotTiles is
-	// the zero-copy publish path (see pix.TileCloner for the aliasing
-	// contract consumers must then honor).
+	// the zero-copy publish path: a snapshot's storage is reused after
+	// pix.SnapshotRingDepth further publishes, so consumers must read
+	// promptly or copy.
 	Snapshot pix.SnapshotMode
 	// Publish selects when round snapshots are built and published.
 	// Default core.PublishEveryRound.
@@ -212,7 +213,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		return nil, err
 	}
 	a := core.New()
-	t, err := sampling.NewTreeImage(a, "debayer", in.W, in.H, 3, cfg.Workers, cfg.Snapshot)
+	t, err := sampling.NewTreeImage(a, "debayer", in.W, in.H, 3, cfg.Snapshot)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +224,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 			for pos := lo; pos < hi; pos++ {
 				d := t.At(pos)
 				dst[d*3], dst[d*3+1], dst[d*3+2] = interpolate(in, d%in.W, d/in.W)
-				t.Mark(worker, d)
+				t.Mark(d)
 			}
 			return nil
 		}, round, true)

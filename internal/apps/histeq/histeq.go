@@ -53,8 +53,9 @@ type Config struct {
 	ReorderInput bool
 	// Snapshot selects how the apply stage renders round snapshots. The
 	// default, pix.SnapshotClone, publishes immutable clones;
-	// pix.SnapshotTiles is the zero-copy publish path (see pix.TileCloner
-	// for the aliasing contract consumers must then honor).
+	// pix.SnapshotTiles is the zero-copy publish path: a snapshot's storage
+	// is reused after pix.SnapshotRingDepth further publishes, so consumers
+	// must read promptly or copy.
 	Snapshot pix.SnapshotMode
 	// Publish selects when the diffusive stages build and publish round
 	// snapshots. Default core.PublishEveryRound.
@@ -73,7 +74,7 @@ func (cfg Config) withDefaults(pixels int) Config {
 	}
 	if cfg.ApplyGranularity == 0 {
 		// The per-pixel work of the apply stage is a single table lookup,
-		// so snapshot publication (an O(pixels) render) must stay coarse
+		// so snapshot publication (an O(pixels) copy) must stay coarse
 		// or it dominates the profile.
 		cfg.ApplyGranularity = pixels / 4
 		if cfg.ApplyGranularity < 1 {
@@ -308,7 +309,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	// Stage 4: diffusive application with tree-based output sampling; one
 	// full anytime pass per consumed LUT version, final pass on the final
 	// LUT.
-	t, err := sampling.NewTreeImage(a, "histeq", in.W, in.H, 1, cfg.Workers, cfg.Snapshot)
+	t, err := sampling.NewTreeImage(a, "histeq", in.W, in.H, 1, cfg.Snapshot)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +326,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 				for pos := lo; pos < hi; pos++ {
 					d := t.At(pos)
 					dst[d] = tab[binOf(src[d])]
-					t.Mark(worker, d)
+					t.Mark(d)
 				}
 				return nil
 			}, applyRound, s.Final)

@@ -38,8 +38,9 @@ type Config struct {
 	ClusterGranularity int
 	// Snapshot selects how the cluster stage renders round snapshots. The
 	// default, pix.SnapshotClone, publishes immutable clones;
-	// pix.SnapshotTiles is the zero-copy publish path (see pix.TileCloner
-	// for the aliasing contract consumers must then honor).
+	// pix.SnapshotTiles is the zero-copy publish path: a snapshot's storage
+	// is reused after pix.SnapshotRingDepth further publishes, so consumers
+	// must read promptly or copy.
 	Snapshot pix.SnapshotMode
 	// Publish selects when round snapshots are built and published.
 	// Default core.PublishEveryRound.
@@ -278,7 +279,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	partialsBuf := core.NewBuffer[*Partials]("kmeans-partials", nil)
 	modelBuf := core.NewBuffer[*Model]("kmeans-model", nil)
 	a := core.New()
-	t, err := sampling.NewTreeImage(a, "kmeans", in.W, in.H, 3, cfg.Workers, cfg.Snapshot)
+	t, err := sampling.NewTreeImage(a, "kmeans", in.W, in.H, 3, cfg.Snapshot)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +316,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 					dst[p*3] = ci[0]
 					dst[p*3+1] = ci[1]
 					dst[p*3+2] = ci[2]
-					t.Mark(worker, p)
+					t.Mark(p)
 				}
 				return nil
 			}, round, false)
@@ -348,7 +349,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 			for pos := lo; pos < hi; pos++ {
 				p := t.At(pos)
 				writeRendered(in, t.Working, cents, p)
-				t.Mark(worker, p)
+				t.Mark(p)
 			}
 			return nil
 		}, round, true)

@@ -161,9 +161,9 @@ func (p *Probe) Last() (version core.Version, sum uint64, final bool, ok bool) {
 //
 // The immutability check is deliberately windowed: snapshot v's checksum is
 // re-verified when v+1 is published and again at quiescence. This is
-// exactly the window the zero-copy tile ring guarantees (pix.TileCloner
-// reuses a snapshot's backing array only snapshotRingDepth publishes
-// later), and it is the window an interrupt-anywhere consumer relies on.
+// exactly the window the zero-copy snapshot ring guarantees (a snapshot's
+// backing array is reused only pix.SnapshotRingDepth publishes later), and
+// it is the window an interrupt-anywhere consumer relies on.
 func AttachProbe[T any](env *Env, buf *core.Buffer[T], sum func(T) uint64, validate func(T) error) *Probe {
 	p := &Probe{Name: buf.Name()}
 	var st struct {

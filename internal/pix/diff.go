@@ -86,9 +86,10 @@ type SeedFrame struct {
 }
 
 // AsSeedFrame normalizes a seed payload — a bare *Image or a *SeedFrame —
-// into image + stale set, validating the payload type and geometry against
-// the app's working frame. It is the front half of the tile apps' one
-// OnSeed hook (sampling.NewTreeImage).
+// into image + stale set, validating the payload type, the image geometry
+// and the stale set's tile grid against the app's working frame. It is the
+// front half of the image apps' one OnSeed hook (sampling.NewTreeImage),
+// which therefore refuses a bad payload before touching any state.
 func AsSeedFrame(seed any, w, h, c int) (*Image, *DirtyTiles, error) {
 	var img *Image
 	var stale *DirtyTiles
@@ -109,6 +110,10 @@ func AsSeedFrame(seed any, w, h, c int) (*Image, *DirtyTiles, error) {
 	if img.W != w || img.H != h || img.C != c {
 		return nil, nil, fmt.Errorf("pix: seed geometry %dx%dx%d does not match app %dx%dx%d",
 			img.W, img.H, img.C, w, h, c)
+	}
+	if stale != nil && stale.g != NewTileGrid(w, h, c) {
+		return nil, nil, fmt.Errorf("pix: seed stale grid %dx%dx%d does not match app %dx%dx%d",
+			stale.g.W, stale.g.H, stale.g.C, w, h, c)
 	}
 	return img, stale, nil
 }

@@ -5,21 +5,21 @@ import (
 	"math/bits"
 )
 
-// This file is the zero-copy publish path for diffusive image stages
-// (paper §III-B2 granularity, §IV-C overheads). Publishing an intermediate
-// snapshot of a partially computed image costs a full-image render per
-// round when done naively — ~32 deep copies of the output per pass at the
-// default granularity. The types here cut that down:
+// This file is the tile substrate of the snapshot paths (paper §III-B2
+// granularity, §IV-C overheads). The app stages publish through
+// sampling.TreeImage, which keeps its image hold-filled in place and needs
+// only TileGrid and the DirtyTiles of a delta start; Snapshotter serves the
+// facade, whose callers may mark pixels in any order:
 //
 //   - TileGrid / DirtyTiles: tile-granular (32×32 pixels) dirty tracking,
 //     marked by the apply loop as it writes the working image.
 //   - TileCloner: a small ring of reusable snapshot images, each with a
 //     per-image stale-tile set; syncing an image to the working state
 //     copies only the tiles dirtied since that image was last synced.
-//   - Snapshotter: the app-facing bundle of working image + filled mask +
-//     dirty sets, rendering tree-sampled hold-fill approximations either as
-//     fresh clones (immutable snapshots, the default) or into the tile
-//     ring (zero allocation, bit-identical content).
+//   - Snapshotter: working image + filled mask + dirty sets, rendering
+//     hold-fill approximations of any mask either as fresh clones
+//     (immutable snapshots, the default) or into the tile ring (zero
+//     allocation, bit-identical content).
 
 // TileShift is log2 of the tile side. 32×32 tiles balance dirty-set
 // precision against per-tile bookkeeping: a tile row is a 128-byte copy for
@@ -295,17 +295,6 @@ func (tc *TileCloner) Sync(render func(dst *Image, tile int)) *Image {
 	return dst
 }
 
-// CopyTile copies tile t of the grid from src to dst row by row. It is the
-// plain (no hold-fill) tile renderer.
-func (g TileGrid) CopyTile(dst, src *Image, t int) {
-	x0, y0, x1, y1 := g.tileBounds(t)
-	rowLen := (x1 - x0) * g.C
-	for y := y0; y < y1; y++ {
-		off := (y*g.W + x0) * g.C
-		copy(dst.Pix[off:off+rowLen], src.Pix[off:off+rowLen])
-	}
-}
-
 // SnapshotMode selects how a Snapshotter renders published approximations.
 type SnapshotMode int
 
@@ -315,19 +304,19 @@ const (
 	// form) and may be retained indefinitely by any consumer. This is the
 	// default and matches the pre-tile behavior bit for bit.
 	SnapshotClone SnapshotMode = iota
-	// SnapshotTiles renders publishes into a small ring of reused images,
-	// copying only tiles dirtied since that ring slot was last published —
-	// the zero-copy publish path. Content is bit-identical to
+	// SnapshotTiles renders publishes into a small ring of reused images
+	// (a Snapshotter copies only tiles dirtied since that ring slot was
+	// last published) — the zero-copy publish path. Content is bit-identical to
 	// SnapshotClone; the trade is the TileCloner aliasing contract (a
 	// snapshot is overwritten after ring-depth further publishes), so use
 	// it when consumers read promptly or copy, not when they retain.
 	SnapshotTiles
 )
 
-// snapshotRingDepth is the Snapshotter's ring depth in SnapshotTiles mode:
-// a published snapshot survives two further publishes before its storage is
-// reused, enough slack for the model's latest-wins consumers.
-const snapshotRingDepth = 3
+// SnapshotRingDepth is the ring depth of SnapshotTiles mode: a published
+// snapshot survives two further publishes before its storage is reused,
+// enough slack for the model's latest-wins consumers.
+const SnapshotRingDepth = 3
 
 // Snapshotter renders the published approximations of a tree-sampled
 // diffusive image stage: pixels not yet computed take the value of their
@@ -347,12 +336,6 @@ type Snapshotter struct {
 	dirty   []*DirtyTiles // one per worker; nil slices in clone mode
 	cloner  *TileCloner
 	merge   *DirtyTiles // scratch for merging worker sets at snapshot time
-
-	// Warm-start state (see Seed): while seeded, unfilled pixels in trusted
-	// tiles render from the working image — which holds a previous run's
-	// published approximation — instead of hold-filling from tree ancestors.
-	seeded    bool
-	seedStale *DirtyTiles // tiles whose seed values are NOT trusted; nil = trust all
 }
 
 // NewSnapshotter returns a snapshotter over working for the given worker
@@ -372,7 +355,7 @@ func NewSnapshotter(working *Image, workers int, mode SnapshotMode) (*Snapshotte
 		grid:    NewTileGrid(working.W, working.H, working.C),
 	}
 	if mode == SnapshotTiles {
-		cloner, err := NewTileCloner(working.W, working.H, working.C, snapshotRingDepth)
+		cloner, err := NewTileCloner(working.W, working.H, working.C, SnapshotRingDepth)
 		if err != nil {
 			return nil, err
 		}
@@ -426,66 +409,12 @@ func (s *Snapshotter) Mark(w, idx int) {
 	d.MarkRect(x, y, side)
 }
 
-// Seed puts the snapshotter into warm-start mode for the next run. The
-// caller must first have copied a previous run's published approximation
-// into the working image; from then until Reset, pixels not yet computed
-// render at their working value (the cached approximation) instead of
-// hold-filling from tree ancestors, so the first snapshots of a seeded run
-// start at the cached accuracy and rise from there.
-//
-// stale, if non-nil, marks tiles whose cached values must NOT be presented
-// — the delta-start path, where the input changed in those tiles since the
-// cached frame was computed (see TileDiff). Pixels in stale tiles fall back
-// to ordinary hold-fill from freshly computed ancestors. stale must share
-// the working image's tile grid; the snapshotter takes ownership of it.
-//
-// Like Reset, Seed must run during quiescence, on a freshly Reset (no
-// pixels filled) snapshotter, before the automaton starts. Seeding does not
-// change what the run computes — every pixel is still computed exactly once
-// from the input — so the final output is bit-identical to a cold run's.
-func (s *Snapshotter) Seed(stale *DirtyTiles) error {
-	if stale != nil && stale.g != s.grid {
-		return fmt.Errorf("pix: seed stale grid %dx%dx%d does not match working %dx%dx%d",
-			stale.g.W, stale.g.H, stale.g.C, s.grid.W, s.grid.H, s.grid.C)
-	}
-	s.seeded = true
-	s.seedStale = stale
-	if s.mode == SnapshotTiles {
-		// No ring member may present pixels rendered for the previous run's
-		// (unseeded) working content.
-		s.cloner.InvalidateAll()
-	}
-	return nil
-}
-
-// Seeded reports whether the snapshotter is in warm-start mode.
-func (s *Snapshotter) Seeded() bool { return s.seeded }
-
-// trusted reports whether unfilled pixels of tile t may render their seeded
-// working values.
-func (s *Snapshotter) trusted(t int) bool {
-	return s.seeded && (s.seedStale == nil || !s.seedStale.Has(t))
-}
-
 // Snapshot renders the current approximation: every computed pixel shows
 // its working value, every other pixel its nearest computed tree ancestor's
-// (HoldFill semantics) — or, in a seeded run, its cached working value when
-// its tile is trusted. Must run during round quiescence.
+// (HoldFill semantics). Must run during round quiescence.
 func (s *Snapshotter) Snapshot() (*Image, error) {
 	if s.mode == SnapshotClone {
-		if !s.seeded {
-			return HoldFill(s.working, s.filled)
-		}
-		// Seeded clone: render tile by tile so the trusted/stale split takes
-		// effect, into a fresh image (same immutability as HoldFill).
-		img, err := New(s.grid.W, s.grid.H, s.grid.C)
-		if err != nil {
-			return nil, err
-		}
-		for t := 0; t < s.grid.Tiles(); t++ {
-			s.renderTile(img, t)
-		}
-		return img, nil
+		return HoldFill(s.working, s.filled)
 	}
 	s.merge.Reset()
 	for _, d := range s.dirty {
@@ -508,8 +437,6 @@ func (s *Snapshotter) Reset() {
 	for i := range s.filled {
 		s.filled[i] = false
 	}
-	s.seeded = false
-	s.seedStale = nil
 	if s.mode != SnapshotTiles {
 		return
 	}
@@ -524,13 +451,6 @@ func (s *Snapshotter) Reset() {
 func (s *Snapshotter) renderTile(dst *Image, t int) {
 	g := s.grid
 	w, c := g.W, g.C
-	if s.trusted(t) {
-		// Seeded warm start: unfilled pixels hold the cached approximation
-		// in the working image, filled pixels hold their recomputed values
-		// there too — the whole tile is a plain copy.
-		g.CopyTile(dst, s.working, t)
-		return
-	}
 	x0, y0, x1, y1 := g.tileBounds(t)
 	for y := y0; y < y1; y++ {
 		row := y * w

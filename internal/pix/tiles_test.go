@@ -6,6 +6,17 @@ import (
 	"testing/quick"
 )
 
+// copyTile copies tile t of grid g from src to dst row by row: the plain
+// (no hold-fill) tile renderer.
+func copyTile(g TileGrid, dst, src *Image, t int) {
+	x0, y0, x1, y1 := g.tileBounds(t)
+	rowLen := (x1 - x0) * g.C
+	for y := y0; y < y1; y++ {
+		off := (y*g.W + x0) * g.C
+		copy(dst.Pix[off:off+rowLen], src.Pix[off:off+rowLen])
+	}
+}
+
 func TestTileGridGeometry(t *testing.T) {
 	cases := []struct {
 		w, h, tiles int
@@ -121,7 +132,7 @@ func TestTileClonerSyncsOnlyStaleTiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(dst *Image, tile int) { tc.Grid().CopyTile(dst, src, tile) }
+	render := func(dst *Image, tile int) { copyTile(tc.Grid(), dst, src, tile) }
 	countingRender := func(n *int) func(*Image, int) {
 		return func(dst *Image, tile int) { *n++; render(dst, tile) }
 	}
@@ -319,14 +330,14 @@ func TestSnapshotterTilesAliasingContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep := first.Clone()
-	for i := 0; i < snapshotRingDepth-1; i++ {
+	for i := 0; i < SnapshotRingDepth-1; i++ {
 		working.SetGray(0, 0, int32(20+i))
 		s.Mark(0, 0)
 		if _, err := s.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
 		if !first.Equal(keep) {
-			t.Fatalf("snapshot mutated after %d further publishes (depth %d)", i+1, snapshotRingDepth)
+			t.Fatalf("snapshot mutated after %d further publishes (depth %d)", i+1, SnapshotRingDepth)
 		}
 	}
 	working.SetGray(0, 0, 99)
@@ -430,7 +441,7 @@ func TestTileClonerInvalidateAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(dst *Image, tile int) { tc.Grid().CopyTile(dst, src, tile) }
+	render := func(dst *Image, tile int) { copyTile(tc.Grid(), dst, src, tile) }
 	for i := 0; i < tc.Depth(); i++ {
 		tc.Sync(render)
 	}

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"math/bits"
 
 	"anytime/internal/core"
 	"anytime/internal/perm"
@@ -12,14 +13,23 @@ import (
 // (paper §III-B2, Figure 5): output pixels are visited in 2D tree order and
 // written into one working image, and every published version shows the
 // pixels not yet computed at their nearest computed tree ancestor's value.
-// It owns the visit order, the working image, the snapshotter that renders
-// it, the output buffer, and the run-to-run state of all four — the app
-// supplies only the per-pixel computation, as the span it hands to Pass.
+// It owns the visit order, the working image, the output buffer, and the
+// run-to-run state of all three — the app supplies only the per-pixel
+// computation, as the span it hands to Pass.
+//
+// A version is the last one plus its update. Between rounds, TreeImage
+// spreads each newly computed pixel over the part of its tree block that
+// nothing finer has claimed yet, so Working always holds the hold-filled
+// image of everything computed so far, and publishing a version is one copy
+// of it. Under the tree order every pixel's ancestors are computed before
+// it, which is what makes the in-place update equal to pix.HoldFill of the
+// computed prefix.
 type TreeImage struct {
 	// Out is the stage's output buffer.
 	Out *core.Buffer[*pix.Image]
 	// Working is the image the span writes computed pixels into; pixel
-	// index d occupies Working.Pix[d*C : d*C+C].
+	// index d occupies Working.Pix[d*C : d*C+C]. At every round boundary it
+	// holds the hold-filled version about to be published.
 	Working *pix.Image
 	// OnSnapshot, if non-nil, is invoked on the stage goroutine with each
 	// round snapshot before it is published, together with the number of
@@ -27,22 +37,41 @@ type TreeImage struct {
 	// retain img past the call.
 	OnSnapshot func(processed int, img *pix.Image)
 
-	ord  perm.Order
-	snap *pix.Snapshotter
+	ord    perm.Order
+	filled []bool // pixels computed this run
+	shown  int    // order positions already hold-filled into Working
+	fine   int    // from this position on, every pixel's block is itself
+	root   int    // side of the root pixel's block: it covers the image
+
+	// A seeded run keeps the cached frame in Working: only the pixels of
+	// stale tiles hold-fill, and a bare image (stale == nil) none at all.
+	seeded bool
+	stale  *pix.DirtyTiles
+	grid   pix.TileGrid
+
+	ring []*pix.Image // pix.SnapshotTiles: reused publish images; nil clones
+	next int
 }
 
 // NewTreeImage builds the output side of a w×h, channels-deep tree-sampled
 // stage publishing to a new buffer called bufferName, and registers its
 // run-to-run state on a:
 //
-//   - OnReset rewinds the snapshotter mask and the buffer; the tree order
-//     and the working arena are input-independent and reused as they are.
+//   - OnReset forgets which pixels were computed and rewinds the buffer; the
+//     tree order and the image storage are input-independent and reused.
 //   - OnSeed accepts a cached output frame — a *pix.Image, or a
 //     *pix.SeedFrame carrying the stale tiles of a delta start — as the
 //     starting published state. The run still computes every pixel, so its
 //     final is bit-identical to a cold run's. A payload of the wrong type or
 //     geometry is refused with bufferName leading the error.
-func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels, workers int, mode pix.SnapshotMode) (*TreeImage, error) {
+//
+// mode selects whether each version is a fresh immutable copy
+// (pix.SnapshotClone) or a copy into a small ring of reused images
+// (pix.SnapshotTiles).
+func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels int, mode pix.SnapshotMode) (*TreeImage, error) {
+	if mode != pix.SnapshotClone && mode != pix.SnapshotTiles {
+		return nil, fmt.Errorf("sampling: unknown snapshot mode %d", mode)
+	}
 	ord, err := perm.Tree2D(h, w)
 	if err != nil {
 		return nil, err
@@ -51,18 +80,29 @@ func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels, workers 
 	if err != nil {
 		return nil, err
 	}
-	snap, err := pix.NewSnapshotter(working, workers, mode)
-	if err != nil {
-		return nil, err
-	}
 	t := &TreeImage{
 		Out:     core.NewBuffer[*pix.Image](bufferName, nil),
 		Working: working,
 		ord:     ord,
-		snap:    snap,
+		filled:  make([]bool, w*h),
+		root:    1 << bits.Len(uint(max(w, h, 1)-1)),
+		grid:    pix.NewTileGrid(w, h, channels),
+	}
+	// Only a pixel with both coordinates even owns more than itself.
+	for pos := ord.Len() - 1; pos >= 0; pos-- {
+		if p := ord.At(pos); (p%w)&1 == 0 && (p/w)&1 == 0 {
+			t.fine = pos + 1
+			break
+		}
+	}
+	if mode == pix.SnapshotTiles {
+		for range pix.SnapshotRingDepth {
+			t.ring = append(t.ring, pix.MustNew(w, h, channels))
+		}
 	}
 	a.OnReset(func() {
-		snap.Reset()
+		clear(t.filled)
+		t.shown, t.seeded, t.stale = 0, false, nil
 		t.Out.Reset()
 	})
 	a.OnSeed(func(seed any, v core.Version) error {
@@ -71,14 +111,8 @@ func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels, workers 
 			return fmt.Errorf("%s: %w", bufferName, err)
 		}
 		img.CloneInto(working)
-		if err := snap.Seed(stale); err != nil {
-			return err
-		}
-		first, err := snap.Snapshot()
-		if err != nil {
-			return err
-		}
-		return t.Out.Seed(first, v)
+		t.seeded, t.stale = true, stale
+		return t.Out.Seed(t.publishable(), v)
 	})
 	return t, nil
 }
@@ -87,13 +121,14 @@ func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels, workers 
 // order.
 func (t *TreeImage) At(pos int) int { return t.ord.At(pos) }
 
-// Mark records that worker computed pixel idx of Working. The span calls it
-// once per pixel it writes; distinct workers may call it concurrently.
-func (t *TreeImage) Mark(worker, idx int) { t.snap.Mark(worker, idx) }
+// Mark records that pixel idx of Working has been computed. The span calls
+// it once per pixel it writes; workers may call it concurrently for
+// distinct pixels.
+func (t *TreeImage) Mark(idx int) { t.filled[idx] = true }
 
 // Pass runs one diffusive pass over every pixel: span computes the pixels
 // at order positions [lo, hi) — for each, d := t.At(pos), write pixel d of
-// Working, t.Mark(worker, d) — and at every round boundary cfg's publish
+// Working, t.Mark(d) — and at every round boundary cfg's publish
 // policy selects, the hold-filled approximation is published to Out.
 // markFinal marks the complete image precise; a stage that repaints the
 // image several times passes it on its last pass only.
@@ -101,14 +136,135 @@ func (t *TreeImage) Pass(c *core.Context, span func(worker, lo, hi int) error, c
 	return core.DiffusiveBatch(c, t.Out, t.ord.Len(), span, t.render, cfg, markFinal)
 }
 
-// render builds the snapshot of the first processed positions.
+// render brings Working up to date with the first processed positions and
+// returns the version to publish. Only a run's first pass spreads: once
+// every pixel is computed, a repainting pass leaves nothing to hold-fill.
+// A large update — the coarse levels, which the first rounds complete — is
+// cheaper as one raster sweep than block by block in the scattered tree
+// order; a seeded run cannot sweep, since the sweep would read trusted
+// tiles' cached values as ancestors.
 func (t *TreeImage) render(processed int) (*pix.Image, error) {
-	img, err := t.snap.Snapshot()
-	if err != nil {
-		return nil, err
+	end := min(processed, t.fine)
+	switch {
+	case t.shown >= end || t.seeded && t.stale == nil:
+	case !t.seeded && t.sweeps(end):
+		t.holdFill()
+	default:
+		for pos := t.shown; pos < end; pos++ {
+			t.spread(t.ord.At(pos))
+		}
 	}
+	t.shown = max(t.shown, end)
+	img := t.publishable()
 	if t.OnSnapshot != nil {
 		t.OnSnapshot(processed, img)
 	}
 	return img, nil
+}
+
+// block returns pixel p's coordinates and the side of its tree block: the
+// lowest set bit of x|y, or the whole image for the root.
+func (t *TreeImage) block(p int) (x, y, side int) {
+	x, y = p%t.Working.W, p/t.Working.W
+	if p == 0 {
+		return x, y, t.root
+	}
+	return x, y, (x | y) & -(x | y)
+}
+
+// sweeps reports whether spreading positions [shown, end) block by block
+// would take at least a quarter as many scattered row writes as the image
+// has pixels: a pixel's three child blocks per level, each as many rows
+// tall as it is wide, are about three rows per unit of its block's side.
+func (t *TreeImage) sweeps(end int) bool {
+	rows, limit := 0, len(t.filled)/4
+	for pos := t.shown; pos < end && rows < limit; pos++ {
+		_, _, side := t.block(t.ord.At(pos))
+		rows += 3 * (side - 1)
+	}
+	return rows >= limit
+}
+
+// holdFill rewrites every pixel not yet computed at its parent's value,
+// coarse lattice first, so each takes its nearest computed ancestor's: the
+// pix.HoldFill sweep, in place. The root, position 0, is computed before any
+// render, so every pixel has a computed ancestor and no mask of which
+// pixels are already filled is needed.
+func (t *TreeImage) holdFill() {
+	w, h, c := t.Working.W, t.Working.H, t.Working.C
+	px := t.Working.Pix
+	for step := t.root / 2; step > 0; step /= 2 {
+		up := ^(2*step - 1)
+		for y := 0; y < h; y += step {
+			// Points of the coarser lattice are their own parents.
+			x, dx := 0, step
+			if y&up == y {
+				x, dx = step, 2*step
+			}
+			for row := (y & up) * w; x < w; x += dx {
+				if z := y*w + x; !t.filled[z] {
+					d, s := z*c, (row+x&up)*c
+					for k := range c {
+						px[d+k] = px[s+k]
+					}
+				}
+			}
+		}
+	}
+}
+
+// spread hold-fills the pixels that now inherit from computed pixel p. p's
+// tree block is p's own top-left quadrant plus three child blocks at each
+// finer level; a child whose origin is computed claims its block (it is
+// spread after p), and a child whose origin is not has no computed pixel
+// below it, so the whole block takes p's value.
+func (t *TreeImage) spread(p int) {
+	x, y, side := t.block(p)
+	c := t.Working.C
+	src := t.Working.Pix[p*c : p*c+c]
+	for h := side / 2; h > 0; h /= 2 {
+		t.fill(x+h, y, h, src)
+		t.fill(x, y+h, h, src)
+		t.fill(x+h, y+h, h, src)
+	}
+}
+
+// fill writes src over the side×side block at (x0, y0), clipped to the
+// image, unless the block's origin is computed or off the image. In a
+// seeded run only stale tiles are written.
+func (t *TreeImage) fill(x0, y0, side int, src []int32) {
+	w, h, c := t.Working.W, t.Working.H, t.Working.C
+	if x0 >= w || y0 >= h || t.filled[y0*w+x0] {
+		return
+	}
+	x1, y1 := min(x0+side, w), min(y0+side, h)
+	for y := y0; y < y1; y++ {
+		for x := x0; x < x1; {
+			end := x1
+			if t.seeded {
+				end = min(x1, (x|(pix.TileSize-1))+1)
+				if !t.stale.Has(t.grid.TileOf(x, y)) {
+					x = end
+					continue
+				}
+			}
+			row := t.Working.Pix[(y*w+x)*c : (y*w+end)*c]
+			for n := copy(row, src); n < len(row); {
+				n += copy(row[n:], row[:n])
+			}
+			x = end
+		}
+	}
+}
+
+// publishable copies Working into the image a version publishes: a fresh
+// clone, or the next image of the ring.
+func (t *TreeImage) publishable() *pix.Image {
+	if t.ring == nil {
+		return t.Working.Clone()
+	}
+	t.next = (t.next + 1) % len(t.ring)
+	img := t.ring[t.next]
+	copy(img.Pix, t.Working.Pix)
+	return img
 }

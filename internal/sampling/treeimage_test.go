@@ -16,10 +16,18 @@ import (
 // The fixture is a 45×37 RGB stage (four 32×32 tiles, neither side a power
 // of two) whose kernel is the identity: pixel d of Working becomes pixel d
 // of a fixed reference image.
-const (
-	treeW, treeH, treeC = 45, 37, 3
-	treeGranularity     = 200 // 1665 pixels: nine versions per pass
-)
+const treeW, treeH, treeC = 45, 37, 3
+
+// treeConfig is one fixture configuration. Of the 45×37 image's 1665
+// pixels, rounds of 200 bring each version up to date in one raster sweep;
+// rounds of 40 do so for the coarse levels and spread the 2×2 level block
+// by block.
+type treeConfig struct {
+	w, h, c     int
+	workers     int
+	mode        pix.SnapshotMode
+	granularity int
+}
 
 type treeVersion struct {
 	version   core.Version
@@ -41,17 +49,17 @@ type treeFixture struct {
 	cancel   context.CancelFunc // of the run in flight
 }
 
-func newTreeFixture(t *testing.T, workers int, mode pix.SnapshotMode, markFinal bool) *treeFixture {
+func newTreeFixture(t *testing.T, cfg treeConfig, markFinal bool) *treeFixture {
 	t.Helper()
-	ord, err := perm.Tree2D(treeH, treeW)
+	ord, err := perm.Tree2D(cfg.h, cfg.w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &treeFixture{a: core.New(), ref: pix.MustNew(treeW, treeH, treeC), ord: ord}
+	f := &treeFixture{a: core.New(), ref: pix.MustNew(cfg.w, cfg.h, cfg.c), ord: ord}
 	for i := range f.ref.Pix {
 		f.ref.Pix[i] = int32(i*7%251 + 1)
 	}
-	ti, err := NewTreeImage(f.a, "tree", treeW, treeH, treeC, workers, mode)
+	ti, err := NewTreeImage(f.a, "tree", cfg.w, cfg.h, cfg.c, cfg.mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +77,11 @@ func newTreeFixture(t *testing.T, workers int, mode pix.SnapshotMode, markFinal 
 		return ti.Pass(c, func(worker, lo, hi int) error {
 			for pos := lo; pos < hi; pos++ {
 				d := ti.At(pos)
-				copy(ti.Working.Pix[d*treeC:d*treeC+treeC], f.ref.Pix[d*treeC:d*treeC+treeC])
-				ti.Mark(worker, d)
+				copy(ti.Working.Pix[d*cfg.c:d*cfg.c+cfg.c], f.ref.Pix[d*cfg.c:d*cfg.c+cfg.c])
+				ti.Mark(d)
 			}
 			return nil
-		}, core.RoundConfig{Granularity: treeGranularity, Workers: workers}, markFinal)
+		}, core.RoundConfig{Granularity: cfg.granularity, Workers: cfg.workers}, markFinal)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +111,7 @@ func (f *treeFixture) run(t *testing.T) []treeVersion {
 // ancestor's value.
 func (f *treeFixture) holdFilled(t *testing.T, processed int) (*pix.Image, []bool) {
 	t.Helper()
-	mask := make([]bool, treeW*treeH)
+	mask := make([]bool, f.ref.Pixels())
 	for pos := 0; pos < processed; pos++ {
 		mask[f.ord.At(pos)] = true
 	}
@@ -119,8 +127,8 @@ func (f *treeFixture) holdFilled(t *testing.T, processed int) (*pix.Image, []boo
 // every pixel and Final exactly when markFinal.
 func (f *treeFixture) checkCold(t *testing.T, vs []treeVersion, markFinal bool) {
 	t.Helper()
-	if len(vs) < 2 {
-		t.Fatalf("%d versions published", len(vs))
+	if len(vs) == 0 {
+		t.Fatal("no version published")
 	}
 	for i, v := range vs {
 		if v.version != core.Version(i+1) {
@@ -133,8 +141,8 @@ func (f *treeFixture) checkCold(t *testing.T, vs []treeVersion, markFinal bool) 
 			t.Errorf("version %d: final = %v", v.version, v.final)
 		}
 	}
-	if last := vs[len(vs)-1]; last.processed != treeW*treeH || !last.img.Equal(f.ref) {
-		t.Errorf("last version covers %d of %d pixels", last.processed, treeW*treeH)
+	if last := vs[len(vs)-1]; last.processed != f.ref.Pixels() || !last.img.Equal(f.ref) {
+		t.Errorf("last version covers %d of %d pixels", last.processed, f.ref.Pixels())
 	}
 }
 
@@ -151,12 +159,17 @@ func sameVersions(a, b []treeVersion) bool {
 	return true
 }
 
-// eachTreeConfig runs fn under W ∈ {1,2,3} × both snapshot modes.
-func eachTreeConfig(t *testing.T, fn func(t *testing.T, workers int, mode pix.SnapshotMode)) {
+// eachTreeConfig runs fn under W ∈ {1,2,3} × both snapshot modes × both
+// granularities.
+func eachTreeConfig(t *testing.T, fn func(t *testing.T, cfg treeConfig)) {
 	for _, mode := range []pix.SnapshotMode{pix.SnapshotClone, pix.SnapshotTiles} {
 		for workers := 1; workers <= 3; workers++ {
 			t.Run(fmt.Sprintf("mode%d/w%d", mode, workers), func(t *testing.T) {
-				fn(t, workers, mode)
+				for _, granularity := range []int{200, 40} {
+					t.Run(fmt.Sprintf("g%d", granularity), func(t *testing.T) {
+						fn(t, treeConfig{treeW, treeH, treeC, workers, mode, granularity})
+					})
+				}
 			})
 		}
 	}
@@ -164,20 +177,37 @@ func eachTreeConfig(t *testing.T, fn func(t *testing.T, workers int, mode pix.Sn
 
 func TestTreeImagePassPublishesHoldFilledPrefixes(t *testing.T) {
 	testgate.Goroutines(t)
-	eachTreeConfig(t, func(t *testing.T, workers int, mode pix.SnapshotMode) {
+	eachTreeConfig(t, func(t *testing.T, cfg treeConfig) {
 		for _, markFinal := range []bool{true, false} {
-			f := newTreeFixture(t, workers, mode, markFinal)
+			f := newTreeFixture(t, cfg, markFinal)
 			f.checkCold(t, f.run(t), markFinal)
 		}
 	})
+}
+
+// TestTreeImageGeometries: the oracle holds on degenerate and lopsided
+// images, whose blocks are clipped and whose levels interleave in the tree
+// order, with rounds of one pixel (updates spread block by block, the
+// coarsest swept) and of a quarter image (swept).
+func TestTreeImageGeometries(t *testing.T) {
+	testgate.Goroutines(t)
+	for _, g := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 3}, {17, 5}, {3, 40}} {
+		for _, granularity := range []int{1, max(g[0]*g[1]/4, 1)} {
+			t.Run(fmt.Sprintf("%dx%d/g%d", g[0], g[1], granularity), func(t *testing.T) {
+				cfg := treeConfig{g[0], g[1], 1, 2, pix.SnapshotClone, granularity}
+				f := newTreeFixture(t, cfg, true)
+				f.checkCold(t, f.run(t), true)
+			})
+		}
+	}
 }
 
 // TestTreeImageResetAfterInterrupt: a run cancelled after its first version,
 // then Reset, reruns as if the first had never happened.
 func TestTreeImageResetAfterInterrupt(t *testing.T) {
 	testgate.Goroutines(t)
-	eachTreeConfig(t, func(t *testing.T, workers int, mode pix.SnapshotMode) {
-		f := newTreeFixture(t, workers, mode, true)
+	eachTreeConfig(t, func(t *testing.T, cfg treeConfig) {
+		f := newTreeFixture(t, cfg, true)
 		cold := f.run(t)
 		f.checkCold(t, cold, true)
 		if err := f.a.Reset(); err != nil {
@@ -211,7 +241,7 @@ func TestTreeImageSeed(t *testing.T) {
 	cached.Fill(200)
 	grid := pix.NewTileGrid(treeW, treeH, treeC)
 	const seedVersion = 7
-	eachTreeConfig(t, func(t *testing.T, workers int, mode pix.SnapshotMode) {
+	eachTreeConfig(t, func(t *testing.T, cfg treeConfig) {
 		stale := pix.NewDirtyTiles(grid)
 		stale.Mark(1)
 		stale.Mark(2)
@@ -219,7 +249,7 @@ func TestTreeImageSeed(t *testing.T) {
 			"image": cached,
 			"frame": &pix.SeedFrame{Image: cached, Stale: stale},
 		} {
-			f := newTreeFixture(t, workers, mode, true)
+			f := newTreeFixture(t, cfg, true)
 			if err := f.a.SeedFrom(seed, seedVersion); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -253,13 +283,14 @@ func TestTreeImageSeed(t *testing.T) {
 // refused naming the buffer, and the cold run that follows is the cold run.
 func TestTreeImageSeedRefused(t *testing.T) {
 	testgate.Goroutines(t)
-	eachTreeConfig(t, func(t *testing.T, workers int, mode pix.SnapshotMode) {
-		f := newTreeFixture(t, workers, mode, true)
+	eachTreeConfig(t, func(t *testing.T, cfg treeConfig) {
+		f := newTreeFixture(t, cfg, true)
 		cold := f.run(t)
 		for _, seed := range []any{
 			pix.MustNew(treeW+1, treeH, treeC),
 			pix.MustNew(treeW, treeH, 1),
 			&pix.SeedFrame{},
+			&pix.SeedFrame{Image: f.ref, Stale: pix.NewDirtyTiles(pix.NewTileGrid(treeW, treeH, 1))},
 			"not an image",
 		} {
 			if err := f.a.Reset(); err != nil {
