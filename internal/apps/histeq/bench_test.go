@@ -48,8 +48,24 @@ func BenchmarkHistSampled(b *testing.B) {
 // BenchmarkApplyLUT runs the apply stage's inner loop over the tree order:
 // one LUT lookup and one store per output pixel.
 func BenchmarkApplyLUT(b *testing.B) {
+	benchApplyLUT(b, func(tree perm.Order) (perm.Order, error) { return tree, nil })
+}
+
+// BenchmarkApplyLUTRounds is BenchmarkApplyLUT over the order the apply
+// stage walks: the tree order with each of its default four rounds in
+// ascending pixel index. The gap between the two is the locality the sort
+// recovers.
+func BenchmarkApplyLUTRounds(b *testing.B) {
+	benchApplyLUT(b, func(tree perm.Order) (perm.Order, error) { return tree.SortRounds(tree.Len() / 4) })
+}
+
+func benchApplyLUT(b *testing.B, visit func(tree perm.Order) (perm.Order, error)) {
 	in := benchGray(b, 256, 256)
-	ord, err := perm.Tree2D(in.H, in.W)
+	tree, err := perm.Tree2D(in.H, in.W)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ord, err := visit(tree)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,11 +15,16 @@
 //
 // The two non-anytime middle stages are why histeq reaches its precise
 // output well after 1x the baseline runtime (the paper reports 6x): every
-// fresh histogram snapshot can trigger a fresh application pass.
+// fresh histogram snapshot can trigger a fresh application pass. Only the
+// first pass of a run paints every pixel. After it the image is complete,
+// and a pixel changes only if its bin's table entry did, so each later LUT
+// repaints just the pixels of the bins whose entry changed: the child
+// consumes updates, not whole new states (§III-C2).
 package histeq
 
 import (
 	"fmt"
+	"sort"
 
 	"anytime/internal/core"
 	"anytime/internal/par"
@@ -210,8 +215,8 @@ type Run struct {
 // New builds the four-stage histeq automaton described in the package
 // comment. A warm start seeds only the output image: the histogram, CDF and
 // LUT stages recompute from scratch (they are cheap and input-global, so a
-// delta start buys nothing there), and the apply stage overwrites every
-// pixel per consumed LUT version, so the precise final is unchanged.
+// delta start buys nothing there), and the apply stage's first pass
+// overwrites every pixel, so the precise final is unchanged.
 func New(in *pix.Image, cfg Config) (*Run, error) {
 	cfg = cfg.withDefaults(in.Pixels())
 	if err := cfg.validate(in); err != nil {
@@ -306,30 +311,20 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		return nil, err
 	}
 
-	// Stage 4: diffusive application with tree-based output sampling; one
-	// full anytime pass per consumed LUT version, final pass on the final
-	// LUT.
+	// Stage 4: diffusive application with tree-based output sampling: a
+	// full anytime pass on the run's first LUT, then a repaint of the
+	// changed bins per later LUT, the final one marking the output final.
 	t, err := sampling.NewTreeImage(a, "histeq", in.W, in.H, 1, cfg.Snapshot)
 	if err != nil {
 		return nil, err
 	}
-	applyRound := core.RoundConfig{Granularity: cfg.ApplyGranularity, Workers: cfg.Workers, Policy: cfg.Publish}
+	p := newPainter(t, in, core.RoundConfig{Granularity: cfg.ApplyGranularity, Workers: cfg.Workers, Policy: cfg.Publish})
 	if err := a.AddStage("apply", func(c *core.Context) error {
+		var applied *LUT
 		return core.AsyncConsume(c, lutBuf, func(s core.Snapshot[*LUT]) error {
-			lut := s.Value
-			return t.Pass(c, func(worker, lo, hi int) error {
-				// One lookup and one store per pixel: hoist the table,
-				// source, and destination so the loop carries no pointer
-				// chases through lut/working/in.
-				tab := &lut.Map
-				src, dst := in.Pix, t.Working.Pix
-				for pos := lo; pos < hi; pos++ {
-					d := t.At(pos)
-					dst[d] = tab[binOf(src[d])]
-					t.Mark(d)
-				}
-				return nil
-			}, applyRound, s.Final)
+			err := p.apply(c, applied, s.Value, s.Final)
+			applied = s.Value
+			return err
 		})
 	}); err != nil {
 		return nil, err
@@ -349,4 +344,88 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		lutBuf.Reset()
 	})
 	return &Run{Automaton: a, HistBuf: histBuf, CDFBuf: cdfBuf, LUTBuf: lutBuf, Out: t.Out}, nil
+}
+
+// painter is the apply stage's kernel: it paints the LUT versions the stage
+// consumes into the tree-sampled output.
+type painter struct {
+	t     *sampling.TreeImage
+	src   []int32
+	round core.RoundConfig
+	// byBin holds every pixel index grouped by bin, in raster order within
+	// a bin: bin b's bucket is byBin[start[b]:start[b+1]]. It depends on the
+	// input only, so New builds it once and pooled runs reuse it.
+	byBin []int32
+	start [Bins + 1]int32
+	// One repaint's updates are the buckets of bins, ascending, laid end to
+	// end; bins[k]'s bucket ends at update ends[k].
+	bins, ends []int
+}
+
+// newPainter buckets in's pixels by bin with a counting sort.
+func newPainter(t *sampling.TreeImage, in *pix.Image, round core.RoundConfig) *painter {
+	p := &painter{t: t, src: in.Pix, round: round, byBin: make([]int32, len(in.Pix))}
+	for _, v := range in.Pix {
+		p.start[binOf(v)+1]++
+	}
+	for b := range Bins {
+		p.start[b+1] += p.start[b]
+	}
+	next := p.start
+	for i, v := range in.Pix {
+		b := binOf(v)
+		p.byBin[next[b]] = int32(i)
+		next[b]++
+	}
+	return p
+}
+
+// apply paints lut, the LUT consumed after last, and marks the output final
+// if final. The run's first LUT (last == nil) is a full tree-sampled pass.
+// A later one repaints only the buckets whose entry differs from last's, in
+// rounds of the stage's granularity. An identical LUT publishes nothing,
+// unless it is final: then one unchanged version marks the output final.
+func (p *painter) apply(c *core.Context, last, lut *LUT, final bool) error {
+	tab := &lut.Map
+	if last == nil {
+		return p.t.Pass(c, func(worker, lo, hi int) error {
+			// One lookup and one store per pixel: hoist the table, source,
+			// and destination so the loop carries no pointer chases through
+			// lut/working/in.
+			src, dst := p.src, p.t.Working.Pix
+			for pos := lo; pos < hi; pos++ {
+				d := p.t.At(pos)
+				dst[d] = tab[binOf(src[d])]
+				p.t.Mark(d)
+			}
+			return nil
+		}, p.round, final)
+	}
+	p.bins, p.ends = p.bins[:0], p.ends[:0]
+	total := 0
+	for b := range Bins {
+		if n := int(p.start[b+1] - p.start[b]); n > 0 && tab[b] != last.Map[b] {
+			total += n
+			p.bins = append(p.bins, b)
+			p.ends = append(p.ends, total)
+		}
+	}
+	if total == 0 && !final {
+		return nil
+	}
+	return p.t.Repaint(c, total, func(worker, lo, hi int) error {
+		dst := p.t.Working.Pix
+		for k, pos := sort.SearchInts(p.ends, lo+1), lo; pos < hi; k++ {
+			b, end := p.bins[k], p.ends[k]
+			to := min(hi, end)
+			// Update u of bin b's stretch is byBin[off+u].
+			off := int(p.start[b+1]) - end
+			v := tab[b]
+			for _, d := range p.byBin[off+pos : off+to] {
+				dst[d] = v
+			}
+			pos = to
+		}
+		return nil
+	}, p.round, final)
 }

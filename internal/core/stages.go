@@ -94,6 +94,17 @@ type RoundConfig struct {
 	PublishBudget float64
 }
 
+// RoundSize returns the number of updates per round a diffusive stage of
+// total updates runs under cfg: Granularity, or its default when zero. The
+// caller that arranges updates by round — a visit order sorted per round —
+// uses it to cut the rounds exactly where the round loop will.
+func (cfg RoundConfig) RoundSize(total int) int {
+	if cfg.Granularity != 0 {
+		return cfg.Granularity
+	}
+	return max(total/32, 1)
+}
+
 func (cfg RoundConfig) withDefaults(total int) (RoundConfig, error) {
 	if cfg.Granularity < 0 || cfg.Workers < 0 {
 		return cfg, fmt.Errorf("core: negative round config %+v", cfg)
@@ -104,12 +115,7 @@ func (cfg RoundConfig) withDefaults(total int) (RoundConfig, error) {
 	if cfg.PublishBudget < 0 || cfg.PublishBudget >= 1 {
 		return cfg, fmt.Errorf("core: publish budget %v out of range [0, 1)", cfg.PublishBudget)
 	}
-	if cfg.Granularity == 0 {
-		cfg.Granularity = total / 32
-		if cfg.Granularity < 1 {
-			cfg.Granularity = 1
-		}
-	}
+	cfg.Granularity = cfg.RoundSize(total)
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
 	}

@@ -31,6 +31,36 @@ func (o Order) Indices() []int {
 	return out
 }
 
+// SortRounds returns the order that visits each round [k·g, (k+1)·g) of o —
+// the last one possibly shorter — in ascending index order. Every round holds
+// the same index set as o's, so a stage that publishes only at round
+// boundaries cannot tell the two apart, and it walks each round as one
+// memory-order sweep of the round's lattice instead of in o's scattered
+// order (the locality cost of §IV-C3). It is a counting sort keyed by
+// round: O(n) time, no comparisons. g must be positive.
+func (o Order) SortRounds(g int) (Order, error) {
+	if g < 1 {
+		return Order{}, fmt.Errorf("perm: round size %d must be positive", g)
+	}
+	n := len(o.idx)
+	round := make([]int32, n) // round[i]: the round of o that visits index i
+	for k, lo := int32(0), 0; lo < n; k, lo = k+1, lo+g {
+		for _, i := range o.idx[lo:min(lo+g, n)] {
+			round[i] = k
+		}
+	}
+	next := make([]int, (n+g-1)/g) // next free position of each round
+	for k := range next {
+		next[k] = k * g
+	}
+	idx := make([]int32, n)
+	for i, k := range round {
+		idx[next[k]] = int32(i)
+		next[k]++
+	}
+	return Order{idx: idx}, nil
+}
+
 // IsBijective verifies that the order visits every index of [0, Len())
 // exactly once. It is O(n) and intended for tests and validation.
 func (o Order) IsBijective() bool {

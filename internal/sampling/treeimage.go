@@ -21,9 +21,16 @@ import (
 // spreads each newly computed pixel over the part of its tree block that
 // nothing finer has claimed yet, so Working always holds the hold-filled
 // image of everything computed so far, and publishing a version is one copy
-// of it. Under the tree order every pixel's ancestors are computed before
-// it, which is what makes the in-place update equal to pix.HoldFill of the
-// computed prefix.
+// of it. At every round boundary the computed pixels are a prefix of the
+// tree order, so every computed pixel's ancestors are computed too, which is
+// what makes the in-place update equal to pix.HoldFill of the computed
+// prefix.
+//
+// Only round boundaries are observable: a version shows the set of pixels
+// computed so far, never the order they were computed in. So the kernels
+// visit each round of the tree order in ascending pixel index — one sweep of
+// the round's lattice in memory order instead of a cache miss per pixel —
+// and with several workers each takes a raster band of it.
 type TreeImage struct {
 	// Out is the stage's output buffer.
 	Out *core.Buffer[*pix.Image]
@@ -37,11 +44,13 @@ type TreeImage struct {
 	// retain img past the call.
 	OnSnapshot func(processed int, img *pix.Image)
 
-	ord    perm.Order
-	filled []bool // pixels computed this run
-	shown  int    // order positions already hold-filled into Working
-	fine   int    // from this position on, every pixel's block is itself
-	root   int    // side of the root pixel's block: it covers the image
+	tree   perm.Order // the 2D tree order
+	ord    perm.Order // the visit order: tree, each round in ascending index
+	round  int        // the round size ord is sorted for; 0 before any Pass
+	filled []bool     // pixels computed this run
+	shown  int        // visit positions already rendered into Working
+	fine   int        // from this visit position on, every pixel's block is itself
+	root   int        // side of the root pixel's block: it covers the image
 
 	// A seeded run keeps the cached frame in Working: only the pixels of
 	// stale tiles hold-fill, and a bare image (stale == nil) none at all.
@@ -58,7 +67,7 @@ type TreeImage struct {
 // run-to-run state on a:
 //
 //   - OnReset forgets which pixels were computed and rewinds the buffer; the
-//     tree order and the image storage are input-independent and reused.
+//     visit order and the image storage are input-independent and reused.
 //   - OnSeed accepts a cached output frame — a *pix.Image, or a
 //     *pix.SeedFrame carrying the stale tiles of a delta start — as the
 //     starting published state. The run still computes every pixel, so its
@@ -72,7 +81,7 @@ func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels int, mode
 	if mode != pix.SnapshotClone && mode != pix.SnapshotTiles {
 		return nil, fmt.Errorf("sampling: unknown snapshot mode %d", mode)
 	}
-	ord, err := perm.Tree2D(h, w)
+	tree, err := perm.Tree2D(h, w)
 	if err != nil {
 		return nil, err
 	}
@@ -83,17 +92,10 @@ func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels int, mode
 	t := &TreeImage{
 		Out:     core.NewBuffer[*pix.Image](bufferName, nil),
 		Working: working,
-		ord:     ord,
+		tree:    tree,
 		filled:  make([]bool, w*h),
 		root:    1 << bits.Len(uint(max(w, h, 1)-1)),
 		grid:    pix.NewTileGrid(w, h, channels),
-	}
-	// Only a pixel with both coordinates even owns more than itself.
-	for pos := ord.Len() - 1; pos >= 0; pos-- {
-		if p := ord.At(pos); (p%w)&1 == 0 && (p/w)&1 == 0 {
-			t.fine = pos + 1
-			break
-		}
 	}
 	if mode == pix.SnapshotTiles {
 		for range pix.SnapshotRingDepth {
@@ -117,8 +119,9 @@ func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels int, mode
 	return t, nil
 }
 
-// At returns the pixel index (y*w + x) visited at position pos of the tree
-// order.
+// At returns the pixel index (y*w + x) visited at position pos of the
+// current Pass: the tree order, with each of the pass's rounds in ascending
+// pixel index.
 func (t *TreeImage) At(pos int) int { return t.ord.At(pos) }
 
 // Mark records that pixel idx of Working has been computed. The span calls
@@ -127,18 +130,64 @@ func (t *TreeImage) At(pos int) int { return t.ord.At(pos) }
 func (t *TreeImage) Mark(idx int) { t.filled[idx] = true }
 
 // Pass runs one diffusive pass over every pixel: span computes the pixels
-// at order positions [lo, hi) — for each, d := t.At(pos), write pixel d of
+// at visit positions [lo, hi) — for each, d := t.At(pos), write pixel d of
 // Working, t.Mark(d) — and at every round boundary cfg's publish
 // policy selects, the hold-filled approximation is published to Out.
 // markFinal marks the complete image precise; a stage that repaints the
 // image several times passes it on its last pass only.
+//
+// The visit order is sorted for cfg's round size on the first Pass that
+// uses it and kept across passes and runs.
 func (t *TreeImage) Pass(c *core.Context, span func(worker, lo, hi int) error, cfg core.RoundConfig, markFinal bool) error {
+	if g := cfg.RoundSize(t.tree.Len()); g > 0 && g != t.round {
+		if err := t.sortRounds(g); err != nil {
+			return err
+		}
+	}
 	return core.DiffusiveBatch(c, t.Out, t.ord.Len(), span, t.render, cfg, markFinal)
+}
+
+// Repaint runs a pass that rewrites pixels already computed: span applies
+// updates [lo, hi) of total, each rewriting whichever pixels of Working the
+// caller's update names (no Mark), and at every round boundary cfg's
+// publish policy selects, Working is published as it stands. Nothing is
+// hold-filled, so Repaint is valid only once a Pass of this run has computed
+// every pixel, and fails before that. A total of zero publishes one version
+// of Working unchanged, the way to mark it final.
+func (t *TreeImage) Repaint(c *core.Context, total int, span func(worker, lo, hi int) error, cfg core.RoundConfig, markFinal bool) error {
+	if t.shown < len(t.filled) {
+		return fmt.Errorf("%s: repaint before every pixel is computed", t.Out.Name())
+	}
+	return core.DiffusiveBatch(c, t.Out, total, span, t.repainted, cfg, markFinal)
+}
+
+// sortRounds makes the visit order the tree order with each round of g
+// positions in ascending pixel index. Each round's pixel set is the tree's,
+// so the versions published at round boundaries do not change.
+func (t *TreeImage) sortRounds(g int) error {
+	ord, err := t.tree.SortRounds(g)
+	if err != nil {
+		return err
+	}
+	t.ord, t.round, t.fine = ord, g, 0
+	// Only a pixel with both coordinates even owns more than itself.
+	w := t.Working.W
+	for pos := ord.Len() - 1; pos >= 0; pos-- {
+		if p := ord.At(pos); (p%w)&1 == 0 && (p/w)&1 == 0 {
+			t.fine = pos + 1
+			break
+		}
+	}
+	return nil
 }
 
 // render brings Working up to date with the first processed positions and
 // returns the version to publish. Only a run's first pass spreads: once
 // every pixel is computed, a repainting pass leaves nothing to hold-fill.
+// processed is a round boundary, so the computed pixels are a prefix of the
+// tree order, and the spreads of one update write disjoint blocks (each
+// block a spread writes holds no computed pixel, and only its parent
+// spreads into it): the order within the update does not matter.
 // A large update — the coarse levels, which the first rounds complete — is
 // cheaper as one raster sweep than block by block in the scattered tree
 // order; a seeded run cannot sweep, since the sweep would read trusted
@@ -154,13 +203,17 @@ func (t *TreeImage) render(processed int) (*pix.Image, error) {
 			t.spread(t.ord.At(pos))
 		}
 	}
-	t.shown = max(t.shown, end)
+	t.shown = max(t.shown, processed)
 	img := t.publishable()
 	if t.OnSnapshot != nil {
 		t.OnSnapshot(processed, img)
 	}
 	return img, nil
 }
+
+// repainted is Repaint's snapshot: every pixel is computed, so there is
+// nothing to bring up to date.
+func (t *TreeImage) repainted(int) (*pix.Image, error) { return t.render(len(t.filled)) }
 
 // block returns pixel p's coordinates and the side of its tree block: the
 // lowest set bit of x|y, or the whole image for the root.
@@ -215,8 +268,8 @@ func (t *TreeImage) holdFill() {
 
 // spread hold-fills the pixels that now inherit from computed pixel p. p's
 // tree block is p's own top-left quadrant plus three child blocks at each
-// finer level; a child whose origin is computed claims its block (it is
-// spread after p), and a child whose origin is not has no computed pixel
+// finer level; a child whose origin is computed claims its block (its own
+// spread covers it), and a child whose origin is not has no computed pixel
 // below it, so the whole block takes p's value.
 func (t *TreeImage) spread(p int) {
 	x, y, side := t.block(p)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"anytime/internal/core"
@@ -308,4 +310,157 @@ func TestTreeImageSeedRefused(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestTreeImageVisitsRoundsInRasterBands: each round of the visit order
+// holds the tree order's round of positions in ascending pixel index, and
+// under W ∈ {1,2,3} the workers' spans of a round are disjoint raster bands
+// of it — each span lies in one round, and a worker's pixels all precede
+// the next worker's.
+func TestTreeImageVisitsRoundsInRasterBands(t *testing.T) {
+	testgate.Goroutines(t)
+	tree, err := perm.Tree2D(treeH, treeW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tree.Len()
+	type span struct{ worker, lo, hi, first, last int }
+	for workers := 1; workers <= 3; workers++ {
+		for _, g := range []int{200, 40, 1, n} {
+			t.Run(fmt.Sprintf("w%d/g%d", workers, g), func(t *testing.T) {
+				a := core.New()
+				ti, err := NewTreeImage(a, "tree", treeW, treeH, 1, pix.SnapshotClone)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				var spans []span
+				err = a.AddStage("bands", func(c *core.Context) error {
+					return ti.Pass(c, func(worker, lo, hi int) error {
+						s := span{worker, lo, hi, ti.At(lo), ti.At(hi - 1)}
+						for pos := lo; pos < hi; pos++ {
+							ti.Mark(ti.At(pos))
+						}
+						mu.Lock()
+						spans = append(spans, s)
+						mu.Unlock()
+						return nil
+					}, core.RoundConfig{Granularity: g, Workers: workers}, true)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Start(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				for lo := 0; lo < n; lo += g {
+					hi := min(lo+g, n)
+					want := make([]int, 0, hi-lo)
+					got := make([]int, 0, hi-lo)
+					for pos := lo; pos < hi; pos++ {
+						want = append(want, tree.At(pos))
+						got = append(got, ti.At(pos))
+					}
+					slices.Sort(want)
+					if !slices.Equal(got, want) {
+						t.Fatalf("round [%d, %d) visits %v, want the tree round ascending %v", lo, hi, got, want)
+					}
+				}
+				slices.SortFunc(spans, func(a, b span) int { return a.lo - b.lo })
+				for i, s := range spans {
+					if s.lo/g != (s.hi-1)/g {
+						t.Errorf("span [%d, %d) crosses a round boundary", s.lo, s.hi)
+					}
+					if i == 0 {
+						continue
+					}
+					prev := spans[i-1]
+					if prev.hi != s.lo {
+						t.Fatalf("spans [%d, %d) and [%d, %d) leave a gap or overlap", prev.lo, prev.hi, s.lo, s.hi)
+					}
+					if same := prev.lo/g == s.lo/g; same && (prev.last >= s.first || prev.worker >= s.worker) {
+						t.Errorf("worker %d's band [%d, %d] and worker %d's [%d, %d] interleave", prev.worker, prev.first, prev.last, s.worker, s.first, s.last)
+					}
+				}
+				if len(spans) == 0 || spans[0].lo != 0 || spans[len(spans)-1].hi != n {
+					t.Error("spans do not cover the visit order")
+				}
+			})
+		}
+	}
+}
+
+// TestTreeImageRepaint: a repaint before a pass has computed every pixel
+// is refused; after one, a repaint's rounds publish Working as the span left
+// it, and a repaint of no updates publishes it unchanged, final.
+func TestTreeImageRepaint(t *testing.T) {
+	testgate.Goroutines(t)
+	round := core.RoundConfig{Granularity: 200, Workers: 2}
+	run := func(stage func(c *core.Context, ti *TreeImage) error) ([]core.Snapshot[*pix.Image], error) {
+		a := core.New()
+		ti, err := NewTreeImage(a, "tree", treeW, treeH, 1, pix.SnapshotClone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vs []core.Snapshot[*pix.Image]
+		ti.Out.OnPublish(func(s core.Snapshot[*pix.Image]) { vs = append(vs, s) })
+		if err := a.AddStage("repaint", func(c *core.Context) error { return stage(c, ti) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return vs, a.Wait()
+	}
+	noop := func(worker, lo, hi int) error { return nil }
+	if _, err := run(func(c *core.Context, ti *TreeImage) error {
+		return ti.Repaint(c, 0, noop, round, true)
+	}); err == nil || !strings.Contains(err.Error(), "tree: repaint before every pixel is computed") {
+		t.Fatalf("repaint before a pass: %v", err)
+	}
+
+	n := treeW * treeH
+	vs, err := run(func(c *core.Context, ti *TreeImage) error {
+		if err := ti.Pass(c, func(worker, lo, hi int) error {
+			for pos := lo; pos < hi; pos++ {
+				d := ti.At(pos)
+				ti.Working.Pix[d] = 1
+				ti.Mark(d)
+			}
+			return nil
+		}, round, false); err != nil {
+			return err
+		}
+		// 300 updates, each painting pixel n-1-u with 2: two rounds.
+		if err := ti.Repaint(c, 300, func(worker, lo, hi int) error {
+			for u := lo; u < hi; u++ {
+				ti.Working.Pix[n-1-u] = 2
+			}
+			return nil
+		}, round, false); err != nil {
+			return err
+		}
+		return ti.Repaint(c, 0, noop, round, true)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := (n + round.Granularity - 1) / round.Granularity
+	if len(vs) != pass+3 {
+		t.Fatalf("%d versions, want %d pass + 2 repaint + 1 final", len(vs), pass)
+	}
+	for i, painted := range []int{200, 300, 300} {
+		v := vs[pass+i]
+		want := pix.MustNew(treeW, treeH, 1)
+		want.Fill(1)
+		for u := range painted {
+			want.Pix[n-1-u] = 2
+		}
+		if !v.Value.Equal(want) || v.Final != (i == 2) {
+			t.Errorf("repaint version %d (final %v) is not the pass with %d pixels repainted", v.Version, v.Final, painted)
+		}
+	}
 }
