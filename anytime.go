@@ -74,14 +74,7 @@ const (
 	// the previous version (§III-C1: the consumer "processes whichever
 	// output happens to be in the buffer").
 	PublishOnDemand = core.PublishOnDemand
-	// PublishAdaptive widens the publish interval until snapshot overhead
-	// stays within RoundConfig.PublishBudget of stage time.
-	PublishAdaptive = core.PublishAdaptive
 )
-
-// DefaultPublishBudget is PublishAdaptive's overhead target when
-// RoundConfig.PublishBudget is zero.
-const DefaultPublishBudget = core.DefaultPublishBudget
 
 // Update is one diffusive update flowing through a synchronous edge.
 type Update[X any] = core.Update[X]

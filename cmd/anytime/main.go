@@ -7,7 +7,7 @@
 //	anytime -app conv2d|histeq|dwt53|debayer|kmeans
 //	        [-size N] [-workers N] [-seed N]
 //	        [-halt FRACTION] [-in image.pgm] [-out image.pgm]
-//	        [-tiles] [-publish every|demand|adaptive]
+//	        [-publish every|demand]
 //	        [-telemetry] [-curve curve.json] [-reqtrace] [-cache]
 //
 // The tool measures the precise baseline, starts the automaton, halts it at
@@ -17,9 +17,8 @@
 // PGM image replaces the synthetic input (conv2d, histeq, dwt53; debayer
 // treats it as a Bayer mosaic).
 //
-// -tiles publishes the diffusive image stages' snapshots through the
-// zero-copy tile ring (pix.SnapshotTiles) instead of fresh clones; -publish
-// selects the round publish policy (core.PublishPolicy). -telemetry
+// -publish selects the diffusive image stages' round publish policy
+// (core.PublishPolicy); every version is a fresh immutable image. -telemetry
 // attaches the runtime metrics registry (the same instruments anytimed
 // exposes at /metrics) and dumps a summary table on exit. -curve records
 // the run's accuracy-versus-time samples, writes them as JSON, and prints
@@ -78,7 +77,6 @@ type opts struct {
 	telemetry bool
 	reqtrace  bool
 	curve     string
-	tiles     bool
 	publish   string
 	cache     bool
 }
@@ -99,8 +97,7 @@ func parseFlags(args []string) (opts, error) {
 	fs.StringVar(&o.in, "in", "", "input PGM/PPM file (optional; synthetic input otherwise)")
 	fs.StringVar(&o.out, "out", "", "write the halted output image here (optional)")
 	fs.StringVar(&o.diff, "diff", "", "write an error heat image (|precise - output| x8) here (optional)")
-	fs.BoolVar(&o.tiles, "tiles", false, "publish image snapshots through the zero-copy tile ring")
-	fs.StringVar(&o.publish, "publish", "every", "round publish policy: every, demand, adaptive")
+	fs.StringVar(&o.publish, "publish", "every", "round publish policy: every, demand")
 	fs.BoolVar(&o.cache, "cache", false, "run the snapshot-cache demo: cold, warm-started, and delta-started runs at one fixed budget (conv2d only)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -115,10 +112,8 @@ func publishPolicy(name string) (core.PublishPolicy, error) {
 		return core.PublishEveryRound, nil
 	case "demand":
 		return core.PublishOnDemand, nil
-	case "adaptive":
-		return core.PublishAdaptive, nil
 	default:
-		return 0, fmt.Errorf("unknown publish policy %q (want every, demand, or adaptive)", name)
+		return 0, fmt.Errorf("unknown publish policy %q (want every, demand)", name)
 	}
 }
 
@@ -132,13 +127,6 @@ type appRun struct {
 func run(o opts) error {
 	if o.cache {
 		return runCacheDemo(o)
-	}
-	if o.accept > 0 && o.tiles {
-		// serve.RunUntil scores each snapshot while the automaton keeps
-		// publishing — a retaining consumer by the tile ring's contract.
-		// Fall back to clone snapshots rather than race on ring storage.
-		o.tiles = false
-		fmt.Println("note: -accept evaluates snapshots asynchronously; ignoring -tiles")
 	}
 	ar, err := build(o)
 	if err != nil {
@@ -174,11 +162,6 @@ func run(o opts) error {
 	var rec *harness.Collector
 	if o.curve != "" {
 		rec = harness.NewCollector(ar.ref, 0)
-		if o.tiles {
-			// The recorder retains every published image until export —
-			// far past the tile ring's reuse window — so it must copy.
-			rec.CopyOnRecord()
-		}
 		ar.entry.Out.OnPublish(rec.Observe)
 	}
 	baseline, err := harness.TimeBaseline(ar.baseline, 3)
@@ -286,28 +269,12 @@ func run(o opts) error {
 		}
 	}
 	if reg != nil {
-		// The automaton-finish hook fires on the supervisor goroutine just
-		// after Done closes; give the lifecycle counters a moment to settle
-		// so the summary reports the finished run.
-		awaitIdle(reg, 500*time.Millisecond)
 		fmt.Println("telemetry summary:")
 		if err := reg.WriteSummary(os.Stdout); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// awaitIdle polls until the registry's active-automata gauge drains to zero
-// or the budget elapses.
-func awaitIdle(reg *telemetry.Registry, budget time.Duration) {
-	deadline := time.Now().Add(budget)
-	for reg.Gauge(telemetry.MetricAutomataActive, nil).Value() != 0 {
-		if time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func build(o opts) (*appRun, error) {
@@ -320,9 +287,6 @@ func build(o opts) (*appRun, error) {
 		return nil, fmt.Errorf("unknown app %q", o.app)
 	}
 	ao := apps.Options{Workers: o.workers, Publish: policy}
-	if o.tiles {
-		ao.Snapshot = pix.SnapshotTiles
-	}
 	var in *pix.Image
 	if o.in != "" {
 		if in, err = pix.ReadPNMFile(o.in); err == nil && in.C != app.Input.Channels() {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"anytime/internal/pix"
@@ -43,13 +44,15 @@ func TestDefaultWorkersTracksGOMAXPROCS(t *testing.T) {
 }
 
 func TestPublishPolicyFlag(t *testing.T) {
-	for _, name := range []string{"", "every", "demand", "adaptive"} {
+	for _, name := range []string{"", "every", "demand"} {
 		if _, err := publishPolicy(name); err != nil {
 			t.Errorf("policy %q rejected: %v", name, err)
 		}
 	}
-	if _, err := publishPolicy("sometimes"); err == nil {
-		t.Error("bogus policy accepted")
+	for _, name := range []string{"adaptive", "sometimes"} {
+		if _, err := publishPolicy(name); err == nil || !strings.Contains(err.Error(), "every, demand") {
+			t.Errorf("policy %q: err %v, want a rejection naming every, demand", name, err)
+		}
 	}
 }
 
@@ -62,34 +65,16 @@ func TestRunEveryAppPrecise(t *testing.T) {
 	}
 }
 
-func TestRunEveryAppTiled(t *testing.T) {
-	// The zero-copy publish path must leave the precise output bit-exact;
-	// run() itself verifies SNR against the precise baseline (+Inf when
-	// bit-exact would still pass, so assert via halt-to-completion which
-	// ends on the final snapshot).
+func TestRunPublishPolicies(t *testing.T) {
 	for _, app := range []string{"conv2d", "histeq", "debayer", "kmeans"} {
 		o := testOpts(t, func(o *opts) {
 			o.app = app
 			o.size = 32
 			o.workers = 2
-			o.tiles = true
+			o.publish = "demand"
 		})
 		if err := run(o); err != nil {
-			t.Errorf("%s -tiles: %v", app, err)
-		}
-	}
-}
-
-func TestRunPublishPolicies(t *testing.T) {
-	for _, policy := range []string{"demand", "adaptive"} {
-		o := testOpts(t, func(o *opts) {
-			o.app = "conv2d"
-			o.size = 32
-			o.workers = 2
-			o.publish = policy
-		})
-		if err := run(o); err != nil {
-			t.Errorf("policy %s: %v", policy, err)
+			t.Errorf("%s -publish demand: %v", app, err)
 		}
 	}
 	o := testOpts(t, func(o *opts) { o.publish = "sometimes"; o.size = 16 })
@@ -119,9 +104,6 @@ func TestRunWithAcceptAndOutputs(t *testing.T) {
 		o.curve = curve
 		o.trace = true
 		o.telemetry = true
-		// Exercised with -tiles to cover the accept-mode fallback to clone
-		// snapshots.
-		o.tiles = true
 	})
 	if err := run(o); err != nil {
 		t.Fatal(err)

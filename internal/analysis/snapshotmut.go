@@ -8,7 +8,7 @@ import (
 // SnapshotMutAnalyzer enforces the paper's Property 3 (§III-A): a
 // published snapshot is immutable. Buffer.Latest/Peek/WaitNewer return the
 // Snapshot struct by value, but its Value commonly holds reference types
-// (a *pix.Image, a slice of centroids) aliasing the publisher's tile ring
+// (a *pix.Image, a slice of centroids) aliasing the publisher's memory
 // — writing through them corrupts what concurrent readers and the
 // conformance checksums see, silently. The analyzer taints every value
 // obtained from a snapshot accessor (and every function parameter of
@@ -18,9 +18,11 @@ import (
 //   - writes through a tainted chain that crosses a pointer, slice, or map
 //     (snap.Value.Pix[i] = x, copy(snap.Value.Pix, ..), img.SetGray ..);
 //   - retaining tainted reference memory in longer-lived state (a field or
-//     package variable) without an intervening clone — the tile-ring
-//     aliasing window means the backing array is reused a few publishes
-//     later (see pix.SnapshotTiles and AccuracyRecorder.CopyOnRecord).
+//     package variable) without an intervening clone — Property 3 holds
+//     only within the publish window of a producer that reuses superseded
+//     snapshots' memory (pix.Snapshotter's tile mode does, a few publishes
+//     later), so code that keeps a snapshot must clone it or rely on a
+//     producer that never reuses, such as sampling.TreeImage.
 //
 // Mutating the local Snapshot struct itself (snap.Version = 0) is
 // harmless and not reported; calling a Clone/Copy-named method on the
@@ -118,7 +120,7 @@ func runSnapshotMut(pass *Pass) (interface{}, error) {
 				}
 				if retentionTarget(info, n.Lhs[i]) {
 					pass.Reportf(rhs.Pos(),
-						"snapshot %q's referenced memory is retained beyond the publish window (tile-ring aliasing); clone it first (e.g. CopyOnRecord)",
+						"snapshot %q's referenced memory is retained beyond the publish window; clone it first unless its producer never reuses a published value",
 						root.Name())
 				}
 			}

@@ -1,6 +1,6 @@
 // Package snapshotmut exercises the snapshotmut analyzer. Image stands in
-// for pix.Image: a published value whose Pix slice aliases the writer's
-// tile ring.
+// for pix.Image: a published value whose Pix slice aliases memory the
+// writer may reuse.
 package snapshotmut
 
 // Image is a reference-carrying published value.

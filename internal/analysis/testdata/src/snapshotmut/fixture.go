@@ -41,8 +41,8 @@ type recorder struct {
 }
 
 // record retains the aliased Value past the publish window without a clone
-// (the AccuracyRecorder.CopyOnRecord bug class); counting the scalar
-// Version is fine.
+// (a recorder keeping every frame of a producer that reuses them); counting
+// the scalar Version is fine.
 func (r *recorder) record(buf *Buffer[*Image]) {
 	snap, _ := buf.Latest()
 	r.keep = snap.Value // want `retained beyond the publish window`

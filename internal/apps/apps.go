@@ -45,13 +45,12 @@ func (k Input) Synthetic(size int, seed uint64) (*pix.Image, error) {
 	return pix.BayerGRBG(rgb)
 }
 
-// Options are the three fields every diffusive app Config shares. dwt53 is
-// iterative (whole-image passes): the tile ring and publish policies do not
-// apply to it, so it reads Workers only.
+// Options are the two fields every diffusive app Config shares. dwt53 is
+// iterative (whole-image passes): publish policies do not apply to it, so
+// it reads Workers only.
 type Options struct {
-	Workers  int
-	Snapshot pix.SnapshotMode
-	Publish  core.PublishPolicy
+	Workers int
+	Publish core.PublishPolicy
 }
 
 // App is one row of the table.
@@ -84,7 +83,7 @@ var table = []App{
 			return conv2d.Precise(in, conv2d.Config{Workers: o.Workers})
 		},
 		New: func(in *pix.Image, o Options) (*core.Automaton, *core.Buffer[*pix.Image], error) {
-			r, err := conv2d.New(in, conv2d.Config{Workers: o.Workers, Snapshot: o.Snapshot, Publish: o.Publish})
+			r, err := conv2d.New(in, conv2d.Config{Workers: o.Workers, Publish: o.Publish})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -97,7 +96,7 @@ var table = []App{
 			return histeq.Precise(in, histeq.Config{Workers: o.Workers})
 		},
 		New: func(in *pix.Image, o Options) (*core.Automaton, *core.Buffer[*pix.Image], error) {
-			r, err := histeq.New(in, histeq.Config{Workers: o.Workers, Snapshot: o.Snapshot, Publish: o.Publish})
+			r, err := histeq.New(in, histeq.Config{Workers: o.Workers, Publish: o.Publish})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -126,7 +125,7 @@ var table = []App{
 			return debayer.Precise(in, debayer.Config{Workers: o.Workers})
 		},
 		New: func(in *pix.Image, o Options) (*core.Automaton, *core.Buffer[*pix.Image], error) {
-			r, err := debayer.New(in, debayer.Config{Workers: o.Workers, Snapshot: o.Snapshot, Publish: o.Publish})
+			r, err := debayer.New(in, debayer.Config{Workers: o.Workers, Publish: o.Publish})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -139,7 +138,7 @@ var table = []App{
 			return kmeans.Precise(in, kmeans.Config{Workers: o.Workers})
 		},
 		New: func(in *pix.Image, o Options) (*core.Automaton, *core.Buffer[*pix.Image], error) {
-			r, err := kmeans.New(in, kmeans.Config{Workers: o.Workers, Snapshot: o.Snapshot, Publish: o.Publish})
+			r, err := kmeans.New(in, kmeans.Config{Workers: o.Workers, Publish: o.Publish})
 			if err != nil {
 				return nil, nil, err
 			}

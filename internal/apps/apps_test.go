@@ -156,23 +156,25 @@ func TestTableMatchesConformSuite(t *testing.T) {
 }
 
 // TestMapAppsPublishHoldFilledPrefixes pins the two single-stage map apps
-// version by version: under either snapshot mode, version v is Precise at
-// the first v×granularity positions of the 2D tree order and, everywhere
-// else, the value of the nearest such position above it in the tree.
+// version by version: under either publish policy (mode0 every round, mode1
+// on demand, which the test's observer keeps demanded), version v is
+// Precise at the first v×granularity positions of the 2D tree order and,
+// everywhere else, the value of the nearest such position above it in the
+// tree.
 func TestMapAppsPublishHoldFilledPrefixes(t *testing.T) {
 	testgate.Goroutines(t)
 	const size, workers, granularity = 40, 2, 150 // 4 tiles, 11 versions
-	type build func(in *pix.Image, mode pix.SnapshotMode) (*core.Automaton, *core.Buffer[*pix.Image], error)
+	type build func(in *pix.Image, policy core.PublishPolicy) (*core.Automaton, *core.Buffer[*pix.Image], error)
 	builds := map[string]build{
-		"conv2d": func(in *pix.Image, mode pix.SnapshotMode) (*core.Automaton, *core.Buffer[*pix.Image], error) {
-			r, err := conv2d.New(in, conv2d.Config{Workers: workers, Granularity: granularity, Snapshot: mode})
+		"conv2d": func(in *pix.Image, policy core.PublishPolicy) (*core.Automaton, *core.Buffer[*pix.Image], error) {
+			r, err := conv2d.New(in, conv2d.Config{Workers: workers, Granularity: granularity, Publish: policy})
 			if err != nil {
 				return nil, nil, err
 			}
 			return r.Automaton, r.Out, nil
 		},
-		"debayer": func(in *pix.Image, mode pix.SnapshotMode) (*core.Automaton, *core.Buffer[*pix.Image], error) {
-			r, err := debayer.New(in, debayer.Config{Workers: workers, Granularity: granularity, Snapshot: mode})
+		"debayer": func(in *pix.Image, policy core.PublishPolicy) (*core.Automaton, *core.Buffer[*pix.Image], error) {
+			r, err := debayer.New(in, debayer.Config{Workers: workers, Granularity: granularity, Publish: policy})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -193,9 +195,9 @@ func TestMapAppsPublishHoldFilledPrefixes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []pix.SnapshotMode{pix.SnapshotClone, pix.SnapshotTiles} {
-			t.Run(fmt.Sprintf("%s/mode%d", name, mode), func(t *testing.T) {
-				a, out, err := build(in, mode)
+		for _, policy := range []core.PublishPolicy{core.PublishEveryRound, core.PublishOnDemand} {
+			t.Run(fmt.Sprintf("%s/mode%d", name, policy), func(t *testing.T) {
+				a, out, err := build(in, policy)
 				if err != nil {
 					t.Fatal(err)
 				}

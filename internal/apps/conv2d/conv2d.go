@@ -50,20 +50,13 @@ type Config struct {
 	// Storage, if non-nil, routes input pixel reads through simulated
 	// approximate storage with the given per-bit read upset probability.
 	Storage *StorageConfig
-	// Snapshot selects how round snapshots are rendered. The default,
-	// pix.SnapshotClone, publishes immutable clones; pix.SnapshotTiles is
-	// the zero-copy publish path: a snapshot's storage is reused after
-	// pix.SnapshotRingDepth further publishes, so consumers must read
-	// promptly or copy.
-	Snapshot pix.SnapshotMode
 	// Publish selects when round snapshots are built and published. The
 	// default, core.PublishEveryRound, publishes at every round boundary.
 	Publish core.PublishPolicy
 	// OnSnapshot, if non-nil, is invoked with each round snapshot as it is
 	// built — before it is published — together with the number of output
 	// pixels computed so far (the sample-size axis of Figures 19–20, which a
-	// core.Snapshot does not carry). It runs on the stage goroutine; under
-	// pix.SnapshotTiles it must not retain img past the call.
+	// core.Snapshot does not carry). It runs on the stage goroutine.
 	OnSnapshot func(processed int, img *pix.Image)
 }
 
@@ -263,7 +256,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		return nil, err
 	}
 	a := core.New()
-	t, err := sampling.NewTreeImage(a, "conv2d", in.W, in.H, 1, cfg.Snapshot)
+	t, err := sampling.NewTreeImage(a, "conv2d", in.W, in.H, 1)
 	if err != nil {
 		return nil, err
 	}

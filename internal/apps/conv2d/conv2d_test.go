@@ -408,7 +408,7 @@ func TestResetReuseAfterInterrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := New(in, Config{Workers: 2, Snapshot: pix.SnapshotTiles})
+	run, err := New(in, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,6 @@ type Config struct {
 	// costs a full-image copy, so it must stay coarse relative to the
 	// cheap per-pixel interpolation).
 	Granularity int
-	// Snapshot selects how round snapshots are rendered. The default,
-	// pix.SnapshotClone, publishes immutable clones; pix.SnapshotTiles is
-	// the zero-copy publish path: a snapshot's storage is reused after
-	// pix.SnapshotRingDepth further publishes, so consumers must read
-	// promptly or copy.
-	Snapshot pix.SnapshotMode
 	// Publish selects when round snapshots are built and published.
 	// Default core.PublishEveryRound.
 	Publish core.PublishPolicy
@@ -213,7 +207,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		return nil, err
 	}
 	a := core.New()
-	t, err := sampling.NewTreeImage(a, "debayer", in.W, in.H, 3, cfg.Snapshot)
+	t, err := sampling.NewTreeImage(a, "debayer", in.W, in.H, 3)
 	if err != nil {
 		return nil, err
 	}

@@ -51,7 +51,7 @@ type applyFixture struct {
 func newApplyFixture(t *testing.T, in *pix.Image, luts []*LUT, g, workers int) *applyFixture {
 	t.Helper()
 	f := &applyFixture{a: core.New(), in: in, luts: luts, g: g}
-	ti, err := sampling.NewTreeImage(f.a, "histeq", in.W, in.H, 1, pix.SnapshotClone)
+	ti, err := sampling.NewTreeImage(f.a, "histeq", in.W, in.H, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,12 +56,6 @@ type Config struct {
 	// is paid once at construction (the paper assumes near-data
 	// processing performs it in memory).
 	ReorderInput bool
-	// Snapshot selects how the apply stage renders round snapshots. The
-	// default, pix.SnapshotClone, publishes immutable clones;
-	// pix.SnapshotTiles is the zero-copy publish path: a snapshot's storage
-	// is reused after pix.SnapshotRingDepth further publishes, so consumers
-	// must read promptly or copy.
-	Snapshot pix.SnapshotMode
 	// Publish selects when the diffusive stages build and publish round
 	// snapshots. Default core.PublishEveryRound.
 	Publish core.PublishPolicy
@@ -314,7 +308,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	// Stage 4: diffusive application with tree-based output sampling: a
 	// full anytime pass on the run's first LUT, then a repaint of the
 	// changed bins per later LUT, the final one marking the output final.
-	t, err := sampling.NewTreeImage(a, "histeq", in.W, in.H, 1, cfg.Snapshot)
+	t, err := sampling.NewTreeImage(a, "histeq", in.W, in.H, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -36,12 +36,6 @@ type Config struct {
 	// ClusterGranularity is the number of pixels sampled per published
 	// output snapshot. Default pixels/2.
 	ClusterGranularity int
-	// Snapshot selects how the cluster stage renders round snapshots. The
-	// default, pix.SnapshotClone, publishes immutable clones;
-	// pix.SnapshotTiles is the zero-copy publish path: a snapshot's storage
-	// is reused after pix.SnapshotRingDepth further publishes, so consumers
-	// must read promptly or copy.
-	Snapshot pix.SnapshotMode
 	// Publish selects when round snapshots are built and published.
 	// Default core.PublishEveryRound.
 	Publish core.PublishPolicy
@@ -279,7 +273,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	partialsBuf := core.NewBuffer[*Partials]("kmeans-partials", nil)
 	modelBuf := core.NewBuffer[*Model]("kmeans-model", nil)
 	a := core.New()
-	t, err := sampling.NewTreeImage(a, "kmeans", in.W, in.H, 3, cfg.Snapshot)
+	t, err := sampling.NewTreeImage(a, "kmeans", in.W, in.H, 3)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,6 @@ import (
 type Features struct {
 	Workers        bool // worker count is configurable
 	Policies       bool // publish policies are configurable
-	Snapshots      bool // snapshot modes (clone|tiles) are configurable
 	MaxGranularity int  // explore granularities 1..Max; 0 = fixed
 	Edges          bool // has async/sync consumer edges (edge faults apply)
 	Storage        bool // supports drowsy-storage upset injection
@@ -146,7 +145,7 @@ type conv2dApp struct{}
 func (*conv2dApp) Name() string { return "conv2d" }
 
 func (*conv2dApp) Features() Features {
-	return Features{Workers: true, Policies: true, Snapshots: true, MaxGranularity: 256, Storage: true}
+	return Features{Workers: true, Policies: true, MaxGranularity: 256, Storage: true}
 }
 
 func (*conv2dApp) Stages() []string { return []string{"convolve"} }
@@ -159,7 +158,6 @@ func (a *conv2dApp) Build(env *Env, s Schedule) (*Instance, error) {
 	cfg := conv2d.Config{
 		Workers:     s.Workers,
 		Granularity: s.Granularity,
-		Snapshot:    s.Snapshot,
 		Publish:     s.Policy,
 	}
 	if s.StorageUpset > 0 {
@@ -188,7 +186,7 @@ type debayerApp struct{}
 func (*debayerApp) Name() string { return "debayer" }
 
 func (*debayerApp) Features() Features {
-	return Features{Workers: true, Policies: true, Snapshots: true, MaxGranularity: 256}
+	return Features{Workers: true, Policies: true, MaxGranularity: 256}
 }
 
 func (*debayerApp) Stages() []string { return []string{"interpolate"} }
@@ -201,7 +199,6 @@ func (a *debayerApp) Build(env *Env, s Schedule) (*Instance, error) {
 	run, err := debayer.New(mosaic, debayer.Config{
 		Workers:     s.Workers,
 		Granularity: s.Granularity,
-		Snapshot:    s.Snapshot,
 		Publish:     s.Policy,
 	})
 	if err != nil {
@@ -228,7 +225,7 @@ type histeqApp struct{}
 func (*histeqApp) Name() string { return "histeq" }
 
 func (*histeqApp) Features() Features {
-	return Features{Workers: true, Policies: true, Snapshots: true, MaxGranularity: 256, Edges: true}
+	return Features{Workers: true, Policies: true, MaxGranularity: 256, Edges: true}
 }
 
 func (*histeqApp) Stages() []string { return []string{"hist", "cdf", "lut", "apply"} }
@@ -241,7 +238,6 @@ func (a *histeqApp) Build(env *Env, s Schedule) (*Instance, error) {
 	run, err := histeq.New(in, histeq.Config{
 		Workers:          s.Workers,
 		ApplyGranularity: s.Granularity,
-		Snapshot:         s.Snapshot,
 		Publish:          s.Policy,
 	})
 	if err != nil {
@@ -333,7 +329,7 @@ type kmeansApp struct{}
 func (*kmeansApp) Name() string { return "kmeans" }
 
 func (*kmeansApp) Features() Features {
-	return Features{Workers: true, Policies: true, Snapshots: true, MaxGranularity: 256, Edges: true}
+	return Features{Workers: true, Policies: true, MaxGranularity: 256, Edges: true}
 }
 
 func (*kmeansApp) Stages() []string { return []string{"cluster", "reduce"} }
@@ -346,7 +342,6 @@ func (a *kmeansApp) Build(env *Env, s Schedule) (*Instance, error) {
 	cfg := kmeans.Config{
 		Workers:            s.Workers,
 		ClusterGranularity: s.Granularity,
-		Snapshot:           s.Snapshot,
 		Publish:            s.Policy,
 	}
 	run, err := kmeans.New(rgb, cfg)

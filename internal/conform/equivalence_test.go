@@ -18,9 +18,9 @@ import (
 // of the anytime contract (version sequence, snapshot contents, final
 // output) is pinned across execution strategies.
 //
-// The sweep uses PublishEveryRound: the demand and adaptive policies
-// publish by wall-clock or reader timing and are deliberately
-// non-deterministic across runs, so they cannot pin a version sequence.
+// The sweep uses PublishEveryRound: the demand policy publishes by reader
+// timing and is deliberately non-deterministic across runs, so it cannot
+// pin a version sequence.
 
 // equivHash is a seeded splitmix64-style position hash, so every output
 // element depends on both the seed and the position and accidental

@@ -108,7 +108,7 @@ func FuzzBufferPublish(f *testing.F) {
 
 // FuzzInterruptAnywhere treats the fuzzer's input as a schedule seed: each
 // input expands through DeriveSchedule into a full configuration — worker
-// count, publish policy, snapshot mode, interrupt point, injected faults —
+// count, publish policy, granularity, interrupt point, injected faults —
 // and one conformance run must uphold every invariant under it. The corpus
 // therefore accumulates schedules, not data.
 func FuzzInterruptAnywhere(f *testing.F) {

@@ -1,6 +1,6 @@
 // Package conform is the repo's conformance and chaos harness: it runs any
 // automaton DAG under seeded schedules — permuted worker counts, publish
-// policies, snapshot modes, interrupt points, and injected faults — and
+// policies, granularities, interrupt points, and injected faults — and
 // machine-checks the paper's §III guarantees at every step:
 //
 //   - version monotonicity: each buffer's published versions are 1, 2, 3, …
@@ -159,11 +159,11 @@ func (p *Probe) Last() (version core.Version, sum uint64, final bool, ok bool) {
 // malformed (undecodable) values and may be nil. Probes must attach before
 // the automaton starts, like any observer.
 //
-// The immutability check is deliberately windowed: snapshot v's checksum is
-// re-verified when v+1 is published and again at quiescence. This is
-// exactly the window the zero-copy snapshot ring guarantees (a snapshot's
-// backing array is reused only pix.SnapshotRingDepth publishes later), and
-// it is the window an interrupt-anywhere consumer relies on.
+// The immutability check is windowed: snapshot v's checksum is re-verified
+// when v+1 is published and again at quiescence, the window an
+// interrupt-anywhere consumer relies on. Image stages publish a fresh copy
+// per version, immutable forever; sampling's TestTreeImageResetAfterInterrupt
+// pins that stronger contract across Reset.
 func AttachProbe[T any](env *Env, buf *core.Buffer[T], sum func(T) uint64, validate func(T) error) *Probe {
 	p := &Probe{Name: buf.Name()}
 	var st struct {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"anytime/internal/core"
-	"anytime/internal/pix"
 )
 
 // rng is the harness's deterministic generator (splitmix64). Every random
@@ -80,14 +79,13 @@ type ChaosPoint struct {
 }
 
 // Schedule is one fully expanded conformance plan: the configuration
-// dimensions the explorer permutes (workers × publish policy × snapshot
-// mode × granularity), the interrupt point, and the injected faults. A
+// dimensions the explorer permutes (workers × publish policy ×
+// granularity), the interrupt point, and the injected faults. A
 // Schedule is a pure function of (App, Seed); see DeriveSchedule.
 type Schedule struct {
 	Seed        uint64
 	Workers     int
 	Policy      core.PublishPolicy
-	Snapshot    pix.SnapshotMode
 	Granularity int // 0 selects the app default
 	Stop        StopPoint
 	// Pauses close the automaton's pause gate at the named stage's At-th
@@ -108,7 +106,7 @@ type Schedule struct {
 
 func (s Schedule) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d workers=%d policy=%s snapshot=%s", s.Seed, s.Workers, policyName(s.Policy), snapshotName(s.Snapshot))
+	fmt.Fprintf(&b, "seed=%d workers=%d policy=%s", s.Seed, s.Workers, policyName(s.Policy))
 	if s.Granularity > 0 {
 		fmt.Fprintf(&b, " gran=%d", s.Granularity)
 	}
@@ -139,21 +137,8 @@ func policyName(p core.PublishPolicy) string {
 		return "every"
 	case core.PublishOnDemand:
 		return "demand"
-	case core.PublishAdaptive:
-		return "adaptive"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-func snapshotName(m pix.SnapshotMode) string {
-	switch m {
-	case pix.SnapshotClone:
-		return "clone"
-	case pix.SnapshotTiles:
-		return "tiles"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
 	}
 }
 
@@ -170,10 +155,7 @@ func DeriveSchedule(app App, seed uint64) Schedule {
 		s.Workers = 1 + r.intn(4)
 	}
 	if feats.Policies {
-		s.Policy = []core.PublishPolicy{core.PublishEveryRound, core.PublishOnDemand, core.PublishAdaptive}[r.intn(3)]
-	}
-	if feats.Snapshots {
-		s.Snapshot = []pix.SnapshotMode{pix.SnapshotClone, pix.SnapshotTiles}[r.intn(2)]
+		s.Policy = []core.PublishPolicy{core.PublishEveryRound, core.PublishOnDemand}[r.intn(2)]
 	}
 	if feats.MaxGranularity > 0 && r.chance(50) {
 		s.Granularity = 1 + r.intn(feats.MaxGranularity)

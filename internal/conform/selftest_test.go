@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"anytime/internal/core"
-	"anytime/internal/pix"
 )
 
 // fakeApp adapts a hand-built automaton to the App interface so RunOne can
@@ -47,9 +46,9 @@ func requireViolation(t *testing.T, app App, invariant string) Result {
 	return res
 }
 
-// TestSelfSnapshotMutatorCaught plants the exact bug the zero-copy publish
-// path could introduce: a stage that keeps writing into an already
-// published snapshot's backing store.
+// TestSelfSnapshotMutatorCaught plants the exact bug a publish path that
+// reuses memory could introduce: a stage that keeps writing into an
+// already published snapshot's backing store.
 func TestSelfSnapshotMutatorCaught(t *testing.T) {
 	t.Parallel()
 	type box struct{ vals []int64 }
@@ -240,8 +239,7 @@ func TestShrinkMinimizes(t *testing.T) {
 	noisy := Schedule{
 		Seed:        5,
 		Workers:     4,
-		Policy:      core.PublishAdaptive,
-		Snapshot:    pix.SnapshotTiles,
+		Policy:      core.PublishOnDemand,
 		Granularity: 7,
 		Pauses:      []ChaosPoint{{Stage: "emit", At: 1, Dur: time.Millisecond}},
 		Delays:      []ChaosPoint{{Stage: "emit", At: 1, Dur: time.Millisecond}},
@@ -251,7 +249,7 @@ func TestShrinkMinimizes(t *testing.T) {
 		t.Fatal("noisy schedule unexpectedly passed")
 	}
 	shrunk := Shrink(app, noisy)
-	want := Schedule{Seed: 5, Workers: 1, Policy: core.PublishEveryRound, Snapshot: pix.SnapshotClone}
+	want := Schedule{Seed: 5, Workers: 1, Policy: core.PublishEveryRound}
 	if !reflect.DeepEqual(shrunk, want) {
 		t.Fatalf("shrunk schedule not minimal:\ngot  %s\nwant %s", shrunk, want)
 	}

@@ -2,7 +2,6 @@ package conform
 
 import (
 	"anytime/internal/core"
-	"anytime/internal/pix"
 )
 
 // shrinkRetries is how many times a candidate simplification is re-run
@@ -99,11 +98,6 @@ func shrinkCandidates(s Schedule) []Schedule {
 	if s.Policy != core.PublishEveryRound {
 		c := s
 		c.Policy = core.PublishEveryRound
-		add(c)
-	}
-	if s.Snapshot != pix.SnapshotClone {
-		c := s
-		c.Snapshot = pix.SnapshotClone
 		add(c)
 	}
 	if s.Granularity > 0 {

@@ -140,14 +140,19 @@ func (a *Automaton) Start(ctx context.Context) error {
 	go func() {
 		a.wg.Wait()
 		a.mu.Lock()
-		a.state = stateDone
 		err := a.err
 		a.mu.Unlock()
 		cancel()
-		close(done)
+		// The finish hook lands before Done closes, so a caller returning
+		// from Wait — or resetting a pooled automaton — sees the run's
+		// finish recorded.
 		if hooks != nil && hooks.AutomatonFinish != nil {
 			hooks.AutomatonFinish(err, time.Since(begin))
 		}
+		a.mu.Lock()
+		a.state = stateDone
+		a.mu.Unlock()
+		close(done)
 	}()
 	return nil
 }

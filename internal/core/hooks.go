@@ -15,9 +15,10 @@ import "time"
 type Hooks struct {
 	// AutomatonStart fires from Start after the stage goroutines launch.
 	AutomatonStart func(stages int)
-	// AutomatonFinish fires once every stage has exited. outcome is the
-	// terminal error as Wait would report it: nil for a precise finish,
-	// ErrStopped for an interruption, the first stage failure otherwise.
+	// AutomatonFinish fires once every stage has exited, and before Done
+	// closes: when Wait returns, it has returned. outcome is the terminal
+	// error as Wait would report it: nil for a precise finish, ErrStopped
+	// for an interruption, the first stage failure otherwise.
 	AutomatonFinish func(outcome error, elapsed time.Duration)
 	// StageStart fires on the stage's own goroutine before its loop runs.
 	StageStart func(stage string)

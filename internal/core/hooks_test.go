@@ -90,29 +90,13 @@ func TestHooksFireAcrossLifecycle(t *testing.T) {
 	if err := a.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// AutomatonFinish fires on its own goroutine after done closes; give it
-	// a moment.
-	deadline := time.After(2 * time.Second)
-	for {
-		log.mu.Lock()
-		fin := log.autoFinish
-		log.mu.Unlock()
-		if fin == 1 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("AutomatonFinish never fired")
-		case <-time.After(time.Millisecond):
-		}
-	}
 	log.mu.Lock()
 	defer log.mu.Unlock()
 	if log.autoStart != 1 || log.autoStages != 2 {
 		t.Errorf("AutomatonStart = %d (stages %d), want 1 (2)", log.autoStart, log.autoStages)
 	}
-	if log.autoOutcome != nil {
-		t.Errorf("outcome = %v, want nil (precise finish)", log.autoOutcome)
+	if log.autoFinish != 1 || log.autoOutcome != nil {
+		t.Errorf("AutomatonFinish = %d (outcome %v), want 1 (nil) by the time Wait returns", log.autoFinish, log.autoOutcome)
 	}
 	if len(log.starts) != 2 {
 		t.Errorf("StageStart fired for %v, want both stages", log.starts)
@@ -122,6 +106,31 @@ func TestHooksFireAcrossLifecycle(t *testing.T) {
 	}
 	if got := log.checkpoints.Load(); got < 5 {
 		t.Errorf("checkpoints = %d, want >= 5", got)
+	}
+}
+
+// TestAutomatonFinishLandsBeforeWait pins the hook's ordering: a slow
+// AutomatonFinish must have completed by the time Wait returns, so a
+// scrape after Wait — or a pooled slot reset for the next run — never
+// races the previous run's finish.
+func TestAutomatonFinishLandsBeforeWait(t *testing.T) {
+	var finished atomic.Bool
+	a := New()
+	if err := a.AddStage("s", func(c *Context) error { return c.Checkpoint() }); err != nil {
+		t.Fatal(err)
+	}
+	a.SetHooks(&Hooks{AutomatonFinish: func(error, time.Duration) {
+		time.Sleep(5 * time.Millisecond)
+		finished.Store(true)
+	}})
+	if err := a.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !finished.Load() {
+		t.Fatal("Wait returned before AutomatonFinish completed")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file provides the three stage-loop shapes of the paper:
@@ -61,17 +60,7 @@ const (
 	// reader or a consumed snapshot re-enables publishing at the next round
 	// boundary, and the final snapshot is always published.
 	PublishOnDemand
-	// PublishAdaptive widens the effective publish interval until snapshot
-	// construction stays within PublishBudget as a fraction of stage time —
-	// the granularity auto-tuning of §IV-C1 aimed at a fixed overhead
-	// target instead of a fixed update count.
-	PublishAdaptive
 )
-
-// DefaultPublishBudget is the adaptive policy's snapshot-overhead target
-// when RoundConfig.PublishBudget is zero: publishing may consume at most
-// this fraction of the stage's wall time.
-const DefaultPublishBudget = 0.1
 
 // RoundConfig tunes a diffusive stage's execution.
 type RoundConfig struct {
@@ -88,10 +77,6 @@ type RoundConfig struct {
 	// Policy selects when round snapshots are constructed and published.
 	// The zero value is PublishEveryRound.
 	Policy PublishPolicy
-	// PublishBudget is PublishAdaptive's target ceiling for the fraction of
-	// stage time spent building and publishing snapshots, in (0, 1). Zero
-	// selects DefaultPublishBudget. Ignored by the other policies.
-	PublishBudget float64
 }
 
 // RoundSize returns the number of updates per round a diffusive stage of
@@ -109,18 +94,12 @@ func (cfg RoundConfig) withDefaults(total int) (RoundConfig, error) {
 	if cfg.Granularity < 0 || cfg.Workers < 0 {
 		return cfg, fmt.Errorf("core: negative round config %+v", cfg)
 	}
-	if cfg.Policy < PublishEveryRound || cfg.Policy > PublishAdaptive {
+	if cfg.Policy < PublishEveryRound || cfg.Policy > PublishOnDemand {
 		return cfg, fmt.Errorf("core: unknown publish policy %d", cfg.Policy)
-	}
-	if cfg.PublishBudget < 0 || cfg.PublishBudget >= 1 {
-		return cfg, fmt.Errorf("core: publish budget %v out of range [0, 1)", cfg.PublishBudget)
 	}
 	cfg.Granularity = cfg.RoundSize(total)
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
-	}
-	if cfg.PublishBudget == 0 {
-		cfg.PublishBudget = DefaultPublishBudget
 	}
 	return cfg, nil
 }
@@ -239,7 +218,6 @@ func diffusiveRun[T any](c *Context, out *Buffer[T], total int, run func(worker,
 			return false
 		}
 	}
-	gov := publishGovernor{cfg: cfg}
 	for done := 0; done < total; {
 		if err := c.Checkpoint(); err != nil {
 			return err
@@ -257,15 +235,12 @@ func diffusiveRun[T any](c *Context, out *Buffer[T], total int, run func(worker,
 			if done+n > total {
 				n = total - done
 			}
-			gov.beginApply()
 			if err := pool.apply(done, n); err != nil {
 				return err
 			}
-			gov.endApply()
 			done += n
 			final := done == total
-			if publish := final || gov.shouldPublish(out); publish {
-				gov.beginPublish()
+			if final || cfg.Policy != PublishOnDemand || out.Demanded() {
 				v, err := snapshot(done)
 				if err != nil {
 					return err
@@ -273,7 +248,6 @@ func diffusiveRun[T any](c *Context, out *Buffer[T], total int, run func(worker,
 				if _, err := out.Publish(v, markFinal && final); err != nil {
 					return err
 				}
-				gov.endPublish()
 			}
 			if interrupted() {
 				break
@@ -281,60 +255,6 @@ func diffusiveRun[T any](c *Context, out *Buffer[T], total int, run func(worker,
 		}
 	}
 	return nil
-}
-
-// publishGovernor implements the publish policies for the diffusive round
-// loop. It only reads the clock under PublishAdaptive, so the default
-// policy's round loop stays timestamp-free.
-type publishGovernor struct {
-	cfg         RoundConfig
-	applyTime   time.Duration
-	publishTime time.Duration
-	mark        time.Time
-}
-
-func (g *publishGovernor) timed() bool { return g.cfg.Policy == PublishAdaptive }
-
-func (g *publishGovernor) beginApply() {
-	if g.timed() {
-		g.mark = time.Now()
-	}
-}
-
-func (g *publishGovernor) endApply() {
-	if g.timed() {
-		g.applyTime += time.Since(g.mark)
-	}
-}
-
-func (g *publishGovernor) beginPublish() {
-	if g.timed() {
-		g.mark = time.Now()
-	}
-}
-
-func (g *publishGovernor) endPublish() {
-	if g.timed() {
-		g.publishTime += time.Since(g.mark)
-	}
-}
-
-// shouldPublish decides whether this round boundary builds a snapshot (the
-// final round always does; the loop never asks about it).
-func (g *publishGovernor) shouldPublish(demand interface{ Demanded() bool }) bool {
-	switch g.cfg.Policy {
-	case PublishOnDemand:
-		return demand.Demanded()
-	case PublishAdaptive:
-		// Publish while cumulative snapshot overhead sits within budget:
-		// each (expensive) publish pushes the ratio up, then apply rounds
-		// dilute it back under the target, so the cadence self-adjusts to
-		// spend ~PublishBudget of stage time on publishing.
-		spent := g.applyTime + g.publishTime
-		return spent == 0 || float64(g.publishTime) <= g.cfg.PublishBudget*float64(spent)
-	default:
-		return true
-	}
 }
 
 // applySpan invokes apply for every position of [lo, hi) in ascending

@@ -203,8 +203,8 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		s.cache, err = snapcache.New(snapcache.Config[*pix.Image]{
 			MaxBytes: cfg.CacheBytes,
 			TTL:      cfg.CacheTTL,
-			// Pools publish SnapshotClone images (immutable forever), so the
-			// cache can retain them without a defensive copy.
+			// Pools publish a fresh image per version, immutable forever, so
+			// the cache can retain them without a defensive copy.
 			SizeOf: func(im *pix.Image) int { return len(im.Pix) * 4 },
 		})
 		if err != nil {

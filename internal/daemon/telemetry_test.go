@@ -80,13 +80,7 @@ func TestMetricsExpositionReflectsTraffic(t *testing.T) {
 	if got := counterValue(t, body2, `anytime_buffer_publish_total{buffer="conv2d"}`); got <= publishes {
 		t.Errorf("publish counter did not grow: %d -> %d", publishes, got)
 	}
-	// AutomatonFinish fires on the automaton's finisher goroutine after Done
-	// closes, so a run can be counted a moment after its response.
-	got := runsTotal(body2)
-	for deadline := time.Now().Add(time.Second); got <= runs && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		got = runsTotal(get(t, s, "/metrics").Body.String())
-	}
-	if got <= runs {
+	if got := runsTotal(body2); got <= runs {
 		t.Errorf("run counter did not grow: %d -> %d", runs, got)
 	}
 }

@@ -99,7 +99,6 @@ type Collector struct {
 	total int // total sample size for Fraction, 0 if unused
 
 	mu     sync.Mutex
-	copy   bool
 	start  time.Time
 	points []rawPoint
 }
@@ -135,20 +134,6 @@ func NewCollector(ref *pix.Image, sampleTotal int) *Collector {
 	return &Collector{ref: ref, total: sampleTotal, start: time.Now()}
 }
 
-// CopyOnRecord makes the collector deep-copy each snapshot instead of
-// retaining the published pointer. Required when the observed stage
-// publishes through the zero-copy tile ring (pix.SnapshotTiles), whose
-// snapshots are reused after ring-depth further publishes; a collector
-// retains images until export, far past that window. Recording then costs
-// a full-image copy per publish — exactly the overhead the ring removed —
-// so enable it only on instrumented runs. Call it before the automaton
-// starts.
-func (c *Collector) CopyOnRecord() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.copy = true
-}
-
 // Begin (re)sets the time origin and discards prior points. Call it
 // immediately before starting the automaton.
 func (c *Collector) Begin() {
@@ -158,10 +143,9 @@ func (c *Collector) Begin() {
 	c.points = c.points[:0]
 }
 
-// Record stores one published snapshot. Unless CopyOnRecord is set, img
-// must stay immutable after the call (clone-mode automaton snapshots are;
-// tile-ring snapshots are not — see CopyOnRecord). processed may be 0 when
-// the producing stage does not report sample sizes.
+// Record stores one published snapshot; img must stay immutable after the
+// call, as every automaton snapshot does. processed may be 0 when the
+// producing stage does not report sample sizes.
 func (c *Collector) Record(processed int, img *pix.Image) {
 	c.add(rawPoint{img: img, processed: processed})
 }
@@ -177,9 +161,6 @@ func (c *Collector) add(rp rawPoint) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.copy {
-		rp.img = rp.img.Clone()
-	}
 	rp.at = now.Sub(c.start)
 	c.points = append(c.points, rp)
 }

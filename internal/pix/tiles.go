@@ -8,8 +8,9 @@ import (
 // This file is the tile substrate of the snapshot paths (paper §III-B2
 // granularity, §IV-C overheads). The app stages publish through
 // sampling.TreeImage, which keeps its image hold-filled in place and needs
-// only TileGrid and the DirtyTiles of a delta start; Snapshotter serves the
-// facade, whose callers may mark pixels in any order:
+// only TileGrid and the DirtyTiles of a delta start. Snapshotter, which
+// renders any mask marked in any order, is kept for the benchmark's layer
+// probe:
 //
 //   - TileGrid / DirtyTiles: tile-granular (32×32 pixels) dirty tracking,
 //     marked by the apply loop as it writes the working image.
@@ -313,10 +314,10 @@ const (
 	SnapshotTiles
 )
 
-// SnapshotRingDepth is the ring depth of SnapshotTiles mode: a published
+// snapshotRingDepth is the ring depth of SnapshotTiles mode: a published
 // snapshot survives two further publishes before its storage is reused,
 // enough slack for the model's latest-wins consumers.
-const SnapshotRingDepth = 3
+const snapshotRingDepth = 3
 
 // Snapshotter renders the published approximations of a tree-sampled
 // diffusive image stage: pixels not yet computed take the value of their
@@ -355,7 +356,7 @@ func NewSnapshotter(working *Image, workers int, mode SnapshotMode) (*Snapshotte
 		grid:    NewTileGrid(working.W, working.H, working.C),
 	}
 	if mode == SnapshotTiles {
-		cloner, err := NewTileCloner(working.W, working.H, working.C, SnapshotRingDepth)
+		cloner, err := NewTileCloner(working.W, working.H, working.C, snapshotRingDepth)
 		if err != nil {
 			return nil, err
 		}

@@ -330,14 +330,14 @@ func TestSnapshotterTilesAliasingContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep := first.Clone()
-	for i := 0; i < SnapshotRingDepth-1; i++ {
+	for i := 0; i < snapshotRingDepth-1; i++ {
 		working.SetGray(0, 0, int32(20+i))
 		s.Mark(0, 0)
 		if _, err := s.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
 		if !first.Equal(keep) {
-			t.Fatalf("snapshot mutated after %d further publishes (depth %d)", i+1, SnapshotRingDepth)
+			t.Fatalf("snapshot mutated after %d further publishes (depth %d)", i+1, snapshotRingDepth)
 		}
 	}
 	working.SetGray(0, 0, 99)

@@ -40,8 +40,7 @@ type TreeImage struct {
 	Working *pix.Image
 	// OnSnapshot, if non-nil, is invoked on the stage goroutine with each
 	// round snapshot before it is published, together with the number of
-	// output pixels computed so far. Under pix.SnapshotTiles it must not
-	// retain img past the call.
+	// output pixels computed so far.
 	OnSnapshot func(processed int, img *pix.Image)
 
 	tree   perm.Order // the 2D tree order
@@ -57,9 +56,6 @@ type TreeImage struct {
 	seeded bool
 	stale  *pix.DirtyTiles
 	grid   pix.TileGrid
-
-	ring []*pix.Image // pix.SnapshotTiles: reused publish images; nil clones
-	next int
 }
 
 // NewTreeImage builds the output side of a w×h, channels-deep tree-sampled
@@ -74,13 +70,8 @@ type TreeImage struct {
 //     final is bit-identical to a cold run's. A payload of the wrong type or
 //     geometry is refused with bufferName leading the error.
 //
-// mode selects whether each version is a fresh immutable copy
-// (pix.SnapshotClone) or a copy into a small ring of reused images
-// (pix.SnapshotTiles).
-func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels int, mode pix.SnapshotMode) (*TreeImage, error) {
-	if mode != pix.SnapshotClone && mode != pix.SnapshotTiles {
-		return nil, fmt.Errorf("sampling: unknown snapshot mode %d", mode)
-	}
+// Every version is a fresh copy of Working, immutable once published.
+func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels int) (*TreeImage, error) {
 	tree, err := perm.Tree2D(h, w)
 	if err != nil {
 		return nil, err
@@ -97,11 +88,6 @@ func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels int, mode
 		root:    1 << bits.Len(uint(max(w, h, 1)-1)),
 		grid:    pix.NewTileGrid(w, h, channels),
 	}
-	if mode == pix.SnapshotTiles {
-		for range pix.SnapshotRingDepth {
-			t.ring = append(t.ring, pix.MustNew(w, h, channels))
-		}
-	}
 	a.OnReset(func() {
 		clear(t.filled)
 		t.shown, t.seeded, t.stale = 0, false, nil
@@ -114,7 +100,7 @@ func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels int, mode
 		}
 		img.CloneInto(working)
 		t.seeded, t.stale = true, stale
-		return t.Out.Seed(t.publishable(), v)
+		return t.Out.Seed(working.Clone(), v)
 	})
 	return t, nil
 }
@@ -204,7 +190,7 @@ func (t *TreeImage) render(processed int) (*pix.Image, error) {
 		}
 	}
 	t.shown = max(t.shown, processed)
-	img := t.publishable()
+	img := t.Working.Clone()
 	if t.OnSnapshot != nil {
 		t.OnSnapshot(processed, img)
 	}
@@ -308,16 +294,4 @@ func (t *TreeImage) fill(x0, y0, side int, src []int32) {
 			x = end
 		}
 	}
-}
-
-// publishable copies Working into the image a version publishes: a fresh
-// clone, or the next image of the ring.
-func (t *TreeImage) publishable() *pix.Image {
-	if t.ring == nil {
-		return t.Working.Clone()
-	}
-	t.next = (t.next + 1) % len(t.ring)
-	img := t.ring[t.next]
-	copy(img.Pix, t.Working.Pix)
-	return img
 }

@@ -2,8 +2,10 @@ package sampling
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"strings"
 	"sync"
@@ -27,7 +29,7 @@ const treeW, treeH, treeC = 45, 37, 3
 type treeConfig struct {
 	w, h, c     int
 	workers     int
-	mode        pix.SnapshotMode
+	policy      core.PublishPolicy
 	granularity int
 }
 
@@ -35,7 +37,8 @@ type treeVersion struct {
 	version   core.Version
 	final     bool
 	processed int
-	img       *pix.Image
+	img       *pix.Image // the published image itself, kept past the run
+	sum       uint64     // img's checksum when it was published
 }
 
 // treeFixture is one automaton with one TreeImage stage, recording every
@@ -61,7 +64,7 @@ func newTreeFixture(t *testing.T, cfg treeConfig, markFinal bool) *treeFixture {
 	for i := range f.ref.Pix {
 		f.ref.Pix[i] = int32(i*7%251 + 1)
 	}
-	ti, err := NewTreeImage(f.a, "tree", cfg.w, cfg.h, cfg.c, cfg.mode)
+	ti, err := NewTreeImage(f.a, "tree", cfg.w, cfg.h, cfg.c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +72,7 @@ func newTreeFixture(t *testing.T, cfg treeConfig, markFinal bool) *treeFixture {
 	processed := 0
 	ti.OnSnapshot = func(p int, _ *pix.Image) { processed = p }
 	ti.Out.OnPublish(func(s core.Snapshot[*pix.Image]) {
-		// Clone: under SnapshotTiles the ring reuses s.Value's storage.
-		f.versions = append(f.versions, treeVersion{s.Version, s.Final, processed, s.Value.Clone()})
+		f.versions = append(f.versions, treeVersion{s.Version, s.Final, processed, s.Value, pixSum(s.Value)})
 		if s.Version == f.stopAt {
 			f.cancel()
 		}
@@ -83,7 +85,7 @@ func newTreeFixture(t *testing.T, cfg treeConfig, markFinal bool) *treeFixture {
 				ti.Mark(d)
 			}
 			return nil
-		}, core.RoundConfig{Granularity: cfg.granularity, Workers: cfg.workers}, markFinal)
+		}, core.RoundConfig{Granularity: cfg.granularity, Workers: cfg.workers, Policy: cfg.policy}, markFinal)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,6 +150,13 @@ func (f *treeFixture) checkCold(t *testing.T, vs []treeVersion, markFinal bool) 
 	}
 }
 
+// pixSum is an FNV-1a checksum of im's samples.
+func pixSum(im *pix.Image) uint64 {
+	h := fnv.New64a()
+	binary.Write(h, binary.LittleEndian, im.Pix)
+	return h.Sum64()
+}
+
 func sameVersions(a, b []treeVersion) bool {
 	if len(a) != len(b) {
 		return false
@@ -161,15 +170,16 @@ func sameVersions(a, b []treeVersion) bool {
 	return true
 }
 
-// eachTreeConfig runs fn under W ∈ {1,2,3} × both snapshot modes × both
-// granularities.
+// eachTreeConfig runs fn under both publish policies (mode0 every round,
+// mode1 on demand; the fixture's observer is standing demand, so both
+// publish every round) × W ∈ {1,2,3} × both granularities.
 func eachTreeConfig(t *testing.T, fn func(t *testing.T, cfg treeConfig)) {
-	for _, mode := range []pix.SnapshotMode{pix.SnapshotClone, pix.SnapshotTiles} {
+	for _, policy := range []core.PublishPolicy{core.PublishEveryRound, core.PublishOnDemand} {
 		for workers := 1; workers <= 3; workers++ {
-			t.Run(fmt.Sprintf("mode%d/w%d", mode, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("mode%d/w%d", policy, workers), func(t *testing.T) {
 				for _, granularity := range []int{200, 40} {
 					t.Run(fmt.Sprintf("g%d", granularity), func(t *testing.T) {
-						fn(t, treeConfig{treeW, treeH, treeC, workers, mode, granularity})
+						fn(t, treeConfig{treeW, treeH, treeC, workers, policy, granularity})
 					})
 				}
 			})
@@ -196,7 +206,7 @@ func TestTreeImageGeometries(t *testing.T) {
 	for _, g := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 3}, {17, 5}, {3, 40}} {
 		for _, granularity := range []int{1, max(g[0]*g[1]/4, 1)} {
 			t.Run(fmt.Sprintf("%dx%d/g%d", g[0], g[1], granularity), func(t *testing.T) {
-				cfg := treeConfig{g[0], g[1], 1, 2, pix.SnapshotClone, granularity}
+				cfg := treeConfig{g[0], g[1], 1, 2, core.PublishEveryRound, granularity}
 				f := newTreeFixture(t, cfg, true)
 				f.checkCold(t, f.run(t), true)
 			})
@@ -205,7 +215,12 @@ func TestTreeImageGeometries(t *testing.T) {
 }
 
 // TestTreeImageResetAfterInterrupt: a run cancelled after its first version,
-// then Reset, reruns as if the first had never happened.
+// then Reset, reruns as if the first had never happened. Every version the
+// cold run published is kept throughout and must still match its
+// publish-time checksum at the end: a published image is never written
+// again, not by a later version and not by a later run — the contract the
+// daemon's snapshot cache relies on when it holds a version past its
+// request.
 func TestTreeImageResetAfterInterrupt(t *testing.T) {
 	testgate.Goroutines(t)
 	eachTreeConfig(t, func(t *testing.T, cfg treeConfig) {
@@ -230,6 +245,11 @@ func TestTreeImageResetAfterInterrupt(t *testing.T) {
 		}
 		if rerun := f.run(t); !sameVersions(rerun, cold) {
 			t.Error("rerun after interrupt + Reset differs from the cold run")
+		}
+		for _, v := range cold {
+			if pixSum(v.img) != v.sum {
+				t.Fatalf("cold version %d was written after it was published", v.version)
+			}
 		}
 	})
 }
@@ -329,7 +349,7 @@ func TestTreeImageVisitsRoundsInRasterBands(t *testing.T) {
 		for _, g := range []int{200, 40, 1, n} {
 			t.Run(fmt.Sprintf("w%d/g%d", workers, g), func(t *testing.T) {
 				a := core.New()
-				ti, err := NewTreeImage(a, "tree", treeW, treeH, 1, pix.SnapshotClone)
+				ti, err := NewTreeImage(a, "tree", treeW, treeH, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -401,7 +421,7 @@ func TestTreeImageRepaint(t *testing.T) {
 	round := core.RoundConfig{Granularity: 200, Workers: 2}
 	run := func(stage func(c *core.Context, ti *TreeImage) error) ([]core.Snapshot[*pix.Image], error) {
 		a := core.New()
-		ti, err := NewTreeImage(a, "tree", treeW, treeH, 1, pix.SnapshotClone)
+		ti, err := NewTreeImage(a, "tree", treeW, treeH, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,7 @@
 //
 //   - Pool: warm automaton pools. core.Automaton.Reset rewinds an
 //     automaton's per-run state without reallocating stages, permutation
-//     tables, tile rings, or arenas, so a pool amortizes construction cost
+//     tables, or image storage, so a pool amortizes construction cost
 //     across requests: check an entry out with Get, run it, check it back
 //     in with Put.
 //

@@ -65,7 +65,7 @@ type Config[T any] struct {
 	SizeOf func(T) int
 	// Clone, if non-nil, deep-copies values on the way in and out. Leave
 	// nil when cached values are immutable (the serving tier caches
-	// SnapshotClone images, which are).
+	// published app versions, which are).
 	Clone func(T) T
 	// Now is the clock; nil means time.Now. A test seam for TTL behavior.
 	Now func() time.Time

@@ -69,11 +69,9 @@ func runInstrumentedPipeline(t *testing.T, reg *Registry) {
 	if err := a.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// AutomatonFinish fires asynchronously after done; wait for it so the
-	// lifecycle metrics below are settled.
-	waitFor(t, func() bool {
-		return reg.Counter(MetricRunsTotal, Labels{"outcome": "precise"}).Value() == 1
-	})
+	if v := reg.Counter(MetricRunsTotal, Labels{"outcome": "precise"}).Value(); v != 1 {
+		t.Fatalf("precise runs = %d after Wait, want 1", v)
+	}
 }
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -172,9 +170,9 @@ func TestStoppedRunRecordsStoppedOutcome(t *testing.T) {
 		return reg.Counter(MetricBufferPublish, Labels{"buffer": "out"}).Value() > 2
 	})
 	a.Stop()
-	waitFor(t, func() bool {
-		return reg.Counter(MetricRunsTotal, Labels{"outcome": "stopped"}).Value() == 1
-	})
+	if v := reg.Counter(MetricRunsTotal, Labels{"outcome": "stopped"}).Value(); v != 1 {
+		t.Errorf("stopped runs = %d after Stop, want 1", v)
+	}
 	if v := reg.Gauge(MetricBufferFinal, Labels{"buffer": "out"}).Value(); v != 0 {
 		t.Errorf("final gauge = %d for an interrupted run", v)
 	}
