@@ -7,14 +7,16 @@
 // Usage:
 //
 //	anytimed [-addr :8080] [-size 256] [-workers 2] [-slots 8] [-queue 32]
-//	         [-warm 1] [-overload shed] [-shed-min 0.25] [-pprof]
+//	         [-warm 1] [-pprof]
 //	         [-flight-recorder-size 256] [-trace-sample 16]
 //	         [-cache-size 64] [-cache-ttl 5m]
 //
 // Endpoints (all return binary PGM/PPM with X-Anytime-* headers):
 //
-//	GET /blur?deadline=50ms    blur, best published output within 50ms
-//	                           (never empty-handed; may shed under load)
+//	GET /blur?deadline=50ms    blur, best published output within 50ms of
+//	                           arrival (never empty-handed; queue wait
+//	                           comes off the run; 503 at once if the wait
+//	                           ahead would spend the deadline)
 //	GET /blur?accept=25        …or until the output reaches 25 dB
 //	GET /equalize?deadline=10ms  histogram equalization, same knobs
 //	GET /cluster?deadline=100ms  k-means clustering, same knobs
@@ -32,9 +34,9 @@
 //
 // Running behind cmd/anytimerouter, a deadline request may arrive with an
 // X-Anytime-Budget header: the remaining deadline budget after the router's
-// queue wait and the network hop. The budget caps the effective deadline
-// (it is fed into the shed controller like any deadline), so a backend
-// never runs longer than the budget it was handed.
+// queue wait and the network hop. The budget caps the effective deadline,
+// and the backend's own queue wait comes off it like off any deadline, so a
+// backend never runs longer than the budget it was handed.
 //
 // Operational endpoints:
 //
@@ -53,12 +55,12 @@
 //	GET /debug/pprof/          runtime profiler (only with -pprof)
 //
 // Every app response carries an X-Anytime-Trace header naming its request
-// trace. Errors, rejections, deadline misses, shed requests, and the
-// slowest requests are always retained by the flight recorder; unremarkable
-// successes are sampled one in -trace-sample.
+// trace. Errors, rejections, deadline misses and the slowest requests are
+// always retained by the flight recorder; unremarkable successes are
+// sampled one in -trace-sample.
 //
 // docs/OPERATIONS.md is the operator's handbook: every flag and knob, pool
-// and queue sizing, the shed-versus-reject tradeoff, fleet topology, and
+// and queue sizing, reading an overload, fleet topology, and
 // the full metrics reference. The server itself lives in internal/daemon so
 // the cluster harness can run real backends in-process.
 package main
@@ -79,11 +81,9 @@ func main() {
 	slots := flag.Int("slots", 8, "automata running concurrently (pool capacity per route)")
 	queueLen := flag.Int("queue", 32, "requests waiting for a slot before rejection (-1 = none)")
 	warm := flag.Int("warm", 1, "automata prebuilt per route pool at startup")
-	overload := flag.String("overload", "shed", "overload policy once requests queue: shed (scale deadlines down) or reject (queue bound only)")
-	shedMin := flag.Float64("shed-min", 0.25, "floor of the shed factor (fraction of the requested deadline)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	flightSize := flag.Int("flight-recorder-size", 256, "completed request traces retained for /debug/requests")
-	traceSample := flag.Int("trace-sample", 16, "retain 1 in N unremarkable OK request traces (errors, rejections, deadline misses, sheds and the slowest are always retained)")
+	traceSample := flag.Int("trace-sample", 16, "retain 1 in N unremarkable OK request traces (errors, rejections, deadline misses and the slowest are always retained)")
 	cacheSize := flag.Int("cache-size", 64, "snapshot cache budget in MiB; deadline requests warm-start from cached approximations (0 disables)")
 	cacheTTL := flag.Duration("cache-ttl", 5*time.Minute, "snapshot cache entry time-to-live")
 	flag.Parse()
@@ -98,8 +98,6 @@ func main() {
 		Slots:       *slots,
 		QueueLen:    *queueLen,
 		Warm:        *warm,
-		Overload:    *overload,
-		ShedMin:     *shedMin,
 		FlightSize:  *flightSize,
 		TraceSample: *traceSample,
 		CacheBytes:  cacheBytes,
@@ -108,7 +106,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("anytimed listening on %s (image %dx%d, %d slots, %s overload policy)",
-		*addr, *size, *size, *slots, *overload)
+	log.Printf("anytimed listening on %s (image %dx%d, %d slots, %d waiting)",
+		*addr, *size, *size, *slots, *queueLen)
 	log.Fatal(http.ListenAndServe(*addr, srv))
 }

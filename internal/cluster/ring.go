@@ -20,7 +20,8 @@
 //     ring gracefully — new work routes around it while in-flight requests
 //     finish.
 //   - Remaining: the deadline-budget arithmetic, propagated to backends
-//     via serve.BudgetHeader and fed into serve.Controller.Scale there.
+//     via serve.BudgetHeader and folded into the grant by serve.ApplyBudget
+//     there.
 //   - runRace (the hedger): issues the primary forward, arms a hedge timer
 //     sized from the recent latency distribution, races the next ring
 //     member when it fires, and resolves the race by delivered SNR when

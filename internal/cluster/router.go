@@ -333,9 +333,6 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 
 	elapsed := time.Since(arrival)
 	rt.digest.Observe(elapsed)
-	if m := rt.members.Member(resp.member); m != nil {
-		m.ObserveRTT(resp.rtt)
-	}
 	hedged := resp.role == "hedge"
 	rt.sink.Send(tr.RouterDeliver(resp.member, hedged, resp.version, resp.final, elapsed))
 

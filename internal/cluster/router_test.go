@@ -424,3 +424,20 @@ func TestRouterTraceAndMetricsAgree(t *testing.T) {
 		t.Errorf("metrics and traces disagree:\n metrics %v\n traces  %v", counted, traced)
 	}
 }
+
+// TestRouterObservesEachRoundTripOnce: one routed request folds its
+// forward's round trip into the member's RTT average exactly once.
+func TestRouterObservesEachRoundTripOnce(t *testing.T) {
+	b := newFakeBackend(0, 20)
+	rt := testRouter(t, RouterConfig{}, b)
+	m := rt.members.Member(b.name())
+	m.ObserveRTT(time.Second) // a prior far above any loopback round trip
+	if rec := routerGet(t, rt, "/blur"); rec.Code != http.StatusOK {
+		t.Fatalf("status %d", rec.Code)
+	}
+	// One sample r moves the average to 1s + (r − 1s)/4 ≈ 750ms; a second
+	// would take it to ≈ 560ms.
+	if got := m.RTT(); got < 700*time.Millisecond || got > 800*time.Millisecond {
+		t.Fatalf("RTT average %v after one round trip from a 1s prior, want ≈750ms (one sample)", got)
+	}
+}

@@ -35,7 +35,7 @@ func (g *gatedWriter) Write(b []byte) (int, error) {
 // must equal what /metrics counted. The traffic is a mix of deadline,
 // accept and precise requests on all three routes, a cache leg (repeated
 // key, sibling hit, sibling miss), plus a burst against one slot and a
-// four-deep waiting room that forces queue waits, sheds and a rejection.
+// four-deep waiting room that forces queue waits and a rejection.
 // The recorder's own counters close the loop: the anytime_reqtrace_* series
 // must equal the stats /debug/requests.json reports.
 func TestTraceAndMetricsAgree(t *testing.T) {
@@ -66,8 +66,9 @@ func TestTraceAndMetricsAgree(t *testing.T) {
 	}
 
 	// Hold the only slot, fill the waiting room, overflow it by one, then
-	// let the line drain: the first waiters run with a deep queue behind
-	// them and are shed.
+	// let the line drain. The waiters' deadline is long enough that the
+	// queue's time bound, primed by the requests above, never refuses one:
+	// this burst tests the count bound.
 	holder := &gatedWriter{ResponseRecorder: httptest.NewRecorder(), writing: make(chan struct{}), release: make(chan struct{})}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -81,7 +82,7 @@ func TestTraceAndMetricsAgree(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			waiters[i] = get(t, s, "/blur?deadline=20ms").Code
+			waiters[i] = get(t, s, "/blur?deadline=5s").Code
 		}(i)
 	}
 	for giveUp := time.Now().Add(10 * time.Second); s.queue.Depth() < len(waiters); time.Sleep(time.Millisecond) {
@@ -116,8 +117,6 @@ func TestTraceAndMetricsAgree(t *testing.T) {
 				events["anytime_serve_queue_wait_seconds_count"]++
 			case reqtrace.KindQueueReject:
 				events["anytime_serve_rejected_total"]++
-			case reqtrace.KindShed:
-				events["anytime_serve_sheds_total"]++
 			case reqtrace.KindRunFinish:
 				outcome := pick(e.Flag, "precise", "approximate")
 				events[fmt.Sprintf(`anytime_serve_deliveries_total{outcome=%q}`, outcome)]++
@@ -134,7 +133,6 @@ func TestTraceAndMetricsAgree(t *testing.T) {
 	// The scenario is only an oracle if it exercised every decision point.
 	for series, atLeast := range map[string]int64{
 		"anytime_serve_rejected_total":                             1,
-		"anytime_serve_sheds_total":                                1,
 		"anytime_serve_queue_wait_seconds_count":                   11,
 		`anytime_serve_deliveries_total{outcome="precise"}`:        2,
 		`anytime_serve_deliveries_total{outcome="approximate"}`:    1,
@@ -155,7 +153,7 @@ func TestTraceAndMetricsAgree(t *testing.T) {
 	}
 	// Both directions: every traced event was counted, and every series
 	// of the event-fed families counted only what some trace holds.
-	fed := regexp.MustCompile(`(?m)^(anytime_(?:serve_(?:pool_gets_total|pool_puts_total|rejected_total|sheds_total|deliveries_total|queue_wait_seconds_count|delivery_seconds_count)|snapcache_(?:hits|misses|seeds)_total)(?:\{[^}]*\})?) \d+$`)
+	fed := regexp.MustCompile(`(?m)^(anytime_(?:serve_(?:pool_gets_total|pool_puts_total|rejected_total|deliveries_total|queue_wait_seconds_count|delivery_seconds_count)|snapcache_(?:hits|misses|seeds)_total)(?:\{[^}]*\})?) \d+$`)
 	for _, m := range fed.FindAllStringSubmatch(after, -1) {
 		if _, traced := events[m[1]]; !traced {
 			events[m[1]] = 0

@@ -1,6 +1,7 @@
 // Package daemon is the anytimed server: the deadline-aware anytime
 // serving runtime (internal/serve) wired to HTTP, with warm per-route
-// pools, FIFO admission, load shedding, telemetry, request tracing, and —
+// pools, FIFO admission bounded by count and by time, deadlines that run
+// from arrival, telemetry, request tracing, and —
 // for fleet deployments behind cmd/anytimerouter — deadline-budget
 // ingestion (serve.BudgetHeader) and a drain lifecycle (/drain flips
 // /healthz to 503 so routers stop sending new work while in-flight
@@ -32,19 +33,17 @@ import (
 )
 
 // Server holds the prepared inputs, precise references, and the serving
-// runtime — per-route warm pools, the FIFO admission queue, and the load
-// controller — so request handling only pays for the automaton run itself.
+// runtime — per-route warm pools and the FIFO admission queue — so request
+// handling only pays for the automaton run itself.
 type Server struct {
 	mux *http.ServeMux
 
 	// queue is the FIFO admission queue bounding concurrently running
 	// automata (replacing the old unfair channel semaphore): slots execute,
-	// up to queueLen more wait in arrival order, the rest are rejected.
+	// up to queueLen more wait in arrival order, the rest are rejected, and
+	// so is a deadline request whose projected wait would spend its
+	// deadline.
 	queue *serve.Queue
-	// ctrl scales deadlines down as the queue deepens; active only when
-	// shed is true (-overload=shed).
-	ctrl serve.Controller
-	shed bool
 
 	// reg is the process metrics registry; every request's pipeline
 	// reports into it through hooks (shared across all automata) and
@@ -108,13 +107,11 @@ var routeTable = []struct {
 // soon as every slot is busy).
 type Config struct {
 	Pprof       bool
-	Slots       int     // concurrent automata (0 = 8)
-	QueueLen    int     // bounded waiting room (0 = 32, -1 = none)
-	Warm        int     // automata prebuilt per route pool (0 = 1)
-	Overload    string  // "shed" or "reject" ("" = shed)
-	ShedMin     float64 // floor of the shed factor (0 = 0.25)
-	FlightSize  int     // completed traces retained for /debug/requests (0 = 256)
-	TraceSample int     // retain 1 in N unremarkable OK traces (0 = 16)
+	Slots       int // concurrent automata (0 = 8)
+	QueueLen    int // bounded waiting room (0 = 32, -1 = none)
+	Warm        int // automata prebuilt per route pool (0 = 1)
+	FlightSize  int // completed traces retained for /debug/requests (0 = 256)
+	TraceSample int // retain 1 in N unremarkable OK traces (0 = 16)
 
 	// CacheBytes bounds the snapshot cache payload (0 = 64 MiB, -1 =
 	// caching disabled); CacheTTL bounds entry age (0 = 5m).
@@ -122,7 +119,7 @@ type Config struct {
 	CacheTTL   time.Duration
 }
 
-func (c *Config) normalize() error {
+func (c *Config) normalize() {
 	if c.Slots == 0 {
 		c.Slots = 8
 	}
@@ -134,15 +131,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Warm == 0 {
 		c.Warm = 1
-	}
-	if c.Overload == "" {
-		c.Overload = "shed"
-	}
-	if c.Overload != "shed" && c.Overload != "reject" {
-		return fmt.Errorf("overload policy %q (want shed or reject)", c.Overload)
-	}
-	if c.ShedMin == 0 {
-		c.ShedMin = 0.25
 	}
 	if c.FlightSize == 0 {
 		c.FlightSize = 256
@@ -156,13 +144,10 @@ func (c *Config) normalize() error {
 	if c.CacheTTL == 0 {
 		c.CacheTTL = 5 * time.Minute
 	}
-	return nil
 }
 
 func New(size, workers int, cfg Config) (*Server, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
+	cfg.normalize()
 	reg := telemetry.NewRegistry()
 	serveSink := telemetry.ServeHooks(reg)
 	queue, err := serve.NewQueue(cfg.Slots, cfg.QueueLen, serveSink)
@@ -177,27 +162,14 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		mux:   http.NewServeMux(),
-		queue: queue,
-		// The ramp starts at a quarter of the waiting room and bottoms out
-		// when the room is full; with no waiting room the depth is always
-		// zero and the controller never fires.
-		ctrl: serve.Controller{
-			ShedStart: max(1, cfg.QueueLen/4),
-			ShedFull:  max(2, cfg.QueueLen),
-			MinFactor: cfg.ShedMin,
-			Sink:      serveSink,
-		},
-		shed:       cfg.Overload == "shed",
+		mux:        http.NewServeMux(),
+		queue:      queue,
 		reg:        reg,
 		hooks:      telemetry.PipelineHooks(reg),
 		serveSink:  serveSink,
 		slotsInUse: reg.Gauge(metricSlotsInUse, nil),
 		recorder:   recorder,
 		started:    time.Now(),
-	}
-	if err := s.ctrl.Validate(); err != nil {
-		return nil, err
 	}
 	if cfg.CacheBytes > 0 {
 		s.cache, err = snapcache.New(snapcache.Config[*pix.Image]{
@@ -310,9 +282,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // request gets a reqtrace.Trace (its ID is echoed in X-Anytime-Trace);
 // completed traces go to the flight recorder, which always keeps the
 // interesting ones — see /debug/requests.
+//
+// A deadline runs from the request's arrival: the run is granted what the
+// admission wait (and a cache seed) left of it, and a request whose
+// projected wait would leave nothing is refused before it waits.
 func (s *Server) handleApp(rt route) http.HandlerFunc {
 	pool, ref, input, inputDigest := rt.pool, rt.ref, rt.input, rt.digest
 	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
 		ctx, tr := reqtrace.New(r.Context(), pool.Name())
 		r = r.WithContext(ctx)
 		sw, wrapped := w.(*statusWriter)
@@ -336,7 +313,22 @@ func (s *Server) handleApp(rt route) http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		release, ok := s.admit(r)
+		// A router-propagated budget caps the deadline: the fleet already
+		// spent part of this request's time upstream (queue wait, network).
+		// The grant bounds the admission wait of a request sent here
+		// directly. A routed request is not refused on time: the router
+		// already took its expected round trip, this queue's wait included,
+		// off the budget, and a refusal here would only empty its hands.
+		// Precise and accept requests (grant 0) wait without a time bound.
+		grant, budgeted := serve.ApplyBudget(k.deadline, k.budget, k.budgetSet, time.Since(start))
+		if budgeted {
+			tr.Budget(grant, k.budget <= 0)
+		}
+		bound := grant
+		if k.budgetSet {
+			bound = 0
+		}
+		release, ok := s.admit(r, bound)
 		if !ok {
 			http.Error(w, "server at capacity", http.StatusServiceUnavailable)
 			return
@@ -360,12 +352,9 @@ func (s *Server) handleApp(rt route) http.HandlerFunc {
 			entry.Slot.Unbind()
 		}()
 
-		start := time.Now()
 		// Every knob runs through internal/serve, so one Result carries the
 		// delivered snapshot and whether the run was cut short.
 		var res serve.Result[*pix.Image]
-		budgeted := false
-		effective := k.deadline
 		// The cache key: the route input's content digest — overridable
 		// with ?input=, the same string the router's ring keys on
 		// (cluster.RingKey), so repeats of a key land on the shard whose
@@ -406,21 +395,10 @@ func (s *Server) handleApp(rt route) http.HandlerFunc {
 					}
 				}
 			}
-			// A router-propagated budget caps the deadline before local
-			// shedding: the fleet already spent part of this request's time
-			// upstream (queue wait, network), and the backend must not run
-			// longer than the budget it was handed.
-			var base time.Duration
-			base, budgeted = serve.ApplyBudget(k.deadline, k.budget, k.budgetSet)
-			if budgeted {
-				tr.Budget(base, k.budget <= 0)
-			}
-			effective = base
-			if s.shed {
-				effective = s.ctrl.Scale(ctx, base, s.queue.Depth())
-			}
+			// The run gets what the wait and the seed left of the deadline.
+			grant, _ = serve.ApplyBudget(k.deadline, k.budget, k.budgetSet, time.Since(start))
 			admitOut = true
-			res, err = serve.Run(ctx, entry, effective, s.serveSink)
+			res, err = serve.Run(ctx, entry, grant, s.serveSink)
 		default:
 			admitOut = true
 			res, err = serve.Run(ctx, entry, 0, s.serveSink)
@@ -459,7 +437,7 @@ func (s *Server) handleApp(rt route) http.HandlerFunc {
 		w.Header().Set("X-Anytime-Elapsed", time.Since(start).String())
 		if k.deadline > 0 {
 			w.Header().Set("X-Anytime-Deadline", k.deadline.String())
-			w.Header().Set("X-Anytime-Effective-Deadline", effective.String())
+			w.Header().Set("X-Anytime-Effective-Deadline", grant.String())
 			w.Header().Set("X-Anytime-Deadline-Fired", fmt.Sprint(res.Interrupted))
 			// Echoed only when the budget actually capped the contract: a
 			// budget looser than the deadline never participated, and
@@ -514,10 +492,11 @@ func (s *Server) recordDelivered(db float64, final bool) {
 }
 
 // admit takes an execution slot through the FIFO queue, giving up when the
-// client goes away or the waiting room is full. The slotsInUse gauge
-// mirrors queue occupancy so the bound is observable at /metrics.
-func (s *Server) admit(r *http.Request) (release func(), ok bool) {
-	if err := s.queue.Acquire(r.Context()); err != nil {
+// client goes away, the waiting room is full, or the wait ahead would
+// spend budget (budget 0: no time bound). The slotsInUse gauge mirrors
+// queue occupancy so the bound is observable at /metrics.
+func (s *Server) admit(r *http.Request, budget time.Duration) (release func(), ok bool) {
+	if err := s.queue.AcquireWithin(r.Context(), budget); err != nil {
 		s.reg.Counter(metricSlotsRejected, nil).Inc()
 		return nil, false
 	}

@@ -270,13 +270,6 @@ func TestQueueSaturationRejects(t *testing.T) {
 	}
 }
 
-// TestOverloadPolicyValidation rejects an unknown -overload value.
-func TestOverloadPolicyValidation(t *testing.T) {
-	if _, err := New(64, 2, Config{Overload: "panic"}); err == nil {
-		t.Fatal("bad overload policy accepted")
-	}
-}
-
 func TestStreamEmitsVersionsAndEndsAtFinal(t *testing.T) {
 	s := testServer(t)
 	rec := get(t, s, "/blur/stream")

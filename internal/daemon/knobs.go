@@ -12,7 +12,7 @@ import (
 // knobs are one request's stopping controls. At most one is set.
 type knobs struct {
 	// deadline is the serving contract: the best published snapshot when
-	// the deadline fires, never empty-handed, shed under load.
+	// the deadline, counted from arrival, fires; never empty-handed.
 	deadline time.Duration
 	// accept stops at the first output reaching this SNR (dB).
 	accept float64

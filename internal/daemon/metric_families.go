@@ -35,8 +35,6 @@ func MetricFamilies() []string {
 		telemetry.MetricServeQueueDepthMax,
 		telemetry.MetricServeQueueWait,
 		telemetry.MetricServeRejects,
-		telemetry.MetricServeShedFactor,
-		telemetry.MetricServeSheds,
 		telemetry.MetricServeDeliveries,
 		telemetry.MetricServeDeliveryTime,
 

@@ -36,7 +36,7 @@ func (s *Server) handleStream(build func() (*core.Automaton, *core.Buffer[*pix.I
 			http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 			return
 		}
-		release, ok := s.admit(r)
+		release, ok := s.admit(r, 0)
 		if !ok {
 			http.Error(w, "server at capacity", http.StatusServiceUnavailable)
 			return

@@ -183,7 +183,9 @@ func TestQueueBoundsConcurrentAutomata(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i] = get(t, s, "/blur?deadline=10ms").Code
+			// A deadline the queue can always meet: this burst tests the
+			// concurrency bound, not the time bound.
+			codes[i] = get(t, s, "/blur?deadline=5s").Code
 		}(i)
 	}
 	wg.Wait()
@@ -215,7 +217,7 @@ func TestAdmitRejectsWhenSaturatedAndClientGone(t *testing.T) {
 	releases := make([]func(), 0, bound)
 	for i := 0; i < bound; i++ {
 		req := httptest.NewRequest(http.MethodGet, "/blur", nil)
-		release, ok := s.admit(req)
+		release, ok := s.admit(req, 0)
 		if !ok {
 			t.Fatalf("admit %d failed with free slots", i)
 		}
@@ -227,7 +229,7 @@ func TestAdmitRejectsWhenSaturatedAndClientGone(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	req := httptest.NewRequest(http.MethodGet, "/blur", nil).WithContext(ctx)
-	if _, ok := s.admit(req); ok {
+	if _, ok := s.admit(req, 0); ok {
 		t.Fatal("admit succeeded past the bound")
 	}
 	if v := s.reg.Counter(metricSlotsRejected, nil).Value(); v != 1 {

@@ -23,7 +23,6 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 			tr := FromContext(ctx)
 			tr.QueueEnter(1)
 			tr.QueueGrant(0)
-			tr.Shed(0.5, time.Millisecond)
 			tr.PoolGet("p", true)
 			tr.RunStart(time.Millisecond)
 			tr.Publish("buf", 1, 64, false)

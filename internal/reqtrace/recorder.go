@@ -13,7 +13,7 @@ import (
 
 // Recorder is the always-on flight recorder: a bounded ring of completed,
 // sealed traces with category sampling. Errors, rejections, deadline
-// misses, shed requests, and the slowest-N are always retained; other
+// misses and the slowest-N are always retained; other
 // successes are retained one in SampleEvery and merely counted otherwise.
 // The ring overwrites oldest-first, so the recorder's memory is bounded by
 // Size regardless of traffic, and the view at /debug/requests is
@@ -196,7 +196,7 @@ type Stats struct {
 	SampledOut uint64 `json:"sampled_out"` // OK traces counted but dropped
 	Evicted    uint64 `json:"evicted"`     // retained traces overwritten
 	// ByCategory splits Recorded by the label each trace was filed under:
-	// error | rejected | deadline-miss | shed | slow | sampled.
+	// error | rejected | deadline-miss | slow | sampled.
 	ByCategory map[string]uint64 `json:"by_category"`
 }
 
@@ -231,8 +231,8 @@ func (r *Recorder) Stats() Stats {
 //
 // The ID is the X-Anytime-Trace response header, so "this request was slow,
 // why?" is one copy-paste away from its full span timeline — if the trace
-// was interesting enough to keep (errors, rejections, deadline misses, shed
-// requests, and the slowest always are; unremarkable successes are sampled).
+// was interesting enough to keep (errors, rejections, deadline misses and
+// the slowest always are; unremarkable successes are sampled).
 func (r *Recorder) Mount(mux *http.ServeMux, title string) {
 	mux.HandleFunc("GET /debug/requests", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

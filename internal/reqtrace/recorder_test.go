@@ -55,7 +55,7 @@ func TestRecorderRefusesUnsealedTraces(t *testing.T) {
 }
 
 // TestRecorderAlwaysKeepsInterestingCategories: errors, rejections,
-// deadline misses, and shed requests bypass sampling entirely.
+// and deadline misses bypass sampling entirely.
 func TestRecorderAlwaysKeepsInterestingCategories(t *testing.T) {
 	r, err := NewRecorder(RecorderConfig{Size: 64, SampleEvery: 1 << 30, SlowN: -1})
 	if err != nil {
@@ -67,9 +67,8 @@ func TestRecorderAlwaysKeepsInterestingCategories(t *testing.T) {
 		want   Category
 	}{
 		{func(tr *Trace) { tr.Error("boom") }, 500, CategoryError},
-		{func(tr *Trace) { tr.QueueReject(32) }, 503, CategoryRejected},
+		{func(tr *Trace) { tr.QueueReject(32, 0) }, 503, CategoryRejected},
 		{func(tr *Trace) { tr.DeadlineFired(time.Millisecond) }, 200, CategoryDeadlineMiss},
-		{func(tr *Trace) { tr.Shed(0.5, time.Millisecond) }, 200, CategoryShed},
 	}
 	for _, sh := range shapes {
 		cat, kept := r.Record(finished(t, "r", sh.status, sh.events))
@@ -83,8 +82,8 @@ func TestRecorderAlwaysKeepsInterestingCategories(t *testing.T) {
 	}
 	// ...but counted.
 	st := r.Stats()
-	if st.Held != 4 || st.SampledOut != 1 {
-		t.Fatalf("stats %+v, want 4 held / 1 sampled out", st)
+	if st.Held != 3 || st.SampledOut != 1 {
+		t.Fatalf("stats %+v, want 3 held / 1 sampled out", st)
 	}
 	for _, sh := range shapes {
 		if st.ByCategory[sh.want.String()] != 1 {

@@ -148,9 +148,10 @@ func describe(e Event) string {
 	case KindQueueGrant:
 		return fmt.Sprintf("queue.grant wait=%v", e.Dur.Round(time.Microsecond))
 	case KindQueueReject:
-		return fmt.Sprintf("queue.reject capacity=%d", e.N)
-	case KindShed:
-		return fmt.Sprintf("shed factor=%.3f effective=%v", e.Val, e.Dur)
+		if e.Dur > 0 {
+			return fmt.Sprintf("queue.reject depth=%d projected_wait=%v", e.N, e.Dur)
+		}
+		return fmt.Sprintf("queue.reject depth=%d", e.N)
 	case KindPoolGet:
 		return fmt.Sprintf("pool.get pool=%s warm=%v", e.Name, e.Flag)
 	case KindPoolPut:

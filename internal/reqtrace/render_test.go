@@ -14,7 +14,6 @@ func fullTrace(t *testing.T) *Trace {
 	_, tr := New(context.Background(), "blur")
 	tr.QueueEnter(3)
 	tr.QueueGrant(2 * time.Millisecond)
-	tr.Shed(0.75, 75*time.Millisecond)
 	tr.PoolGet("blur", true)
 	tr.RunStart(75 * time.Millisecond)
 	tr.Publish("out", 1, 65536, false)
@@ -30,7 +29,7 @@ func TestWriteListRendersSummaryRows(t *testing.T) {
 	tr := fullTrace(t)
 	rejected := func() *Trace {
 		_, r := New(context.Background(), "cluster")
-		r.QueueReject(32)
+		r.QueueReject(2, 30*time.Millisecond)
 		r.Finish(503)
 		return r
 	}()
@@ -75,7 +74,6 @@ func TestWriteDetailRendersSpansAndTimeline(t *testing.T) {
 		"route=blur", "category=deadline-miss", "status=200",
 		"queue.enter depth=3",
 		"queue.grant wait=2ms",
-		"shed factor=0.750",
 		"pool.get pool=blur warm=true",
 		"run.start deadline=75ms",
 		"publish buffer=out v1 bytes=65536",

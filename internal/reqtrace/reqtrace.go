@@ -1,6 +1,6 @@
 // Package reqtrace is request-scoped tracing for the serving path: one
 // Trace per request, recording the request's whole life — admission queue
-// enter/grant/reject, shed decision, pool checkout/check-in, automaton run
+// enter/grant/reject, pool checkout/check-in, automaton run
 // start/finish/reset, every buffer publish, deadline firing, and delivery —
 // as spans with monotonic timestamps. Where internal/telemetry aggregates
 // (how are requests doing?), reqtrace answers the per-request question: why
@@ -28,8 +28,8 @@
 // it.
 //
 // Completed traces are retained by a Recorder — an always-on bounded flight
-// recorder with category sampling: errors, rejections, deadline misses,
-// shed requests, and the slowest-N are always kept; sampled-out successes
+// recorder with category sampling: errors, rejections, deadline misses
+// and the slowest-N are always kept; sampled-out successes
 // are only counted. cmd/anytimed exposes the recorder at /debug/requests.
 package reqtrace
 
@@ -55,11 +55,9 @@ const (
 	// waiting (zero on the uncontended fast path).
 	KindQueueGrant
 	// KindQueueReject: admission control turned the request away. N is the
-	// wait-queue capacity it found full.
+	// number of requests it found waiting; Dur is their projected wait when
+	// that wait, not the queue's capacity, refused it (zero otherwise).
 	KindQueueReject
-	// KindShed: the load controller scaled the request's contract. Val is
-	// the factor applied, Dur the effective deadline it produced.
-	KindShed
 	// KindPoolGet: an automaton was checked out. Name is the pool, Flag
 	// reports a warm (reused) entry.
 	KindPoolGet
@@ -140,7 +138,6 @@ var kindNames = [...]string{
 	KindQueueEnter:  "queue.enter",
 	KindQueueGrant:  "queue.grant",
 	KindQueueReject: "queue.reject",
-	KindShed:        "shed",
 	KindPoolGet:     "pool.get",
 	KindPoolPut:     "pool.put",
 	KindRunStart:    "run.start",
@@ -185,7 +182,7 @@ type Event struct {
 	Version uint64        `json:"version,omitempty"` // snapshot version
 	N       int           `json:"n,omitempty"`       // queue depth, payload bytes
 	Dur     time.Duration `json:"dur_ns,omitempty"`  // wait, deadline, run time
-	Val     float64       `json:"val,omitempty"`     // shed factor, SNR dB
+	Val     float64       `json:"val,omitempty"`     // SNR dB
 	Flag    bool          `json:"flag,omitempty"`    // warm, retained, final, delta
 	Note    string        `json:"note,omitempty"`    // outcome, error text, digest
 }
@@ -199,8 +196,6 @@ const (
 	CategoryOK Category = iota
 	// CategorySlow: an OK trace retained for being among the slowest seen.
 	CategorySlow
-	// CategoryShed: the load controller scaled the request's contract.
-	CategoryShed
 	// CategoryDeadlineMiss: the deadline fired before the precise output —
 	// an approximate snapshot was delivered.
 	CategoryDeadlineMiss
@@ -213,7 +208,6 @@ const (
 var categoryNames = [...]string{
 	CategoryOK:           "ok",
 	CategorySlow:         "slow",
-	CategoryShed:         "shed",
 	CategoryDeadlineMiss: "deadline-miss",
 	CategoryRejected:     "rejected",
 	CategoryError:        "error",
@@ -254,7 +248,6 @@ type Trace struct {
 
 	// classification flags, folded in as events arrive
 	rejected bool
-	shed     bool
 	deadline bool
 	errored  bool
 
@@ -378,8 +371,6 @@ func (t *Trace) Add(e Event) {
 	switch e.Kind {
 	case KindQueueReject:
 		t.rejected = true
-	case KindShed:
-		t.shed = true
 	case KindDeadline:
 		t.deadline = true
 	case KindError:
@@ -408,16 +399,11 @@ func (t *Trace) QueueGrant(wait time.Duration) Event {
 	return t.report(Event{Kind: KindQueueGrant, Dur: wait})
 }
 
-// QueueReject records admission control turning the request away with the
-// wait queue at capacity.
-func (t *Trace) QueueReject(capacity int) Event {
-	return t.report(Event{Kind: KindQueueReject, N: capacity})
-}
-
-// Shed records the load controller applying factor, yielding the effective
-// deadline.
-func (t *Trace) Shed(factor float64, effective time.Duration) Event {
-	return t.report(Event{Kind: KindShed, Val: factor, Dur: effective})
+// QueueReject records admission control turning the request away with
+// depth requests waiting ahead of it: at capacity, or (projected > 0)
+// projected to hold the slots past the request's budget.
+func (t *Trace) QueueReject(depth int, projected time.Duration) Event {
+	return t.report(Event{Kind: KindQueueReject, N: depth, Dur: projected})
 }
 
 // PoolGet records an automaton checkout from pool (warm = reused idle
@@ -607,7 +593,7 @@ func (t *Trace) Status() int {
 }
 
 // Category classifies the trace. Priority: error > rejected >
-// deadline-miss > shed > ok. (Slow is assigned by the Recorder, which
+// deadline-miss > ok. (Slow is assigned by the Recorder, which
 // knows the distribution.)
 func (t *Trace) Category() Category {
 	if t == nil {
@@ -626,8 +612,6 @@ func (t *Trace) categoryLocked() Category {
 		return CategoryRejected
 	case t.deadline:
 		return CategoryDeadlineMiss
-	case t.shed:
-		return CategoryShed
 	default:
 		return CategoryOK
 	}

@@ -18,8 +18,7 @@ func TestNilTraceSwallowsEverything(t *testing.T) {
 	var tr *Trace
 	tr.QueueEnter(3)
 	tr.QueueGrant(time.Millisecond)
-	tr.QueueReject(32)
-	tr.Shed(0.5, time.Millisecond)
+	tr.QueueReject(32, 0)
 	tr.PoolGet("p", true)
 	tr.PoolPut("p", true)
 	tr.RunStart(time.Second)
@@ -151,7 +150,7 @@ func TestFinishSealsTrace(t *testing.T) {
 }
 
 // TestCategoryPriority: classification folds in as events arrive and
-// resolves by severity — error > rejected > deadline-miss > shed > ok.
+// resolves by severity — error > rejected > deadline-miss > ok.
 func TestCategoryPriority(t *testing.T) {
 	build := func(events func(*Trace), status int) Category {
 		_, tr := New(context.Background(), "r")
@@ -166,17 +165,13 @@ func TestCategoryPriority(t *testing.T) {
 		want   Category
 	}{
 		{"plain ok", func(tr *Trace) { tr.Deliver(3, true, false, 0, time.Millisecond) }, 200, CategoryOK},
-		{"shed", func(tr *Trace) { tr.Shed(0.5, time.Millisecond) }, 200, CategoryShed},
-		{"deadline beats shed", func(tr *Trace) {
-			tr.Shed(0.5, time.Millisecond)
-			tr.DeadlineFired(time.Millisecond)
-		}, 200, CategoryDeadlineMiss},
+		{"deadline miss", func(tr *Trace) { tr.DeadlineFired(time.Millisecond) }, 200, CategoryDeadlineMiss},
 		{"rejected beats deadline", func(tr *Trace) {
 			tr.DeadlineFired(time.Millisecond)
-			tr.QueueReject(32)
+			tr.QueueReject(32, 0)
 		}, 503, CategoryRejected},
 		{"error beats all", func(tr *Trace) {
-			tr.QueueReject(32)
+			tr.QueueReject(32, 0)
 			tr.Error("boom")
 		}, 503, CategoryError},
 		{"5xx status alone is an error", func(tr *Trace) {}, 500, CategoryError},
@@ -222,7 +217,7 @@ func TestTraceConcurrentAppends(t *testing.T) {
 }
 
 func TestKindAndCategoryNames(t *testing.T) {
-	kinds := []Kind{KindQueueEnter, KindQueueGrant, KindQueueReject, KindShed,
+	kinds := []Kind{KindQueueEnter, KindQueueGrant, KindQueueReject,
 		KindPoolGet, KindPoolPut, KindRunStart, KindRunFinish, KindReset,
 		KindPublish, KindDeadline, KindDeliver, KindError}
 	for _, k := range kinds {
@@ -230,7 +225,7 @@ func TestKindAndCategoryNames(t *testing.T) {
 			t.Errorf("kind %d has no name", k)
 		}
 	}
-	cats := []Category{CategoryOK, CategorySlow, CategoryShed,
+	cats := []Category{CategoryOK, CategorySlow,
 		CategoryDeadlineMiss, CategoryRejected, CategoryError}
 	for _, c := range cats {
 		if strings.HasPrefix(c.String(), "category(") {

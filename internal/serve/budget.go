@@ -9,9 +9,8 @@ import (
 // remaining deadline budget for a request: the client's original deadline
 // minus the time already spent upstream (router queue wait) and the
 // expected cost of reaching this backend (observed RTT). The backend
-// treats the budget as a ceiling on the deadline it grants — the
-// distributed analogue of the Controller's shed factor, except the
-// shrinking happened before the request arrived.
+// treats the budget as a ceiling on the deadline it grants, and charges
+// its own queue wait against it as it does against a deadline.
 //
 // The value is a Go duration string ("37ms"). A zero or negative budget
 // means the upstream has already spent the whole deadline: the backend
@@ -19,10 +18,12 @@ import (
 // anytime contract still forbids returning empty-handed.
 const BudgetHeader = "X-Anytime-Budget"
 
-// minBudget is the effective deadline granted to a request whose budget
-// reached zero upstream: just enough to enter the deadline>0 path of Run,
-// which fires immediately and delivers the first published snapshot. The
-// request still never returns empty-handed; it just does the minimum work.
+// minBudget is the grant of a request with nothing left — its budget
+// reached zero upstream, or its wait here spent the rest: just enough to
+// enter the deadline>0 path of Run, which fires immediately and delivers
+// the first published snapshot. A grant of 0 would instead mean "run to
+// precise". The request still never returns empty-handed; it just does
+// the minimum work.
 const minBudget = time.Nanosecond
 
 // ParseBudget parses a BudgetHeader value. ok reports whether a budget was
@@ -50,27 +51,31 @@ func FormatBudget(budget time.Duration) string {
 	return budget.String()
 }
 
-// ApplyBudget folds a propagated budget into a request's deadline,
-// returning the deadline the backend should actually grant (before any
-// local shedding via Controller.Scale):
+// ApplyBudget computes the grant a deadline request runs under: the
+// deadline, capped by a propagated budget (ok reports one was present),
+// less the time already spent since the request arrived:
 //
-//   - deadline <= 0 (precise request): never budgeted. Precision is an
-//     explicit contract; a router must bound such requests with admission
-//     control, not by silently converting them to approximations.
-//   - no budget present: the deadline stands.
-//   - budget >= deadline: the deadline stands (the budget only shrinks).
-//   - 0 < budget < deadline: the budget is the new deadline.
-//   - budget <= 0: the upstream spent everything; grant the minimal
-//     positive deadline so the run delivers its first snapshot and stops.
+//   - deadline <= 0 (precise request): never budgeted, never charged.
+//     Precision is an explicit contract; a router must bound such requests
+//     with admission control, not by silently converting them to
+//     approximations.
+//   - otherwise the grant is min(deadline, budget) − spent, and when
+//     nothing is left — the upstream spent everything, or the wait here
+//     did — the minimal positive grant, so the run delivers its first
+//     snapshot and stops. It is never 0, which would mean run to precise.
 //
-// budgeted reports whether the budget actually tightened the deadline —
-// the signal telemetry and traces record.
-func ApplyBudget(deadline, budget time.Duration, ok bool) (effective time.Duration, budgeted bool) {
-	if deadline <= 0 || !ok || budget >= deadline {
+// budgeted reports whether the budget tightened the deadline — the signal
+// telemetry and traces record.
+func ApplyBudget(deadline, budget time.Duration, ok bool, spent time.Duration) (grant time.Duration, budgeted bool) {
+	if deadline <= 0 {
 		return deadline, false
 	}
-	if budget <= 0 {
-		return minBudget, true
+	grant = deadline
+	if ok && budget < deadline {
+		grant, budgeted = budget, true
 	}
-	return budget, true
+	if grant -= max(spent, 0); grant <= 0 {
+		return minBudget, budgeted
+	}
+	return grant, budgeted
 }

@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"context"
 	"testing"
 	"time"
-
-	"anytime/internal/reqtrace"
 )
 
 func TestParseBudget(t *testing.T) {
@@ -54,14 +51,16 @@ func TestFormatBudgetRoundTripsAndClamps(t *testing.T) {
 }
 
 // TestApplyBudget is the backend half of the budget arithmetic: the budget
-// caps the deadline, never raises it, and an exhausted budget degrades to
-// the minimum best-effort contract instead of rejecting.
+// caps the deadline, never raises it, the time already spent comes off the
+// result, and an exhausted grant degrades to the minimum best-effort
+// contract instead of rejecting — or becoming a precise run.
 func TestApplyBudget(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	for _, tc := range []struct {
 		name             string
 		deadline, budget time.Duration
 		ok               bool
+		spent            time.Duration
 		want             time.Duration
 		wantBudgeted     bool
 	}{
@@ -73,61 +72,20 @@ func TestApplyBudget(t *testing.T) {
 		{name: "negative floors to best-effort", deadline: ms(100), budget: -ms(5), ok: true, want: time.Nanosecond, wantBudgeted: true},
 		{name: "precise never budgeted", deadline: 0, budget: ms(40), ok: true, want: 0},
 		{name: "hold-style negative deadline untouched", deadline: -1, budget: ms(40), ok: true, want: -1},
+		{name: "wait charged to the deadline", deadline: ms(100), spent: ms(30), want: ms(70)},
+		{name: "wait charged to the budget", deadline: ms(100), budget: ms(40), ok: true, spent: ms(30), want: ms(10), wantBudgeted: true},
+		{name: "wait spends the deadline", deadline: ms(100), spent: ms(100), want: time.Nanosecond},
+		{name: "wait past the deadline", deadline: ms(100), spent: ms(250), want: time.Nanosecond},
+		{name: "exhausted budget after a wait", deadline: ms(100), budget: 0, ok: true, spent: ms(5), want: time.Nanosecond, wantBudgeted: true},
+		{name: "precise never charged", deadline: 0, spent: ms(30), want: 0},
+		{name: "negative spent ignored", deadline: ms(100), spent: -ms(30), want: ms(100)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, budgeted := ApplyBudget(tc.deadline, tc.budget, tc.ok)
+			got, budgeted := ApplyBudget(tc.deadline, tc.budget, tc.ok, tc.spent)
 			if got != tc.want || budgeted != tc.wantBudgeted {
-				t.Fatalf("ApplyBudget(%v, %v, %v) = (%v, %v), want (%v, %v)",
-					tc.deadline, tc.budget, tc.ok, got, budgeted, tc.want, tc.wantBudgeted)
+				t.Fatalf("ApplyBudget(%v, %v, %v, %v) = (%v, %v), want (%v, %v)",
+					tc.deadline, tc.budget, tc.ok, tc.spent, got, budgeted, tc.want, tc.wantBudgeted)
 			}
 		})
-	}
-}
-
-// TestControllerKneeBoundaries pins the documented boundary semantics
-// (docs/OPERATIONS.md "worked example"): depth exactly at ShedStart is
-// still served at factor 1 — shedding engages strictly above the knee —
-// and depth exactly at ShedFull saturates at MinFactor.
-func TestControllerKneeBoundaries(t *testing.T) {
-	c := Controller{ShedStart: 8, ShedFull: 32, MinFactor: 0.25}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Factor(8); got != 1 {
-		t.Errorf("Factor(ShedStart) = %v, want exactly 1 (knee is served unshed)", got)
-	}
-	if got := c.Factor(9); got >= 1 {
-		t.Errorf("Factor(ShedStart+1) = %v, want < 1 (shedding engages strictly above the knee)", got)
-	}
-	if got := c.Factor(32); got != 0.25 {
-		t.Errorf("Factor(ShedFull) = %v, want MinFactor", got)
-	}
-	if got := c.Factor(31); got <= 0.25 || got >= 1 {
-		t.Errorf("Factor(ShedFull-1) = %v, want inside (MinFactor, 1)", got)
-	}
-	if got := c.Factor(1000); got != 0.25 {
-		t.Errorf("Factor(beyond full) = %v, want MinFactor", got)
-	}
-}
-
-// TestControllerScaleFactorOneIsInvisible: at factor exactly 1 Scale must
-// return the deadline untouched AND stay silent — no shed event, on the
-// sink or the trace. A spurious event at the knee would inflate the shed
-// metrics on every request that merely grazed the queue.
-func TestControllerScaleFactorOneIsInvisible(t *testing.T) {
-	fired := 0
-	c := Controller{ShedStart: 8, ShedFull: 32, MinFactor: 0.25, Sink: onKind(reqtrace.KindShed, func(reqtrace.Event) { fired++ })}
-	d := 100 * time.Millisecond
-	if got := c.Scale(context.Background(), d, 8); got != d {
-		t.Fatalf("Scale at the knee = %v, want %v unchanged", got, d)
-	}
-	if got := c.Scale(context.Background(), d, 0); got != d {
-		t.Fatalf("Scale at empty queue = %v, want %v", got, d)
-	}
-	if fired != 0 {
-		t.Fatalf("shed reported %d times at factor 1", fired)
-	}
-	if got := c.Scale(context.Background(), d, 9); got >= d || fired != 1 {
-		t.Fatalf("Scale above the knee = %v (events %d), want scaled-down and one shed event", got, fired)
 	}
 }

@@ -145,23 +145,3 @@ func ExampleRunUntil() {
 	// Output:
 	// accepted: value 5, version 2, interrupted true
 }
-
-// ExampleController shows load-adaptive shedding: as queue depth rises the
-// effective deadline shrinks, and precise (no-deadline) requests are never
-// shed.
-func ExampleController() {
-	ctrl := serve.Controller{ShedStart: 2, ShedFull: 6, MinFactor: 0.25}
-	if err := ctrl.Validate(); err != nil {
-		panic(err)
-	}
-	for _, depth := range []int{0, 4, 10} {
-		fmt.Printf("depth %2d: 100ms deadline becomes %v\n",
-			depth, ctrl.Scale(context.Background(), 100*time.Millisecond, depth))
-	}
-	fmt.Printf("precise requests stay precise: %v\n", ctrl.Scale(context.Background(), 0, 10))
-	// Output:
-	// depth  0: 100ms deadline becomes 100ms
-	// depth  4: 100ms deadline becomes 62.5ms
-	// depth 10: 100ms deadline becomes 25ms
-	// precise requests stay precise: 0s
-}

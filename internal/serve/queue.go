@@ -12,9 +12,15 @@ import (
 )
 
 // ErrQueueFull is returned by Queue.Acquire when the wait queue is at
-// capacity: admission control has decided this request should be turned
-// away now rather than queued indefinitely.
+// capacity, and by Queue.AcquireWithin when the wait ahead would spend the
+// request's budget: admission control has decided this request should be
+// turned away now rather than queued.
 var ErrQueueFull = errors.New("serve: admission queue full")
+
+// holdShift sets the weight of the newest sample in the slot hold-time
+// average: α = 1/2^holdShift = 1/8, so a burst of slow runs moves the
+// estimate within a few releases and one outlier does not own it.
+const holdShift = 3
 
 // Queue is a FIFO-fair bounded admission queue: at most slots requests run
 // concurrently, at most waiters more may wait for a slot, and slots are
@@ -26,6 +32,11 @@ var ErrQueueFull = errors.New("serve: admission queue full")
 //
 // A freed slot is handed directly to the oldest waiter rather than
 // returned to a free count, so FIFO ordering holds even under contention.
+//
+// The queue is bounded by time as well as by count: it keeps a moving
+// average of how long a slot is held (grant to Release), and
+// AcquireWithin refuses at once a request whose projected wait — waiters
+// ahead × hold ÷ slots — already spends its budget.
 type Queue struct {
 	slots      int
 	maxWaiters int
@@ -35,6 +46,12 @@ type Queue struct {
 	free    int
 	running int
 	waiters []chan struct{} // arrival order; closed to grant a slot
+	// granted is a ring of the grant times of the running slots, oldest at
+	// index oldest. A Release is paired with the oldest grant: slots are
+	// interchangeable, and any pairing sums to the same total hold time.
+	granted []time.Time
+	oldest  int
+	hold    time.Duration // moving average of slot hold time; 0 = no sample yet
 }
 
 // NewQueue returns a queue with the given concurrency slots and wait-queue
@@ -48,7 +65,7 @@ func NewQueue(slots, waiters int, sink reqtrace.Sink) (*Queue, error) {
 	if waiters < 0 {
 		return nil, fmt.Errorf("serve: queue waiters %d must not be negative", waiters)
 	}
-	return &Queue{slots: slots, maxWaiters: waiters, sink: sink, free: slots}, nil
+	return &Queue{slots: slots, maxWaiters: waiters, sink: sink, free: slots, granted: make([]time.Time, slots)}, nil
 }
 
 // Acquire obtains an execution slot, waiting in FIFO order behind earlier
@@ -60,26 +77,39 @@ func NewQueue(slots, waiters int, sink reqtrace.Sink) (*Queue, error) {
 // reported once, to the request trace bound into ctx (reqtrace.New) and to
 // the queue's sink. When the Go execution tracer is running, the contended
 // wait becomes an "anytime.queue" region of the request's task.
-func (q *Queue) Acquire(ctx context.Context) error {
+func (q *Queue) Acquire(ctx context.Context) error { return q.AcquireWithin(ctx, 0) }
+
+// AcquireWithin is Acquire for a request that must start within budget: it
+// also returns ErrQueueFull, without waiting, when the waiters ahead are
+// projected to hold the slots for at least budget (waiters × average hold
+// ÷ slots). A budget <= 0 sets no time bound, and neither does a queue
+// that has not yet seen a slot released.
+func (q *Queue) AcquireWithin(ctx context.Context, budget time.Duration) error {
 	tr := reqtrace.FromContext(ctx)
 	q.mu.Lock()
 	if q.free > 0 && len(q.waiters) == 0 {
 		q.free--
+		q.granted[(q.oldest+q.running)%q.slots] = time.Now()
 		q.running++
 		q.mu.Unlock()
 		q.sink.Send(tr.QueueGrant(0))
 		return nil
 	}
-	if len(q.waiters) >= q.maxWaiters {
+	depth := len(q.waiters)
+	if depth >= q.maxWaiters {
 		q.mu.Unlock()
-		q.sink.Send(tr.QueueReject(q.maxWaiters))
+		q.sink.Send(tr.QueueReject(depth, 0))
+		return ErrQueueFull
+	}
+	if projected := time.Duration(depth) * q.hold / time.Duration(q.slots); budget > 0 && projected > 0 && projected >= budget {
+		q.mu.Unlock()
+		q.sink.Send(tr.QueueReject(depth, projected))
 		return ErrQueueFull
 	}
 	grant := make(chan struct{})
 	q.waiters = append(q.waiters, grant)
-	depth := len(q.waiters)
 	q.mu.Unlock()
-	q.sink.Send(tr.QueueEnter(depth))
+	q.sink.Send(tr.QueueEnter(depth + 1))
 	var region *rtrace.Region
 	if tr != nil {
 		region = rtrace.StartRegion(ctx, "anytime.queue")
@@ -113,12 +143,21 @@ func (q *Queue) Acquire(ctx context.Context) error {
 }
 
 // Release frees the caller's slot, handing it directly to the oldest
-// waiter if any.
+// waiter if any, and folds the slot's hold time into the average.
 func (q *Queue) Release() {
+	now := time.Now()
 	q.mu.Lock()
+	held := now.Sub(q.granted[q.oldest])
+	q.oldest = (q.oldest + 1) % q.slots
+	if q.hold == 0 {
+		q.hold = max(held, 1)
+	} else {
+		q.hold = max(q.hold+(held-q.hold)>>holdShift, 1)
+	}
 	if len(q.waiters) > 0 {
 		grant := q.waiters[0]
 		q.waiters = q.waiters[1:]
+		q.granted[(q.oldest+q.running-1)%q.slots] = now
 		q.mu.Unlock()
 		close(grant)
 		return
@@ -128,8 +167,7 @@ func (q *Queue) Release() {
 	q.mu.Unlock()
 }
 
-// Depth reports the number of requests currently waiting for a slot — the
-// load signal the Controller feeds on.
+// Depth reports the number of requests currently waiting for a slot.
 func (q *Queue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"anytime/internal/reqtrace"
+	"anytime/internal/testgate"
 )
 
 func TestQueueValidation(t *testing.T) {
@@ -197,5 +198,120 @@ func TestQueueGrantReportsWait(t *testing.T) {
 	}
 	if waits[1] <= 0 {
 		t.Fatalf("contended wait = %v, want > 0", waits[1])
+	}
+}
+
+// TestQueueTimeBoundHoldPrimesFromRelease: the hold estimate starts empty
+// (no time bound), takes its first grant-to-Release sample whole, and moves
+// an eighth of the way to each later one.
+func TestQueueTimeBoundHoldPrimesFromRelease(t *testing.T) {
+	q, err := NewQueue(1, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := q.Acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	q.Release()
+	first := q.hold
+	if first < 5*time.Millisecond {
+		t.Fatalf("hold after one 5ms hold = %v, want >= 5ms", first)
+	}
+	if err := q.Acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+	q.Release()
+	if second := q.hold; second >= first || second < first*7/8 {
+		t.Fatalf("hold after a near-zero hold = %v, want in [%v, %v)", second, first*7/8, first)
+	}
+}
+
+// TestQueueTimeBoundRefusesWithoutBlocking: with d requests waiting and a
+// known hold time, a budget below d × hold ÷ slots is refused at once with
+// one queue.reject, while a budget above it and an unbudgeted Acquire
+// still queue and are granted in FIFO order.
+func TestQueueTimeBoundRefusesWithoutBlocking(t *testing.T) {
+	testgate.Goroutines(t)
+	const d, hold = 3, 10 * time.Millisecond // projected wait: 30ms on one slot
+	var mu sync.Mutex
+	var rejects []reqtrace.Event
+	enqueued := make(chan struct{}, d+3) // room for a wrongly queued refusal
+
+	q, err := NewQueue(1, 8, func(e reqtrace.Event) {
+		switch e.Kind {
+		case reqtrace.KindQueueEnter:
+			enqueued <- struct{}{}
+		case reqtrace.KindQueueReject:
+			mu.Lock()
+			rejects = append(rejects, e)
+			mu.Unlock()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := q.Acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+	q.mu.Lock()
+	q.hold = hold
+	q.mu.Unlock()
+
+	granted := make(chan int, d+2)
+	var wg sync.WaitGroup
+	wait := func(id int, budget time.Duration) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := q.AcquireWithin(ctx, budget); err != nil {
+				t.Errorf("waiter %d: %v", id, err)
+				return
+			}
+			granted <- id
+			q.Release()
+		}()
+		<-enqueued
+	}
+	for i := 0; i < d; i++ {
+		wait(i, 0)
+	}
+
+	start := time.Now()
+	// A queue without the time bound would make this wait; the timeout
+	// turns that into a failure instead of a hang.
+	bounded, cancel := context.WithTimeout(ctx, time.Second)
+	defer cancel()
+	if err := q.AcquireWithin(bounded, 25*time.Millisecond); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("25ms budget behind a projected 30ms wait: %v, want ErrQueueFull", err)
+	}
+	if took := time.Since(start); took > 5*time.Millisecond {
+		t.Errorf("time-bound refusal took %v; it must not wait", took)
+	}
+	mu.Lock()
+	if len(rejects) != 1 || rejects[0].N != d || rejects[0].Dur != d*hold {
+		t.Errorf("queue.reject events %+v, want one with depth %d and projected wait %v", rejects, d, d*hold)
+	}
+	mu.Unlock()
+	if q.Depth() != d {
+		t.Fatalf("depth %d after the refusal, want %d", q.Depth(), d)
+	}
+
+	wait(d, 35*time.Millisecond) // 35ms > 30ms: it fits, and queues
+	wait(d+1, 0)                 // unbudgeted: no time bound at all
+	q.Release()
+	wg.Wait()
+	close(granted)
+	want := 0
+	for got := range granted {
+		if got != want {
+			t.Fatalf("grant order violated: got waiter %d, want %d", got, want)
+		}
+		want++
+	}
+	if want != d+2 {
+		t.Fatalf("granted %d waiters, want %d", want, d+2)
 	}
 }

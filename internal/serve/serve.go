@@ -21,13 +21,14 @@
 //     than registering buffer observers (observers are permanent, so a
 //     pooled buffer must not accumulate per-request callbacks).
 //
-//   - Queue / Controller: admission control. Queue is a bounded FIFO-fair
-//     concurrency limiter — waiters are served strictly in arrival order
-//     and excess load is rejected immediately rather than queued without
-//     bound. Controller maps queue depth to a shed factor that the caller
-//     applies to each request's deadline (or target accuracy), trading
-//     per-request accuracy for throughput as load rises and restoring it
-//     as load drains.
+//   - Queue / ApplyBudget: admission control and the grant. Queue is a
+//     bounded FIFO-fair concurrency limiter — waiters are served strictly
+//     in arrival order, and excess load is rejected immediately rather
+//     than queued without bound: by count, and by time when the wait
+//     ahead would already spend a request's budget. ApplyBudget charges
+//     the wait a request did take to its run: the deadline runs from
+//     arrival, so under load each request gets less refinement, not a
+//     later answer.
 //
 // Every decision point reports once, as a reqtrace.Event: appended to the
 // request's trace when ctx carries one, and handed to the optional

@@ -241,14 +241,14 @@ func TestServeCycleUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := Controller{ShedStart: 4, ShedFull: 16, MinFactor: 0.25}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			ctx := context.Background()
-			if err := q.Acquire(ctx); err != nil {
+			deadline := time.Duration(g%3) * 50 * time.Millisecond
+			if err := q.AcquireWithin(ctx, deadline); err != nil {
 				t.Error(err)
 				return
 			}
@@ -258,7 +258,6 @@ func TestServeCycleUnderConcurrency(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			deadline := ctrl.Scale(ctx, time.Duration(g%3)*50*time.Millisecond, q.Depth())
 			res, err := Run(ctx, e, deadline, nil)
 			if err != nil {
 				t.Error(err)

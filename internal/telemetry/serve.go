@@ -10,8 +10,6 @@ const (
 	MetricServeQueueDepthMax = "anytime_serve_queue_depth_max"
 	MetricServeQueueWait     = "anytime_serve_queue_wait_seconds"
 	MetricServeRejects       = "anytime_serve_rejected_total"
-	MetricServeShedFactor    = "anytime_serve_shed_factor"
-	MetricServeSheds         = "anytime_serve_sheds_total"
 	MetricServeDeliveries    = "anytime_serve_deliveries_total"
 	MetricServeDeliveryTime  = "anytime_serve_delivery_seconds"
 )
@@ -48,11 +46,8 @@ const (
 //   - queue.grant → anytime_serve_queue_wait_seconds: histogram of
 //     slot-wait time, including the zero-wait fast path.
 //   - queue.reject → anytime_serve_rejected_total: requests turned away by
-//     admission control.
-//   - shed → anytime_serve_shed_factor: the most recent shed factor
-//     applied (×1000, as the registry is integer-valued; 1000 = no
-//     shedding), and anytime_serve_sheds_total: requests whose contract
-//     was shed.
+//     admission control, whether the waiting room was full or the wait
+//     ahead would have spent the request's budget.
 //   - run.finish → anytime_serve_deliveries_total{outcome}: delivered
 //     snapshots by outcome (precise | approximate), and
 //     anytime_serve_delivery_seconds{outcome}: request run time from
@@ -70,9 +65,6 @@ func ServeHooks(reg *Registry) reqtrace.Sink {
 	queueDepth := reg.Gauge(MetricServeQueueDepthMax, nil)
 	queueWait := reg.DurationHistogram(MetricServeQueueWait, nil)
 	rejects := reg.Counter(MetricServeRejects, nil)
-	shedFactor := reg.Gauge(MetricServeShedFactor, nil)
-	shedFactor.Set(1000)
-	sheds := reg.Counter(MetricServeSheds, nil)
 	return func(e reqtrace.Event) {
 		switch e.Kind {
 		case reqtrace.KindPoolGet:
@@ -85,9 +77,6 @@ func ServeHooks(reg *Registry) reqtrace.Sink {
 			queueWait.ObserveDuration(e.Dur)
 		case reqtrace.KindQueueReject:
 			rejects.Inc()
-		case reqtrace.KindShed:
-			shedFactor.Set(int64(e.Val * 1000))
-			sheds.Inc()
 		case reqtrace.KindRunFinish:
 			labels := Labels{"outcome": pick(e.Flag, "precise", "approximate")}
 			reg.Counter(MetricServeDeliveries, labels).Inc()

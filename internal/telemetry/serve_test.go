@@ -40,20 +40,10 @@ func TestServeHooksRecord(t *testing.T) {
 	if got := reg.DurationHistogram(MetricServeQueueWait, nil).Count(); got != 2 {
 		t.Errorf("queue wait observations = %d, want 2", got)
 	}
-	sink(tr.QueueReject(8))
-	if got := reg.Counter(MetricServeRejects, nil).Value(); got != 1 {
-		t.Errorf("rejects = %d, want 1", got)
-	}
-
-	if got := reg.Gauge(MetricServeShedFactor, nil).Value(); got != 1000 {
-		t.Errorf("initial shed factor = %d, want 1000", got)
-	}
-	sink(tr.Shed(0.25, 10*time.Millisecond))
-	if got := reg.Gauge(MetricServeShedFactor, nil).Value(); got != 250 {
-		t.Errorf("shed factor = %d, want 250", got)
-	}
-	if got := reg.Counter(MetricServeSheds, nil).Value(); got != 1 {
-		t.Errorf("sheds = %d, want 1", got)
+	sink(tr.QueueReject(8, 0))                   // the waiting room was full
+	sink(tr.QueueReject(2, 30*time.Millisecond)) // the wait ahead spent the budget
+	if got := reg.Counter(MetricServeRejects, nil).Value(); got != 2 {
+		t.Errorf("rejects = %d, want 2: capacity and time refusals both count", got)
 	}
 
 	sink(tr.RunFinish("stopped", false, 10*time.Millisecond))
