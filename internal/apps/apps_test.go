@@ -158,12 +158,14 @@ func TestTableMatchesConformSuite(t *testing.T) {
 // TestMapAppsPublishHoldFilledPrefixes pins the two single-stage map apps
 // version by version: under either publish policy (mode0 every round, mode1
 // on demand, which the test's observer keeps demanded), version v is
-// Precise at the first v×granularity positions of the 2D tree order and,
-// everywhere else, the value of the nearest such position above it in the
-// tree.
+// Precise at the first v×round positions of the 2D tree order of the
+// image's 64×64 superset — round being the granularity rounded down to a
+// power of two — and, everywhere else, the value of the nearest such
+// position above it in the tree.
 func TestMapAppsPublishHoldFilledPrefixes(t *testing.T) {
 	testgate.Goroutines(t)
-	const size, workers, granularity = 40, 2, 150 // 4 tiles, 11 versions
+	const size, workers, granularity = 40, 2, 150 // 4 tiles
+	const super, round = 64, 128                  // 32 versions
 	type build func(in *pix.Image, policy core.PublishPolicy) (*core.Automaton, *core.Buffer[*pix.Image], error)
 	builds := map[string]build{
 		"conv2d": func(in *pix.Image, policy core.PublishPolicy) (*core.Automaton, *core.Buffer[*pix.Image], error) {
@@ -181,7 +183,7 @@ func TestMapAppsPublishHoldFilledPrefixes(t *testing.T) {
 			return r.Automaton, r.Out, nil
 		},
 	}
-	ord, err := perm.Tree2D(size, size)
+	ord, err := perm.Tree2D(super, super)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +207,11 @@ func TestMapAppsPublishHoldFilledPrefixes(t *testing.T) {
 				processed, versions := 0, 0
 				out.OnPublish(func(s core.Snapshot[*pix.Image]) {
 					versions++
-					for ; processed < min(versions*granularity, size*size); processed++ {
-						mask[ord.At(processed)] = true
+					for pos := (versions - 1) * round; pos < versions*round; pos++ {
+						if x, y := ord.At(pos)%super, ord.At(pos)/super; x < size && y < size {
+							mask[y*size+x] = true
+							processed++
+						}
 					}
 					want, err := pix.HoldFill(precise, mask)
 					if err != nil {
@@ -224,7 +229,7 @@ func TestMapAppsPublishHoldFilledPrefixes(t *testing.T) {
 				if err := a.Wait(); err != nil {
 					t.Fatal(err)
 				}
-				if want := (size*size + granularity - 1) / granularity; versions != want {
+				if want := super * super / round; versions != want {
 					t.Errorf("%d versions published, want %d", versions, want)
 				}
 			})

@@ -76,4 +76,6 @@ func TestKernelAllocBudget(t *testing.T) {
 	testgate.Allocs(t, "convolvePixel interior", 0, func() { allocSink += convolvePixel(r, weights, wsum, in.W, in.H, 4, 32, 32) })
 	testgate.Allocs(t, "convolvePixel border", 0, func() { allocSink += convolvePixel(r, weights, wsum, in.W, in.H, 4, 1, 2) })
 	testgate.Allocs(t, "convolveInterior", 0, func() { allocSink += convolveInterior(in.Pix, weights, wsum, in.W, 4, 32, 32) })
+	dst := make([]int32, in.Pixels())
+	testgate.Allocs(t, "convolveRows", 0, func() { convolveRows(r, weights, wsum, 4, dst, 1, 2, 4, 8, 8); allocSink += dst[2*in.W+1] })
 }

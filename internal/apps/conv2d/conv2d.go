@@ -164,10 +164,10 @@ func convolvePixel(r *reader, weights []int64, wsum int64, w, h, half int, x, y 
 	}
 	var sum int64
 	for dy := -half; dy <= half; dy++ {
-		yy := clampCoord(y+dy, h)
+		yy := min(max(y+dy, 0), h-1)
 		wy := weights[dy+half]
 		for dx := -half; dx <= half; dx++ {
-			xx := clampCoord(x+dx, w)
+			xx := min(max(x+dx, 0), w-1)
 			sum += wy * weights[dx+half] * int64(r.at(xx, yy))
 		}
 	}
@@ -205,16 +205,6 @@ func convolveInterior(px []int32, weights []int64, wsum int64, w, half, x, y int
 	return int32((sum + total/2) / total)
 }
 
-func clampCoord(v, n int) int {
-	if v < 0 {
-		return 0
-	}
-	if v >= n {
-		return n - 1
-	}
-	return v
-}
-
 // Precise computes the baseline blurred image in parallel over row bands,
 // using the same per-pixel computation as the automaton (with reliable
 // full-precision reads regardless of cfg's approximation settings).
@@ -238,6 +228,17 @@ func Precise(in *pix.Image, cfg Config) (*pix.Image, error) {
 		}
 	})
 	return out, nil
+}
+
+// convolveRows writes the filtered value of every pixel of a band of
+// lattice rows into dst: (x, y0 + i·sy) for x0 ≤ x < W stepping sx, i < rows.
+func convolveRows(r *reader, weights []int64, wsum int64, half int, dst []int32, x0, y0, sx, sy, rows int) {
+	w, h := r.img.W, r.img.H
+	for y := y0; y < y0+rows*sy; y += sy {
+		for x := x0; x < w; x += sx {
+			dst[y*w+x] = convolvePixel(r, weights, wsum, w, h, half, x, y)
+		}
+	}
 }
 
 // Run is a constructed 2dconv anytime automaton with its output buffer.
@@ -282,13 +283,8 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 
 	round := core.RoundConfig{Granularity: cfg.Granularity, Workers: cfg.Workers, Policy: cfg.Publish}
 	err = a.AddStage("convolve", func(c *core.Context) error {
-		return t.Pass(c, func(worker, lo, hi int) error {
-			r, dst := readers[worker], t.Working.Pix
-			for pos := lo; pos < hi; pos++ {
-				d := t.At(pos)
-				dst[d] = convolvePixel(r, weights, wsum, in.W, in.H, half, d%in.W, d/in.W)
-				t.Mark(d)
-			}
+		return t.Pass(c, func(worker, x0, y0, sx, sy, rows int) error {
+			convolveRows(readers[worker], weights, wsum, half, t.Working.Pix, x0, y0, sx, sy, rows)
 			return nil
 		}, round, true)
 	})

@@ -81,4 +81,6 @@ func TestKernelAllocBudget(t *testing.T) {
 	testgate.Allocs(t, "interpolate border", 0, func() { r, g, b := interpolate(m, 0, 63); allocSink += r + g + b })
 	testgate.Allocs(t, "interpolateInterior", 0, func() { r, g, b := interpolateInterior(m, 33, 32); allocSink += r + g + b })
 	testgate.Allocs(t, "channelAt", 0, func() { allocSink += channelAt(m, 0, 0, 2) })
+	dst := make([]int32, 3*m.Pixels())
+	testgate.Allocs(t, "interpolateRows", 0, func() { interpolateRows(m, dst, 1, 0, 2, 4, 16); allocSink += dst[3] })
 }

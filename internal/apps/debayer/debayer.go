@@ -19,9 +19,8 @@ type Config struct {
 	// Workers is the number of sampling workers. Default 1.
 	Workers int
 	// Granularity is the number of output pixels interpolated per
-	// published snapshot. Default pixels/12 (publishing an RGB snapshot
-	// costs a full-image copy, so it must stay coarse relative to the
-	// cheap per-pixel interpolation).
+	// published snapshot, rounded down to the size of a lattice round (see
+	// sampling.TreeImage.Pass). Default pixels/8.
 	Granularity int
 	// Publish selects when round snapshots are built and published.
 	// Default core.PublishEveryRound.
@@ -33,10 +32,7 @@ func (cfg Config) withDefaults(pixels int) Config {
 		cfg.Workers = 1
 	}
 	if cfg.Granularity == 0 {
-		cfg.Granularity = pixels / 12
-		if cfg.Granularity < 1 {
-			cfg.Granularity = 1
-		}
+		cfg.Granularity = max(pixels/8, 1)
 	}
 	return cfg
 }
@@ -64,18 +60,7 @@ func interpolate(m *pix.Image, x, y int) (r, g, b int32) {
 	if x >= 1 && y >= 1 && x+1 < m.W && y+1 < m.H {
 		return interpolateInterior(m, x, y)
 	}
-	for c := 0; c < 3; c++ {
-		v := channelAt(m, x, y, c)
-		switch c {
-		case 0:
-			r = v
-		case 1:
-			g = v
-		default:
-			b = v
-		}
-	}
-	return r, g, b
+	return channelAt(m, x, y, 0), channelAt(m, x, y, 1), channelAt(m, x, y, 2)
 }
 
 // interpolateInterior gathers the 3x3 neighborhood once, accumulating a
@@ -192,6 +177,17 @@ func Precise(in *pix.Image, cfg Config) (*pix.Image, error) {
 	return out, nil
 }
 
+// interpolateRows writes the RGB value of every pixel of a band of lattice
+// rows of m into dst: (x, y0 + i·sy) for x0 ≤ x < W stepping sx, i < rows.
+func interpolateRows(m *pix.Image, dst []int32, x0, y0, sx, sy, rows int) {
+	for y := y0; y < y0+rows*sy; y += sy {
+		for x := x0; x < m.W; x += sx {
+			d := (y*m.W + x) * 3
+			dst[d], dst[d+1], dst[d+2] = interpolate(m, x, y)
+		}
+	}
+}
+
 // Run is a constructed debayer anytime automaton with its output buffer.
 type Run struct {
 	Automaton *core.Automaton
@@ -213,13 +209,8 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	}
 	round := core.RoundConfig{Granularity: cfg.Granularity, Workers: cfg.Workers, Policy: cfg.Publish}
 	err = a.AddStage("interpolate", func(c *core.Context) error {
-		return t.Pass(c, func(worker, lo, hi int) error {
-			dst := t.Working.Pix
-			for pos := lo; pos < hi; pos++ {
-				d := t.At(pos)
-				dst[d*3], dst[d*3+1], dst[d*3+2] = interpolate(in, d%in.W, d/in.W)
-				t.Mark(d)
-			}
+		return t.Pass(c, func(worker, x0, y0, sx, sy, rows int) error {
+			interpolateRows(in, t.Working.Pix, x0, y0, sx, sy, rows)
 			return nil
 		}, round, true)
 	})

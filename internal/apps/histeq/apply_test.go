@@ -3,6 +3,7 @@ package histeq
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"anytime/internal/core"
@@ -90,7 +91,8 @@ func (f *applyFixture) run(t *testing.T) []applyVersion {
 }
 
 // want is the oracle: the images the script must publish, in order. The
-// first LUT is a tree-sampled pass, one version per round, whose pixels not
+// first LUT is a tree-sampled pass, one version per round of g rounded down
+// to a power of two (the input's sides are powers of two), whose pixels not
 // yet computed hold-fill — or, in a run seeded with seed, show it. Each
 // later LUT repaints the pixels of the bins whose entry differs from the
 // last applied LUT, bin by ascending bin and raster order within a bin, one
@@ -107,7 +109,7 @@ func (f *applyFixture) want(t *testing.T, seed *pix.Image) []*pix.Image {
 	mask := make([]bool, n)
 	var out []*pix.Image
 	for done := 0; done < n; {
-		for end := min(done+f.g, n); done < end; done++ {
+		for end := min(done+1<<(bits.Len(uint(f.g))-1), n); done < end; done++ {
 			mask[ord.At(done)] = true
 		}
 		var img *pix.Image

@@ -48,42 +48,51 @@ func BenchmarkHistSampled(b *testing.B) {
 // BenchmarkApplyLUT runs the apply stage's inner loop over the tree order:
 // one LUT lookup and one store per output pixel.
 func BenchmarkApplyLUT(b *testing.B) {
-	benchApplyLUT(b, func(tree perm.Order) (perm.Order, error) { return tree, nil })
-}
-
-// BenchmarkApplyLUTRounds is BenchmarkApplyLUT over the order the apply
-// stage walks: the tree order with each of its default four rounds in
-// ascending pixel index. The gap between the two is the locality the sort
-// recovers.
-func BenchmarkApplyLUTRounds(b *testing.B) {
-	benchApplyLUT(b, func(tree perm.Order) (perm.Order, error) { return tree.SortRounds(tree.Len() / 4) })
-}
-
-func benchApplyLUT(b *testing.B, visit func(tree perm.Order) (perm.Order, error)) {
-	in := benchGray(b, 256, 256)
+	in, lut, out := benchApplyLUT(b)
 	tree, err := perm.Tree2D(in.H, in.W)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ord, err := visit(tree)
+	for b.Loop() {
+		for pos := range tree.Len() {
+			dst := tree.At(pos)
+			out.Pix[dst] = lut.Map[binOf(in.Pix[dst])]
+		}
+	}
+}
+
+// BenchmarkApplyLUTRounds is BenchmarkApplyLUT the way the apply stage walks
+// it: each of its default four rounds as the rows of its lattice, in memory
+// order. The gap between the two is the locality the lattice walk recovers.
+func BenchmarkApplyLUTRounds(b *testing.B) {
+	in, lut, out := benchApplyLUT(b)
+	rounds, err := perm.TreeRounds(in.H, in.W, in.Pixels()/4)
 	if err != nil {
 		b.Fatal(err)
 	}
+	for b.Loop() {
+		for m := range rounds.Len() {
+			x0, y0, rows := rounds.Band(m*rounds.Size, (m+1)*rounds.Size)
+			for y := y0; y < y0+rows*rounds.SY; y += rounds.SY {
+				for d := y*in.W + x0; d < (y+1)*in.W; d += rounds.SX {
+					out.Pix[d] = lut.Map[binOf(in.Pix[d])]
+				}
+			}
+		}
+	}
+}
+
+// benchApplyLUT returns the input, its LUT and an output image, with the
+// benchmark's byte count and allocation report set.
+func benchApplyLUT(b *testing.B) (in *pix.Image, lut *LUT, out *pix.Image) {
+	in = benchGray(b, 256, 256)
 	var h Hist
 	for _, v := range in.Pix {
 		h.Counts[binOf(v)]++
 	}
-	lut := buildLUT(buildCDF(&h))
-	out := pix.MustNew(in.W, in.H, 1)
 	b.SetBytes(int64(in.Pixels()) * 4)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		n := ord.Len()
-		for pos := 0; pos < n; pos++ {
-			dst := ord.At(pos)
-			out.Pix[dst] = lut.Map[binOf(in.Pix[dst])]
-		}
-	}
+	return in, buildLUT(buildCDF(&h)), pix.MustNew(in.W, in.H, 1)
 }
 
 // BenchmarkPrecise256 is the whole-image baseline pass (single worker).

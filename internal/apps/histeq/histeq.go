@@ -382,15 +382,15 @@ func newPainter(t *sampling.TreeImage, in *pix.Image, round core.RoundConfig) *p
 func (p *painter) apply(c *core.Context, last, lut *LUT, final bool) error {
 	tab := &lut.Map
 	if last == nil {
-		return p.t.Pass(c, func(worker, lo, hi int) error {
+		return p.t.Pass(c, func(worker, x0, y0, sx, sy, rows int) error {
 			// One lookup and one store per pixel: hoist the table, source,
 			// and destination so the loop carries no pointer chases through
 			// lut/working/in.
-			src, dst := p.src, p.t.Working.Pix
-			for pos := lo; pos < hi; pos++ {
-				d := p.t.At(pos)
-				dst[d] = tab[binOf(src[d])]
-				p.t.Mark(d)
+			src, dst, w := p.src, p.t.Working.Pix, p.t.Working.W
+			for y := y0; y < y0+rows*sy; y += sy {
+				for d := y*w + x0; d < (y+1)*w; d += sx {
+					dst[d] = tab[binOf(src[d])]
+				}
 			}
 			return nil
 		}, p.round, final)

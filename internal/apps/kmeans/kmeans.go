@@ -295,22 +295,22 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 				p.reset()
 			}
 			prev := cents
-			err := t.Pass(c, func(worker, lo, hi int) error {
+			err := t.Pass(c, func(worker, x0, y0, sx, sy, rows int) error {
 				acc := parts[worker]
 				dst := t.Working.Pix
-				for pos := lo; pos < hi; pos++ {
-					p := t.At(pos)
-					r, g, b := in.Pix[p*3], in.Pix[p*3+1], in.Pix[p*3+2]
-					i := nearest(prev, r, g, b)
-					acc.sum[i][0] += int64(r)
-					acc.sum[i][1] += int64(g)
-					acc.sum[i][2] += int64(b)
-					acc.count[i]++
-					ci := prev[i]
-					dst[p*3] = ci[0]
-					dst[p*3+1] = ci[1]
-					dst[p*3+2] = ci[2]
-					t.Mark(p)
+				for y := y0; y < y0+rows*sy; y += sy {
+					for p := y*in.W + x0; p < (y+1)*in.W; p += sx {
+						r, g, b := in.Pix[p*3], in.Pix[p*3+1], in.Pix[p*3+2]
+						i := nearest(prev, r, g, b)
+						acc.sum[i][0] += int64(r)
+						acc.sum[i][1] += int64(g)
+						acc.sum[i][2] += int64(b)
+						acc.count[i]++
+						ci := prev[i]
+						dst[p*3] = ci[0]
+						dst[p*3+1] = ci[1]
+						dst[p*3+2] = ci[2]
+					}
 				}
 				return nil
 			}, round, false)
@@ -339,11 +339,11 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		}
 		// Final pass: color every pixel with the final centroids, exactly
 		// as the baseline renders its output.
-		return t.Pass(c, func(worker, lo, hi int) error {
-			for pos := lo; pos < hi; pos++ {
-				p := t.At(pos)
-				writeRendered(in, t.Working, cents, p)
-				t.Mark(p)
+		return t.Pass(c, func(worker, x0, y0, sx, sy, rows int) error {
+			for y := y0; y < y0+rows*sy; y += sy {
+				for p := y*in.W + x0; p < (y+1)*in.W; p += sx {
+					writeRendered(in, t.Working, cents, p)
+				}
 			}
 			return nil
 		}, round, true)

@@ -67,7 +67,8 @@ type RoundConfig struct {
 	// Granularity is the number of updates applied between successive
 	// publish opportunities. It controls how early and how often
 	// approximate outputs become visible. Zero selects total/32 (at least
-	// 1).
+	// 1). A tree-sampled image stage (sampling.TreeImage) rounds it down to
+	// a lattice size, a power of two of its image's power-of-two superset.
 	Granularity int
 	// Workers is the number of goroutines applying updates within a round
 	// (the multi-threaded sampling of §IV-C1). Zero selects 1. When
@@ -81,8 +82,8 @@ type RoundConfig struct {
 
 // RoundSize returns the number of updates per round a diffusive stage of
 // total updates runs under cfg: Granularity, or its default when zero. The
-// caller that arranges updates by round — a visit order sorted per round —
-// uses it to cut the rounds exactly where the round loop will.
+// caller that arranges updates by round — a visit order cut into lattice
+// rounds — uses it to cut the rounds exactly where the round loop will.
 func (cfg RoundConfig) RoundSize(total int) int {
 	if cfg.Granularity != 0 {
 		return cfg.Granularity

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -220,9 +221,20 @@ func TestFig10OrganizationsSmall(t *testing.T) {
 		}
 	}
 	// The iterative sequential organization pays full redundancy: precise
-	// strictly later than baseline.
-	if rows[1].NormPrecise <= 1.0 {
-		t.Errorf("iterative sequential norm-precise %v, want > 1", rows[1].NormPrecise)
+	// strictly later than baseline. One wall-clock pair of a 64² workload
+	// can invert under scheduling noise, so the claim is on the median of
+	// seven paired runs.
+	norms := []float64{rows[1].NormPrecise}
+	for range 6 {
+		more, err := Fig10Organizations(Options{Size: 64, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		norms = append(norms, more[1].NormPrecise)
+	}
+	slices.Sort(norms)
+	if med := norms[len(norms)/2]; med <= 1.0 {
+		t.Errorf("iterative sequential norm-precise median %v of %v, want > 1", med, norms)
 	}
 	var buf bytes.Buffer
 	if err := WriteFig10(&buf, rows); err != nil {

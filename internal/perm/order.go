@@ -31,36 +31,6 @@ func (o Order) Indices() []int {
 	return out
 }
 
-// SortRounds returns the order that visits each round [k·g, (k+1)·g) of o —
-// the last one possibly shorter — in ascending index order. Every round holds
-// the same index set as o's, so a stage that publishes only at round
-// boundaries cannot tell the two apart, and it walks each round as one
-// memory-order sweep of the round's lattice instead of in o's scattered
-// order (the locality cost of §IV-C3). It is a counting sort keyed by
-// round: O(n) time, no comparisons. g must be positive.
-func (o Order) SortRounds(g int) (Order, error) {
-	if g < 1 {
-		return Order{}, fmt.Errorf("perm: round size %d must be positive", g)
-	}
-	n := len(o.idx)
-	round := make([]int32, n) // round[i]: the round of o that visits index i
-	for k, lo := int32(0), 0; lo < n; k, lo = k+1, lo+g {
-		for _, i := range o.idx[lo:min(lo+g, n)] {
-			round[i] = k
-		}
-	}
-	next := make([]int, (n+g-1)/g) // next free position of each round
-	for k := range next {
-		next[k] = k * g
-	}
-	idx := make([]int32, n)
-	for i, k := range round {
-		idx[next[k]] = int32(i)
-		next[k]++
-	}
-	return Order{idx: idx}, nil
-}
-
 // IsBijective verifies that the order visits every index of [0, Len())
 // exactly once. It is O(n) and intended for tests and validation.
 func (o Order) IsBijective() bool {
@@ -121,27 +91,9 @@ func ReverseSequential(n int) (Order, error) {
 //
 // n need not be a power of two: the order enumerates the bit-reversed
 // power-of-two superset and skips indices >= n, preserving bijectivity and
-// the progressive-resolution property.
+// the progressive-resolution property. It is TreeND with one dimension.
 func Tree1D(n int) (Order, error) {
-	if err := checkLen(n); err != nil {
-		return Order{}, err
-	}
-	if n == 0 {
-		return Order{idx: nil}, nil
-	}
-	width := uint(bits.Len(uint(n - 1)))
-	if n == 1 {
-		width = 0
-	}
-	idx := make([]int32, 0, n)
-	total := 1 << width
-	for j := 0; j < total; j++ {
-		v := reverseBits(uint32(j), width)
-		if int(v) < n {
-			idx = append(idx, int32(v))
-		}
-	}
-	return Order{idx: idx}, nil
+	return TreeND(n)
 }
 
 // Tree2D returns the two-dimensional tree order of paper Figure 5 for a
@@ -179,48 +131,12 @@ func TreeND(dims ...int) (Order, error) {
 		return Order{idx: nil}, nil
 	}
 
-	widths := make([]uint, len(dims))
-	var totalBits uint
-	for k, d := range dims {
-		if d > 1 {
-			widths[k] = uint(bits.Len(uint(d - 1)))
-		}
-		totalBits += widths[k]
-	}
-
-	// deal[j] is the dimension that receives the j-th sequence-counter bit
-	// (counting from the LSB). Bits are dealt round-robin across dimensions
-	// that still have capacity; the last dimension (fastest varying) gets
-	// the first bit, matching the paper's 8x8 example where b0 becomes the
-	// column MSB.
-	deal := make([]int, 0, totalBits)
-	remaining := make([]uint, len(dims))
-	copy(remaining, widths)
-	for uint(len(deal)) < totalBits {
-		for k := len(dims) - 1; k >= 0; k-- {
-			if remaining[k] > 0 {
-				deal = append(deal, k)
-				remaining[k]--
-			}
-		}
-	}
-
+	deal := treeDeal(dims)
 	coord := make([]uint32, len(dims))
-	taken := make([]uint, len(dims))
 	idx := make([]int32, 0, n)
-	total := uint64(1) << totalBits
+	total := uint64(1) << len(deal)
 	for j := uint64(0); j < total; j++ {
-		for k := range coord {
-			coord[k] = 0
-			taken[k] = 0
-		}
-		// Deal bit j_b to its dimension; the first dealt bit of a dimension
-		// becomes that coordinate's most significant bit.
-		for b, k := range deal {
-			bit := uint32(j>>uint(b)) & 1
-			coord[k] |= bit << (widths[k] - 1 - taken[k])
-			taken[k]++
-		}
+		treeCoords(j, deal, coord)
 		linear := 0
 		ok := true
 		for k, d := range dims {
@@ -235,6 +151,42 @@ func TreeND(dims ...int) (Order, error) {
 		}
 	}
 	return Order{idx: idx}, nil
+}
+
+// treeDeal returns, for each bit of the tree order's sequence counter
+// counting from the LSB, the dimension it is dealt to: round-robin across
+// the dimensions whose power-of-two superset still has bits to take, the
+// last dimension (fastest varying) first, matching the paper's 8x8 example
+// where b0 becomes the column MSB.
+func treeDeal(dims []int) []int {
+	remaining := make([]int, len(dims))
+	total := 0
+	for k, d := range dims {
+		if d > 1 {
+			remaining[k] = bits.Len(uint(d - 1))
+		}
+		total += remaining[k]
+	}
+	deal := make([]int, 0, total)
+	for len(deal) < total {
+		for k := len(dims) - 1; k >= 0; k-- {
+			if remaining[k] > 0 {
+				deal = append(deal, k)
+				remaining[k]--
+			}
+		}
+	}
+	return deal
+}
+
+// treeCoords sets coord to the superset coordinates the tree order visits at
+// counter j: bit b of j goes to dimension deal[b], and the first bit dealt
+// to a dimension becomes that coordinate's most significant bit.
+func treeCoords(j uint64, deal []int, coord []uint32) {
+	clear(coord)
+	for b, k := range deal {
+		coord[k] = coord[k]<<1 | uint32(j>>uint(b))&1
+	}
 }
 
 // PseudoRandom returns a pseudo-random order generated by a maximal-length
@@ -266,9 +218,4 @@ func PseudoRandom(n int, seed uint64) (Order, error) {
 		}
 	}
 	return Order{idx: idx}, nil
-}
-
-// reverseBits reverses the low `width` bits of v.
-func reverseBits(v uint32, width uint) uint32 {
-	return bits.Reverse32(v) >> (32 - width)
 }

@@ -259,46 +259,3 @@ func TestPseudoRandomPrefixSpread(t *testing.T) {
 		}
 	}
 }
-
-// TestSortRounds: every round of the sorted order holds the index set of the
-// same round of the original, in ascending order, for round sizes that do
-// and do not divide the length; a non-positive size is refused.
-func TestSortRounds(t *testing.T) {
-	o, err := Tree2D(37, 45)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := o.Len()
-	for _, g := range []int{1, 2, 7, 40, 200, n - 1, n, n + 5} {
-		s, err := o.SortRounds(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Len() != n || !s.IsBijective() {
-			t.Fatalf("g=%d: sorted order is not a permutation of %d indices", g, n)
-		}
-		for lo := 0; lo < n; lo += g {
-			hi := min(lo+g, n)
-			in := make(map[int]bool, hi-lo)
-			for pos := lo; pos < hi; pos++ {
-				in[o.At(pos)] = true
-			}
-			for pos := lo; pos < hi; pos++ {
-				if !in[s.At(pos)] {
-					t.Fatalf("g=%d: position %d visits %d, which is not in round [%d, %d)", g, pos, s.At(pos), lo, hi)
-				}
-				if pos > lo && s.At(pos) <= s.At(pos-1) {
-					t.Fatalf("g=%d: round [%d, %d) is not ascending at position %d", g, lo, hi, pos)
-				}
-			}
-		}
-	}
-	for _, g := range []int{0, -3} {
-		if _, err := o.SortRounds(g); err == nil {
-			t.Errorf("round size %d accepted", g)
-		}
-	}
-	if s, err := (Order{}).SortRounds(4); err != nil || s.Len() != 0 {
-		t.Errorf("empty order: %v, %d positions", err, s.Len())
-	}
-}

@@ -13,9 +13,10 @@
 //     size.
 //
 // An app whose output is an image sampled in 2D tree order (Figure 5)
-// starts at TreeImage instead: it owns the order, the working image — kept
-// hold-filled in place, so each version is one copy — the output buffer and
-// their reset and seed hooks, and the app writes only the per-pixel loop.
+// starts at TreeImage instead. Its rounds are lattice cosets: it owns the
+// order, the working image — kept hold-filled in place by one stamp per
+// round, so each version is one copy — the output buffer and their reset and
+// seed hooks, and the app writes only the loop over lattice rows.
 package sampling
 
 import (

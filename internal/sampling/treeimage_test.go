@@ -1,11 +1,13 @@
 package sampling
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -22,10 +24,9 @@ import (
 // of a fixed reference image.
 const treeW, treeH, treeC = 45, 37, 3
 
-// treeConfig is one fixture configuration. Of the 45×37 image's 1665
-// pixels, rounds of 200 bring each version up to date in one raster sweep;
-// rounds of 40 do so for the coarse levels and spread the 2×2 level block
-// by block.
+// treeConfig is one fixture configuration. The 45×37 image's 1665 pixels
+// sit in a 64×64 superset: a granularity of 200 runs rounds of 128 counter
+// positions, lattices 4×8 apart, and one of 40 rounds of 32, 8×16 apart.
 type treeConfig struct {
 	w, h, c     int
 	workers     int
@@ -78,11 +79,12 @@ func newTreeFixture(t *testing.T, cfg treeConfig, markFinal bool) *treeFixture {
 		}
 	})
 	err = f.a.AddStage("identity", func(c *core.Context) error {
-		return ti.Pass(c, func(worker, lo, hi int) error {
-			for pos := lo; pos < hi; pos++ {
-				d := ti.At(pos)
-				copy(ti.Working.Pix[d*cfg.c:d*cfg.c+cfg.c], f.ref.Pix[d*cfg.c:d*cfg.c+cfg.c])
-				ti.Mark(d)
+		return ti.Pass(c, func(worker, x0, y0, sx, sy, rows int) error {
+			for y := y0; y < y0+rows*sy; y += sy {
+				for x := x0; x < cfg.w; x += sx {
+					d := (y*cfg.w + x) * cfg.c
+					copy(ti.Working.Pix[d:d+cfg.c], f.ref.Pix[d:d+cfg.c])
+				}
 			}
 			return nil
 		}, core.RoundConfig{Granularity: cfg.granularity, Workers: cfg.workers, Policy: cfg.policy}, markFinal)
@@ -198,9 +200,9 @@ func TestTreeImagePassPublishesHoldFilledPrefixes(t *testing.T) {
 }
 
 // TestTreeImageGeometries: the oracle holds on degenerate and lopsided
-// images, whose blocks are clipped and whose levels interleave in the tree
-// order, with rounds of one pixel (updates spread block by block, the
-// coarsest swept) and of a quarter image (swept).
+// images, whose blocks are clipped, whose levels interleave in the tree
+// order and whose lattices are far wider than tall or the reverse, with
+// rounds of one pixel and of a quarter image.
 func TestTreeImageGeometries(t *testing.T) {
 	testgate.Goroutines(t)
 	for _, g := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 3}, {17, 5}, {3, 40}} {
@@ -208,6 +210,23 @@ func TestTreeImageGeometries(t *testing.T) {
 			t.Run(fmt.Sprintf("%dx%d/g%d", g[0], g[1], granularity), func(t *testing.T) {
 				cfg := treeConfig{g[0], g[1], 1, 2, core.PublishEveryRound, granularity}
 				f := newTreeFixture(t, cfg, true)
+				f.checkCold(t, f.run(t), true)
+			})
+		}
+	}
+}
+
+// TestTreeImageEveryGranularity: on the 45×37 fixture, whose 64×64
+// superset clips every round, the oracle holds at every power-of-two round
+// size from 4 pixels (TestTreeImageGeometries takes 1) to the whole
+// superset, under one worker or three, and at sizes that round down to one
+// of them, under two.
+func TestTreeImageEveryGranularity(t *testing.T) {
+	testgate.Goroutines(t)
+	for g, workers := 4, 1; g <= 64*64; g, workers = 2*g, 4-workers {
+		for _, c := range [][2]int{{g, workers}, {3*g - 1, 2}} {
+			t.Run(fmt.Sprintf("g%d/w%d", c[0], c[1]), func(t *testing.T) {
+				f := newTreeFixture(t, treeConfig{treeW, treeH, treeC, c[1], core.PublishEveryRound, c[0]}, true)
 				f.checkCold(t, f.run(t), true)
 			})
 		}
@@ -332,21 +351,22 @@ func TestTreeImageSeedRefused(t *testing.T) {
 	})
 }
 
-// TestTreeImageVisitsRoundsInRasterBands: each round of the visit order
-// holds the tree order's round of positions in ascending pixel index, and
-// under W ∈ {1,2,3} the workers' spans of a round are disjoint raster bands
-// of it — each span lies in one round, and a worker's pixels all precede
-// the next worker's.
+// TestTreeImageVisitsRoundsInRasterBands: round k of a pass computes
+// exactly round k of the tree order — the counter positions [k·G, (k+1)·G)
+// of the image's power-of-two superset, clipped, where G is the requested
+// granularity rounded down to a power of two — and under W ∈ {1,2,3} the
+// workers' bands of a round are disjoint raster bands of it: every pixel
+// once, and a worker's pixels all precede the next worker's.
 func TestTreeImageVisitsRoundsInRasterBands(t *testing.T) {
 	testgate.Goroutines(t)
-	tree, err := perm.Tree2D(treeH, treeW)
+	const superW, superH = 64, 64
+	tree, err := perm.Tree2D(superH, superW)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := tree.Len()
-	type span struct{ worker, lo, hi, first, last int }
+	type band struct{ round, worker, first, last int }
 	for workers := 1; workers <= 3; workers++ {
-		for _, g := range []int{200, 40, 1, n} {
+		for _, g := range []int{200, 40, 1, treeW * treeH} {
 			t.Run(fmt.Sprintf("w%d/g%d", workers, g), func(t *testing.T) {
 				a := core.New()
 				ti, err := NewTreeImage(a, "tree", treeW, treeH, 1)
@@ -354,16 +374,33 @@ func TestTreeImageVisitsRoundsInRasterBands(t *testing.T) {
 					t.Fatal(err)
 				}
 				var mu sync.Mutex
-				var spans []span
+				var bands []band
+				visits := map[int]int{} // pixel → round that computed it
+				round := 0              // advanced by the stage goroutine between rounds
+				ti.OnSnapshot = func(int, *pix.Image) { round++ }
 				err = a.AddStage("bands", func(c *core.Context) error {
-					return ti.Pass(c, func(worker, lo, hi int) error {
-						s := span{worker, lo, hi, ti.At(lo), ti.At(hi - 1)}
-						for pos := lo; pos < hi; pos++ {
-							ti.Mark(ti.At(pos))
-						}
+					return ti.Pass(c, func(worker, x0, y0, sx, sy, rows int) error {
 						mu.Lock()
-						spans = append(spans, s)
-						mu.Unlock()
+						defer mu.Unlock()
+						b := band{round, worker, -1, -1}
+						for y := y0; y < y0+rows*sy; y += sy {
+							for x := x0; x < treeW; x += sx {
+								p := y*treeW + x
+								if _, dup := visits[p]; dup {
+									t.Errorf("pixel %d computed twice", p)
+								}
+								visits[p] = round
+								if b.first < 0 {
+									b.first = p
+								} else if p <= b.last {
+									t.Errorf("band of worker %d is not in raster order at pixel %d", worker, p)
+								}
+								b.last = p
+							}
+						}
+						if b.first >= 0 {
+							bands = append(bands, b)
+						}
 						return nil
 					}, core.RoundConfig{Granularity: g, Workers: workers}, true)
 				})
@@ -376,37 +413,21 @@ func TestTreeImageVisitsRoundsInRasterBands(t *testing.T) {
 				if err := a.Wait(); err != nil {
 					t.Fatal(err)
 				}
-				for lo := 0; lo < n; lo += g {
-					hi := min(lo+g, n)
-					want := make([]int, 0, hi-lo)
-					got := make([]int, 0, hi-lo)
-					for pos := lo; pos < hi; pos++ {
-						want = append(want, tree.At(pos))
-						got = append(got, ti.At(pos))
-					}
-					slices.Sort(want)
-					if !slices.Equal(got, want) {
-						t.Fatalf("round [%d, %d) visits %v, want the tree round ascending %v", lo, hi, got, want)
+				size := 1 << (bits.Len(uint(g)) - 1)
+				if len(visits) != treeW*treeH {
+					t.Fatalf("%d of %d pixels computed", len(visits), treeW*treeH)
+				}
+				for pos := range tree.Len() {
+					x, y := tree.At(pos)%superW, tree.At(pos)/superW
+					if x < treeW && y < treeH && visits[y*treeW+x] != pos/size {
+						t.Fatalf("pixel (%d, %d) computed in round %d, tree position %d is in round %d", x, y, visits[y*treeW+x], pos, pos/size)
 					}
 				}
-				slices.SortFunc(spans, func(a, b span) int { return a.lo - b.lo })
-				for i, s := range spans {
-					if s.lo/g != (s.hi-1)/g {
-						t.Errorf("span [%d, %d) crosses a round boundary", s.lo, s.hi)
+				slices.SortFunc(bands, func(a, b band) int { return cmp.Or(a.round-b.round, a.worker-b.worker) })
+				for i := 1; i < len(bands); i++ {
+					if prev, b := bands[i-1], bands[i]; prev.round == b.round && (prev.worker == b.worker || prev.last >= b.first) {
+						t.Errorf("round %d: worker %d's band [%d, %d] and worker %d's [%d, %d] interleave", b.round, prev.worker, prev.first, prev.last, b.worker, b.first, b.last)
 					}
-					if i == 0 {
-						continue
-					}
-					prev := spans[i-1]
-					if prev.hi != s.lo {
-						t.Fatalf("spans [%d, %d) and [%d, %d) leave a gap or overlap", prev.lo, prev.hi, s.lo, s.hi)
-					}
-					if same := prev.lo/g == s.lo/g; same && (prev.last >= s.first || prev.worker >= s.worker) {
-						t.Errorf("worker %d's band [%d, %d] and worker %d's [%d, %d] interleave", prev.worker, prev.first, prev.last, s.worker, s.first, s.last)
-					}
-				}
-				if len(spans) == 0 || spans[0].lo != 0 || spans[len(spans)-1].hi != n {
-					t.Error("spans do not cover the visit order")
 				}
 			})
 		}
@@ -444,11 +465,11 @@ func TestTreeImageRepaint(t *testing.T) {
 
 	n := treeW * treeH
 	vs, err := run(func(c *core.Context, ti *TreeImage) error {
-		if err := ti.Pass(c, func(worker, lo, hi int) error {
-			for pos := lo; pos < hi; pos++ {
-				d := ti.At(pos)
-				ti.Working.Pix[d] = 1
-				ti.Mark(d)
+		if err := ti.Pass(c, func(worker, x0, y0, sx, sy, rows int) error {
+			for y := y0; y < y0+rows*sy; y += sy {
+				for x := x0; x < treeW; x += sx {
+					ti.Working.Pix[y*treeW+x] = 1
+				}
 			}
 			return nil
 		}, round, false); err != nil {
@@ -468,7 +489,11 @@ func TestTreeImageRepaint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass := (n + round.Granularity - 1) / round.Granularity
+	rounds, err := perm.TreeRounds(treeH, treeW, round.Granularity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := rounds.Len()
 	if len(vs) != pass+3 {
 		t.Fatalf("%d versions, want %d pass + 2 repaint + 1 final", len(vs), pass)
 	}
