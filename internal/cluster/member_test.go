@@ -184,10 +184,11 @@ func TestCheckerStartStop(t *testing.T) {
 	c.Stop() // idempotent
 }
 
-// TestCheckerCtxCancelStopsLoop is the regression for the ctxflow fix: the
-// probe loop runs under the caller's context, so cancelling it ends the
-// loop without an explicit Stop — an operator tearing down a router by
-// cancelling its root ctx must not strand the checker goroutine.
+// TestCheckerCtxCancelStopsLoop is the regression for the Checker whose
+// probe loop ran detached from its caller's context: the loop now runs
+// under that context, so cancelling it ends the loop without an explicit
+// Stop — an operator tearing down a router by cancelling its root ctx
+// must not strand the checker goroutine.
 func TestCheckerCtxCancelStopsLoop(t *testing.T) {
 	testgate.Goroutines(t)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -215,7 +216,6 @@ func TestCheckerCtxCancelStopsLoop(t *testing.T) {
 // in-flight probe well before the checker's own per-probe timeout.
 func TestCheckerProbeInheritsCtx(t *testing.T) {
 	release := make(chan struct{})
-	defer close(release)
 	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done(): // client abandoned the probe
@@ -223,6 +223,9 @@ func TestCheckerProbeInheritsCtx(t *testing.T) {
 		}
 	}))
 	defer stuck.Close()
+	// Deferred after Close so it runs first: a probe that ignores ctx must
+	// fail the test below, not leave Close waiting on its handler.
+	defer close(release)
 	ms, err := NewMembership([]string{stuck.URL}, 64, nil)
 	if err != nil {
 		t.Fatal(err)

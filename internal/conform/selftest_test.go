@@ -88,8 +88,9 @@ func TestSelfSnapshotMutatorCaught(t *testing.T) {
 
 // TestSelfDoubleWriterCaught plants a second publisher. The two goroutines
 // hand off through a channel so there is no data race for the race
-// detector to find — only the goroutine-pinning probe convicts it, which
-// is why the probe exists.
+// detector to find — only the goroutine-pinning probe convicts it, and the
+// conform sweeps run that probe over every app's buffers: it is the tree's
+// gate for Property 2 (one writer per buffer).
 func TestSelfDoubleWriterCaught(t *testing.T) {
 	t.Parallel()
 	app := &fakeApp{name: "doublewriter", stages: []string{"writer"}, build: func(env *Env) (*Instance, error) {
@@ -104,7 +105,6 @@ func TestSelfDoubleWriterCaught(t *testing.T) {
 			}
 			done := make(chan error)
 			go func() {
-				//lint:ignore singlewriter planted violation: this self-test proves the runtime probe convicts the second writer
 				_, err := buf.Publish(2, true)
 				done <- err
 			}()

@@ -350,8 +350,8 @@ type roundWorker struct {
 // on the stage goroutine. Compared to spawning W goroutines per round this
 // keeps worker identity stable (worker-private scratch stays on a warm
 // stack and cache), removes the per-round spawn allocations, and leaves
-// the publish path untouched on the stage goroutine — the single-writer
-// discipline anytimevet enforces.
+// the publish path untouched on the stage goroutine — the single writer
+// that conform's goroutine-pinning probe checks.
 //
 // Handover is a seq-number handshake with bounded spinning on both sides
 // (see spinIters). Parking is race-free by the usual store/load-check
