@@ -3,8 +3,8 @@ package anytime_test
 // Ablation benchmarks for the design choices DESIGN.md calls out, beyond
 // the paper's numbered figures:
 //
-//   - histeq input reordering (§IV-C3): the in-memory data reorganization
-//     the paper proposes to recover sampling locality.
+//   - histeq input sampling order (§IV-C3): the paper's pseudo-random (LFSR)
+//     gather against the lattice cosets the histogram stage walks.
 //   - the §IV-C2 scheduling policies on the Figure 2 pipeline (simulated).
 //   - the iterative approximate-storage voltage ladder (§III-B1) versus
 //     the diffusive sampled automaton on 2dconv.
@@ -17,41 +17,57 @@ import (
 	"anytime/internal/apps/conv2d"
 	"anytime/internal/apps/histeq"
 	"anytime/internal/cachesim"
+	"anytime/internal/perm"
 	"anytime/internal/pix"
 	"anytime/internal/sched"
 	"anytime/internal/store"
 )
 
-// BenchmarkAblation_HisteqReorder measures the histeq automaton's
-// end-to-end runtime with the pseudo-random input read directly (random
-// access) versus through a pre-reordered copy (sequential access).
+// BenchmarkAblation_HisteqReorder measures the locality cost §IV-C3 flags
+// in pseudo-random input sampling, on histeq's histogram of one 512×512
+// input: every pixel gathered through the paper's LFSR order, against the
+// same pixels read as the eight lattice cosets of the 2D tree order that
+// the hist stage samples, each coset's rows in memory order. Both build
+// the same histogram; only the read order differs.
 func BenchmarkAblation_HisteqReorder(b *testing.B) {
 	in, err := pix.SyntheticGray(512, 512, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(reorder bool) time.Duration {
-		r, err := histeq.New(in, histeq.Config{Workers: 2, ReorderInput: reorder})
-		if err != nil {
-			b.Fatal(err)
-		}
-		start := time.Now()
-		if err := r.Automaton.Start(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		if err := r.Automaton.Wait(); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
+	ord, err := perm.PseudoRandom(in.Pixels(), 1)
+	if err != nil {
+		b.Fatal(err)
 	}
-	var plain, reordered time.Duration
+	lat, err := perm.TreeRounds(in.H, in.W, in.Pixels()/8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var lfsr, lattice [histeq.Bins]int64
+	var tLFSR, tLattice time.Duration
 	for i := 0; i < b.N; i++ {
-		plain = run(false)
-		reordered = run(true)
+		lfsr, lattice = [histeq.Bins]int64{}, [histeq.Bins]int64{}
+		start := time.Now()
+		for pos := range ord.Len() {
+			lfsr[uint8(in.Pix[ord.At(pos)])]++
+		}
+		tLFSR += time.Since(start)
+		start = time.Now()
+		for m := range lat.Len() {
+			x0, y0, rows := lat.Band(m*lat.Size, (m+1)*lat.Size)
+			for y := y0; y < y0+rows*lat.SY; y += lat.SY {
+				for d := y*in.W + x0; d < (y+1)*in.W; d += lat.SX {
+					lattice[uint8(in.Pix[d])]++
+				}
+			}
+		}
+		tLattice += time.Since(start)
 	}
-	b.ReportMetric(float64(plain.Microseconds()), "random-us")
-	b.ReportMetric(float64(reordered.Microseconds()), "reordered-us")
-	b.ReportMetric(float64(plain)/float64(reordered), "speedup-x")
+	if lfsr != lattice {
+		b.Fatal("the two orders built different histograms")
+	}
+	b.ReportMetric(float64(tLFSR)/1e3/float64(b.N), "lfsr-us")
+	b.ReportMetric(float64(tLattice)/1e3/float64(b.N), "lattice-us")
+	b.ReportMetric(float64(tLFSR)/float64(tLattice), "speedup-x")
 }
 
 // BenchmarkAblation_SchedPolicies reports the simulated §IV-C2 tradeoff on

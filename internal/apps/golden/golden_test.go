@@ -9,6 +9,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"testing"
 
 	"anytime/internal/apps/conv2d"
@@ -17,6 +18,7 @@ import (
 	"anytime/internal/apps/histeq"
 	"anytime/internal/apps/kmeans"
 	"anytime/internal/core"
+	"anytime/internal/perm"
 	"anytime/internal/pix"
 )
 
@@ -99,6 +101,62 @@ func TestGoldenHisteq(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, "histeq", goldenHisteq, precise, finalOf(t, run.Automaton, run.Out))
+}
+
+// TestHisteqFirstRoundEstimate gates the accuracy of histeq's lattice input
+// sampling: on each golden input, the normalized L1 error of the first
+// round's histogram against the exact one may exceed that of the paper's
+// pseudo-random (LFSR) sample of the same size by at most 0.01.
+func TestHisteqFirstRoundEstimate(t *testing.T) {
+	for _, g := range []struct {
+		w, h int
+		seed uint64
+	}{{96, 96, 7}, {128, 128, 5}, {48, 48, 3}} {
+		in, err := pix.SyntheticGray(g.w, g.h, g.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := histeq.New(in, histeq.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *histeq.Hist
+		run.HistBuf.OnPublish(func(s core.Snapshot[*histeq.Hist]) {
+			if first == nil {
+				first = s.Value
+			}
+		})
+		finalOf(t, run.Automaton, run.Out)
+		ord, err := perm.PseudoRandom(in.Pixels(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var exact, lfsr [histeq.Bins]int64
+		for i, v := range in.Pix {
+			exact[v]++
+			if i < first.Processed {
+				lfsr[in.Pix[ord.At(i)]]++
+			}
+		}
+		lat, rnd := l1(first.Counts, exact), l1(lfsr, exact)
+		t.Logf("%dx%d seed %d, %d samples: L1 lattice %.4f, LFSR %.4f", g.w, g.h, g.seed, first.Processed, lat, rnd)
+		if lat > rnd+0.01 {
+			t.Errorf("%dx%d: lattice first-round L1 error %.4f exceeds the LFSR's %.4f by more than 0.01", g.w, g.h, lat, rnd)
+		}
+	}
+}
+
+// l1 is the L1 distance between the normalized histograms a and b.
+func l1(a, b [histeq.Bins]int64) float64 {
+	var na, nb int64
+	for v := range a {
+		na, nb = na+a[v], nb+b[v]
+	}
+	var d float64
+	for v := range a {
+		d += math.Abs(float64(a[v])/float64(na) - float64(b[v])/float64(nb))
+	}
+	return d
 }
 
 func TestGoldenDWT53(t *testing.T) {

@@ -23,24 +23,24 @@ func benchGray(b *testing.B, w, h int) *pix.Image {
 	return img
 }
 
-// BenchmarkHistSampled builds the full histogram through the LFSR sampling
-// order — the hist stage's inner loop, random-access pattern included.
+// BenchmarkHistSampled builds the full histogram the way the hist stage
+// samples it: each of its default eight rounds as the rows of one lattice
+// coset, in memory order.
 func BenchmarkHistSampled(b *testing.B) {
 	in := benchGray(b, 256, 256)
-	ord, err := perm.PseudoRandom(in.Pixels(), 1)
+	lat, total, err := histRounds(in.W, in.H, Config{}.withDefaults(in.Pixels()).HistSnapshots)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(in.Pixels()) * 4)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		var h Hist
-		n := ord.Len()
-		for pos := 0; pos < n; pos++ {
-			h.Counts[binOf(in.Pix[ord.At(pos)])]++
+		for lo := 0; lo < total; lo += lat.Size {
+			h.count(in, &lat, lo, lo+lat.Size)
 		}
-		if h.Counts[0] < 0 {
-			b.Fatal("impossible")
+		if h.Processed != in.Pixels() {
+			b.Fatalf("sampled %d of %d pixels", h.Processed, in.Pixels())
 		}
 	}
 }

@@ -5,7 +5,10 @@
 // describes:
 //
 //  1. hist — diffusive; builds a histogram of pixel values using anytime
-//     pseudo-random (LFSR) input sampling, as in paper Figure 3.
+//     input sampling (paper Figure 3). Its rounds are the lattice cosets
+//     of the 2D tree order: each is a stratified sample of the image, read
+//     as strided rows in memory order, where the paper's LFSR order gathers
+//     pixels at random (the locality loss of §IV-C3).
 //  2. cdf — not anytime; builds the cumulative distribution function from
 //     the latest histogram snapshot.
 //  3. lut — not anytime; normalizes the CDF into the equalization lookup
@@ -24,6 +27,7 @@ package histeq
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"anytime/internal/core"
@@ -41,21 +45,14 @@ type Config struct {
 	// Workers is the number of sampling workers per diffusive stage.
 	// Default 1.
 	Workers int
-	// HistSnapshots is how many intermediate histogram versions the first
-	// stage publishes. Default 6.
+	// HistSnapshots is how many histogram versions the first stage
+	// publishes, counted over the image's power-of-two superset. A round's
+	// size rounds down to a lattice size, a power of two, so the number of
+	// versions rounds up to a power of two. Default 8.
 	HistSnapshots int
 	// ApplyGranularity is the number of output pixels written per
 	// published snapshot of the apply stage. Default pixels/4.
 	ApplyGranularity int
-	// Seed drives the LFSR input-sampling permutation. Default 1.
-	Seed uint64
-	// ReorderInput, if set, pre-permutes the input pixels into the
-	// sampling order so the histogram stage reads memory sequentially --
-	// the in-memory data reorganization the paper proposes to recover the
-	// locality lost to pseudo-random sampling (§IV-C3). The reorder cost
-	// is paid once at construction (the paper assumes near-data
-	// processing performs it in memory).
-	ReorderInput bool
 	// Publish selects when the diffusive stages build and publish round
 	// snapshots. Default core.PublishEveryRound.
 	Publish core.PublishPolicy
@@ -66,10 +63,7 @@ func (cfg Config) withDefaults(pixels int) Config {
 		cfg.Workers = 1
 	}
 	if cfg.HistSnapshots == 0 {
-		cfg.HistSnapshots = 6
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+		cfg.HistSnapshots = 8
 	}
 	if cfg.ApplyGranularity == 0 {
 		// The per-pixel work of the apply stage is a single table lookup,
@@ -116,6 +110,20 @@ type CDF struct {
 // LUT is the output of the third stage: the intensity remapping table.
 type LUT struct {
 	Map [Bins]int32
+}
+
+// count adds to h the pixels of in that lat's counter positions [lo, hi)
+// visit: a band of one round's lattice rows, each read in memory order.
+func (h *Hist) count(in *pix.Image, lat *perm.Rounds, lo, hi int) {
+	x0, y0, rows := lat.Band(lo, hi)
+	px, w, sx, sy := in.Pix, in.W, lat.SX, lat.SY
+	counts := &h.Counts
+	for y := y0; y < y0+rows*sy; y += sy {
+		for d := y*w + x0; d < (y+1)*w; d += sx {
+			counts[binOf(px[d])]++
+		}
+	}
+	h.Processed += rows * ((w - x0 + sx - 1) / sx)
 }
 
 // buildCDF computes the cumulative distribution of h.
@@ -196,6 +204,19 @@ func Precise(in *pix.Image, cfg Config) (*pix.Image, error) {
 	return out, nil
 }
 
+// histRounds cuts the 2D tree order of a w×h image into the hist stage's
+// rounds: snapshots rounds of the counter positions of its power-of-two
+// superset, whose count it also returns.
+func histRounds(w, h, snapshots int) (perm.Rounds, int, error) {
+	whole, err := perm.TreeRounds(h, w, math.MaxInt32) // one round: the superset
+	if err != nil {
+		return perm.Rounds{}, 0, err
+	}
+	total := whole.Len() * whole.Size
+	lat, err := perm.TreeRounds(h, w, max(total/snapshots, 1))
+	return lat, total, err
+}
+
 // Run is a constructed histeq anytime automaton with its output buffer and
 // the intermediate buffers of the pipeline (exposed for tests and tools).
 type Run struct {
@@ -216,8 +237,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	if err := cfg.validate(in); err != nil {
 		return nil, err
 	}
-	pixels := in.Pixels()
-	inOrd, err := perm.PseudoRandom(pixels, cfg.Seed)
+	lat, total, err := histRounds(in.W, in.H, cfg.HistSnapshots)
 	if err != nil {
 		return nil, err
 	}
@@ -227,49 +247,23 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	lutBuf := core.NewBuffer[*LUT]("lut", nil)
 	a := core.New()
 
-	// Stage 1: diffusive histogram via pseudo-random input sampling, with
-	// thread-privatized partials merged at each snapshot. The per-element
-	// work is one increment, so the batched diffusive runner keeps the
-	// sampling overhead proportionate.
-	histGran := pixels / cfg.HistSnapshots
-	if histGran < 1 {
-		histGran = 1
-	}
+	// Stage 1: diffusive histogram over the lattice cosets of the tree
+	// order, with thread-privatized partials merged at each snapshot. A
+	// worker's span of counter positions is a band of one coset's lattice
+	// rows, read in memory order. The per-element work is one increment,
+	// so the batched diffusive runner keeps the sampling overhead
+	// proportionate.
 	partials := make([]*Hist, cfg.Workers)
 	for w := range partials {
 		partials[w] = &Hist{}
 	}
-	// With ReorderInput, position pos of the order reads reordered[pos]
-	// (sequential); otherwise it reads in.Pix[inOrd.At(pos)] (random).
-	// Both visit exactly the same multiset of pixels. The branch between
-	// the two lives outside the per-element loop: one table increment per
-	// pixel is cheap enough that a closure call per sample used to double
-	// the stage's cost.
-	var reordered []int32
-	if cfg.ReorderInput {
-		reordered, err = inOrd.Reorder(in.Pix)
-		if err != nil {
-			return nil, err
-		}
-	}
 	if err := a.AddStage("hist", func(c *core.Context) error {
-		return core.DiffusiveBatch(c, histBuf, pixels,
+		return core.DiffusiveBatch(c, histBuf, total,
 			func(worker, lo, hi int) error {
-				h := partials[worker]
-				if reordered != nil {
-					for _, v := range reordered[lo:hi] {
-						h.Counts[binOf(v)]++
-					}
-				} else {
-					px := in.Pix
-					for pos := lo; pos < hi; pos++ {
-						h.Counts[binOf(px[inOrd.At(pos)])]++
-					}
-				}
-				h.Processed += hi - lo
+				partials[worker].count(in, &lat, lo, hi)
 				return nil
 			},
-			func(processed int) (*Hist, error) {
+			func(int) (*Hist, error) {
 				merged := &Hist{}
 				for _, p := range partials {
 					for v := range merged.Counts {
@@ -279,7 +273,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 				}
 				return merged, nil
 			},
-			core.RoundConfig{Granularity: histGran, Workers: cfg.Workers, Policy: cfg.Publish},
+			core.RoundConfig{Granularity: lat.Size, Workers: cfg.Workers, Policy: cfg.Publish},
 			true)
 	}); err != nil {
 		return nil, err

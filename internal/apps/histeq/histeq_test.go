@@ -8,6 +8,7 @@ import (
 	"anytime/internal/core"
 	"anytime/internal/metrics"
 	"anytime/internal/pix"
+	"anytime/internal/testgate"
 )
 
 func testImage(t *testing.T, w, h int) *pix.Image {
@@ -277,63 +278,57 @@ func TestTinyImages(t *testing.T) {
 	}
 }
 
-// TestReorderInputEquivalence: the §IV-C3 in-memory data reordering is a
-// pure locality optimization — the final output must be bit-identical with
-// and without it.
-func TestReorderInputEquivalence(t *testing.T) {
-	in := testImage(t, 64, 64)
-	runWith := func(reorder bool) *pix.Image {
-		run, err := New(in, Config{ReorderInput: reorder})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := run.Automaton.Start(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if err := run.Automaton.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		snap, ok := run.Out.Latest()
-		if !ok || !snap.Final {
-			t.Fatal("no final output")
-		}
-		return snap.Value
+// TestHistLatticeRounds: on an image whose sides are not powers of two,
+// the hist stage publishes one version per lattice round at every worker
+// count, each counting exactly the pixels of the rounds before it, and its
+// final is the exact histogram.
+func TestHistLatticeRounds(t *testing.T) {
+	testgate.Goroutines(t)
+	in := testImage(t, 37, 53)
+	var exact [Bins]int64
+	for _, v := range in.Pix {
+		exact[binOf(v)]++
 	}
-	plain := runWith(false)
-	reordered := runWith(true)
-	if !plain.Equal(reordered) {
-		t.Error("input reordering changed the output")
-	}
-	want, err := Precise(in, Config{})
+	lat, _, err := histRounds(in.W, in.H, Config{}.withDefaults(in.Pixels()).HistSnapshots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reordered.Equal(want) {
-		t.Error("reordered run differs from precise baseline")
-	}
-}
-
-// TestReorderInputHistogramsMatch: intermediate histograms are estimates of
-// the same population either way; the FINAL histograms must be identical.
-func TestReorderInputHistogramsMatch(t *testing.T) {
-	in := testImage(t, 32, 32)
-	finalHist := func(reorder bool) *Hist {
-		run, err := New(in, Config{ReorderInput: reorder})
+	for workers := 1; workers <= 3; workers++ {
+		run, err := New(in, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := run.Automaton.Start(context.Background()); err != nil {
-			t.Fatal(err)
+		var hists []*Hist // appended on the hist stage's goroutine, read after Wait
+		run.HistBuf.OnPublish(func(s core.Snapshot[*Hist]) { hists = append(hists, s.Value) })
+		for cycle := range 2 {
+			hists = nil
+			if err := run.Automaton.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := run.Automaton.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if len(hists) != lat.Len() {
+				t.Fatalf("w%d cycle %d: %d versions, want one per round: %d", workers, cycle, len(hists), lat.Len())
+			}
+			want := 0
+			for m, h := range hists {
+				want += lat.Pixels(m)
+				var sum int64
+				for _, c := range h.Counts {
+					sum += c
+				}
+				if sum != int64(h.Processed) || h.Processed != want {
+					t.Fatalf("w%d cycle %d: version %d counts %d pixels and reports %d, want %d", workers, cycle, m+1, sum, h.Processed, want)
+				}
+			}
+			if hists[len(hists)-1].Counts != exact {
+				t.Errorf("w%d cycle %d: final histogram is not the exact one", workers, cycle)
+			}
+			if err := run.Automaton.Reset(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := run.Automaton.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		snap, _ := run.HistBuf.Latest()
-		return snap.Value
-	}
-	a, b := finalHist(false), finalHist(true)
-	if a.Counts != b.Counts {
-		t.Error("final histograms differ under reordering")
 	}
 }
 

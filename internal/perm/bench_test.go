@@ -43,19 +43,3 @@ func BenchmarkOrderAt(b *testing.B) {
 	}
 	_ = sink
 }
-
-func BenchmarkReorder(b *testing.B) {
-	const n = 1 << 18
-	o, err := PseudoRandom(n, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]int32, n)
-	b.SetBytes(n * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.Reorder(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
