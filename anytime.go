@@ -36,9 +36,12 @@
 package anytime
 
 import (
+	"context"
+	"fmt"
 	"time"
 
 	"anytime/internal/core"
+	"anytime/internal/serve"
 )
 
 // Version numbers the successive snapshots published to a Buffer.
@@ -146,18 +149,27 @@ func SyncConsume[X any](c *Context, in *Stream[X], fold func(u Update[X]) error)
 	return core.SyncConsume(c, in, fold)
 }
 
-// StopWhen stops the automaton as soon as a published snapshot of buf
-// satisfies accept — automated whole-output accuracy control (§III-A). The
-// returned channel delivers the accepted (or final) snapshot.
-func StopWhen[T any](a *Automaton, buf *Buffer[T], accept func(Snapshot[T]) bool) <-chan Snapshot[T] {
-	return core.StopWhen(a, buf, accept)
+// StopWhen starts a and stops it as soon as a published snapshot of buf
+// satisfies accept — automated whole-output accuracy control (§III-A). It
+// returns the accepted snapshot, or the precise one if the automaton
+// finishes first. It is the serving runtime's acceptance rule: accept runs
+// on the calling goroutine between versions, and cancelling ctx stops the
+// automaton and returns ctx.Err().
+func StopWhen[T any](ctx context.Context, a *Automaton, buf *Buffer[T], accept func(Snapshot[T]) bool) (Snapshot[T], error) {
+	res, err := serve.RunUntil(ctx, serve.Entry[T]{Automaton: a, Out: buf}, accept, nil)
+	return res.Snapshot, err
 }
 
-// StopAfter stops the automaton once d elapses unless it finishes first —
-// a hard real-time budget (§III-A). The returned cancel disarms the
-// deadline.
-func StopAfter(a *Automaton, d time.Duration) (cancel func()) {
-	return core.StopAfter(a, d)
+// StopAfter starts a and stops it once d elapses unless it finishes first —
+// a hard real-time budget (§III-A). It returns the newest snapshot of buf
+// published by then, waiting for the first if none has been: the serving
+// runtime's deadline rule. d must be positive.
+func StopAfter[T any](ctx context.Context, a *Automaton, buf *Buffer[T], d time.Duration) (Snapshot[T], error) {
+	if d <= 0 {
+		return Snapshot[T]{}, fmt.Errorf("anytime: StopAfter budget %v must be positive", d)
+	}
+	res, err := serve.Run(ctx, serve.Entry[T]{Automaton: a, Out: buf}, d, nil)
+	return res.Snapshot, err
 }
 
 // ContractPass is one accuracy level available to a contract-mode stage

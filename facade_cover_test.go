@@ -43,10 +43,6 @@ func TestFacadeOrders(t *testing.T) {
 	if l.Period() != 255 {
 		t.Errorf("LFSR period %d", l.Period())
 	}
-	stripes, err := t1.Partition(2)
-	if err != nil || len(stripes) != 2 {
-		t.Errorf("Partition: %v", err)
-	}
 }
 
 func TestFacadeMetrics(t *testing.T) {

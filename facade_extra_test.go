@@ -3,6 +3,7 @@ package anytime_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -104,18 +105,50 @@ func TestPublicAPIStopAfter(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cancel := anytime.StopAfter(a, 15*time.Millisecond)
-	defer cancel()
-	if err := a.Start(context.Background()); err != nil {
+	snap, err := anytime.StopAfter(context.Background(), a, out, 15*time.Millisecond)
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-a.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("budget did not stop the automaton")
+	if snap.Version == 0 || snap.Final {
+		t.Errorf("budget delivered %+v, want an interrupted approximation", snap)
 	}
-	if _, ok := out.Latest(); !ok {
-		t.Error("no output at the budget deadline")
+	if err := a.Wait(); !errors.Is(err, anytime.ErrStopped) {
+		t.Errorf("Wait = %v, want ErrStopped", err)
+	}
+	if _, err := anytime.StopAfter(context.Background(), anytime.New(), out, 0); err == nil {
+		t.Error("StopAfter accepted a zero budget")
+	}
+}
+
+// TestPublicAPIStopWhenExternalStop: an automaton stopped by another
+// goroutine while StopWhen waits delivers its newest snapshot, not a hang.
+func TestPublicAPIStopWhenExternalStop(t *testing.T) {
+	out := anytime.NewBuffer[int]("out", nil)
+	a := anytime.New()
+	if err := a.AddStage("slow", func(c *anytime.Context) error {
+		for i := 1; ; i++ {
+			if err := c.Checkpoint(); err != nil {
+				return err
+			}
+			if _, err := out.Publish(i, false); err != nil {
+				return err
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out.OnPublish(func(s anytime.Snapshot[int]) {
+		if s.Version == 3 {
+			go a.Stop()
+		}
+	})
+	snap, err := anytime.StopWhen(context.Background(), a, out, func(anytime.Snapshot[int]) bool { return false })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version < 3 || snap.Final {
+		t.Errorf("external stop delivered %+v, want version ≥ 3, not final", snap)
 	}
 }
 

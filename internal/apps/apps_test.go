@@ -236,3 +236,43 @@ func TestMapAppsPublishHoldFilledPrefixes(t *testing.T) {
 		}
 	}
 }
+
+// TestDisplayAppsPublishEightBitSamples: every version the four display
+// apps publish, not only the final one, holds 8-bit samples — on the golden
+// inputs (96×96, seed 7) at one and two workers.
+func TestDisplayAppsPublishEightBitSamples(t *testing.T) {
+	for _, name := range []string{"conv2d", "debayer", "histeq", "kmeans"} {
+		app, _ := Named(name)
+		in, err := app.Input.Synthetic(96, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/w%d", name, w), func(t *testing.T) {
+				a, out, err := app.New(in, Options{Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				versions := 0
+				out.OnPublish(func(s core.Snapshot[*pix.Image]) {
+					versions++
+					for i, v := range s.Value.Pix {
+						if v < 0 || v > 255 {
+							t.Errorf("version %d: sample %d is %d, outside [0, 255]", s.Version, i, v)
+							return
+						}
+					}
+				})
+				if err := a.Start(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				if snap, ok := out.Latest(); !ok || !snap.Final || versions < 2 {
+					t.Errorf("%d versions, final %v: want an approximation before the precise output", versions, snap.Final)
+				}
+			})
+		}
+	}
+}

@@ -2,13 +2,13 @@ package conv2d
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 
 	"anytime/internal/core"
 	"anytime/internal/metrics"
 	"anytime/internal/pix"
+	"anytime/internal/serve"
 )
 
 func testImage(t *testing.T, w, h int) *pix.Image {
@@ -413,14 +413,8 @@ func TestResetReuseAfterInterrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cycle 1: interrupt after the first published version.
-	got := core.StopWhen(run.Automaton, run.Out, func(core.Snapshot[*pix.Image]) bool { return true })
-	if err := run.Automaton.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := <-got; !ok {
-		t.Fatal("no snapshot before interrupt")
-	}
-	if err := run.Automaton.Wait(); err != nil && !errors.Is(err, core.ErrStopped) {
+	e := serve.Entry[*pix.Image]{Automaton: run.Automaton, Out: run.Out}
+	if _, err := serve.RunUntil(context.Background(), e, func(core.Snapshot[*pix.Image]) bool { return true }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := run.Automaton.Reset(); err != nil {

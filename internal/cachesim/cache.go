@@ -66,9 +66,6 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Sets reports the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Hits reports demand hits so far.
 func (c *Cache) Hits() uint64 { return c.hits }
 

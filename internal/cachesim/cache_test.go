@@ -25,8 +25,13 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Sets() != 8 {
-		t.Errorf("Sets = %d, want 8", c.Sets())
+	// 16 lines in 2 ways is 8 sets: lines 8 apart (32 words) share a set,
+	// so the third such line evicts the first.
+	for _, addr := range []int{0, 32, 64, 0} {
+		c.Access(addr)
+	}
+	if c.Misses() != 4 {
+		t.Errorf("misses = %d, want 4 (8 sets of 2 ways)", c.Misses())
 	}
 }
 

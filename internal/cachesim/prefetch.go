@@ -32,7 +32,6 @@ func (NoPrefetch) Predict(int) []int { return nil }
 type NextLine struct {
 	Order     perm.Order
 	LineWords int
-	Degree    int // lines ahead; default 1
 }
 
 // Name implements Prefetcher.
@@ -43,16 +42,7 @@ func (p NextLine) Predict(pos int) []int {
 	if pos >= p.Order.Len() {
 		return nil
 	}
-	degree := p.Degree
-	if degree <= 0 {
-		degree = 1
-	}
-	addr := p.Order.At(pos)
-	out := make([]int, 0, degree)
-	for d := 1; d <= degree; d++ {
-		out = append(out, addr+d*p.LineWords)
-	}
-	return out
+	return []int{p.Order.At(pos) + p.LineWords}
 }
 
 // PermPrefetcher is the paper's proposal: an address computation unit that

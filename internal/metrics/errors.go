@@ -9,8 +9,8 @@ import (
 // Beyond SNR, the approximate-computing literature the paper builds on
 // characterizes output error by its distribution: mean relative error,
 // error percentiles, and the fraction of elements within a tolerance.
-// These are the whole-output acceptability predicates a StopWhen controller
-// plugs in.
+// These are the whole-output acceptability predicates an accept function
+// passed to StopWhen or serve.RunUntil is built from.
 
 // RelMeanError returns the mean of |ref-approx| / max(|ref|, 1) — the
 // standard mean relative error with a unit floor to keep zero-reference

@@ -1,9 +1,7 @@
 package perm
 
 // Property tests for the paper's bijectivity requirement (§III-B2): every
-// permutation constructor must produce a true bijection of [0, n), and
-// Partition must cover the order exactly once across any worker count.
-// Unlike order_test.go these do not trust Order.IsBijective — they count
+// permutation constructor must produce a true bijection of [0, n). Unlike order_test.go these do not trust Order.IsBijective — they count
 // occurrences independently, so a bug shared by a constructor and the
 // checker cannot hide.
 
@@ -86,102 +84,6 @@ func TestTreeNDGridsAreBijections(t *testing.T) {
 			if c != 1 {
 				t.Fatalf("%s: linear index %d visited %d times, want exactly once", label, v, c)
 			}
-		}
-	}
-}
-
-// TestPartitionExactCoverAcrossWorkers verifies the paper's multi-threaded
-// division invariant: for every constructor, size, and worker count —
-// including more workers than elements — the union of the stripes visits
-// each index exactly once, and each stripe position maps back to a
-// distinct parent position.
-func TestPartitionExactCoverAcrossWorkers(t *testing.T) {
-	workerCounts := []int{1, 2, 3, 4, 5, 7, 8, 16, 33}
-	for name, mk := range constructors() {
-		for _, n := range []int{0, 1, 5, 16, 31, 64, 100} {
-			o, err := mk(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range workerCounts {
-				label := fmt.Sprintf("%s(n=%d)/workers=%d", name, n, workers)
-				stripes, err := o.Partition(workers)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if len(stripes) != workers {
-					t.Fatalf("%s: got %d stripes", label, len(stripes))
-				}
-				idxCounts := make([]int, n)
-				posCounts := make([]int, n)
-				total := 0
-				for w, s := range stripes {
-					for i := 0; i < s.Len(); i++ {
-						v := s.At(i)
-						if v < 0 || v >= n {
-							t.Fatalf("%s: worker %d local %d holds %d, outside [0, %d)", label, w, i, v, n)
-						}
-						idxCounts[v]++
-						p := s.Position(i)
-						if p < 0 || p >= n {
-							t.Fatalf("%s: worker %d local %d maps to parent position %d, outside [0, %d)", label, w, i, p, n)
-						}
-						posCounts[p]++
-						total++
-					}
-				}
-				if total != n {
-					t.Fatalf("%s: stripes visit %d positions, want %d", label, total, n)
-				}
-				for v := range idxCounts {
-					if idxCounts[v] != 1 {
-						t.Fatalf("%s: index %d covered %d times", label, v, idxCounts[v])
-					}
-					if posCounts[v] != 1 {
-						t.Fatalf("%s: parent position %d covered %d times", label, v, posCounts[v])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPartitionWorkersExceedElements pins the degenerate stripes: with
-// more workers than runs, the surplus stripes must be empty rather than
-// aliasing positions of the busy ones. An order shorter than one run is a
-// single partial run, so exactly one worker carries all of it.
-func TestPartitionWorkersExceedElements(t *testing.T) {
-	o, err := Tree1D(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripes, err := o.Partition(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w, s := range stripes {
-		want := 0
-		if w == 0 {
-			want = 3
-		}
-		if s.Len() != want {
-			t.Errorf("worker %d: stripe length %d, want %d", w, s.Len(), want)
-		}
-	}
-	// Several whole runs, still fewer than workers: each lands on its own
-	// worker in run order.
-	o2, err := Tree1D(2*RunLen + 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripes, err = o2.Partition(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLens := []int{RunLen, RunLen, 5, 0, 0, 0, 0, 0}
-	for w, s := range stripes {
-		if s.Len() != wantLens[w] {
-			t.Errorf("worker %d: stripe length %d, want %d", w, s.Len(), wantLens[w])
 		}
 	}
 }

@@ -132,6 +132,7 @@ type Comparison struct {
 	FirstOutput float64
 	MeanGap     float64
 	Final       float64
+	Work        float64
 }
 
 // Compare simulates every policy on the pipeline with the given worker
@@ -153,6 +154,7 @@ func Compare(p Pipeline, total int, policies []Policy) ([]Comparison, error) {
 			FirstOutput: res.FirstOutput,
 			MeanGap:     res.MeanGap,
 			Final:       res.Final,
+			Work:        res.Work,
 		})
 	}
 	return out, nil

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -371,32 +370,6 @@ func TestWorkAccounting(t *testing.T) {
 	want := 10.0 + 20 + 2*(4+6)
 	if math.Abs(res.Work-want) > 1e-9 {
 		t.Errorf("pipeline work %v, want %v", res.Work, want)
-	}
-}
-
-func TestResultTimeline(t *testing.T) {
-	p := Figure2Pipeline()
-	res, err := Simulate(p, []int{2, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := res.Timeline(&buf, p, 60); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, name := range []string{"f", "g", "h", "i"} {
-		if !strings.Contains(out, name+" ") && !strings.Contains(out, name+"|") {
-			t.Errorf("timeline missing stage %s:\n%s", name, out)
-		}
-	}
-	rows := out[strings.IndexByte(out, '\n')+1:] // skip the legend line
-	if strings.Count(rows, "#") != 4 {
-		t.Errorf("want one last-mark per stage:\n%s", out)
-	}
-	bad := Result{Publishes: [][]float64{{1}}}
-	if err := bad.Timeline(&buf, p, 60); err == nil {
-		t.Error("mismatched result accepted")
 	}
 }
 

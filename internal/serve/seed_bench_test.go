@@ -61,19 +61,13 @@ func seedBenchPool(tb testing.TB) (*serve.Pool[*pix.Image], *snapcache.Cache[*pi
 	if err != nil {
 		tb.Fatal(err)
 	}
-	stopped := core.StopWhen(e.Automaton, e.Out, func(s core.Snapshot[*pix.Image]) bool {
+	res, err := serve.RunUntil(ctx, e, func(s core.Snapshot[*pix.Image]) bool {
 		return s.Version >= 3
-	})
-	if err := e.Automaton.Start(ctx); err != nil {
+	}, nil)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	s, ok := <-stopped
-	if !ok {
-		tb.Fatal("automaton produced no snapshot to admit")
-	}
-	if err := e.Automaton.Wait(); err != nil && err != core.ErrStopped {
-		tb.Fatal(err)
-	}
+	s := res.Snapshot
 	if !cache.Put(key, snapcache.Entry[*pix.Image]{Value: s.Value, Version: s.Version, SNRdB: 20}) {
 		tb.Fatal("admission refused")
 	}

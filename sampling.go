@@ -11,11 +11,6 @@ import (
 // precise output.
 type Order = perm.Order
 
-// Stripe is one worker's share of an Order under the block-cyclic
-// division (§IV-C1): contiguous cache-line-aligned runs of perm.RunLen
-// positions, dealt to workers in round-robin run order.
-type Stripe = perm.Stripe
-
 // LFSR is a maximal-length linear-feedback shift register, the
 // deterministic generator behind pseudo-random sampling.
 type LFSR = perm.LFSR
