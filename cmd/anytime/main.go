@@ -23,9 +23,10 @@
 // exposes at /metrics) and dumps a summary table on exit. -curve records
 // the run's accuracy-versus-time samples, writes them as JSON, and prints
 // the ASCII runtime–accuracy plot the harness draws for the paper's §V
-// figures. -reqtrace records the run as a request trace — the same span
-// model anytimed keeps in its flight recorder — and prints the span tree
-// (run lifecycle, every publish, delivery) with the publish timeline.
+// figures. -reqtrace records the run as a request trace, wired as anytimed
+// wires one (a Slot-bound publish observer, the run's lifecycle recorded by
+// internal/serve), and prints the span tree (run lifecycle, every publish,
+// delivery) with the publish timeline.
 // -cache runs the snapshot-cache demo (conv2d only): a cold run, a warm
 // start seeded from its cached output, and a delta start for a perturbed
 // next frame, all at the same wall-clock budget — see docs/CACHING.md.
@@ -48,7 +49,6 @@ import (
 	"anytime/internal/reqtrace"
 	"anytime/internal/serve"
 	"anytime/internal/telemetry"
-	"anytime/internal/trace"
 )
 
 func main() {
@@ -73,7 +73,6 @@ type opts struct {
 	in        string
 	out       string
 	diff      string
-	trace     bool
 	telemetry bool
 	reqtrace  bool
 	curve     string
@@ -90,7 +89,6 @@ func parseFlags(args []string) (opts, error) {
 	fs.Uint64Var(&o.seed, "seed", 1, "synthetic input seed")
 	fs.Float64Var(&o.halt, "halt", 1.0, "halt after this fraction of the baseline runtime (>=1 runs to precise)")
 	fs.Float64Var(&o.accept, "accept", 0, "stop automatically once output SNR reaches this many dB (0 disables)")
-	fs.BoolVar(&o.trace, "trace", false, "print an ASCII publish timeline after the run")
 	fs.BoolVar(&o.telemetry, "telemetry", false, "attach the metrics registry and dump a summary table on exit")
 	fs.BoolVar(&o.reqtrace, "reqtrace", false, "record the run as a request trace and print its span tree afterwards")
 	fs.StringVar(&o.curve, "curve", "", "record the accuracy-vs-time curve, write it as JSON here, and print its plot")
@@ -132,32 +130,22 @@ func run(o opts) error {
 	if err != nil {
 		return err
 	}
-	var tr *trace.Tracer
-	if o.trace {
-		tr = trace.New()
-		trace.Attach(tr, ar.entry.Out)
-	}
 	var reg *telemetry.Registry
-	var pipelineHooks *core.Hooks
 	if o.telemetry {
 		reg = telemetry.NewRegistry()
-		pipelineHooks = telemetry.PipelineHooks(reg)
+		ar.entry.Automaton.SetHooks(telemetry.PipelineHooks(reg))
 		telemetry.ObserveBuffer(reg, ar.entry.Out)
 	}
-	// The request tracer attaches like anytimed's serving path does: a Slot
-	// carries the (eventual) trace, the publish observer and lifecycle hooks
-	// report through it, and the hooks chain with telemetry's on the
-	// automaton's single attachment point.
-	var slot *reqtrace.Slot
+	// The request trace attaches the way anytimed's pooled automata do: a
+	// Slot carries it and the publish observer reports through the Slot;
+	// serve records the run's lifecycle from the trace in the context.
 	if o.reqtrace {
-		slot = &reqtrace.Slot{}
+		slot := &reqtrace.Slot{}
 		out := ar.entry.Out
 		out.OnPublish(func(s core.Snapshot[*pix.Image]) {
 			slot.Publish(out.Name(), uint64(s.Version), len(s.Value.Pix), s.Final)
 		})
-	}
-	if h := core.ChainHooks(pipelineHooks, slot.CoreHooks()); h != nil {
-		ar.entry.Automaton.SetHooks(h)
+		ar.entry.Slot = slot
 	}
 	var rec *harness.Collector
 	if o.curve != "" {
@@ -169,24 +157,21 @@ func run(o opts) error {
 		return err
 	}
 	fmt.Printf("baseline precise runtime: %v\n", baseline)
-	if tr != nil {
-		tr.Start()
-	}
 	if rec != nil {
 		rec.Begin()
 	}
 	// The trace starts here, not at attach time, so its offsets measure the
 	// anytime run alone — not the baseline timing runs above.
+	ctx := context.Background()
 	var rtr *reqtrace.Trace
-	if slot != nil {
-		_, rtr = reqtrace.New(context.Background(), o.app)
-		slot.Bind(rtr)
+	if ar.entry.Slot != nil {
+		ctx, rtr = reqtrace.New(ctx, o.app)
+		ar.entry.Slot.Bind(rtr)
 	}
 
 	// The three stopping rules of §III-A — accuracy bar, time budget, run to
 	// precise — are the serving runtime's; the CLI only picks one.
 	var res serve.Result[*pix.Image]
-	ctx := context.Background()
 	switch {
 	case o.accept > 0:
 		res, err = serve.RunUntil(ctx, ar.entry, func(s core.Snapshot[*pix.Image]) bool {
@@ -227,18 +212,13 @@ func run(o opts) error {
 		}
 		fmt.Printf("wrote %s\n", o.diff)
 	}
-	if tr != nil {
-		if err := tr.Timeline(os.Stdout, 72); err != nil {
-			return err
-		}
-	}
 	if rtr != nil {
 		snr := db
 		if math.IsInf(snr, 0) || math.IsNaN(snr) {
 			snr = 0 // precise output: no finite SNR to record
 		}
-		rtr.Deliver(uint64(snap.Version), snap.Final, !snap.Final, snr, elapsed)
-		slot.Unbind()
+		rtr.Deliver(uint64(snap.Version), snap.Final, res.Interrupted, snr, elapsed)
+		ar.entry.Slot.Unbind()
 		rtr.Finish(0)
 		fmt.Println("request trace:")
 		if err := rtr.WriteDetail(os.Stdout, 72); err != nil {

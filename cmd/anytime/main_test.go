@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -90,6 +91,50 @@ func TestRunHalted(t *testing.T) {
 	}
 }
 
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	printed := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- string(b)
+	}()
+	runErr := fn()
+	os.Stdout = stdout
+	w.Close()
+	out := <-printed
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return out
+}
+
+// TestRunReqtrace: -reqtrace records through internal/serve, as anytimed
+// does, so the run's lifecycle and its delivery each land in the trace
+// exactly once, and the span tree ends with the publish timeline.
+func TestRunReqtrace(t *testing.T) {
+	for _, halt := range []float64{0.3, 1} {
+		o := testOpts(t, func(o *opts) { o.size = 96; o.workers = 2; o.halt = halt; o.reqtrace = true })
+		out := captureStdout(t, func() error { return run(o) })
+		for _, span := range []string{"run.start ", "run.finish ", "deliver v"} {
+			if n := strings.Count(out, span); n != 1 {
+				t.Errorf("-halt %v: %q appears %d times, want 1:\n%s", halt, span, n, out)
+			}
+		}
+		if !strings.Contains(out, "publish timeline over ") {
+			t.Errorf("-halt %v: no publish timeline:\n%s", halt, out)
+		}
+	}
+}
+
 func TestRunWithAcceptAndOutputs(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out.pgm")
@@ -102,7 +147,6 @@ func TestRunWithAcceptAndOutputs(t *testing.T) {
 		o.out = out
 		o.diff = diff
 		o.curve = curve
-		o.trace = true
 		o.telemetry = true
 	})
 	if err := run(o); err != nil {

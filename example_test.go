@@ -715,7 +715,6 @@ func Example_pipelinegraph() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr.Start()
 	if err := a.Start(context.Background()); err != nil {
 		log.Fatal(err)
 	}
@@ -724,10 +723,14 @@ func Example_pipelinegraph() {
 	}
 	report, _ := iBuf.Latest()
 	fmt.Println(report.Value, report.Final)
-	summary := tr.Summary()
-	fmt.Println("f versions:", summary["f:sum"].Publishes)
+	publishes, finalized := map[string]int{}, map[string]bool{}
+	for _, e := range tr.Events() {
+		publishes[e.Name]++
+		finalized[e.Name] = finalized[e.Name] || e.Flag
+	}
+	fmt.Println("f versions:", publishes["f:sum"])
 	for _, buf := range []string{"f:sum", "g:mean", "h:magnitude", "i:report"} {
-		fmt.Printf("%s finalized: %v\n", buf, summary[buf].Finalized)
+		fmt.Printf("%s finalized: %v\n", buf, finalized[buf])
 	}
 	// Output:
 	// mean=47.843 magnitude=10^6 true

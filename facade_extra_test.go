@@ -58,7 +58,6 @@ func TestPublicAPITracer(t *testing.T) {
 	out := anytime.NewBuffer[int]("stage", nil)
 	tr := anytime.NewTracer()
 	anytime.TraceBuffer(tr, out)
-	tr.Start()
 	a := anytime.New()
 	if err := a.AddStage("s", func(c *anytime.Context) error {
 		for i := 1; i <= 3; i++ {

@@ -151,9 +151,16 @@ func (*conv2dApp) Features() Features {
 func (*conv2dApp) Stages() []string { return []string{"convolve"} }
 
 func (a *conv2dApp) Build(env *Env, s Schedule) (*Instance, error) {
+	inst, _, err := a.build(env, s)
+	return inst, err
+}
+
+// build is Build that also returns the output buffer, for tests that
+// attach observers of their own.
+func (*conv2dApp) build(env *Env, s Schedule) (*Instance, *core.Buffer[*pix.Image], error) {
 	in, _, _, err := sharedInputs()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg := conv2d.Config{
 		Workers:     s.Workers,
@@ -165,18 +172,18 @@ func (a *conv2dApp) Build(env *Env, s Schedule) (*Instance, error) {
 	}
 	run, err := conv2d.New(in, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sink := AttachProbe(env, run.Out, sumImage, validImage(in.W, in.H, 1, 0, 255))
 	inst := &Instance{Automaton: run.Automaton, Probes: []*Probe{sink}, Sink: sink}
 	if s.StorageUpset == 0 {
 		golden, err := goldenSum("conv2d", func() (*pix.Image, error) { return conv2d.Precise(in, conv2d.Config{}) })
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		inst.GoldenSum, inst.HasGolden = golden, true
 	}
-	return inst, nil
+	return inst, run.Out, nil
 }
 
 // --- debayer -------------------------------------------------------------

@@ -119,7 +119,7 @@ func runCycle(app App, inst *Instance, env *Env, s Schedule) Result {
 			sched.trigger()
 		}
 	}
-	inst.Automaton.SetHooks(core.ChainHooks(sched.hooks(), env.Hooks))
+	inst.Automaton.SetHooks(sched.hooks())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

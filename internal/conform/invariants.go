@@ -78,12 +78,6 @@ type Env struct {
 	Col       *Collector
 	OnPublish func() // may be nil
 
-	// Hooks, when set, is chained after the chaos scheduler's own hooks for
-	// every cycle (core.ChainHooks). This is how observers under test —
-	// telemetry bindings, request tracers — ride along inside a conformance
-	// run: the harness proves they never perturb the invariants they watch.
-	Hooks *core.Hooks
-
 	resetMu sync.Mutex
 	resets  []func()
 }

@@ -278,120 +278,6 @@ func TestStreamOnDepthObservesQueue(t *testing.T) {
 	}
 }
 
-// TestChainHooksIdentity: zero or one live input passes through unchanged,
-// preserving the nil-guard fast path exactly — chaining must never wrap
-// what it doesn't need to.
-func TestChainHooksIdentity(t *testing.T) {
-	if got := ChainHooks(); got != nil {
-		t.Error("ChainHooks() != nil")
-	}
-	if got := ChainHooks(nil, nil); got != nil {
-		t.Error("ChainHooks(nil, nil) != nil")
-	}
-	h := &Hooks{StageStart: func(string) {}}
-	if got := ChainHooks(nil, h, nil); got != h {
-		t.Error("single live input was wrapped instead of returned as-is")
-	}
-}
-
-// TestChainHooksInvokesAllInOrder: every non-nil callback of every input
-// fires, in argument order, with the original arguments.
-func TestChainHooksInvokesAllInOrder(t *testing.T) {
-	var order []string
-	mk := func(name string) *Hooks {
-		return &Hooks{
-			AutomatonStart:  func(stages int) { order = append(order, name+".start") },
-			AutomatonFinish: func(error, time.Duration) { order = append(order, name+".finish") },
-			StageStart:      func(stage string) { order = append(order, name+".stage:"+stage) },
-			StageFinish:     func(string, error, time.Duration) { order = append(order, name+".stagefin") },
-			Checkpoint:      func(string, time.Duration) { order = append(order, name+".cp") },
-			EdgeWait:        func(stage, buffer string, after Version) { order = append(order, name+".wait:"+buffer) },
-			EdgeRecv:        func(string) { order = append(order, name+".recv") },
-		}
-	}
-	c := ChainHooks(mk("a"), nil, mk("b"))
-	if c == nil || c.AutomatonStart == nil || c.StageStart == nil || c.Checkpoint == nil ||
-		c.EdgeWait == nil || c.EdgeRecv == nil || c.StageFinish == nil || c.AutomatonFinish == nil {
-		t.Fatal("chain dropped a provided callback")
-		return
-	}
-	c.AutomatonStart(2)
-	c.StageStart("s")
-	c.Checkpoint("s", 0)
-	c.EdgeWait("s", "buf", 1)
-	c.EdgeRecv("s")
-	c.StageFinish("s", nil, 0)
-	c.AutomatonFinish(nil, 0)
-	want := []string{
-		"a.start", "b.start",
-		"a.stage:s", "b.stage:s",
-		"a.cp", "b.cp",
-		"a.wait:buf", "b.wait:buf",
-		"a.recv", "b.recv",
-		"a.stagefin", "b.stagefin",
-		"a.finish", "b.finish",
-	}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order[%d] = %q, want %q (full: %v)", i, order[i], want[i], order)
-		}
-	}
-}
-
-// TestChainHooksSparseFields: a combined field is set only when some input
-// sets it, so unused instrumentation points keep their one-pointer-check
-// cost through the chain.
-func TestChainHooksSparseFields(t *testing.T) {
-	fired := 0
-	c := ChainHooks(
-		&Hooks{AutomatonStart: func(int) { fired++ }},
-		&Hooks{Checkpoint: func(string, time.Duration) { fired++ }},
-	)
-	if c.AutomatonFinish != nil || c.StageStart != nil || c.StageFinish != nil ||
-		c.EdgeWait != nil || c.EdgeRecv != nil {
-		t.Error("chain set callbacks no input provided")
-	}
-	if c == nil || c.AutomatonStart == nil || c.Checkpoint == nil {
-		t.Fatal("chain dropped provided callbacks")
-		return
-	}
-	c.AutomatonStart(1)
-	c.Checkpoint("s", 0)
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-}
-
-// TestChainHooksDrivesAutomaton: a chained pair observes a real run — the
-// integration shape cmd/anytimed uses (telemetry + request tracer on one
-// SetHooks point).
-func TestChainHooksDrivesAutomaton(t *testing.T) {
-	var a, b atomic.Int64
-	count := func(n *atomic.Int64) *Hooks {
-		return &Hooks{
-			AutomatonStart:  func(int) { n.Add(1) },
-			AutomatonFinish: func(error, time.Duration) { n.Add(1) },
-		}
-	}
-	auto := New()
-	if err := auto.AddStage("s", func(c *Context) error { return c.Checkpoint() }); err != nil {
-		t.Fatal(err)
-	}
-	auto.SetHooks(ChainHooks(count(&a), count(&b)))
-	if err := auto.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := auto.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Load() != 2 || b.Load() != 2 {
-		t.Fatalf("chained observers saw a=%d b=%d lifecycle callbacks, want 2 each", a.Load(), b.Load())
-	}
-}
-
 // TestAllNilHooksReachEveryCallSite attaches a non-nil Hooks whose every
 // field is nil and drives all seven hook call sites — automaton start and
 // finish, stage start and finish, a checkpoint that blocks at a paused gate

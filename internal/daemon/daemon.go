@@ -46,12 +46,11 @@ type Server struct {
 	queue *serve.Queue
 
 	// reg is the process metrics registry; every request's pipeline
-	// reports into it through hooks (shared across all automata) and
-	// per-buffer observers, and every serving decision through serveSink —
-	// the same events the request's trace holds. slotsInUse mirrors queue
-	// occupancy so the concurrency bound is visible at /metrics.
+	// reports into it through its automaton's own hooks and per-buffer
+	// observers, and every serving decision through serveSink — the same
+	// events the request's trace holds. slotsInUse mirrors queue occupancy
+	// so the concurrency bound is visible at /metrics.
 	reg        *telemetry.Registry
-	hooks      *core.Hooks
 	serveSink  reqtrace.Sink
 	slotsInUse *telemetry.Gauge
 
@@ -165,7 +164,6 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		mux:        http.NewServeMux(),
 		queue:      queue,
 		reg:        reg,
-		hooks:      telemetry.PipelineHooks(reg),
 		serveSink:  serveSink,
 		slotsInUse: reg.Gauge(metricSlotsInUse, nil),
 		recorder:   recorder,
@@ -243,8 +241,10 @@ func New(size, workers int, cfg Config) (*Server, error) {
 // newPool builds one route's warm pool. Telemetry attaches once per pooled
 // instance, at construction: the lifecycle hooks and buffer observers
 // survive Reset, so attaching per request would pile observers onto reused
-// buffers. Buffer names recur across instances (every /blur automaton
-// publishes to the same-named buffer), so the series accumulate per route.
+// buffers. Each instance gets its own hooks value, whose checkpoint clock
+// no concurrent run of the route can interleave. Buffer and stage names
+// recur across instances (every /blur automaton publishes to the
+// same-named buffer), so the series accumulate per route.
 //
 // Request tracing attaches the same way, through a per-instance
 // reqtrace.Slot: the publish observer and reset hook registered here are
@@ -257,7 +257,7 @@ func (s *Server) newPool(name string, cfg Config, build func() (*core.Automaton,
 		if err != nil {
 			return serve.Entry[*pix.Image]{}, err
 		}
-		a.SetHooks(s.hooks)
+		a.SetHooks(telemetry.PipelineHooks(s.reg))
 		telemetry.ObserveBuffer(s.reg, out)
 		slot := &reqtrace.Slot{}
 		out.OnPublish(func(sn core.Snapshot[*pix.Image]) {

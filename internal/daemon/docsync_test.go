@@ -1,117 +1,101 @@
 package daemon
 
 import (
-	"encoding/json"
+	"bufio"
+	"context"
+	"maps"
+	"net/http"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// The doc-sync suite: MetricFamilies is the single source of truth for
-// what an anytimed process can register, and both the docs and the live
-// /debug/vars surface are diffed against it. A new instrument that is not
-// added to MetricFamilies fails TestDebugVarsWithinInventory; one added
-// there but not documented fails the table tests.
-
 var metricToken = regexp.MustCompile(`anytimed?_[a-z_]+`)
 
-func docBlock(t *testing.T, path, begin, end string) string {
+// liveFamilies drives a server through the traffic that registers every
+// family anytimed can expose and returns the family names /metrics lists:
+// a precise request, a deadline repeat of its key (cache hit and seed), a
+// delta start naming it with ?prior= (whose admission evicts it from a
+// one-entry cache), an interrupted deadline run (a delivered
+// approximation), and a refusal with the single slot held.
+func liveFamilies(t *testing.T) map[string]bool {
 	t.Helper()
-	blob, err := os.ReadFile(path)
+	s, err := New(64, 2, Config{Slots: 1, QueueLen: -1, CacheBytes: 64 * 64 * 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := string(blob)
-	i := strings.Index(text, begin)
-	j := strings.Index(text, end)
-	if i < 0 || j < 0 || j < i {
-		t.Fatalf("%s: markers %q/%q not found", path, begin, end)
+	for _, path := range []string{
+		"/blur?input=k1",
+		"/blur?deadline=2s&input=k1",
+		"/blur?deadline=2s&input=k2&prior=k1",
+		"/blur?deadline=1ns&input=k3",
+	} {
+		if rec := get(t, s, path); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body.String())
+		}
 	}
-	return text[i+len(begin) : j]
+	if err := s.queue.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if rec := get(t, s, "/blur"); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("request with the slot held: %d, want 503", rec.Code)
+	}
+	s.queue.Release()
+
+	rec := get(t, s, "/metrics")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics: %d", rec.Code)
+	}
+	live := map[string]bool{}
+	sc := bufio.NewScanner(rec.Body)
+	for sc.Scan() {
+		if f := strings.Fields(sc.Text()); len(f) == 4 && f[1] == "TYPE" {
+			live[f[2]] = true
+		}
+	}
+	return live
 }
 
-// TestMetricsTableMatchesRegistry diffs README's metrics table (between
-// the metrics:begin/end markers) against the registry inventory, in both
-// directions: no family undocumented, no stale name documented.
+// TestMetricsTableMatchesRegistry is the doc-sync test: the live registry
+// is the metric inventory. The family set /metrics exposes after
+// liveFamilies' traffic must equal README's anytimed table (between the
+// metrics:begin/end markers) in both directions, and docs/OPERATIONS.md
+// must mention every one of those families. (The reverse check is
+// README-only: OPERATIONS.md also documents the router's own
+// anytime_router_* families and the library-only stream families.)
 func TestMetricsTableMatchesRegistry(t *testing.T) {
-	table := docBlock(t, "../../README.md", "<!-- metrics:begin -->", "<!-- metrics:end -->")
+	live := liveFamilies(t)
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const begin, end = "<!-- metrics:begin -->", "<!-- metrics:end -->"
+	text := string(readme)
+	i, j := strings.Index(text, begin), strings.Index(text, end)
+	if i < 0 || j < i {
+		t.Fatalf("README.md: markers %q/%q not found", begin, end)
+	}
 	documented := map[string]bool{}
-	for _, name := range metricToken.FindAllString(table, -1) {
+	for _, name := range metricToken.FindAllString(text[i+len(begin):j], -1) {
 		documented[name] = true
 	}
-	inventory := map[string]bool{}
-	for _, fam := range MetricFamilies() {
-		inventory[fam] = true
+	ops, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range slices.Sorted(maps.Keys(live)) {
 		if !documented[fam] {
 			t.Errorf("README metrics table is missing %s", fam)
 		}
-	}
-	for name := range documented {
-		if !inventory[name] {
-			t.Errorf("README metrics table lists %s, which no daemon instrument registers", name)
-		}
-	}
-}
-
-// TestOperationsCoversAllFamilies asserts the operator's handbook
-// mentions every family the daemon can expose. (The reverse check is
-// README-only: OPERATIONS.md legitimately documents the router's own
-// anytime_router_* families too.)
-func TestOperationsCoversAllFamilies(t *testing.T) {
-	blob, err := os.ReadFile("../../docs/OPERATIONS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := string(blob)
-	for _, fam := range MetricFamilies() {
-		if !strings.Contains(ops, fam) {
+		if !strings.Contains(string(ops), fam) {
 			t.Errorf("docs/OPERATIONS.md does not document %s", fam)
 		}
 	}
-}
-
-// TestDebugVarsWithinInventory drives traffic through a live server and
-// asserts /debug/vars — generated from the registry, never hand-written —
-// exposes only families present in MetricFamilies. This is the guard that
-// keeps the inventory (and through the table tests, the docs) honest when
-// new instruments land.
-func TestDebugVarsWithinInventory(t *testing.T) {
-	s := testServer(t)
-	// Touch the big registration surfaces: a precise request (pipeline,
-	// serve, HTTP, admission), then a deadline repeat (cache hit + seed).
-	if rec := get(t, s, "/blur"); rec.Code != 200 {
-		t.Fatalf("precise request: %d", rec.Code)
-	}
-	if rec := get(t, s, "/blur?deadline=2s"); rec.Code != 200 {
-		t.Fatalf("deadline request: %d", rec.Code)
-	}
-	rec := get(t, s, "/debug/vars")
-	if rec.Code != 200 {
-		t.Fatalf("/debug/vars: %d", rec.Code)
-	}
-	var vars struct {
-		Anytime map[string]json.RawMessage `json:"anytime"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
-		t.Fatalf("decoding /debug/vars: %v", err)
-	}
-	if len(vars.Anytime) == 0 {
-		t.Fatal("/debug/vars exposed no registry families")
-	}
-	inventory := map[string]bool{}
-	for _, fam := range MetricFamilies() {
-		inventory[fam] = true
-	}
-	for fam := range vars.Anytime {
-		if !inventory[fam] {
-			t.Errorf("live registry exposes %s, which MetricFamilies does not list (add it and document it)", fam)
-		}
-	}
-	// And the traffic above must have registered the cache counters.
-	for _, fam := range []string{"anytime_snapcache_hits_total", "anytime_snapcache_seeds_total"} {
-		if _, ok := vars.Anytime[fam]; !ok {
-			t.Errorf("expected %s to be live after a warm-started request", fam)
+	for _, name := range slices.Sorted(maps.Keys(documented)) {
+		if !live[name] {
+			t.Errorf("README metrics table lists %s, which /metrics does not expose", name)
 		}
 	}
 }

@@ -49,7 +49,7 @@ func (s *Server) handleStream(build func() (*core.Automaton, *core.Buffer[*pix.I
 		}
 		// Fresh (unpooled) automaton: attaching the observer per request
 		// cannot pile up, the buffer dies with the stream.
-		a.SetHooks(s.hooks)
+		a.SetHooks(telemetry.PipelineHooks(s.reg))
 		telemetry.ObserveBuffer(s.reg, out)
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")

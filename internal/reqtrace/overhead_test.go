@@ -10,8 +10,8 @@ import (
 // request served with tracing off (nil trace, unbound slot, bare context)
 // must pay nothing measurable at any instrumentation site — no allocations,
 // and per-site cost on the order of a pointer check. BenchmarkDisabled*
-// record the per-site nanoseconds (captured in BENCH_reqtrace.json);
-// TestDisabledTracerZeroAlloc pins the allocation count at exactly zero.
+// report the per-site nanoseconds; TestDisabledTracerZeroAlloc pins the
+// allocation count at exactly zero.
 
 func TestDisabledTracerZeroAlloc(t *testing.T) {
 	ctx := context.Background()

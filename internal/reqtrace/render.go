@@ -4,10 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 	"time"
-
-	"anytime/internal/core"
-	"anytime/internal/trace"
 )
 
 // View is a trace's JSON shape — the /debug/requests.json payload tooling
@@ -89,8 +88,8 @@ func WriteList(w io.Writer, traces []*Trace) error {
 
 // WriteDetail renders one trace in full: a header line, the span tree (one
 // line per event, indented by phase), and — when the trace saw publishes —
-// the publish timeline in internal/trace's Figure 2 ASCII layout, so a
-// single request's accuracy ramp reads exactly like the paper's.
+// the publish timeline (WriteTimeline), so a single request's accuracy ramp
+// reads exactly like the paper's Figure 2.
 func (t *Trace) WriteDetail(w io.Writer, width int) error {
 	v := t.View()
 	if v.ID == "" {
@@ -102,26 +101,91 @@ func (t *Trace) WriteDetail(w io.Writer, width int) error {
 		v.Start.Format(time.RFC3339Nano)); err != nil {
 		return err
 	}
-	var publishes []trace.Event
+	publishes := 0
 	for _, e := range v.Events {
 		if _, err := fmt.Fprintf(w, "  %10v  %s%s\n",
 			e.At.Round(time.Microsecond), indentFor(e.Kind), describe(e)); err != nil {
 			return err
 		}
 		if e.Kind == KindPublish {
-			publishes = append(publishes, trace.Event{
-				Buffer:  e.Name,
-				At:      e.At,
-				Version: core.Version(e.Version),
-				Final:   e.Flag,
-			})
+			publishes++
 		}
 	}
-	if len(publishes) > 0 {
+	if publishes > 0 {
 		if _, err := fmt.Fprint(w, "publish "); err != nil {
 			return err
 		}
-		return trace.RenderTimeline(w, publishes, width)
+		return renderTimeline(w, v.Events, width)
+	}
+	return nil
+}
+
+// WriteTimeline renders the trace's publish events in the layout of the
+// paper's Figure 2: one row per buffer over a shared time axis of the given
+// width in characters, '·' marking an intermediate publish and '#' the
+// final one. Rows are ordered by each buffer's first publish.
+func (t *Trace) WriteTimeline(w io.Writer, width int) error {
+	return renderTimeline(w, t.Events(), width)
+}
+
+// renderTimeline draws events' KindPublish entries; the other kinds are
+// skipped.
+func renderTimeline(w io.Writer, events []Event, width int) error {
+	if width < 10 {
+		width = 10
+	}
+	var span time.Duration
+	publishes := 0
+	for _, e := range events {
+		if e.Kind == KindPublish {
+			publishes++
+			span = max(span, e.At)
+		}
+	}
+	if publishes == 0 {
+		_, err := fmt.Fprintln(w, "(no events)")
+		return err
+	}
+	if span <= 0 {
+		span = time.Nanosecond
+	}
+	type row struct {
+		name  string
+		first time.Duration
+		cells []rune
+	}
+	rows := map[string]*row{}
+	var order []*row
+	nameWidth := 0
+	for _, e := range events {
+		if e.Kind != KindPublish {
+			continue
+		}
+		r, ok := rows[e.Name]
+		if !ok {
+			r = &row{name: e.Name, first: e.At, cells: []rune(strings.Repeat(" ", width))}
+			rows[e.Name] = r
+			order = append(order, r)
+			nameWidth = max(nameWidth, len(e.Name))
+		}
+		pos := min(max(int(float64(e.At)/float64(span)*float64(width-1)), 0), width-1)
+		mark := '·'
+		if e.Flag {
+			mark = '#'
+		}
+		// Final marks win collisions.
+		if r.cells[pos] != '#' {
+			r.cells[pos] = mark
+		}
+	}
+	sort.SliceStable(order, func(i, j int) bool { return order[i].first < order[j].first })
+	if _, err := fmt.Fprintf(w, "timeline over %v ('·' publish, '#' final):\n", span.Round(time.Microsecond)); err != nil {
+		return err
+	}
+	for _, r := range order {
+		if _, err := fmt.Fprintf(w, "  %-*s |%s|\n", nameWidth, r.name, string(r.cells)); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -1,17 +1,12 @@
 package reqtrace
 
-import (
-	"sync/atomic"
-	"time"
-
-	"anytime/internal/core"
-)
+import "sync/atomic"
 
 // Slot is the binding point between long-lived instrumentation and
 // short-lived requests. A pooled automaton's observers — buffer publish
-// callbacks, lifecycle hooks, OnReset — are attached once, at construction,
-// and survive Reset (observers are permanent); the Slot gives them a place
-// to look up which request currently owns the automaton. The serving layer
+// callbacks and OnReset — are attached once, at construction, and survive
+// Reset (observers are permanent); the Slot gives them a place to look up
+// which request currently owns the automaton. The serving layer
 // Binds the active request's trace at checkout and Unbinds it after
 // check-in; between requests (and whenever tracing is disabled, where the
 // Slot itself is nil) every report hits the unbound fast path: one atomic
@@ -69,31 +64,5 @@ func (s *Slot) OnReset() {
 	}
 	if t := s.cur.Load(); t != nil {
 		t.Reset()
-	}
-}
-
-// CoreHooks returns a core.Hooks mirroring the automaton's lifecycle into
-// whichever trace is bound when each callback fires: AutomatonStart →
-// run.start, AutomatonFinish → run.finish with the outcome label core.Wait
-// would report. Chain it with other hooks (telemetry, chaos) via
-// core.ChainHooks; like them, it must be attached before Start. Callers
-// that drive the automaton through internal/serve do not need it — serve
-// records the same spans from the request goroutine. A nil Slot yields nil
-// hooks, so the call composes with ChainHooks when tracing is off.
-func (s *Slot) CoreHooks() *core.Hooks {
-	if s == nil {
-		return nil
-	}
-	return &core.Hooks{
-		AutomatonStart: func(stages int) {
-			if t := s.Trace(); t != nil {
-				t.RunStart(0)
-			}
-		},
-		AutomatonFinish: func(outcome error, elapsed time.Duration) {
-			if t := s.Trace(); t != nil {
-				t.RunFinish(core.Outcome(outcome), outcome == nil, elapsed)
-			}
-		},
 	}
 }

@@ -42,9 +42,11 @@ const (
 //   - anytime_automaton_duration_seconds{outcome}: run wall time.
 //   - anytime_automata_active: automata currently between Start and finish.
 //
-// Attach the result with Automaton.SetHooks before Start. One Hooks value
-// may be shared by many automata (a server wiring every request's pipeline
-// into one registry); all instruments are safe for concurrent use.
+// Attach the result with Automaton.SetHooks before Start. Build one value
+// per automaton: the checkpoint interval is measured per stage name, so
+// two automata sharing a value would interleave their checkpoints and
+// under-read the latency. Many values may share one registry; all
+// instruments are safe for concurrent use.
 func PipelineHooks(reg *Registry) *core.Hooks {
 	p := &pipelineObserver{reg: reg}
 	return &core.Hooks{
@@ -73,11 +75,10 @@ type stageInstruments struct {
 	pauseWait   *Histogram
 	duration    *Histogram
 
-	// lastCheckpoint is the previous checkpoint's time in ns (0 = none
-	// yet). A stage runs on one goroutine, but the same stage name may run
-	// concurrently in several automata sharing these hooks; the mutex keeps
-	// the interval measurement consistent, and is uncontended in the
-	// single-automaton case.
+	// lastCheckpoint is the previous checkpoint's time (zero = none yet).
+	// A stage runs on one goroutine, so with one hooks value per automaton
+	// the mutex is uncontended; it keeps a value wrongly shared between
+	// automata race-free.
 	mu             sync.Mutex
 	lastCheckpoint time.Time
 }

@@ -2,12 +2,13 @@ package telemetry
 
 import (
 	"context"
+	"math/bits"
 	"strings"
 	"testing"
 	"time"
 
 	"anytime/internal/core"
-	"anytime/internal/trace"
+	"anytime/internal/reqtrace"
 )
 
 // runInstrumentedPipeline builds and runs a two-stage pipeline (diffusive
@@ -178,15 +179,14 @@ func TestStoppedRunRecordsStoppedOutcome(t *testing.T) {
 	}
 }
 
-// TestTracerAndTelemetryShareBuffer is the ISSUE's regression test: a
-// buffer with both a Tracer and a telemetry observer attached must deliver
-// every publish to both (the seed's OnPublish silently replaced the
-// previous observer).
+// TestTracerAndTelemetryShareBuffer: a buffer with both a request trace
+// and a telemetry observer attached must deliver every publish to both
+// (the seed's OnPublish silently replaced the previous observer).
 func TestTracerAndTelemetryShareBuffer(t *testing.T) {
 	reg := NewRegistry()
-	tr := trace.New()
+	_, tr := reqtrace.New(context.Background(), "shared")
 	out := core.NewBuffer[int]("shared", nil)
-	trace.Attach(tr, out)
+	out.OnPublish(func(s core.Snapshot[int]) { tr.Publish(out.Name(), uint64(s.Version), 0, s.Final) })
 	ObserveBuffer(reg, out)
 
 	a := core.New()
@@ -204,7 +204,6 @@ func TestTracerAndTelemetryShareBuffer(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	tr.Start()
 	if err := a.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +216,7 @@ func TestTracerAndTelemetryShareBuffer(t *testing.T) {
 	if got := reg.Counter(MetricBufferPublish, Labels{"buffer": "shared"}).Value(); got != publishes {
 		t.Errorf("telemetry saw %d publishes, want %d", got, publishes)
 	}
-	if got := tr.Summary()["shared"]; !got.Finalized {
+	if events := tr.Events(); len(events) == 0 || !events[len(events)-1].Flag {
 		t.Error("tracer missed the final publish")
 	}
 	if got := reg.Gauge(MetricBufferFinal, Labels{"buffer": "shared"}).Value(); got != 1 {
@@ -258,5 +257,62 @@ func TestPauseWaitRecorded(t *testing.T) {
 	}
 	if v := reg.DurationHistogram(MetricPauseWait, Labels{"stage": "s"}).Count(); v == 0 {
 		t.Error("pause wait histogram recorded nothing despite a held gate")
+	}
+}
+
+// TestCheckpointIntervalPerAutomaton: two automata run a same-named stage
+// side by side, each with its own PipelineHooks on one registry. Their
+// checkpoints alternate through a channel handoff: each automaton's own
+// checkpoints are at least d apart, while the other's lands right after
+// one of them. Every recorded interval must be at least d; a hooks value
+// shared by both would time the gap between the two automata instead.
+func TestCheckpointIntervalPerAutomaton(t *testing.T) {
+	const (
+		d      = 1 << 21 * time.Nanosecond // a power of two: bucket edges fall on d
+		rounds = 8
+	)
+	reg := NewRegistry()
+	turnA, turnB := make(chan struct{}, 1), make(chan struct{}, 1)
+	turnA <- struct{}{}
+	stage := func(mine, theirs chan struct{}, pause time.Duration) func(*core.Context) error {
+		return func(c *core.Context) error {
+			for range rounds {
+				<-mine
+				if err := c.Checkpoint(); err != nil {
+					return err
+				}
+				time.Sleep(pause)
+				theirs <- struct{}{}
+			}
+			return nil
+		}
+	}
+	var automata []*core.Automaton
+	for _, loop := range []func(*core.Context) error{stage(turnA, turnB, 0), stage(turnB, turnA, d)} {
+		a := core.New()
+		if err := a.AddStage("s", loop); err != nil {
+			t.Fatal(err)
+		}
+		a.SetHooks(PipelineHooks(reg))
+		if err := a.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		automata = append(automata, a)
+	}
+	for _, a := range automata {
+		if err := a.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := reg.DurationHistogram(MetricCheckpointLatency, Labels{"stage": "s"})
+	if got, want := h.Count(), uint64(2*(rounds-1)); got != want {
+		t.Fatalf("%d intervals recorded, want %d", got, want)
+	}
+	// Bucket i holds values below 2^i, so buckets up to log2(d) hold
+	// exactly the intervals below d.
+	for i := 0; i < bits.Len64(uint64(d)); i++ {
+		if n := h.buckets[i].Load(); n > 0 {
+			t.Errorf("%d intervals below %v (under 2^%d ns): the automata's checkpoint clocks interleaved", n, d, i)
+		}
 	}
 }

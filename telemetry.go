@@ -40,7 +40,8 @@ func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 // PipelineHooks returns a Hooks value recording a running automaton's
 // scheduling behavior (checkpoint latency, pause waits, stage and run
 // durations, active counts) into reg. Attach with Automaton.SetHooks before
-// Start; one value may be shared by many automata.
+// Start; build one value per automaton (a shared one interleaves the
+// automata's checkpoint intervals). Many values may share reg.
 func PipelineHooks(reg *MetricsRegistry) *Hooks { return telemetry.PipelineHooks(reg) }
 
 // ObserveBuffer registers a telemetry observer on buf recording publish

@@ -57,7 +57,6 @@ func TestFacadeTelemetryInstrumentsPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.SetHooks(anytime.PipelineHooks(reg))
-	tr.Start()
 	if err := a.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
