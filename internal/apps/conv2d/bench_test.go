@@ -24,7 +24,7 @@ func benchInput(b *testing.B, w, h int) *pix.Image {
 // image, where no coordinate clamping is needed.
 func BenchmarkConvolvePixelInterior(b *testing.B) {
 	in := benchInput(b, 256, 256)
-	weights, wsum := kernelWeights(Box, 9)
+	weights, wsum := boxWeights()
 	r := &reader{img: in}
 	var sink int32
 	b.ReportAllocs()
@@ -39,7 +39,7 @@ func BenchmarkConvolvePixelInterior(b *testing.B) {
 // slow path the interior fast path must not regress.
 func BenchmarkConvolvePixelBorder(b *testing.B) {
 	in := benchInput(b, 256, 256)
-	weights, wsum := kernelWeights(Box, 9)
+	weights, wsum := boxWeights()
 	r := &reader{img: in}
 	var sink int32
 	b.ReportAllocs()
@@ -71,7 +71,7 @@ var allocSink int32
 // allocation here is one per pixel. Each row is a function and its budget.
 func TestKernelAllocBudget(t *testing.T) {
 	in := testImage(t, 64, 64)
-	weights, wsum := kernelWeights(Box, 9)
+	weights, wsum := boxWeights()
 	r := &reader{img: in}
 	testgate.Allocs(t, "convolvePixel interior", 0, func() { allocSink += convolvePixel(r, weights, wsum, in.W, in.H, 4, 32, 32) })
 	testgate.Allocs(t, "convolvePixel border", 0, func() { allocSink += convolvePixel(r, weights, wsum, in.W, in.H, 4, 1, 2) })

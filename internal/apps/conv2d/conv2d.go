@@ -21,26 +21,15 @@ import (
 	"anytime/internal/store"
 )
 
-// Kernel selects the convolution filter.
-type Kernel int
-
-const (
-	// Box is the uniform mean filter the evaluation uses by default.
-	Box Kernel = iota
-	// Gaussian is a binomial approximation of a Gaussian blur (Pascal
-	// row weights), a heavier but more faithful smoothing filter.
-	Gaussian
-)
+// kernelSize is the side of the blur kernel: the evaluation's filter is a
+// 9×9 box (uniform mean) blur.
+const kernelSize = 9
 
 // Config parameterizes both the precise baseline and the anytime automaton.
 // The zero value selects the defaults used throughout the evaluation.
 type Config struct {
-	// KernelSize is the (odd) side of the blur kernel. Default 9.
-	KernelSize int
-	// Kernel selects the filter. Default Box.
-	Kernel Kernel
-	// PixelBits is the input pixel precision in bits (1..8). Pixels are
-	// reduced with KeepTop before the convolution. Default 8 (precise).
+	// PixelBits is the input pixel precision in bits (1..8). Pixels keep
+	// their top PixelBits bits before the convolution. Default 8 (precise).
 	PixelBits uint
 	// Workers is the number of sampling workers. Default 1.
 	Workers int
@@ -69,9 +58,6 @@ type StorageConfig struct {
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.KernelSize == 0 {
-		cfg.KernelSize = 9
-	}
 	if cfg.PixelBits == 0 {
 		cfg.PixelBits = 8
 	}
@@ -85,9 +71,6 @@ func (cfg Config) validate(in *pix.Image) error {
 	if in.C != 1 {
 		return fmt.Errorf("conv2d: input must be grayscale, got %d channels", in.C)
 	}
-	if cfg.KernelSize < 1 || cfg.KernelSize%2 == 0 {
-		return fmt.Errorf("conv2d: kernel size %d must be odd and positive", cfg.KernelSize)
-	}
 	if cfg.PixelBits < 1 || cfg.PixelBits > 8 {
 		return fmt.Errorf("conv2d: pixel precision %d out of range [1,8]", cfg.PixelBits)
 	}
@@ -100,33 +83,17 @@ func (cfg Config) validate(in *pix.Image) error {
 	if cfg.Storage != nil && (cfg.Storage.Prob < 0 || cfg.Storage.Prob > 1) {
 		return fmt.Errorf("conv2d: storage probability %v out of range", cfg.Storage.Prob)
 	}
-	if cfg.Kernel != Box && cfg.Kernel != Gaussian {
-		return fmt.Errorf("conv2d: unknown kernel %d", cfg.Kernel)
-	}
 	return nil
 }
 
-// kernelWeights returns the separable 1D weight row for the kernel and its
-// total weight: all-ones for Box, the binomial (Pascal) row for Gaussian.
-func kernelWeights(k Kernel, size int) ([]int64, int64) {
-	w := make([]int64, size)
-	if k == Box {
-		for i := range w {
-			w[i] = 1
-		}
-		return w, int64(size)
+// boxWeights returns the separable 1D weight row of the blur kernel, all
+// ones, and its total weight.
+func boxWeights() ([]int64, int64) {
+	w := make([]int64, kernelSize)
+	for i := range w {
+		w[i] = 1
 	}
-	w[0] = 1
-	for i := 1; i < size; i++ {
-		for j := i; j > 0; j-- {
-			w[j] += w[j-1]
-		}
-	}
-	var total int64
-	for _, v := range w {
-		total += v
-	}
-	return w, total
+	return w, kernelSize
 }
 
 // reader abstracts how the convolution fetches input pixels: directly, with
@@ -217,8 +184,8 @@ func Precise(in *pix.Image, cfg Config) (*pix.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	half := cfg.KernelSize / 2
-	weights, wsum := kernelWeights(cfg.Kernel, cfg.KernelSize)
+	half := kernelSize / 2
+	weights, wsum := boxWeights()
 	par.Rows(in.H, cfg.Workers, func(y0, y1 int) {
 		band := reader{img: in}
 		for y := y0; y < y1; y++ {
@@ -262,8 +229,8 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		return nil, err
 	}
 	t.OnSnapshot = cfg.OnSnapshot
-	half := cfg.KernelSize / 2
-	weights, wsum := kernelWeights(cfg.Kernel, cfg.KernelSize)
+	half := kernelSize / 2
+	weights, wsum := boxWeights()
 	drop := uint(8 - cfg.PixelBits)
 
 	// One reader per worker: the approximate storage array is stateful and

@@ -23,8 +23,6 @@ func testImage(t *testing.T, w, h int) *pix.Image {
 func TestConfigValidation(t *testing.T) {
 	in := testImage(t, 16, 16)
 	cases := []Config{
-		{KernelSize: 4},
-		{KernelSize: -3},
 		{PixelBits: 9},
 		{Workers: -1},
 		{Granularity: -1},
@@ -48,7 +46,7 @@ func TestPreciseIsMeanFilter(t *testing.T) {
 	// A constant image blurs to itself.
 	in := pix.MustNew(12, 12, 1)
 	in.Fill(77)
-	out, err := Precise(in, Config{KernelSize: 3})
+	out, err := Precise(in, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,17 +58,20 @@ func TestPreciseIsMeanFilter(t *testing.T) {
 }
 
 func TestPreciseKnownSmallCase(t *testing.T) {
-	// 3x3 kernel on a single bright pixel in the center of a 3x3 image:
-	// every output pixel averages a window containing the bright pixel
-	// once or more (border clamping replicates edge pixels).
+	// The 9×9 kernel on a single bright pixel in the center of a 3x3
+	// image: every output pixel averages 81 border-clamped samples, and
+	// clamping replicates only the edge pixels, so each window holds the
+	// bright center exactly once.
 	in := pix.MustNew(3, 3, 1)
-	in.SetGray(1, 1, 90)
-	out, err := Precise(in, Config{KernelSize: 3})
+	in.SetGray(1, 1, 243)
+	out, err := Precise(in, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Gray(1, 1); got != 10 {
-		t.Errorf("center = %d, want 10 (90/9)", got)
+	for i, v := range out.Pix {
+		if v != 3 {
+			t.Errorf("pixel %d = %d, want 3 (243/81)", i, v)
+		}
 	}
 }
 
@@ -310,11 +311,11 @@ func TestTinyImages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Precise(in, Config{KernelSize: 3})
+		want, err := Precise(in, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := New(in, Config{KernelSize: 3})
+		run, err := New(in, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,69 +333,13 @@ func TestTinyImages(t *testing.T) {
 }
 
 func TestKernelWeights(t *testing.T) {
-	w, total := kernelWeights(Box, 5)
+	w, total := boxWeights()
+	if len(w) != kernelSize || total != kernelSize {
+		t.Fatalf("box row of %d weights totalling %d, want %d", len(w), total, kernelSize)
+	}
 	for _, v := range w {
 		if v != 1 {
 			t.Fatalf("box weights = %v", w)
-		}
-	}
-	if total != 5 {
-		t.Errorf("box total = %d", total)
-	}
-	w, total = kernelWeights(Gaussian, 5)
-	want := []int64{1, 4, 6, 4, 1}
-	for i, v := range want {
-		if w[i] != v {
-			t.Fatalf("gaussian weights = %v, want %v", w, want)
-		}
-	}
-	if total != 16 {
-		t.Errorf("gaussian total = %d", total)
-	}
-}
-
-func TestGaussianKernelValidationAndExactness(t *testing.T) {
-	in := testImage(t, 48, 48)
-	if _, err := Precise(in, Config{Kernel: Kernel(9)}); err == nil {
-		t.Error("unknown kernel accepted")
-	}
-	want, err := Precise(in, Config{Kernel: Gaussian})
-	if err != nil {
-		t.Fatal(err)
-	}
-	box, err := Precise(in, Config{Kernel: Box})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Equal(box) {
-		t.Error("gaussian and box kernels produced identical output")
-	}
-	run, err := New(in, Config{Kernel: Gaussian, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run.Automaton.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := run.Automaton.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	snap, _ := run.Out.Latest()
-	if !snap.Value.Equal(want) {
-		t.Error("gaussian automaton final differs from gaussian baseline")
-	}
-}
-
-func TestGaussianPreservesConstant(t *testing.T) {
-	in := pix.MustNew(16, 16, 1)
-	in.Fill(123)
-	out, err := Precise(in, Config{Kernel: Gaussian, KernelSize: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range out.Pix {
-		if v != 123 {
-			t.Fatalf("gaussian changed a constant image: %d", v)
 		}
 	}
 }

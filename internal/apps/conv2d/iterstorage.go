@@ -24,8 +24,6 @@ import (
 // IterStorageConfig parameterizes the iterative approximate-storage
 // automaton.
 type IterStorageConfig struct {
-	// KernelSize is the (odd) blur kernel side. Default 9.
-	KernelSize int
 	// Levels is the accuracy ladder, ordered least to most accurate; the
 	// final level must be precise (zero upset probability). Default
 	// store.DefaultLevels.
@@ -38,9 +36,6 @@ type IterStorageConfig struct {
 }
 
 func (cfg IterStorageConfig) withDefaults() IterStorageConfig {
-	if cfg.KernelSize == 0 {
-		cfg.KernelSize = 9
-	}
 	if cfg.Levels == nil {
 		cfg.Levels = store.DefaultLevels
 	}
@@ -50,9 +45,6 @@ func (cfg IterStorageConfig) withDefaults() IterStorageConfig {
 func (cfg IterStorageConfig) validate(in *pix.Image) error {
 	if in.C != 1 {
 		return fmt.Errorf("conv2d: input must be grayscale, got %d channels", in.C)
-	}
-	if cfg.KernelSize < 1 || cfg.KernelSize%2 == 0 {
-		return fmt.Errorf("conv2d: kernel size %d must be odd and positive", cfg.KernelSize)
 	}
 	if len(cfg.Levels) == 0 {
 		return fmt.Errorf("conv2d: empty voltage ladder")
@@ -84,8 +76,8 @@ func NewIterativeStorage(in *pix.Image, cfg IterStorageConfig) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	half := cfg.KernelSize / 2
-	weights, wsum := kernelWeights(Box, cfg.KernelSize)
+	half := kernelSize / 2
+	weights, wsum := boxWeights()
 	out := core.NewBuffer[*pix.Image]("conv2d-iterstorage", nil)
 
 	passes := make([]func() (*pix.Image, error), len(cfg.Levels))

@@ -13,7 +13,6 @@ import (
 func TestIterStorageConfigValidation(t *testing.T) {
 	in := testImage(t, 16, 16)
 	bad := []IterStorageConfig{
-		{KernelSize: 4},
 		{Levels: []store.VoltageLevel{}},
 		{Levels: []store.VoltageLevel{{UpsetProb: 1e-3}}}, // final not precise
 		{Levels: []store.VoltageLevel{ // accuracy decreases

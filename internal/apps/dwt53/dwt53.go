@@ -5,28 +5,25 @@ import (
 
 	"anytime/internal/core"
 	"anytime/internal/par"
-	"anytime/internal/perforate"
 	"anytime/internal/pix"
 )
 
+// levels is the number of wavelet decomposition levels.
+const levels = 3
+
+// strides is the loop perforation ladder of the iterative forward stage
+// (paper §III-B1, "Loop Perforation"): each pass re-executes the transform
+// computing every stride-th coefficient of each lifting step, the strides
+// strictly decrease, and the final stride-1 pass is the precise transform.
+var strides = [...]int{8, 4, 2, 1}
+
 // Config parameterizes the baseline and the automaton.
 type Config struct {
-	// Levels is the number of wavelet decomposition levels. Default 3.
-	Levels int
-	// Strides is the perforation schedule for the iterative stage; it must
-	// strictly decrease and end at 1. Default {8, 4, 2, 1}.
-	Strides perforate.Schedule
 	// Workers is the number of row/column workers. Default 1.
 	Workers int
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.Levels == 0 {
-		cfg.Levels = 3
-	}
-	if cfg.Strides == nil {
-		cfg.Strides = perforate.Schedule{8, 4, 2, 1}
-	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
 	}
@@ -37,13 +34,10 @@ func (cfg Config) validate(in *pix.Image) error {
 	if in.C != 1 {
 		return fmt.Errorf("dwt53: input must be grayscale, got %d channels", in.C)
 	}
-	if cfg.Levels < 1 {
-		return fmt.Errorf("dwt53: levels %d must be positive", cfg.Levels)
-	}
 	if cfg.Workers < 1 {
 		return fmt.Errorf("dwt53: workers %d must be positive", cfg.Workers)
 	}
-	return cfg.Strides.Validate()
+	return nil
 }
 
 // regionSizes returns the (w, h) of each decomposition level's region,
@@ -70,7 +64,7 @@ func Forward(in *pix.Image, cfg Config, stride int) (*pix.Image, error) {
 		return nil, fmt.Errorf("dwt53: stride %d must be positive", stride)
 	}
 	buf := in.Clone()
-	for _, wh := range regionSizes(in.W, in.H, cfg.Levels) {
+	for _, wh := range regionSizes(in.W, in.H, levels) {
 		w, h := wh[0], wh[1]
 		// Rows.
 		par.Index(h, cfg.Workers, func(y int) {
@@ -102,7 +96,7 @@ func Inverse(coef *pix.Image, cfg Config) (*pix.Image, error) {
 		return nil, err
 	}
 	buf := coef.Clone()
-	regions := regionSizes(coef.W, coef.H, cfg.Levels)
+	regions := regionSizes(coef.W, coef.H, levels)
 	for l := len(regions) - 1; l >= 0; l-- {
 		w, h := regions[l][0], regions[l][1]
 		// Columns first (inverting the forward order rows-then-columns).
@@ -160,8 +154,8 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	out := core.NewBuffer[*pix.Image]("dwt53", nil)
 	a := core.New()
 
-	passes := make([]func() (*pix.Image, error), len(cfg.Strides))
-	for i, stride := range cfg.Strides {
+	passes := make([]func() (*pix.Image, error), len(strides))
+	for i, stride := range strides {
 		passes[i] = func() (*pix.Image, error) {
 			return Forward(in, cfg, stride)
 		}

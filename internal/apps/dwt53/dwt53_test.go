@@ -8,7 +8,6 @@ import (
 
 	"anytime/internal/core"
 	"anytime/internal/metrics"
-	"anytime/internal/perforate"
 	"anytime/internal/pix"
 )
 
@@ -23,19 +22,12 @@ func testImage(t *testing.T, w, h int) *pix.Image {
 
 func TestConfigValidation(t *testing.T) {
 	in := testImage(t, 16, 16)
-	bad := []Config{
-		{Levels: -1},
-		{Workers: -2},
-		{Strides: perforate.Schedule{4, 2}},    // missing final 1
-		{Strides: perforate.Schedule{2, 2, 1}}, // not strictly decreasing
+	bad := Config{Workers: -2}
+	if _, err := Precise(in, bad); err == nil {
+		t.Errorf("config %+v accepted", bad)
 	}
-	for _, cfg := range bad {
-		if _, err := Precise(in, cfg); err == nil {
-			t.Errorf("config %+v accepted", cfg)
-		}
-		if _, err := New(in, cfg); err == nil {
-			t.Errorf("config %+v accepted by New", cfg)
-		}
+	if _, err := New(in, bad); err == nil {
+		t.Errorf("config %+v accepted by New", bad)
 	}
 	rgb := pix.MustNew(4, 4, 3)
 	if _, err := Precise(rgb, Config{}); err == nil {
@@ -96,15 +88,14 @@ func TestLift1DTinySignals(t *testing.T) {
 // TestForwardInverseIdentity: the precise 2D multi-level transform is
 // losslessly invertible for arbitrary image sizes.
 func TestForwardInverseIdentity(t *testing.T) {
-	f := func(rawW, rawH uint8, levels uint8) bool {
+	f := func(rawW, rawH uint8) bool {
 		w := int(rawW)%40 + 1
 		h := int(rawH)%40 + 1
-		cfg := Config{Levels: int(levels)%4 + 1}
 		in, err := pix.SyntheticGray(w, h, uint64(w*h))
 		if err != nil {
 			return false
 		}
-		got, err := Precise(in, cfg)
+		got, err := Precise(in, Config{})
 		if err != nil {
 			return false
 		}
@@ -116,26 +107,28 @@ func TestForwardInverseIdentity(t *testing.T) {
 }
 
 func TestForwardCompacts(t *testing.T) {
-	// A smooth image's detail coefficients must be small: check that the
-	// top-left (approximation) region carries most of the energy.
+	// A smooth image's detail coefficients must be small: per coefficient,
+	// the deepest approximation band (the top-left 64>>levels square)
+	// carries far more energy than the detail bands around it.
 	in := testImage(t, 64, 64)
-	coef, err := Forward(in, Config{Levels: 1}, 1)
+	coef, err := Forward(in, Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const side = 64 >> levels
 	var approxEnergy, detailEnergy float64
 	for y := 0; y < 64; y++ {
 		for x := 0; x < 64; x++ {
 			e := float64(coef.Gray(x, y)) * float64(coef.Gray(x, y))
-			if x < 32 && y < 32 {
-				approxEnergy += e
+			if x < side && y < side {
+				approxEnergy += e / (side * side)
 			} else {
-				detailEnergy += e
+				detailEnergy += e / (64*64 - side*side)
 			}
 		}
 	}
 	if approxEnergy < 10*detailEnergy {
-		t.Errorf("energy not compacted: approx %v detail %v", approxEnergy, detailEnergy)
+		t.Errorf("energy not compacted: %v per approximation coefficient, %v per detail", approxEnergy, detailEnergy)
 	}
 }
 
@@ -229,7 +222,7 @@ func TestAutomatonPassesReportStrides(t *testing.T) {
 	}
 	// The async consumer may skip intermediate passes, but never observes
 	// more than the schedule has, and only the stride-1 pass is exact.
-	if limit := len(Config{}.withDefaults().Strides); len(snrs) > limit {
+	if limit := len(strides); len(snrs) > limit {
 		t.Errorf("%d passes observed from a %d-stride schedule", len(snrs), limit)
 	}
 	last := len(snrs) - 1

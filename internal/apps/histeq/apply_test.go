@@ -263,7 +263,7 @@ func TestPipelinePublishesConsumedLUTs(t *testing.T) {
 	seed := pix.MustNew(in.W, in.H, 1)
 	seed.Fill(3)
 	for workers := 1; workers <= 3; workers++ {
-		run, err := New(in, Config{Workers: workers, ApplyGranularity: in.Pixels(), HistSnapshots: 8})
+		run, err := New(in, Config{Workers: workers, ApplyGranularity: in.Pixels()})
 		if err != nil {
 			t.Fatal(err)
 		}

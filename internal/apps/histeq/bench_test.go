@@ -28,7 +28,7 @@ func benchGray(b *testing.B, w, h int) *pix.Image {
 // coset, in memory order.
 func BenchmarkHistSampled(b *testing.B) {
 	in := benchGray(b, 256, 256)
-	lat, total, err := histRounds(in.W, in.H, Config{}.withDefaults(in.Pixels()).HistSnapshots)
+	lat, total, err := histRounds(in.W, in.H)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -40,16 +40,17 @@ import (
 // Bins is the number of intensity bins (8-bit images).
 const Bins = 256
 
+// histSnapshots is how many histogram versions the first stage publishes,
+// counted over the image's power-of-two superset. A round's size rounds
+// down to a lattice size, a power of two, so the number of versions rounds
+// up to a power of two.
+const histSnapshots = 8
+
 // Config parameterizes the baseline and the automaton.
 type Config struct {
 	// Workers is the number of sampling workers per diffusive stage.
 	// Default 1.
 	Workers int
-	// HistSnapshots is how many histogram versions the first stage
-	// publishes, counted over the image's power-of-two superset. A round's
-	// size rounds down to a lattice size, a power of two, so the number of
-	// versions rounds up to a power of two. Default 8.
-	HistSnapshots int
 	// ApplyGranularity is the number of output pixels written per
 	// published snapshot of the apply stage. Default pixels/4.
 	ApplyGranularity int
@@ -61,9 +62,6 @@ type Config struct {
 func (cfg Config) withDefaults(pixels int) Config {
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
-	}
-	if cfg.HistSnapshots == 0 {
-		cfg.HistSnapshots = 8
 	}
 	if cfg.ApplyGranularity == 0 {
 		// The per-pixel work of the apply stage is a single table lookup,
@@ -83,9 +81,6 @@ func (cfg Config) validate(in *pix.Image) error {
 	}
 	if cfg.Workers < 1 {
 		return fmt.Errorf("histeq: workers %d must be positive", cfg.Workers)
-	}
-	if cfg.HistSnapshots < 1 {
-		return fmt.Errorf("histeq: HistSnapshots %d must be positive", cfg.HistSnapshots)
 	}
 	if cfg.ApplyGranularity < 1 {
 		return fmt.Errorf("histeq: ApplyGranularity %d must be positive", cfg.ApplyGranularity)
@@ -205,15 +200,15 @@ func Precise(in *pix.Image, cfg Config) (*pix.Image, error) {
 }
 
 // histRounds cuts the 2D tree order of a w×h image into the hist stage's
-// rounds: snapshots rounds of the counter positions of its power-of-two
+// rounds: histSnapshots rounds of the counter positions of its power-of-two
 // superset, whose count it also returns.
-func histRounds(w, h, snapshots int) (perm.Rounds, int, error) {
+func histRounds(w, h int) (perm.Rounds, int, error) {
 	whole, err := perm.TreeRounds(h, w, math.MaxInt32) // one round: the superset
 	if err != nil {
 		return perm.Rounds{}, 0, err
 	}
 	total := whole.Len() * whole.Size
-	lat, err := perm.TreeRounds(h, w, max(total/snapshots, 1))
+	lat, err := perm.TreeRounds(h, w, max(total/histSnapshots, 1))
 	return lat, total, err
 }
 
@@ -237,7 +232,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	if err := cfg.validate(in); err != nil {
 		return nil, err
 	}
-	lat, total, err := histRounds(in.W, in.H, cfg.HistSnapshots)
+	lat, total, err := histRounds(in.W, in.H)
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,6 @@ func TestConfigValidation(t *testing.T) {
 	in := testImage(t, 8, 8)
 	bad := []Config{
 		{Workers: -1},
-		{HistSnapshots: -2},
 		{ApplyGranularity: -1},
 	}
 	for _, cfg := range bad {
@@ -169,7 +168,7 @@ func TestIntermediateBuffersReachFinal(t *testing.T) {
 // sampling — the early-availability property of the model.
 func TestEarlyOutputAvailableBeforeHistogramCompletes(t *testing.T) {
 	in := testImage(t, 64, 64)
-	run, err := New(in, Config{HistSnapshots: 8})
+	run, err := New(in, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +288,7 @@ func TestHistLatticeRounds(t *testing.T) {
 	for _, v := range in.Pix {
 		exact[binOf(v)]++
 	}
-	lat, _, err := histRounds(in.W, in.H, Config{}.withDefaults(in.Pixels()).HistSnapshots)
+	lat, _, err := histRounds(in.W, in.H)
 	if err != nil {
 		t.Fatal(err)
 	}

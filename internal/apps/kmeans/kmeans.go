@@ -25,12 +25,15 @@ import (
 	"anytime/internal/sampling"
 )
 
+const (
+	// clusters is the number of clusters, k.
+	clusters = 6
+	// lloydIters is the number of Lloyd iterations.
+	lloydIters = 8
+)
+
 // Config parameterizes the baseline and the automaton.
 type Config struct {
-	// K is the number of clusters. Default 6.
-	K int
-	// Iters is the number of Lloyd iterations. Default 8.
-	Iters int
 	// Workers is the number of sampling workers per stage. Default 1.
 	Workers int
 	// ClusterGranularity is the number of pixels sampled per published
@@ -42,12 +45,6 @@ type Config struct {
 }
 
 func (cfg Config) withDefaults(pixels int) Config {
-	if cfg.K == 0 {
-		cfg.K = 6
-	}
-	if cfg.Iters == 0 {
-		cfg.Iters = 8
-	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
 	}
@@ -66,12 +63,6 @@ func (cfg Config) validate(in *pix.Image) error {
 	}
 	if in.Pixels() == 0 {
 		return fmt.Errorf("kmeans: empty image")
-	}
-	if cfg.K < 1 {
-		return fmt.Errorf("kmeans: k %d must be positive", cfg.K)
-	}
-	if cfg.Iters < 1 {
-		return fmt.Errorf("kmeans: iterations %d must be positive", cfg.Iters)
 	}
 	if cfg.Workers < 1 {
 		return fmt.Errorf("kmeans: workers %d must be positive", cfg.Workers)
@@ -193,10 +184,10 @@ func PreciseModel(in *pix.Image, cfg Config) ([]Centroid, error) {
 	if err := cfg.validate(in); err != nil {
 		return nil, err
 	}
-	cents := initCentroids(in, cfg.K)
+	cents := initCentroids(in, clusters)
 	n := in.Pixels()
-	for t := 0; t < cfg.Iters; t++ {
-		acc := newAccum(cfg.K)
+	for t := 0; t < lloydIters; t++ {
+		acc := newAccum(clusters)
 		accumulateRange(in, cents, acc, 0, n, cfg.Workers)
 		cents = updateCentroids(cents, acc.sum, acc.count)
 	}
@@ -285,12 +276,12 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	// so the whole-application output is available early and improves as
 	// both sampling resolution and centroid quality increase.
 	if err := a.AddStage("cluster", func(c *core.Context) error {
-		cents := initCentroids(in, cfg.K)
+		cents := initCentroids(in, clusters)
 		parts := make([]*accum, cfg.Workers)
 		for w := range parts {
-			parts[w] = newAccum(cfg.K)
+			parts[w] = newAccum(clusters)
 		}
-		for it := 1; it <= cfg.Iters; it++ {
+		for it := 1; it <= lloydIters; it++ {
 			for _, p := range parts {
 				p.reset()
 			}
@@ -319,16 +310,16 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 			}
 			// Hand the completed pass's partials to the reduce stage and
 			// wait for the next iteration's centroids.
-			merged := &Partials{Sum: make([][3]int64, cfg.K), Count: make([]int64, cfg.K), Iter: it}
+			merged := &Partials{Sum: make([][3]int64, clusters), Count: make([]int64, clusters), Iter: it}
 			for _, part := range parts {
-				for i := 0; i < cfg.K; i++ {
+				for i := 0; i < clusters; i++ {
 					merged.Sum[i][0] += part.sum[i][0]
 					merged.Sum[i][1] += part.sum[i][1]
 					merged.Sum[i][2] += part.sum[i][2]
 					merged.Count[i] += part.count[i]
 				}
 			}
-			if _, err := partialsBuf.Publish(merged, it == cfg.Iters); err != nil {
+			if _, err := partialsBuf.Publish(merged, it == lloydIters); err != nil {
 				return err
 			}
 			model, err2 := modelBuf.WaitNewer(c.Context(), core.Version(it-1))
@@ -356,7 +347,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	// publish-then-wait handshake makes the exchange lock-step, so every
 	// partials version is consumed exactly once.
 	if err := a.AddStage("reduce", func(c *core.Context) error {
-		prev := initCentroids(in, cfg.K)
+		prev := initCentroids(in, clusters)
 		return core.AsyncConsume(c, partialsBuf, func(s core.Snapshot[*Partials]) error {
 			prev = updateCentroids(prev, s.Value.Sum, s.Value.Count)
 			_, err := modelBuf.Publish(&Model{Centroids: prev, Iter: s.Value.Iter}, s.Final)

@@ -22,8 +22,6 @@ func testImage(t *testing.T, w, h int) *pix.Image {
 func TestConfigValidation(t *testing.T) {
 	in := testImage(t, 8, 8)
 	bad := []Config{
-		{K: -1},
-		{Iters: -1},
 		{Workers: -1},
 		{ClusterGranularity: -5},
 	}
@@ -69,8 +67,8 @@ func TestUpdateCentroidsEmptyClusterKeepsPrev(t *testing.T) {
 }
 
 func TestPreciseSeparatesDistinctColors(t *testing.T) {
-	// An image of two well-separated colors with k=2 must converge to
-	// those colors.
+	// An image of two well-separated colors must converge to those
+	// colors: every centroid lands on one of them, and each is found.
 	in := pix.MustNew(16, 16, 3)
 	for p := 0; p < in.Pixels(); p++ {
 		if p < in.Pixels()/2 {
@@ -79,7 +77,7 @@ func TestPreciseSeparatesDistinctColors(t *testing.T) {
 			in.Pix[p*3], in.Pix[p*3+1], in.Pix[p*3+2] = 10, 10, 250
 		}
 	}
-	cents, err := PreciseModel(in, Config{K: 2, Iters: 5})
+	cents, err := PreciseModel(in, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +85,7 @@ func TestPreciseSeparatesDistinctColors(t *testing.T) {
 	for _, c := range cents {
 		found[c] = true
 	}
-	if !found[Centroid{250, 10, 10}] || !found[Centroid{10, 10, 250}] {
+	if len(cents) != clusters || len(found) != 2 || !found[Centroid{250, 10, 10}] || !found[Centroid{10, 10, 250}] {
 		t.Errorf("centroids %v did not converge to the two colors", cents)
 	}
 }
@@ -149,28 +147,28 @@ func TestAutomatonFinalEqualsPrecise(t *testing.T) {
 
 func TestModelIterationsProgress(t *testing.T) {
 	in := testImage(t, 32, 32)
-	var iters []int
-	run, err := New(in, Config{Iters: 4})
+	var seen []int
+	run, err := New(in, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.ModelBuf.OnPublish(func(s core.Snapshot[*Model]) { iters = append(iters, s.Value.Iter) })
+	run.ModelBuf.OnPublish(func(s core.Snapshot[*Model]) { seen = append(seen, s.Value.Iter) })
 	if err := run.Automaton.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := run.Automaton.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if len(iters) == 0 {
+	if len(seen) == 0 {
 		t.Fatal("no model snapshots")
 	}
-	for i := 1; i < len(iters); i++ {
-		if iters[i] < iters[i-1] {
-			t.Errorf("iteration regressed: %v", iters)
+	for i := 1; i < len(seen); i++ {
+		if seen[i] < seen[i-1] {
+			t.Errorf("iteration regressed: %v", seen)
 		}
 	}
-	if iters[len(iters)-1] != 4 {
-		t.Errorf("last snapshot from iteration %d, want 4", iters[len(iters)-1])
+	if got := seen[len(seen)-1]; got != lloydIters {
+		t.Errorf("last snapshot from iteration %d, want %d", got, lloydIters)
 	}
 }
 
@@ -208,12 +206,12 @@ func TestOutputSNRTrendsToInf(t *testing.T) {
 }
 
 func TestKGreaterThanPixels(t *testing.T) {
-	in := testImage(t, 2, 2)
-	want, err := Precise(in, Config{K: 9, Iters: 2})
+	in := testImage(t, 2, 2) // 4 pixels, fewer than the clusters
+	want, err := Precise(in, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := New(in, Config{K: 9, Iters: 2})
+	run, err := New(in, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +229,11 @@ func TestKGreaterThanPixels(t *testing.T) {
 
 func TestSinglePixel(t *testing.T) {
 	in := testImage(t, 1, 1)
-	want, err := Precise(in, Config{K: 1, Iters: 1})
+	want, err := Precise(in, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := New(in, Config{K: 1, Iters: 1})
+	run, err := New(in, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,9 +149,6 @@ func (rt *Router) Membership() *Membership { return rt.members }
 // out the probe interval).
 func (rt *Router) Checker() *Checker { return rt.checker }
 
-// Recorder exposes the router's flight recorder.
-func (rt *Router) Recorder() *reqtrace.Recorder { return rt.rec }
-
 // HedgeDelay returns the current hedge delay: the configured quantile of
 // the latency digest clamped to [HedgeMin, HedgeMax], HedgeMax before any
 // samples arrive, and a negative value (hedging disabled) when HedgeMax<0.

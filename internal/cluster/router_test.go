@@ -197,7 +197,7 @@ func TestRouterHedgeRescuesSlowShard(t *testing.T) {
 	// The router's own trace records how the race ended — the spans its
 	// /debug/requests?id= promises and its delivery metrics are read from.
 	// Matched by wire name, as an operator reading the trace would.
-	tr := rt.Recorder().Find(rec.Header().Get("X-Anytime-Trace"))
+	tr := rt.rec.Find(rec.Header().Get("X-Anytime-Trace"))
 	if tr == nil {
 		t.Fatal("hedged request's trace not retained")
 	}
@@ -388,7 +388,7 @@ func TestRouterTraceAndMetricsAgree(t *testing.T) {
 	}
 
 	traced := map[string]int{}
-	for _, tr := range rt.Recorder().Snapshot() {
+	for _, tr := range rt.rec.Snapshot() {
 		for _, e := range tr.Events() {
 			switch e.Kind {
 			case reqtrace.KindForwardDone:

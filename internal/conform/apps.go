@@ -15,7 +15,7 @@ import (
 )
 
 // Features declares which schedule dimensions an app supports, so
-// DeriveSchedule only samples meaningful ones.
+// deriveSchedule only samples meaningful ones.
 type Features struct {
 	Workers        bool // worker count is configurable
 	Policies       bool // publish policies are configurable
@@ -88,16 +88,6 @@ func Apps() []App {
 		&dwt53App{},
 		&syncPipeApp{},
 	}
-}
-
-// AppNamed returns the suite app with the given name, or nil.
-func AppNamed(name string) App {
-	for _, a := range Apps() {
-		if a.Name() == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // --- checksums and validators -------------------------------------------

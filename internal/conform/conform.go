@@ -26,7 +26,7 @@ type Result struct {
 	Completed bool
 	// Publishes is the total publish count across all probed buffers.
 	Publishes int64
-	// Cycle is the 1-based reuse cycle this result came from (RunReuse);
+	// Cycle is the 1-based reuse cycle this result came from (runReuse);
 	// single-run results (RunOne) report 0.
 	Cycle int
 }
@@ -34,8 +34,8 @@ type Result struct {
 // Failed reports whether the run violated any invariant.
 func (r Result) Failed() bool { return len(r.Violations) > 0 }
 
-// FailureSummary formats the violations, one per line.
-func (r Result) FailureSummary() string {
+// failureSummary formats the violations, one per line.
+func (r Result) failureSummary() string {
 	lines := make([]string, len(r.Violations))
 	for i, v := range r.Violations {
 		lines[i] = "  " + v.String()
@@ -57,7 +57,7 @@ func RunOne(app App, s Schedule) Result {
 	return runCycle(app, inst, env, s)
 }
 
-// RunReuse builds one instance of app and runs it through cycles
+// runReuse builds one instance of app and runs it through cycles
 // consecutive checkout cycles — the warm-pool discipline of internal/serve
 // under the harness's invariants. Cycles 1..n-1 run under the schedule's
 // own interrupt (an interrupted, possibly approximate request); the final
@@ -68,7 +68,7 @@ func RunOne(app App, s Schedule) Result {
 // re-proves version-monotonicity from version 1. Each cycle gets its own
 // Collector; the sweep stops at the first failing cycle (a broken instance
 // only produces noise afterwards).
-func RunReuse(app App, s Schedule, cycles int) []Result {
+func runReuse(app App, s Schedule, cycles int) []Result {
 	if cycles < 1 {
 		cycles = 1
 	}

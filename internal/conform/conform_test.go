@@ -42,16 +42,16 @@ func explore(t *testing.T, app App) {
 
 func runSeed(t *testing.T, app App, seed uint64) {
 	t.Helper()
-	s := DeriveSchedule(app, seed)
+	s := deriveSchedule(app, seed)
 	res := RunOne(app, s)
 	if !res.Failed() {
 		return
 	}
-	shrunk := Shrink(app, s)
+	shrunk := shrink(app, s)
 	// The reproduce line must be copy-pasteable verbatim: t.Name() is the
 	// exact -run pattern (app.Name() is lowercase and matches no test).
 	t.Fatalf("conform: %s violated invariants under seed %d\nviolations:\n%s\nschedule: %s\nshrunk:   %s\nreproduce: go test ./internal/conform -run '^%s$' -conform.seed=%d",
-		app.Name(), seed, res.FailureSummary(), s, shrunk, t.Name(), seed)
+		app.Name(), seed, res.failureSummary(), s, shrunk, t.Name(), seed)
 }
 
 // TestConformConv2D .. TestConformSyncPipe: the seeded schedule sweep per
@@ -73,7 +73,7 @@ const reuseCycles = 3
 
 // exploreReuse is the warm-pool counterpart of explore: each seeded
 // schedule runs through reuseCycles checkouts of a single instance via
-// RunReuse. Half the single-run budget keeps the added wall-clock modest
+// runReuse. Half the single-run budget keeps the added wall-clock modest
 // while still permuting every configuration dimension.
 func exploreReuse(t *testing.T, app App) {
 	t.Helper()
@@ -89,12 +89,12 @@ func exploreReuse(t *testing.T, app App) {
 
 func runReuseSeed(t *testing.T, app App, seed uint64) {
 	t.Helper()
-	s := DeriveSchedule(app, seed)
-	results := RunReuse(app, s, reuseCycles)
+	s := deriveSchedule(app, seed)
+	results := runReuse(app, s, reuseCycles)
 	for _, res := range results {
 		if res.Failed() {
 			t.Fatalf("conform: %s violated invariants on reuse cycle %d/%d under seed %d\nviolations:\n%s\nschedule: %s\nreproduce: go test ./internal/conform -run '^%s$' -conform.seed=%d",
-				app.Name(), res.Cycle, reuseCycles, seed, res.FailureSummary(), res.Schedule, t.Name(), seed)
+				app.Name(), res.Cycle, reuseCycles, seed, res.failureSummary(), res.Schedule, t.Name(), seed)
 		}
 	}
 	last := results[len(results)-1]
@@ -123,8 +123,8 @@ func TestConformResetSyncPipe(t *testing.T) { t.Parallel(); exploreReuse(t, &syn
 func TestScheduleDerivationDeterministic(t *testing.T) {
 	for _, app := range Apps() {
 		for seed := uint64(1); seed <= 50; seed++ {
-			a := DeriveSchedule(app, seed)
-			b := DeriveSchedule(app, seed)
+			a := deriveSchedule(app, seed)
+			b := deriveSchedule(app, seed)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("%s seed %d: derivation not deterministic:\n%s\n%s", app.Name(), seed, a, b)
 			}
@@ -144,7 +144,7 @@ func TestScheduleDerivationCoversDimensions(t *testing.T) {
 		stops := map[StopKind]bool{}
 		faults := false
 		for seed := uint64(1); seed <= 200; seed++ {
-			s := DeriveSchedule(app, seed)
+			s := deriveSchedule(app, seed)
 			policies[policyName(s.Policy)] = true
 			stops[s.Stop.Kind] = true
 			if s.StorageUpset > 0 || s.EdgeDelay > 0 || len(s.Pauses) > 0 || len(s.Delays) > 0 {
@@ -178,7 +178,7 @@ func TestConformStorageFaultDeterminism(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		res := RunOne(app, s)
 		if res.Failed() {
-			t.Fatalf("faulty run violated invariants:\n%s", res.FailureSummary())
+			t.Fatalf("faulty run violated invariants:\n%s", res.failureSummary())
 		}
 		if !res.Completed {
 			t.Fatal("faulty run did not complete")

@@ -107,7 +107,7 @@ func FuzzBufferPublish(f *testing.F) {
 }
 
 // FuzzInterruptAnywhere treats the fuzzer's input as a schedule seed: each
-// input expands through DeriveSchedule into a full configuration — worker
+// input expands through deriveSchedule into a full configuration — worker
 // count, publish policy, granularity, interrupt point, injected faults —
 // and one conformance run must uphold every invariant under it. The corpus
 // therefore accumulates schedules, not data.
@@ -125,10 +125,10 @@ func FuzzInterruptAnywhere(f *testing.F) {
 		} else {
 			app = &syncPipeApp{}
 		}
-		s := DeriveSchedule(app, seed)
+		s := deriveSchedule(app, seed)
 		res := RunOne(app, s)
 		if res.Failed() {
-			t.Fatalf("seed %d (%s) violated invariants:\n%s\nschedule: %s", seed, app.Name(), res.FailureSummary(), s)
+			t.Fatalf("seed %d (%s) violated invariants:\n%s\nschedule: %s", seed, app.Name(), res.failureSummary(), s)
 		}
 	})
 }

@@ -16,7 +16,7 @@
 //     sequential golden computation bit-for-bit.
 //
 // A violation is reported with the seed that produced it and a shrunk,
-// minimal failing schedule (see Shrink), so every red run is reproducible.
+// minimal failing schedule (see shrink), so every red run is reproducible.
 package conform
 
 import (
@@ -70,7 +70,7 @@ func (c *Collector) Violations() []Violation {
 // AttachProbe.
 //
 // Both fields are read at use time, not captured at Build, so the
-// reset-reuse sweep (RunReuse) can swap in a fresh Collector and interrupt
+// reset-reuse sweep (runReuse) can swap in a fresh Collector and interrupt
 // trigger for each checkout cycle of one built instance. Swapping is only
 // safe at quiescence: the automaton's Wait/Start pair provides the
 // happens-before edge to the stage goroutines that read them.
@@ -83,7 +83,7 @@ type Env struct {
 }
 
 // OnReset registers fn to run when the harness rewinds a built instance
-// between reuse cycles (see RunReuse). AttachProbe registers its own
+// between reuse cycles (see runReuse). AttachProbe registers its own
 // observation-state rewind here; apps whose validators keep per-run state
 // (e.g. publish counters) must register a rewind too, mirroring what their
 // production constructors register with core.Automaton.OnReset. nil is
@@ -118,7 +118,7 @@ type Probe struct {
 
 	publishes atomic.Int64
 	// seed is the version the buffer was seeded at for the current run (0 =
-	// cold): the first observed publish must be seed+1. Set via SeedVersion
+	// cold): the first observed publish must be seed+1. Set via seedVersion
 	// before Start, after any SeedFrom; cleared by the env reset.
 	seed atomic.Uint64
 
@@ -130,11 +130,11 @@ type Probe struct {
 // Publishes reports how many publishes the probe observed.
 func (p *Probe) Publishes() int64 { return p.publishes.Load() }
 
-// SeedVersion tells the probe the buffer was warm-started at version v
+// seedVersion tells the probe the buffer was warm-started at version v
 // (core.Buffer.Seed): the run's first publish must then be v+1, keeping
 // the version-monotone invariant anchored to the seed instead of to 1.
 // Call during quiescence, before the automaton starts.
-func (p *Probe) SeedVersion(v core.Version) { p.seed.Store(uint64(v)) }
+func (p *Probe) seedVersion(v core.Version) { p.seed.Store(uint64(v)) }
 
 // VerifyQuiescent re-validates the terminal snapshot: its checksum must
 // still match the value recorded at publish time, and the buffer's latest
@@ -168,7 +168,7 @@ func AttachProbe[T any](env *Env, buf *core.Buffer[T], sum func(T) uint64, valid
 		writerID uint64
 	}
 	var inObserver atomic.Int32
-	// env.Col is read per report (not captured) so RunReuse can give each
+	// env.Col is read per report (not captured) so runReuse can give each
 	// reuse cycle its own Collector.
 	buf.OnPublish(func(s core.Snapshot[T]) {
 		col := env.Col

@@ -81,7 +81,7 @@ type ChaosPoint struct {
 // Schedule is one fully expanded conformance plan: the configuration
 // dimensions the explorer permutes (workers × publish policy ×
 // granularity), the interrupt point, and the injected faults. A
-// Schedule is a pure function of (App, Seed); see DeriveSchedule.
+// Schedule is a pure function of (App, Seed); see deriveSchedule.
 type Schedule struct {
 	Seed        uint64
 	Workers     int
@@ -142,11 +142,11 @@ func policyName(p core.PublishPolicy) string {
 	}
 }
 
-// DeriveSchedule expands a seed into a concrete schedule for the app,
+// deriveSchedule expands a seed into a concrete schedule for the app,
 // sampling only the dimensions the app supports (Features). The expansion
 // is deterministic: the same (app, seed) pair always yields the same
 // schedule, which is what makes a reported failure reproducible.
-func DeriveSchedule(app App, seed uint64) Schedule {
+func deriveSchedule(app App, seed uint64) Schedule {
 	r := newRNG(seed)
 	feats := app.Features()
 	stages := app.Stages()

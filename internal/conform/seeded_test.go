@@ -140,7 +140,7 @@ func runSeeded(t *testing.T, tc seededCase, workers int) {
 	if err := a.SeedFrom(cached.Value, cached.Version); err != nil {
 		t.Fatalf("SeedFrom: %v", err)
 	}
-	sink.SeedVersion(cached.Version)
+	sink.seedVersion(cached.Version)
 	seeded, ok := out.Peek()
 	if !ok || seeded.Version != cached.Version || seeded.Final {
 		t.Fatalf("seeded buffer state = %+v, ok=%v", seeded, ok)
@@ -229,7 +229,7 @@ func TestConformSeededDeltaStart(t *testing.T) {
 	if err := runB.Automaton.SeedFrom(&pix.SeedFrame{Image: cached.Value, Stale: stale}, cached.Version); err != nil {
 		t.Fatalf("delta SeedFrom: %v", err)
 	}
-	sink.SeedVersion(cached.Version)
+	sink.seedVersion(cached.Version)
 	if err := runB.Automaton.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestConformSeededCorruptCacheCaught(t *testing.T) {
 	if err := run.Automaton.SeedFrom(corrupt, 4); err != nil {
 		t.Fatalf("SeedFrom: %v", err)
 	}
-	sink.SeedVersion(4)
+	sink.seedVersion(4)
 	if err := run.Automaton.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}

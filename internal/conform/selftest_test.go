@@ -41,7 +41,7 @@ func requireViolation(t *testing.T, app App, invariant string) Result {
 	t.Helper()
 	res := RunOne(app, Schedule{Seed: 1, Workers: 1})
 	if !hasInvariant(res.Violations, invariant) {
-		t.Fatalf("planted %q violation not detected; got:\n%s", invariant, res.FailureSummary())
+		t.Fatalf("planted %q violation not detected; got:\n%s", invariant, res.failureSummary())
 	}
 	return res
 }
@@ -223,7 +223,7 @@ func TestSelfCleanRunPasses(t *testing.T) {
 	}
 	res := RunOne(&syncPipeApp{}, s)
 	if res.Failed() {
-		t.Fatalf("clean pipeline reported violations:\n%s", res.FailureSummary())
+		t.Fatalf("clean pipeline reported violations:\n%s", res.failureSummary())
 	}
 	if !res.Completed {
 		t.Fatal("clean pipeline did not complete")
@@ -248,7 +248,7 @@ func TestShrinkMinimizes(t *testing.T) {
 	if !RunOne(app, noisy).Failed() {
 		t.Fatal("noisy schedule unexpectedly passed")
 	}
-	shrunk := Shrink(app, noisy)
+	shrunk := shrink(app, noisy)
 	want := Schedule{Seed: 5, Workers: 1, Policy: core.PublishEveryRound}
 	if !reflect.DeepEqual(shrunk, want) {
 		t.Fatalf("shrunk schedule not minimal:\ngot  %s\nwant %s", shrunk, want)

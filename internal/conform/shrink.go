@@ -14,13 +14,13 @@ const shrinkRetries = 3
 // shrinkRetries runs), so shrinking a pathological failure stays bounded.
 const shrinkBudget = 48
 
-// Shrink minimizes a failing schedule by greedily applying simplifying
+// shrink minimizes a failing schedule by greedily applying simplifying
 // transformations — dropping chaos points, zeroing faults, reverting
 // policy/snapshot/workers to defaults, halving the interrupt ordinal —
 // and keeping each one that still reproduces a violation. The result is
 // the smallest schedule the budget could confirm failing, which is what a
 // human debugs from.
-func Shrink(app App, s Schedule) Schedule {
+func shrink(app App, s Schedule) Schedule {
 	budget := shrinkBudget
 	fails := func(c Schedule) bool {
 		if budget <= 0 {

@@ -38,7 +38,7 @@ func TestTracerRidesChaosSweeps(t *testing.T) {
 		seeds = 4
 	}
 	for seed := uint64(1); seed <= seeds; seed++ {
-		s := DeriveSchedule(app, seed)
+		s := deriveSchedule(app, seed)
 		inst, env := build(s)
 		_, tr := reqtrace.New(context.Background(), app.Name())
 		slot.Bind(tr)
@@ -47,7 +47,7 @@ func TestTracerRidesChaosSweeps(t *testing.T) {
 		tr.Finish(0)
 
 		if res.Failed() {
-			t.Fatalf("tracer perturbed seed %d:\n%s\nschedule: %s", seed, res.FailureSummary(), s)
+			t.Fatalf("tracer perturbed seed %d:\n%s\nschedule: %s", seed, res.failureSummary(), s)
 		}
 		// The bound trace saw exactly what the sink probe saw.
 		publishes := 0
@@ -61,9 +61,9 @@ func TestTracerRidesChaosSweeps(t *testing.T) {
 		}
 	}
 	// An unbound slot (no request in flight) must also be harmless.
-	s := DeriveSchedule(app, 1)
+	s := deriveSchedule(app, 1)
 	inst, env := build(s)
 	if res := runCycle(app, inst, env, s); res.Failed() {
-		t.Fatalf("unbound tracer perturbed the run:\n%s", res.FailureSummary())
+		t.Fatalf("unbound tracer perturbed the run:\n%s", res.failureSummary())
 	}
 }

@@ -32,17 +32,16 @@ func cacheEpoch(size, workers int) uint64 {
 // seedDelta attempts a delta start: the request's exact content key
 // missed, but the client named a sibling key (?prior=, typically the
 // previous frame of a stream) whose entry may still be cached. On a
-// sibling hit, the tiles where the two inputs differ are computed with
-// pix.TileDiff, dilated once for the consumers' stencil halo, and the
-// automaton is seeded with a pix.SeedFrame — the cached frame with the
-// changed tiles marked stale, so only those fall back to hold-fill until
-// recomputed.
+// sibling hit the automaton is seeded with a pix.SeedFrame: the cached
+// frame plus the set of its tiles that cannot be trusted, which fall back
+// to hold-fill until recomputed.
 //
-// The daemon's in-process routes serve one fixed input each, so prior and
-// current input pixels coincide and the diff is empty; clients running
-// their own frames through cmd/anytime -cache (or embedding
-// internal/serve directly) exercise real frame-to-frame diffs. Returns
-// the X-Anytime-Cache header value ("delta", or "" when the sibling also
+// The daemon's in-process routes serve one fixed input each, so the
+// sibling's input is this route's own and no tile is stale: the set is
+// empty, built from the input's tile grid with no compare. Clients running
+// their own frames through cmd/anytime -cache (or embedding internal/serve
+// directly) diff real frames with pix.TileDiff. Returns the
+// X-Anytime-Cache header value ("delta", or "" when the sibling also
 // missed or could not seed) and the seed version.
 func (s *Server) seedDelta(ctx context.Context, entry serve.Entry[*pix.Image], app, prior string, input *pix.Image) (string, core.Version) {
 	tr := reqtrace.FromContext(ctx)
@@ -52,14 +51,7 @@ func (s *Server) seedDelta(ctx context.Context, entry serve.Entry[*pix.Image], a
 		return "", 0
 	}
 	s.serveSink.Send(tr.CacheHit(app, prior, uint64(pe.Version), true))
-	// The sibling entry's input is this route's own input (one fixed input
-	// per route); diff yields the tiles that cannot be trusted.
-	stale, err := pix.TileDiff(input, input)
-	if err != nil {
-		tr.Error("delta diff: " + err.Error())
-		return "", 0
-	}
-	stale.Dilate()
+	stale := pix.NewDirtyTiles(pix.NewTileGrid(input.W, input.H, input.C))
 	if !serve.Seed(ctx, entry, &pix.SeedFrame{Image: pe.Value, Stale: stale}, pe.Version) {
 		return "", 0
 	}

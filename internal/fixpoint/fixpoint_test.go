@@ -1,79 +1,9 @@
 package fixpoint
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
-
-func TestQValidate(t *testing.T) {
-	bad := []Q{{Width: 1, Frac: 0}, {Width: 33, Frac: 0}, {Width: 8, Frac: 8}, {Width: 8, Frac: 9}}
-	for _, q := range bad {
-		if err := q.Validate(); err == nil {
-			t.Errorf("Q%+v validated", q)
-		}
-	}
-	good := []Q{{Width: 2, Frac: 0}, Q16_8, Q32_16, {Width: 32, Frac: 31}}
-	for _, q := range good {
-		if err := q.Validate(); err != nil {
-			t.Errorf("Q%+v rejected: %v", q, err)
-		}
-	}
-}
-
-func TestQRangeAndOne(t *testing.T) {
-	q := Q{Width: 8, Frac: 4}
-	if q.Max() != 127 || q.Min() != -128 || q.One() != 16 {
-		t.Errorf("Max=%d Min=%d One=%d", q.Max(), q.Min(), q.One())
-	}
-}
-
-func TestFromFloatToFloatRoundTrip(t *testing.T) {
-	q := Q16_8
-	cases := []float64{0, 1, -1, 0.5, -0.5, 3.25, -7.75, 100.125}
-	for _, f := range cases {
-		v := q.FromFloat(f)
-		if got := q.ToFloat(v); got != f {
-			t.Errorf("round trip %v -> %d -> %v", f, v, got)
-		}
-	}
-}
-
-func TestFromFloatRoundsToNearest(t *testing.T) {
-	q := Q{Width: 16, Frac: 0}
-	if q.FromFloat(2.6) != 3 || q.FromFloat(2.4) != 2 || q.FromFloat(-2.6) != -3 {
-		t.Error("rounding wrong")
-	}
-}
-
-func TestFromFloatSaturates(t *testing.T) {
-	q := Q{Width: 8, Frac: 0}
-	if q.FromFloat(1e9) != 127 || q.FromFloat(-1e9) != -128 {
-		t.Error("saturation wrong")
-	}
-}
-
-func TestArithmeticSaturates(t *testing.T) {
-	q := Q{Width: 8, Frac: 0}
-	if q.Add(120, 120) != 127 {
-		t.Error("Add does not saturate high")
-	}
-	if q.Sub(-120, 120) != -128 {
-		t.Error("Sub does not saturate low")
-	}
-	if q.Mul(100, 100) != 127 {
-		t.Error("Mul does not saturate")
-	}
-}
-
-func TestMulFixedPoint(t *testing.T) {
-	q := Q16_8
-	a := q.FromFloat(1.5)
-	b := q.FromFloat(2.5)
-	if got := q.ToFloat(q.Mul(a, b)); got != 3.75 {
-		t.Errorf("1.5*2.5 = %v", got)
-	}
-}
 
 func TestTruncateLow(t *testing.T) {
 	if TruncateLow(0xFF, 4) != 0xF0 {
@@ -87,17 +17,6 @@ func TestTruncateLow(t *testing.T) {
 	}
 	if TruncateLow(123, 32) != 0 || TruncateLow(123, 64) != 0 {
 		t.Error("drop>=32 not zero")
-	}
-}
-
-func TestKeepTop(t *testing.T) {
-	// 8-bit value 0b10110111 keeping top 3 bits -> 0b10100000 pattern.
-	v := int32(0xB7)
-	if got := KeepTop(v, 3, 8); got != 0xA0 {
-		t.Errorf("KeepTop = %#x, want 0xA0", got)
-	}
-	if KeepTop(v, 8, 8) != v || KeepTop(v, 9, 8) != v {
-		t.Error("keep >= width changed value")
 	}
 }
 
@@ -121,7 +40,7 @@ func TestPlaneDecompositionIdentity(t *testing.T) {
 }
 
 // TestPlanePrefixEqualsMaskedValue: the cumulative sum of the top k planes
-// equals KeepTop(v, k, width) — the property that lets an asynchronous
+// equals v with its low width-k bits truncated — the property that lets an asynchronous
 // consumer of a diffusive bit-serial producer see exactly the reduced-
 // precision operand of an iterative producer.
 func TestPlanePrefixEqualsMaskedValue(t *testing.T) {
@@ -131,7 +50,7 @@ func TestPlanePrefixEqualsMaskedValue(t *testing.T) {
 		var sum int64
 		for k := uint(1); k <= width; k++ {
 			sum += int64(PlaneValue(v, width-k, width))
-			if sum != int64(KeepTop(v, k, width)) {
+			if sum != int64(TruncateLow(v, width-k)) {
 				return false
 			}
 		}
@@ -139,106 +58,5 @@ func TestPlanePrefixEqualsMaskedValue(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDot(t *testing.T) {
-	got, err := Dot([]int32{1, 2, 3}, []int32{4, -5, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 4-10+18 {
-		t.Errorf("Dot = %d", got)
-	}
-	if _, err := Dot([]int32{1}, []int32{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestDotLargeNoOverflow(t *testing.T) {
-	a := []int32{math.MaxInt32, math.MaxInt32}
-	b := []int32{math.MaxInt32, math.MaxInt32}
-	got, err := Dot(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 2 * int64(math.MaxInt32) * int64(math.MaxInt32)
-	if got != want {
-		t.Errorf("Dot = %d, want %d", got, want)
-	}
-}
-
-func TestBitSerialDotExact(t *testing.T) {
-	a := []int32{3, -7, 11, 0, 5}
-	b := []int32{-120, 45, 99, 7, -128}
-	want, _ := Dot(a, b)
-	var emitted []int64
-	got, err := BitSerialDot(a, b, 8, func(k uint, partial int64) {
-		emitted = append(emitted, partial)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("BitSerialDot = %d, want %d", got, want)
-	}
-	if len(emitted) != 8 {
-		t.Fatalf("emitted %d partials, want 8", len(emitted))
-	}
-	if emitted[7] != want {
-		t.Error("last partial is not the exact result")
-	}
-}
-
-// TestBitSerialDotPartialsMatchMaskedDots verifies Figure 6's semantics:
-// after k planes the partial result equals the dot product computed with
-// only the top k bits of the second operand.
-func TestBitSerialDotPartialsMatchMaskedDots(t *testing.T) {
-	f := func(rawA, rawB []int16) bool {
-		n := min(len(rawA), len(rawB))
-		if n == 0 {
-			return true
-		}
-		a := make([]int32, n)
-		b := make([]int32, n)
-		for i := 0; i < n; i++ {
-			a[i] = int32(rawA[i])
-			b[i] = int32(rawB[i])
-		}
-		const width = 16
-		ok := true
-		_, err := BitSerialDot(a, b, width, func(k uint, partial int64) {
-			masked := make([]int32, n)
-			for i := range b {
-				masked[i] = KeepTop(b[i], k, width)
-			}
-			want, _ := Dot(a, masked)
-			if partial != want {
-				ok = false
-			}
-		})
-		return err == nil && ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBitSerialDotValidation(t *testing.T) {
-	if _, err := BitSerialDot([]int32{1}, []int32{1, 2}, 8, nil); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := BitSerialDot([]int32{1}, []int32{1}, 0, nil); err == nil {
-		t.Error("zero width accepted")
-	}
-	if _, err := BitSerialDot([]int32{1}, []int32{1}, 33, nil); err == nil {
-		t.Error("width 33 accepted")
-	}
-}
-
-func TestBitSerialDotNilEmit(t *testing.T) {
-	got, err := BitSerialDot([]int32{2, 3}, []int32{4, 5}, 8, nil)
-	if err != nil || got != 23 {
-		t.Errorf("BitSerialDot nil emit = %d, %v", got, err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package metrics implements the accuracy metrics of the paper's evaluation
 // (§IV-A2): signal-to-noise ratio (SNR) in decibels of an approximate output
-// relative to the baseline precise output, plus the related MSE/RMSE/PSNR
-// measures common in image processing. An exact match yields +Inf dB,
+// relative to the baseline precise output, plus the related MSE/PSNR measures
+// common in image processing. An exact match yields +Inf dB,
 // matching the paper's "∞ dB is perfect accuracy".
 package metrics
 
@@ -25,15 +25,6 @@ func MSE(ref, approx []int32) (float64, error) {
 		sum += d * d
 	}
 	return sum / float64(len(ref)), nil
-}
-
-// RMSE returns the root mean squared error between ref and approx.
-func RMSE(ref, approx []int32) (float64, error) {
-	mse, err := MSE(ref, approx)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(mse), nil
 }
 
 // SNR returns the signal-to-noise ratio, in decibels, of approx relative to
@@ -79,36 +70,6 @@ func PSNR(ref, approx []int32, peak int32) (float64, error) {
 	}
 	p := float64(peak)
 	return 10 * math.Log10(p*p/mse), nil
-}
-
-// MaxAbsError returns the largest absolute elementwise difference.
-func MaxAbsError(ref, approx []int32) (int64, error) {
-	if err := checkLens(len(ref), len(approx)); err != nil {
-		return 0, err
-	}
-	var worst int64
-	for i := range ref {
-		d := int64(ref[i]) - int64(approx[i])
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
-}
-
-// MeanAbsError returns the mean absolute elementwise difference.
-func MeanAbsError(ref, approx []int32) (float64, error) {
-	if err := checkLens(len(ref), len(approx)); err != nil {
-		return 0, err
-	}
-	var sum float64
-	for i := range ref {
-		sum += math.Abs(float64(ref[i]) - float64(approx[i]))
-	}
-	return sum / float64(len(ref)), nil
 }
 
 // FormatDB renders a decibel value the way the paper's figures do: "inf"

@@ -59,16 +59,6 @@ func TestMSEKnownValue(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	rmse, err := RMSE([]int32{0, 0}, []int32{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rmse-math.Sqrt(12.5)) > 1e-12 {
-		t.Errorf("RMSE = %v", rmse)
-	}
-}
-
 func TestPSNR(t *testing.T) {
 	db, err := PSNR([]int32{255, 0}, []int32{255, 0}, 255)
 	if err != nil {
@@ -87,26 +77,6 @@ func TestPSNR(t *testing.T) {
 	}
 	if _, err := PSNR([]int32{1}, []int32{1}, 0); err == nil {
 		t.Error("nonpositive peak accepted")
-	}
-}
-
-func TestMaxAbsError(t *testing.T) {
-	got, err := MaxAbsError([]int32{math.MinInt32, 5}, []int32{math.MaxInt32, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != int64(math.MaxInt32)-int64(math.MinInt32) {
-		t.Errorf("MaxAbsError across int32 range = %d", got)
-	}
-}
-
-func TestMeanAbsError(t *testing.T) {
-	got, err := MeanAbsError([]int32{0, 0, 0}, []int32{1, -2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
-		t.Errorf("MeanAbsError = %v, want 2", got)
 	}
 }
 

@@ -122,6 +122,3 @@ func clamp8(v int32) int32 {
 	}
 	return v
 }
-
-// Clamp8Value clamps a single sample into [0, 255].
-func Clamp8Value(v int32) int32 { return clamp8(v) }

@@ -95,8 +95,8 @@ func TestClamp8(t *testing.T) {
 	if im.Pix[0] != 0 || im.Pix[1] != 128 || im.Pix[2] != 255 {
 		t.Errorf("Clamp8 = %v", im.Pix)
 	}
-	if Clamp8Value(-1) != 0 || Clamp8Value(256) != 255 || Clamp8Value(7) != 7 {
-		t.Error("Clamp8Value wrong")
+	if clamp8(-1) != 0 || clamp8(256) != 255 || clamp8(7) != 7 {
+		t.Error("clamp8 wrong")
 	}
 }
 

@@ -259,12 +259,6 @@ func NewTileCloner(w, h, c, depth int) (*TileCloner, error) {
 	return tc, nil
 }
 
-// Grid reports the cloner's tile grid.
-func (tc *TileCloner) Grid() TileGrid { return tc.g }
-
-// Depth reports the ring depth.
-func (tc *TileCloner) Depth() int { return len(tc.ring) }
-
 // Invalidate records that the tiles in d changed in the source image: every
 // ring member must re-copy them before it is published again.
 func (tc *TileCloner) Invalidate(d *DirtyTiles) {
@@ -369,13 +363,6 @@ func NewSnapshotter(working *Image, workers int, mode SnapshotMode) (*Snapshotte
 	}
 	return s, nil
 }
-
-// Mode reports the snapshotter's rendering mode.
-func (s *Snapshotter) Mode() SnapshotMode { return s.mode }
-
-// Filled exposes the computed-pixel mask (for stages that need to consult
-// it, e.g. to report coverage). The caller must not mutate it.
-func (s *Snapshotter) Filled() []bool { return s.filled }
 
 // Mark records that worker w computed (or recomputed) pixel index
 // idx = y*W + x of the working image. In SnapshotTiles mode it dirties

@@ -132,7 +132,7 @@ func TestTileClonerSyncsOnlyStaleTiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(dst *Image, tile int) { copyTile(tc.Grid(), dst, src, tile) }
+	render := func(dst *Image, tile int) { copyTile(tc.g, dst, src, tile) }
 	countingRender := func(n *int) func(*Image, int) {
 		return func(dst *Image, tile int) { *n++; render(dst, tile) }
 	}
@@ -159,10 +159,10 @@ func TestTileClonerSyncsOnlyStaleTiles(t *testing.T) {
 	}
 	// Invalidating one tile makes each ring member re-render exactly it.
 	src.Set(40, 40, 0, 7)
-	d := NewDirtyTiles(tc.Grid())
+	d := NewDirtyTiles(tc.g)
 	d.MarkPixel(40, 40)
 	tc.Invalidate(d)
-	for i := 0; i < tc.Depth(); i++ {
+	for i := 0; i < len(tc.ring); i++ {
 		n = 0
 		out = tc.Sync(countingRender(&n))
 		if n != 1 {
@@ -186,11 +186,11 @@ func TestSnapshotterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Mode() != SnapshotTiles {
-		t.Fatalf("mode = %d", s.Mode())
+	if s.mode != SnapshotTiles {
+		t.Fatalf("mode = %d", s.mode)
 	}
-	if len(s.Filled()) != 64 {
-		t.Fatalf("filled len = %d", len(s.Filled()))
+	if len(s.filled) != 64 {
+		t.Fatalf("filled len = %d", len(s.filled))
 	}
 }
 
@@ -236,7 +236,7 @@ func runSnapshotComparison(t *testing.T, rnd *rand.Rand, w, h, c, workers, snapE
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := HoldFill(working, tiles.Filled())
+		want, err := HoldFill(working, tiles.filled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +397,7 @@ func TestSnapshotterResetReuse(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := HoldFill(working, s.Filled())
+				want, err := HoldFill(working, s.filled)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -410,7 +410,7 @@ func TestSnapshotterResetReuse(t *testing.T) {
 	for cycle := 1; cycle <= 3; cycle++ {
 		run(cycle)
 		s.Reset()
-		for i, f := range s.Filled() {
+		for i, f := range s.filled {
 			if f {
 				t.Fatalf("cycle %d: filled[%d] survived Reset", cycle, i)
 			}
@@ -428,7 +428,7 @@ func TestSnapshotterResetCloneMode(t *testing.T) {
 	working.SetGray(0, 0, 9)
 	s.Mark(0, 0)
 	s.Reset()
-	if s.Filled()[0] {
+	if s.filled[0] {
 		t.Fatal("filled mask survived Reset")
 	}
 }
@@ -441,8 +441,8 @@ func TestTileClonerInvalidateAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(dst *Image, tile int) { copyTile(tc.Grid(), dst, src, tile) }
-	for i := 0; i < tc.Depth(); i++ {
+	render := func(dst *Image, tile int) { copyTile(tc.g, dst, src, tile) }
+	for i := 0; i < len(tc.ring); i++ {
 		tc.Sync(render)
 	}
 	var n int
@@ -451,7 +451,7 @@ func TestTileClonerInvalidateAll(t *testing.T) {
 		t.Fatalf("clean sync rendered %d tiles, want 0", n)
 	}
 	tc.InvalidateAll()
-	for i := 0; i < tc.Depth(); i++ {
+	for i := 0; i < len(tc.ring); i++ {
 		n = 0
 		out := tc.Sync(func(dst *Image, tile int) { n++; render(dst, tile) })
 		if n != 4 {

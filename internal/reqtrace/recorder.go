@@ -26,7 +26,6 @@ import (
 type Recorder struct {
 	size    int
 	sample  uint64
-	slowN   int
 	created time.Time
 
 	okSeen atomic.Uint64 // OK traces seen, for 1-in-SampleEvery sampling
@@ -34,7 +33,7 @@ type Recorder struct {
 	mu      sync.Mutex
 	ring    []*Trace // ring[0..len) valid; next is the overwrite cursor
 	next    int
-	slow    []time.Duration   // ascending; the N slowest retained OK elapsed times
+	slow    []time.Duration   // ascending; the slowTraces slowest retained OK elapsed times
 	kept    map[string]uint64 // traces ever retained, by the label they were filed under
 	sampled uint64
 	evicted uint64
@@ -47,10 +46,10 @@ type RecorderConfig struct {
 	// SampleEvery retains one in this many unremarkable OK traces
 	// (default 16; 1 keeps every trace).
 	SampleEvery int
-	// SlowN is how many of the slowest OK traces bypass sampling
-	// (default 8; negative disables the slow category).
-	SlowN int
 }
+
+// slowTraces is how many of the slowest OK traces bypass sampling.
+const slowTraces = 8
 
 // NewRecorder returns an empty flight recorder.
 func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
@@ -66,16 +65,9 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	if cfg.SampleEvery < 1 {
 		return nil, fmt.Errorf("reqtrace: sample-every %d must be positive", cfg.SampleEvery)
 	}
-	if cfg.SlowN == 0 {
-		cfg.SlowN = 8
-	}
-	if cfg.SlowN < 0 {
-		cfg.SlowN = 0
-	}
 	return &Recorder{
 		size:    cfg.Size,
 		sample:  uint64(cfg.SampleEvery),
-		slowN:   cfg.SlowN,
 		created: time.Now(),
 		ring:    make([]*Trace, 0, cfg.Size),
 		kept:    make(map[string]uint64),
@@ -117,14 +109,12 @@ func (r *Recorder) Record(t *Trace) (Category, bool) {
 }
 
 // admitSlow reports whether an OK trace with the given elapsed time ranks
-// among the slowest-N retained so far, updating the rank list if so.
+// among the slowTraces slowest retained so far, updating the rank list if
+// so.
 func (r *Recorder) admitSlow(elapsed time.Duration) bool {
-	if r.slowN == 0 {
-		return false
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.slow) < r.slowN {
+	if len(r.slow) < slowTraces {
 		r.slow = append(r.slow, elapsed)
 		sort.Slice(r.slow, func(i, j int) bool { return r.slow[i] < r.slow[j] })
 		return true

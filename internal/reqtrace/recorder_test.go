@@ -2,6 +2,7 @@ package reqtrace
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,12 @@ func finished(t *testing.T, route string, status int, events func(*Trace)) *Trac
 	}
 	tr.Finish(status)
 	return tr
+}
+
+// rankFull fills r's slow rank list with hour-long entries, so no trace a
+// test records ranks as slow and the sampler alone decides on OK traces.
+func rankFull(r *Recorder) {
+	r.slow = slices.Repeat([]time.Duration{time.Hour}, slowTraces)
 }
 
 func TestRecorderValidation(t *testing.T) {
@@ -57,10 +64,11 @@ func TestRecorderRefusesUnsealedTraces(t *testing.T) {
 // TestRecorderAlwaysKeepsInterestingCategories: errors, rejections,
 // and deadline misses bypass sampling entirely.
 func TestRecorderAlwaysKeepsInterestingCategories(t *testing.T) {
-	r, err := NewRecorder(RecorderConfig{Size: 64, SampleEvery: 1 << 30, SlowN: -1})
+	r, err := NewRecorder(RecorderConfig{Size: 64, SampleEvery: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rankFull(r)
 	shapes := []struct {
 		events func(*Trace)
 		status int
@@ -95,10 +103,11 @@ func TestRecorderAlwaysKeepsInterestingCategories(t *testing.T) {
 // TestRecorderSamplesOKTraces: exactly one in SampleEvery unremarkable
 // successes is retained; the rest are counted as sampled out.
 func TestRecorderSamplesOKTraces(t *testing.T) {
-	r, err := NewRecorder(RecorderConfig{Size: 64, SampleEvery: 4, SlowN: -1})
+	r, err := NewRecorder(RecorderConfig{Size: 64, SampleEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rankFull(r)
 	kept := 0
 	for i := 0; i < 16; i++ {
 		if _, ok := r.Record(finished(t, "r", 200, nil)); ok {
@@ -117,7 +126,7 @@ func TestRecorderSamplesOKTraces(t *testing.T) {
 // TestRecorderKeepsSlowestN: the slowest OK traces bypass sampling under
 // the "slow" label, and the rank list tightens as slower traces arrive.
 func TestRecorderKeepsSlowestN(t *testing.T) {
-	r, err := NewRecorder(RecorderConfig{Size: 64, SampleEvery: 1 << 30, SlowN: 2})
+	r, err := NewRecorder(RecorderConfig{Size: 64, SampleEvery: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,18 +136,19 @@ func TestRecorderKeepsSlowestN(t *testing.T) {
 		tr.elapsed = elapsed // backdate: elapsed drives the slow rank
 		return tr
 	}
-	// The first two fill the rank list regardless of speed.
-	for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond} {
-		if cat, kept := r.Record(mk(d)); !kept || cat != CategorySlow {
-			t.Fatalf("rank-filling trace: kept=%v cat=%v", kept, cat)
+	// The first slowTraces fill the rank list regardless of speed: 1ms,
+	// 2ms, and so on.
+	for i := 1; i <= slowTraces; i++ {
+		if cat, kept := r.Record(mk(time.Duration(i) * time.Millisecond)); !kept || cat != CategorySlow {
+			t.Fatalf("rank-filling trace %d: kept=%v cat=%v", i, kept, cat)
 		}
 	}
-	// Faster than both ranked entries: sampled out, not slow.
+	// Faster than every ranked entry: sampled out, not slow.
 	if _, kept := r.Record(mk(time.Microsecond)); kept {
 		t.Fatal("fast trace admitted as slow")
 	}
 	// Slower than the floor: admitted, evicting the rank floor.
-	if cat, kept := r.Record(mk(3 * time.Millisecond)); !kept || cat != CategorySlow {
+	if cat, kept := r.Record(mk(time.Hour)); !kept || cat != CategorySlow {
 		t.Fatalf("slowest trace: kept=%v cat=%v", kept, cat)
 	}
 	// The rank floor is now 2ms (the 1ms entry was evicted): 1.5ms no
@@ -149,12 +159,15 @@ func TestRecorderKeepsSlowestN(t *testing.T) {
 	if cat, kept := r.Record(mk(2500 * time.Microsecond)); !kept || cat != CategorySlow {
 		t.Fatalf("newly ranking trace: kept=%v cat=%v", kept, cat)
 	}
+	if st := r.Stats(); st.ByCategory["slow"] != slowTraces+2 || st.SampledOut != 2 {
+		t.Errorf("stats %+v, want %d slow and 2 sampled out", st, slowTraces+2)
+	}
 }
 
 // TestRecorderRingWrapsOldestFirst: the ring is bounded, evicts
 // oldest-first, and Snapshot returns newest-first across the wrap.
 func TestRecorderRingWrapsOldestFirst(t *testing.T) {
-	r, err := NewRecorder(RecorderConfig{Size: 3, SampleEvery: 1, SlowN: -1})
+	r, err := NewRecorder(RecorderConfig{Size: 3, SampleEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

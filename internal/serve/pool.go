@@ -116,10 +116,3 @@ func (p *Pool[T]) Put(e Entry[T]) error {
 	p.sink.Send(e.Slot.Trace().PoolPut(p.name, retained))
 	return nil
 }
-
-// Idle reports the number of entries currently checked in.
-func (p *Pool[T]) Idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle)
-}

@@ -9,6 +9,13 @@ import (
 	"anytime/internal/reqtrace"
 )
 
+// idleLen reports the number of entries checked in to p.
+func idleLen[T any](p *Pool[T]) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.idle)
+}
+
 // countingEntry builds a trivial one-stage automaton publishing 1, 2, 3
 // and counts constructions, standing in for an expensive app pipeline.
 func countingBuilder(builds *int) func() (Entry[int], error) {
@@ -75,8 +82,8 @@ func TestPoolReuseAmortizesConstruction(t *testing.T) {
 	if len(events) != 5 || events[0] || !events[4] {
 		t.Fatalf("PoolGet warm events = %v", events)
 	}
-	if p.Idle() != 1 {
-		t.Fatalf("idle = %d, want 1", p.Idle())
+	if idleLen(p) != 1 {
+		t.Fatalf("idle = %d, want 1", idleLen(p))
 	}
 }
 
@@ -89,15 +96,15 @@ func TestPoolWarmPrebuilds(t *testing.T) {
 	if err := p.Warm(2); err != nil {
 		t.Fatal(err)
 	}
-	if builds != 2 || p.Idle() != 2 {
-		t.Fatalf("warm built %d, idle %d; want 2, 2", builds, p.Idle())
+	if builds != 2 || idleLen(p) != 2 {
+		t.Fatalf("warm built %d, idle %d; want 2, 2", builds, idleLen(p))
 	}
 	// Warm clamps at capacity.
 	if err := p.Warm(10); err != nil {
 		t.Fatal(err)
 	}
-	if builds != 3 || p.Idle() != 3 {
-		t.Fatalf("warm built %d, idle %d; want 3, 3", builds, p.Idle())
+	if builds != 3 || idleLen(p) != 3 {
+		t.Fatalf("warm built %d, idle %d; want 3, 3", builds, idleLen(p))
 	}
 	e, err := p.Get(context.Background())
 	if err != nil {
@@ -133,8 +140,8 @@ func TestPoolDiscardsBeyondCapacity(t *testing.T) {
 	if err := p.Put(b); err != nil {
 		t.Fatal(err)
 	}
-	if p.Idle() != 1 {
-		t.Fatalf("idle = %d, want 1", p.Idle())
+	if idleLen(p) != 1 {
+		t.Fatalf("idle = %d, want 1", idleLen(p))
 	}
 	if len(retained) != 2 || !retained[0] || retained[1] {
 		t.Fatalf("PoolPut retained events = %v, want [true false]", retained)
@@ -167,8 +174,8 @@ func TestPoolPutRunningAutomatonFails(t *testing.T) {
 	if err := p.Put(e); err == nil {
 		t.Fatal("Put of a running automaton succeeded")
 	}
-	if p.Idle() != 0 {
-		t.Fatalf("running automaton retained (idle = %d)", p.Idle())
+	if idleLen(p) != 0 {
+		t.Fatalf("running automaton retained (idle = %d)", idleLen(p))
 	}
 	close(block)
 	if err := e.Automaton.Wait(); err != nil {

@@ -174,12 +174,5 @@ func (q *Queue) Depth() int {
 	return len(q.waiters)
 }
 
-// Running reports the number of slots currently held.
-func (q *Queue) Running() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.running
-}
-
 // Slots reports the queue's concurrency bound.
 func (q *Queue) Slots() int { return q.slots }

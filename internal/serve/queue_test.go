@@ -11,6 +11,13 @@ import (
 	"anytime/internal/testgate"
 )
 
+// runningSlots reports the number of slots of q currently held.
+func runningSlots(q *Queue) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.running
+}
+
 func TestQueueValidation(t *testing.T) {
 	if _, err := NewQueue(0, 1, nil); err == nil {
 		t.Fatal("slots 0 accepted")
@@ -32,8 +39,8 @@ func TestQueueFastPath(t *testing.T) {
 	if err := q.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if q.Running() != 2 {
-		t.Fatalf("running = %d, want 2", q.Running())
+	if runningSlots(q) != 2 {
+		t.Fatalf("running = %d, want 2", runningSlots(q))
 	}
 	// waiters == 0: a third request is rejected immediately.
 	if err := q.Acquire(ctx); !errors.Is(err, ErrQueueFull) {
@@ -45,8 +52,8 @@ func TestQueueFastPath(t *testing.T) {
 	}
 	q.Release()
 	q.Release()
-	if q.Running() != 0 {
-		t.Fatalf("running = %d, want 0", q.Running())
+	if runningSlots(q) != 0 {
+		t.Fatalf("running = %d, want 0", runningSlots(q))
 	}
 }
 

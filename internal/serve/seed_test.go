@@ -177,7 +177,7 @@ func TestPooledSeedAcrossCheckouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Idle() != 0 {
+	if idleLen(pool) != 0 {
 		t.Fatal("pool did not hand back the idle entry")
 	}
 	if _, ok := SeedFromCache(ctx, e, c, key); !ok {

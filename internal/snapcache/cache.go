@@ -34,8 +34,8 @@ import (
 type Key struct {
 	// App is the application the snapshot came from ("conv2d", ...).
 	App string
-	// Digest is the content digest of the request input (DigestImage /
-	// DigestBytes, or a caller-supplied routing key). Two requests share a
+	// Digest is the content digest of the request input (DigestImage, or
+	// a caller-supplied routing key). Two requests share a
 	// cache entry only if their digests match exactly.
 	Digest string
 	// Epoch fingerprints the app configuration the snapshot was computed
@@ -63,10 +63,6 @@ type Config[T any] struct {
 	TTL time.Duration
 	// SizeOf reports the payload size of a value in bytes. Required.
 	SizeOf func(T) int
-	// Clone, if non-nil, deep-copies values on the way in and out. Leave
-	// nil when cached values are immutable (the serving tier caches
-	// published app versions, which are).
-	Clone func(T) T
 	// Now is the clock; nil means time.Now. A test seam for TTL behavior.
 	Now func() time.Time
 }
@@ -79,7 +75,9 @@ type item[T any] struct {
 }
 
 // Cache is a content-addressed snapshot cache with TTL and size-bounded
-// LRU eviction. All methods are safe for concurrent use.
+// LRU eviction. All methods are safe for concurrent use. Values are held
+// and handed out as admitted, never copied: the serving tier caches
+// published app versions, which are immutable.
 type Cache[T any] struct {
 	cfg Config[T]
 
@@ -145,11 +143,7 @@ func (c *Cache[T]) Get(k Key) (Entry[T], bool) {
 		var zero Entry[T]
 		return zero, false
 	}
-	e := it.e
-	if c.cfg.Clone != nil {
-		e.Value = c.cfg.Clone(e.Value)
-	}
-	return e, true
+	return it.e, true
 }
 
 // Put admits an entry under k, evicting least-recently-used entries as
@@ -167,10 +161,6 @@ func (c *Cache[T]) Put(k Key, e Entry[T]) bool {
 	if bytes > c.cfg.MaxBytes {
 		return false
 	}
-	if c.cfg.Clone != nil {
-		e.Value = c.cfg.Clone(e.Value)
-	}
-
 	c.admit.Lock()
 	defer c.admit.Unlock()
 	now := c.cfg.Now()

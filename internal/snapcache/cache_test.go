@@ -201,41 +201,6 @@ func TestCacheConcurrentAdmission(t *testing.T) {
 	}
 }
 
-func TestCacheCloneIsolation(t *testing.T) {
-	c, err := New(Config[[]byte]{
-		SizeOf: func(b []byte) int { return len(b) },
-		Clone:  func(b []byte) []byte { return append([]byte(nil), b...) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := Key{App: "a", Digest: "d", Epoch: 1}
-	src := []byte("abc")
-	c.Put(k, Entry[[]byte]{Value: src, Version: 1})
-	src[0] = 'z'
-	e, _ := c.Get(k)
-	if string(e.Value) != "abc" {
-		t.Fatalf("cache aliased the admitted value: %q", e.Value)
-	}
-	e.Value[0] = 'q'
-	e2, _ := c.Get(k)
-	if string(e2.Value) != "abc" {
-		t.Fatalf("reader mutation reached the cache: %q", e2.Value)
-	}
-}
-
-func TestDigestBytes(t *testing.T) {
-	if DigestBytes([]byte("ab"), []byte("c")) == DigestBytes([]byte("a"), []byte("bc")) {
-		t.Fatal("part boundaries not folded in")
-	}
-	if DigestBytes([]byte("abc")) != DigestBytes([]byte("abc")) {
-		t.Fatal("digest not deterministic")
-	}
-	if len(DigestBytes()) != 32 {
-		t.Fatalf("digest length %d, want 32 hex chars", len(DigestBytes()))
-	}
-}
-
 func TestDigestImage(t *testing.T) {
 	a := pix.MustNew(8, 8, 1)
 	b := pix.MustNew(8, 8, 1)

@@ -25,29 +25,6 @@ const (
 	fnvOffsetAlt = 0x9E3779B97F4A7C15
 )
 
-// DigestBytes digests a byte stream, folding each part's length in so
-// ("ab","c") and ("a","bc") differ.
-func DigestBytes(parts ...[]byte) string {
-	h1 := uint64(fnvOffset64)
-	h2 := uint64(fnvOffsetAlt)
-	mix := func(b byte) {
-		h1 = (h1 ^ uint64(b)) * fnvPrime64
-		h2 = (h2 ^ uint64(b)) * fnvPrime64
-	}
-	for _, p := range parts {
-		for n := uint64(len(p)); ; n >>= 8 {
-			mix(byte(n))
-			if n < 256 {
-				break
-			}
-		}
-		for _, b := range p {
-			mix(b)
-		}
-	}
-	return fmt.Sprintf("%016x%016x", h1, h2)
-}
-
 // DigestImage digests an image's geometry and samples. Images differing in
 // any sample, or in shape alone, digest differently.
 func DigestImage(im *pix.Image) string {

@@ -44,11 +44,11 @@ func TestZeroProbabilityNeverFlips(t *testing.T) {
 			}
 		}
 	}
-	if a.Flips() != 0 {
-		t.Errorf("p=0 injected %d flips", a.Flips())
+	if a.flips != 0 {
+		t.Errorf("p=0 injected %d flips", a.flips)
 	}
-	if a.Reads() != 5000 {
-		t.Errorf("read count = %d", a.Reads())
+	if a.reads != 5000 {
+		t.Errorf("read count = %d", a.reads)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestFlipRatePlausible(t *testing.T) {
 	}
 	bitsRead := float64(n * 32)
 	want := bitsRead * p
-	got := float64(a.Flips())
+	got := float64(a.flips)
 	if got < want/2 || got > want*2 {
 		t.Errorf("flips = %v, expected about %v", got, want)
 	}
@@ -93,7 +93,7 @@ func TestDataDestructivePersistence(t *testing.T) {
 	for i := range init {
 		a.Read(i)
 	}
-	if a.Flips() == 0 {
+	if a.flips == 0 {
 		t.Fatal("expected some flips at p=0.05")
 	}
 	// Raising accuracy (prob -> 0) must NOT repair the corruption.
@@ -146,11 +146,11 @@ func TestReadCleanDoesNotConsumeRandomness(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	for i := 0; i < 256; i++ {
-		b.ReadClean(i % 256)
+		b.readClean(i % 256)
 	}
 	for i := 0; i < 256; i++ {
 		if a.Read(i) != b.Read(i) {
-			t.Fatal("ReadClean perturbed the fault sequence")
+			t.Fatal("readClean perturbed the fault sequence")
 		}
 	}
 }
@@ -234,7 +234,7 @@ func TestUpsetScalesWithBitsRead(t *testing.T) {
 		for i := 0; i < words; i++ {
 			a.Read(i)
 		}
-		return a.Flips()
+		return a.flips
 	}
 	small := run(1 << 14)
 	large := run(1 << 15)

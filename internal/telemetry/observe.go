@@ -149,7 +149,7 @@ func (p *pipelineObserver) checkpoint(stage string, wait time.Duration) {
 //     time between successive publishes (the output refresh rate).
 //
 // Like any publish observer it must be attached before the automaton
-// starts, and it coexists with a trace.Tracer on the same buffer.
+// starts, and it coexists with a reqtrace.Trace recording the same buffer.
 func ObserveBuffer[T any](reg *Registry, buf *core.Buffer[T]) {
 	labels := Labels{"buffer": buf.Name()}
 	publishes := reg.Counter(MetricBufferPublish, labels)
