@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -282,5 +283,32 @@ func TestPublishOnDemandServesConsumers(t *testing.T) {
 	}
 	if got := seen.Load(); got != total/gran {
 		t.Errorf("observer saw %d publishes, want %d", got, total/gran)
+	}
+}
+
+// TestPublishOnDemandServesReaderAtRoundEnd: a round decides at its start
+// whether it publishes, but a reader that consumes the last version while
+// an unpublished on-demand round runs is served at that round's end, not
+// one round later.
+func TestPublishOnDemandServesReaderAtRoundEnd(t *testing.T) {
+	out := NewBuffer[int]("out", nil)
+	const total, gran = 64, 4
+	var built []int
+	err := stageEnv(t, func(c *Context) error {
+		return Diffusive(c, out, total,
+			func(pos int) error {
+				if pos == 21 { // inside round 6, positions [20, 24)
+					out.Latest()
+				}
+				return nil
+			},
+			func(processed int) (int, error) { built = append(built, processed); return processed, nil },
+			RoundConfig{Granularity: gran, Policy: PublishOnDemand})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{4, 24, 64}; !slices.Equal(built, want) {
+		t.Errorf("snapshots built after %v updates, want %v", built, want)
 	}
 }

@@ -138,7 +138,7 @@ func DiffusiveWorkers[T any](c *Context, out *Buffer[T], total int, apply func(w
 // pass over the parent's final snapshot may mark the child's buffer final,
 // so intermediate passes run with markFinal = false.
 func DiffusivePass[T any](c *Context, out *Buffer[T], total int, apply func(worker, pos int) error, snapshot func(processed int) (T, error), cfg RoundConfig, markFinal bool) error {
-	return diffusiveRun(c, out, total,
+	return DiffusiveBatch(c, out, total,
 		func(worker, lo, hi int) error { return applySpan(worker, lo, hi, apply) },
 		snapshot, cfg, markFinal)
 }
@@ -150,8 +150,30 @@ func DiffusivePass[T any](c *Context, out *Buffer[T], total int, apply func(work
 // per worker; as with DiffusiveWorkers, a given worker's chunks execute
 // sequentially, so worker-private accumulators are safe.
 func DiffusiveBatch[T any](c *Context, out *Buffer[T], total int, apply func(worker, lo, hi int) error, snapshot func(processed int) (T, error), cfg RoundConfig, markFinal bool) error {
-	return diffusiveRun(c, out, total, apply, snapshot, cfg, markFinal)
+	return DiffusiveRounds(c, out, total, func(fork Fork, lo, hi int, publish bool) (v T, err error) {
+		if err = fork.p.run(lo, hi, spanAlign, apply); err != nil || !publish {
+			return v, err
+		}
+		return snapshot(hi)
+	}, cfg, markFinal)
 }
+
+// A Fork is a diffusive pass's round pool as its rounds see it: W
+// goroutines kept for the whole pass, the stage goroutine being worker 0.
+type Fork struct{ p *roundPool }
+
+// Run runs part over [lo, hi) cut into one contiguous span per worker,
+// worker 0's on the calling stage goroutine, and returns once every span
+// has run, with the first error in worker order. A range of fewer units
+// than workers runs inline, as worker 0's one span; an empty one runs
+// nothing.
+func (f Fork) Run(lo, hi int, part func(worker, lo, hi int) error) error {
+	return f.p.run(lo, hi, 1, part)
+}
+
+// Splits reports whether Run cuts a range of n units into more than one
+// span; when it does not, the calling goroutine runs the whole range.
+func (f Fork) Splits(n int) bool { return !f.p.inline(n) }
 
 // checkpointStride is the minimum number of updates the diffusive round
 // loop aims to apply between successive Checkpoint calls. When Granularity
@@ -170,18 +192,30 @@ func DiffusiveBatch[T any](c *Context, out *Buffer[T], total int, apply func(wor
 // checkpointed.
 const checkpointStride = 4096
 
-// diffusiveRun is the shared round loop of the diffusive stage shapes: it
-// applies rounds of Granularity contiguous positions through run (split
-// across the pass's persistent workers) and publishes snapshots as the
-// round config's publish policy dictates. A skipped round's updates are
-// simply covered by the next snapshot that does get built — diffusive
-// updates are cumulative, so every published version reflects all updates
-// applied so far regardless of how many publish opportunities were skipped.
+// DiffusiveRounds is the round loop under the other diffusive shapes, with
+// each round handed whole to the stage: round(fork, lo, hi, publish)
+// applies updates [lo, hi), through fork in whatever bands suit the stage,
+// and when publish is set returns the snapshot after them. Rounds are
+// Granularity contiguous positions, and the round config's publish policy
+// decides which publish. A skipped round's updates are simply covered by
+// the next snapshot that does get built — diffusive updates are
+// cumulative, so every published version reflects all updates applied so
+// far regardless of how many publish opportunities were skipped.
+//
+// A stage whose snapshot costs work of its own — a hold-fill, a version
+// copy — folds it into the round's fork, so every worker shares it instead
+// of the stage goroutine alone; Publish itself stays on the stage
+// goroutine. Whether a round publishes is decided at its start. An
+// on-demand round that starts unpublished and ends demanded — a reader
+// consumed the last version or blocked for the next meanwhile — is
+// followed by an empty round, round(fork, hi, hi, true), so the reader is
+// served at the same boundary a decision at the round's end would serve
+// it.
 //
 // Rounds are grouped into checkpoint batches (see checkpointStride): the
 // loop checkpoints once per batch, then runs the batch's rounds with a
 // publish opportunity at every round boundary exactly as before.
-func diffusiveRun[T any](c *Context, out *Buffer[T], total int, run func(worker, lo, hi int) error, snapshot func(processed int) (T, error), cfg RoundConfig, markFinal bool) error {
+func DiffusiveRounds[T any](c *Context, out *Buffer[T], total int, round func(fork Fork, lo, hi int, publish bool) (T, error), cfg RoundConfig, markFinal bool) error {
 	if total < 0 {
 		return fmt.Errorf("core: diffusive stage %q has negative total %d", c.Name(), total)
 	}
@@ -190,15 +224,16 @@ func diffusiveRun[T any](c *Context, out *Buffer[T], total int, run func(worker,
 		return err
 	}
 	if total == 0 {
-		v, err := snapshot(0)
+		v, err := round(Fork{newRoundPool(1)}, 0, 0, true)
 		if err != nil {
 			return err
 		}
 		_, err = out.Publish(v, markFinal)
 		return err
 	}
-	pool := newRoundPool(cfg.Workers, run)
+	pool := newRoundPool(cfg.Workers)
 	defer pool.stop()
+	fork := Fork{pool}
 	batchRounds := 1
 	if cfg.Granularity < checkpointStride {
 		batchRounds = (checkpointStride + cfg.Granularity - 1) / cfg.Granularity
@@ -219,6 +254,7 @@ func diffusiveRun[T any](c *Context, out *Buffer[T], total int, run func(worker,
 			return false
 		}
 	}
+	onDemand := cfg.Policy == PublishOnDemand
 	for done := 0; done < total; {
 		if err := c.Checkpoint(); err != nil {
 			return err
@@ -232,20 +268,19 @@ func diffusiveRun[T any](c *Context, out *Buffer[T], total int, run func(worker,
 		// at a cost of one scheduler call per batch.
 		runtime.Gosched()
 		for r := 0; r < batchRounds && done < total; r++ {
-			n := cfg.Granularity
-			if done+n > total {
-				n = total - done
+			lo, hi := done, min(done+cfg.Granularity, total)
+			final := hi == total
+			publish := final || !onDemand || out.Demanded()
+			v, err := round(fork, lo, hi, publish)
+			if err == nil && !publish && out.Demanded() {
+				v, err = round(fork, hi, hi, true)
+				publish = true
 			}
-			if err := pool.apply(done, n); err != nil {
+			if err != nil {
 				return err
 			}
-			done += n
-			final := done == total
-			if final || cfg.Policy != PublishOnDemand || out.Demanded() {
-				v, err := snapshot(done)
-				if err != nil {
-					return err
-				}
+			done = hi
+			if publish {
 				if _, err := out.Publish(v, markFinal && final); err != nil {
 					return err
 				}
@@ -307,34 +342,30 @@ func applySpan(worker, lo, hi int, apply func(worker, pos int) error) error {
 const spanAlign = 16
 
 // spanBound returns worker boundary w of n positions split across workers:
-// the exact n*w/workers split rounded up to spanAlign, capped at n. Bounds
-// are non-decreasing in w, bound 0 is 0, and bound `workers` is n, so the
-// spans [bound(w), bound(w+1)) cover [0, n) exactly once.
-func spanBound(n, w, workers int) int {
+// the exact n*w/workers split rounded up to a multiple of align, capped at
+// n. Bounds are non-decreasing in w, bound 0 is 0, and bound `workers` is
+// n, so the spans [bound(w), bound(w+1)) cover [0, n) exactly once.
+func spanBound(n, w, workers, align int) int {
 	if w >= workers {
 		return n
 	}
-	b := (n*w/workers + spanAlign - 1) &^ (spanAlign - 1)
-	if b > n {
-		b = n
-	}
-	return b
+	return min((n*w/workers+align-1)/align*align, n)
 }
 
 // spinIters bounds the busy-wait phases of the round pool's handshakes: a
 // worker spins this long for its next span before parking on its wake
-// channel, and the dispatcher spins this long for round completion before
+// channel, and the dispatcher spins this long for fork completion before
 // parking in wg.Wait. At ~1ns per polling iteration it covers tens of
 // microseconds — enough that back-to-back small rounds (the per-update
 // serving path) never pay a goroutine park/unpark round trip, while a pool
-// idling across an expensive snapshot still parks and frees the CPU. Under
+// idling across an expensive publish still parks and frees the CPU. Under
 // the race detector every atomic load is instrumented and ~50× more
 // expensive, so the bound shrinks accordingly (see race_on.go).
 const spinIters = (1 - raceEnabled) << 14 // 16384 normally, 0 (park immediately) under -race
 
 // roundWorker is one persistent worker's slot, padded so that slots on
 // adjacent cache lines never share the hot fields: the dispatcher writes
-// lo/hi/seq each round and the worker writes err/done each round.
+// lo/hi/seq each fork and the worker writes err/done each fork.
 type roundWorker struct {
 	lo, hi int
 	quit   bool
@@ -345,13 +376,15 @@ type roundWorker struct {
 	_      [40]byte
 }
 
-// roundPool executes rounds of a diffusive pass. Workers 1..W-1 are
+// roundPool runs the forks of a diffusive pass. Workers 1..W-1 are
 // goroutines spawned once for the whole pass; worker 0's span runs inline
-// on the stage goroutine. Compared to spawning W goroutines per round this
+// on the stage goroutine. Compared to spawning W goroutines per fork this
 // keeps worker identity stable (worker-private scratch stays on a warm
-// stack and cache), removes the per-round spawn allocations, and leaves
-// the publish path untouched on the stage goroutine — the single writer
-// that conform's goroutine-pinning probe checks.
+// stack and cache) and removes the per-round spawn allocations. A fork runs
+// whatever part its round hands it — a round's updates, or its updates
+// fused with the snapshot's hold-fill and version copy — while the round
+// loop keeps Publish on the stage goroutine, the single writer that
+// conform's goroutine-pinning probe checks.
 //
 // Handover is a seq-number handshake with bounded spinning on both sides
 // (see spinIters). Parking is race-free by the usual store/load-check
@@ -362,24 +395,25 @@ type roundWorker struct {
 // token channel is buffered and conflating — a stale token only causes one
 // extra loop of the worker's seq check.
 //
-// Memory ordering: the dispatcher's seq.Add publishing lo/hi
+// Memory ordering: the dispatcher's seq.Add publishing part and lo/hi
 // happens-before the worker's seq.Load observing it, and the worker's
 // done.Add after its span happens-before the dispatcher's done.Load
-// observing the count, so each round's writes are visible to snapshot()
-// and to the same worker's next round without further synchronization.
+// observing the count, so each fork's writes are visible to the stage
+// goroutine and to every worker's next fork without further
+// synchronization.
 type roundPool struct {
-	run     func(worker, lo, hi int) error
-	n       int           // configured worker count
-	workers []roundWorker // index 0 unused; stage goroutine is worker 0. nil = inline-only pool
-	done    atomic.Int32  // spans completed this round
+	part    func(worker, lo, hi int) error // the fork in flight's body
+	n       int                            // configured worker count
+	workers []roundWorker                  // index 0 unused; stage goroutine is worker 0. nil = inline-only pool
+	done    atomic.Int32                   // spans completed this fork
 	wg      sync.WaitGroup
 }
 
-func newRoundPool(workers int, run func(worker, lo, hi int) error) *roundPool {
-	p := &roundPool{run: run, n: workers}
+func newRoundPool(workers int) *roundPool {
+	p := &roundPool{n: workers}
 	// On a single-P runtime the goroutines could never overlap the stage
-	// goroutine anyway, so don't spawn them at all: every round runs
-	// through applyInline, and the pool costs nothing beyond its struct.
+	// goroutine anyway, so don't spawn them at all: every fork runs
+	// through runInline, and the pool costs nothing beyond its struct.
 	if workers <= 1 || runtime.GOMAXPROCS(0) == 1 {
 		return p
 	}
@@ -395,8 +429,8 @@ func (p *roundPool) worker(w int) {
 	slot := &p.workers[w]
 	seen := uint32(0)
 	// Park immediately while waiting for the first dispatch — it may never
-	// come (small totals dispatch fewer workers). Spinning only pays
-	// between back-to-back rounds, so the budget turns on after the first
+	// come (small forks dispatch fewer workers). Spinning only pays
+	// between back-to-back forks, so the budget turns on after the first
 	// completed span.
 	budget := 0
 	for {
@@ -421,7 +455,7 @@ func (p *roundPool) worker(w int) {
 		if slot.quit {
 			return
 		}
-		slot.err = p.run(w, slot.lo, slot.hi)
+		slot.err = p.part(w, slot.lo, slot.hi)
 		p.done.Add(1)
 		p.wg.Done()
 		budget = spinIters
@@ -441,34 +475,39 @@ func (p *roundPool) dispatch(w, lo, hi int) {
 	}
 }
 
-// apply executes one round over positions [start, start+n).
-func (p *roundPool) apply(start, n int) error {
-	workers := p.n
-	if workers > n {
-		workers = n
+// inline reports whether a fork of n units runs as worker 0's one span:
+// with one worker, or fewer units than workers.
+func (p *roundPool) inline(n int) bool { return p.n <= 1 || n < p.n }
+
+// run is one fork: part over [lo, hi), worker w taking the span between
+// boundaries w and w+1 of spanBound(hi-lo, ·, W, align).
+func (p *roundPool) run(lo, hi, align int, part func(worker, lo, hi int) error) error {
+	n, workers := hi-lo, p.n
+	if n <= 0 {
+		return nil
 	}
-	if workers <= 1 {
-		return p.run(0, start, start+n)
+	if p.inline(n) {
+		return part(0, lo, hi)
 	}
 	if p.workers == nil || runtime.GOMAXPROCS(0) == 1 {
-		return p.applyInline(start, n, workers)
+		return runInline(lo, n, workers, align, part)
 	}
+	p.part = part
 	p.done.Store(0)
-	hi0 := spanBound(n, 1, workers)
 	dispatched := int32(0)
 	for w := 1; w < workers; w++ {
-		lo := spanBound(n, w, workers)
-		hi := spanBound(n, w+1, workers)
-		if lo >= hi {
+		b0 := spanBound(n, w, workers, align)
+		b1 := spanBound(n, w+1, workers, align)
+		if b0 >= b1 {
 			continue
 		}
 		dispatched++
 		p.wg.Add(1)
-		p.dispatch(w, start+lo, start+hi)
+		p.dispatch(w, lo+b0, lo+b1)
 	}
 	var err0 error
-	if hi0 > 0 {
-		err0 = p.run(0, start, start+hi0)
+	if hi0 := spanBound(n, 1, workers, align); hi0 > 0 {
+		err0 = part(0, lo, lo+hi0)
 	}
 	// Spin for completion (the workers finish at about the same time as
 	// the inline span), then fall back to a real wait. The WaitGroup is
@@ -494,28 +533,28 @@ func (p *roundPool) apply(start, n int) error {
 	return nil
 }
 
-// applyInline runs every worker's span sequentially on the stage
-// goroutine, keeping the same worker-index-to-span mapping as the parallel
-// path so worker-private partials end up in the same cells either way.
-// With a single scheduler P there is no parallelism to win: handing spans
-// to pool goroutines costs scheduler round-trips per round and can overlap
-// nothing, which is exactly the configuration where multi-worker rounds
-// used to run slower than single-worker ones.
-func (p *roundPool) applyInline(start, n, workers int) error {
+// runInline runs every worker's span sequentially on the stage goroutine,
+// keeping the same worker-index-to-span mapping as the parallel path so
+// worker-private partials end up in the same cells either way. With a
+// single scheduler P there is no parallelism to win: handing spans to pool
+// goroutines costs scheduler round-trips per fork and can overlap nothing,
+// which is exactly the configuration where multi-worker rounds used to run
+// slower than single-worker ones.
+func runInline(lo, n, workers, align int, part func(worker, lo, hi int) error) error {
 	for w := 0; w < workers; w++ {
-		lo, hi := spanBound(n, w, workers), spanBound(n, w+1, workers)
-		if lo >= hi {
+		b0, b1 := spanBound(n, w, workers, align), spanBound(n, w+1, workers, align)
+		if b0 >= b1 {
 			continue
 		}
-		if err := p.run(w, start+lo, start+hi); err != nil {
+		if err := part(w, lo+b0, lo+b1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// stop releases the pool's goroutines. It must be called with no round in
-// flight; spans dispatched before stop have completed (apply waits).
+// stop releases the pool's goroutines. It must be called with no fork in
+// flight; spans dispatched before stop have completed (run waits).
 func (p *roundPool) stop() {
 	for w := 1; w < len(p.workers); w++ {
 		p.workers[w].quit = true

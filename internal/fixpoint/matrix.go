@@ -19,12 +19,6 @@ func NewMatrix(rows, cols int) (*Matrix, error) {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]int32, rows*cols)}, nil
 }
 
-// At returns element (r, c).
-func (m *Matrix) At(r, c int) int32 { return m.Data[r*m.Cols+c] }
-
-// Set stores v at element (r, c).
-func (m *Matrix) Set(r, c int, v int32) { m.Data[r*m.Cols+c] = v }
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	out := &Matrix{Rows: m.Rows, Cols: m.Cols, Data: make([]int32, len(m.Data))}

@@ -23,11 +23,16 @@ import (
 // so the kernels walk a round's lattice rows in memory order, and whether a
 // pixel is computed is a lookup of its residues.
 //
-// A version is the last one plus its update: between rounds, TreeImage
-// spreads each newly computed pixel over the part of its tree block that
-// nothing finer has claimed yet, one stamp per round, so Working always
-// holds the hold-filled image of everything computed so far, and publishing
-// a version is one copy of it.
+// A version is the last one plus its update, and each round is one fork on
+// the pass's round pool in bands of whole tile rows, a tile being the
+// round lattice's larger spacing. Each worker computes its band's lattice
+// points, spreads each newly computed pixel over the part of its tree block
+// that nothing finer has claimed yet (the round's stamp, its band's share),
+// and copies its band's rows into the version the stage goroutine allocated
+// before the fork. A stamp reads only computed pixels of the tile it
+// writes, and the kernels never read Working, so no pixel crosses a band:
+// Working holds the hold-filled image of everything computed so far at
+// every published round boundary, and the version is a copy of it.
 type TreeImage struct {
 	// Out is the stage's output buffer.
 	Out *core.Buffer[*pix.Image]
@@ -40,13 +45,19 @@ type TreeImage struct {
 	// output pixels computed so far.
 	OnSnapshot func(processed int, img *pix.Image)
 
-	lat    perm.Rounds // the tree order's rounds, at the size round asked for
-	round  int         // the granularity lat was cut for
-	n      int         // counter positions of the superset: every pass's total
-	shown  int         // counter positions already rendered into Working this run
-	at     int         // rounds of the current pass counted into done
-	done   int         // pixels the current pass has computed
-	blocks []block     // stamp's scratch: the blocks of one round's pattern
+	lat   perm.Rounds // the tree order's rounds, at the size round asked for
+	round int         // the granularity lat was cut for
+	n     int         // counter positions of the superset: every pass's total
+	shown int         // counter positions already rendered into Working this run
+	done  int         // pixels the current pass has computed
+
+	// The fork in flight, set by the stage goroutine before it forks:
+	// bandPart and rowsPart are its parts, bound once.
+	span               func(worker, x0, y0, sx, sy, rows int) error // the pass's kernel
+	m                  int                                          // the round it computes, or -1
+	blocks             []block                                      // the blocks it stamps
+	img                *pix.Image                                   // the version it copies into, or nil
+	bandPart, rowsPart func(worker, lo, hi int) error
 
 	// A seeded run keeps the cached frame in Working: only the pixels of
 	// stale tiles hold-fill, and a bare image (stale == nil) none at all.
@@ -83,6 +94,7 @@ func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels int) (*Tr
 		n:       whole.Len() * whole.Size,
 		grid:    pix.NewTileGrid(w, h, channels),
 	}
+	t.bandPart, t.rowsPart = t.forkBand, t.forkRows
 	a.OnReset(func() {
 		t.shown, t.seeded, t.stale = 0, false, nil
 		t.Out.Reset()
@@ -103,8 +115,10 @@ func NewTreeImage(a *core.Automaton, bufferName string, w, h, channels int) (*Tr
 // boundary cfg's publish policy selects, publishes the hold-filled
 // approximation to Out. span computes a band of one round's lattice into
 // Working: the pixels (x, y0 + i·sy), x0 ≤ x < Working.W stepping sx, for
-// i < rows; workers get disjoint bands. markFinal marks the complete image
-// precise; a stage that repaints the image passes it on its last pass only.
+// i < rows; workers get disjoint bands of whole tile rows, and a round of
+// fewer tile rows than workers runs on the stage goroutine alone. markFinal
+// marks the complete image precise; a stage that repaints the image passes
+// it on its last pass only.
 //
 // A tree-sampled stage rounds cfg's granularity down to a lattice size, a
 // power of two counted over the image's power-of-two superset, so rounds of
@@ -118,76 +132,140 @@ func (t *TreeImage) Pass(c *core.Context, span func(worker, x0, y0, sx, sy, rows
 		}
 		t.lat, t.round = lat, g
 	}
+	cfg.Granularity = t.lat.Size
+	t.span, t.done = span, 0
+	return core.DiffusiveRounds(c, t.Out, t.n, t.passRound, cfg, markFinal)
+}
+
+// passRound is one round of a Pass: the counter positions [lo, hi), one
+// lattice round or none, in one fork over tile rows. A published round
+// brings Working up to date with the first hi positions — only a run's
+// first pass hold-fills: once every pixel is computed, a later pass leaves
+// nothing to fill — and copies it into a new version.
+func (t *TreeImage) passRound(fork core.Fork, lo, hi int, publish bool) (*pix.Image, error) {
 	lat := t.lat
-	cfg.Granularity = lat.Size
-	t.at, t.done = 0, 0
-	return core.DiffusiveBatch(c, t.Out, t.n, func(worker, lo, hi int) error {
-		if x0, y0, rows := lat.Band(lo, hi); rows > 0 {
-			return span(worker, x0, y0, lat.SX, lat.SY, rows)
+	t.m, t.blocks, t.img = -1, t.blocks[:0], nil
+	if hi > lo {
+		t.m = lo / lat.Size
+	}
+	tile := max(lat.SX, lat.SY)
+	rows := (t.Working.H + tile - 1) / tile
+	if publish {
+		if hi > t.shown && !(t.seeded && t.stale == nil) {
+			t.pattern(t.shown/lat.Size, hi/lat.Size)
 		}
-		return nil
-	}, t.render, cfg, markFinal)
+		if fork.Splits(rows) {
+			t.img = t.newVersion()
+		}
+	}
+	if err := fork.Run(0, rows, t.bandPart); err != nil {
+		return nil, err
+	}
+	if t.m >= 0 {
+		t.done += lat.Pixels(t.m)
+	}
+	if !publish {
+		return nil, nil
+	}
+	t.shown = max(t.shown, hi)
+	return t.publish(t.done), nil
+}
+
+// forkBand is a Pass fork's work on tile rows [lo, hi): the round's lattice
+// points there, the stamp's blocks there, and those rows' copy.
+func (t *TreeImage) forkBand(worker, lo, hi int) error {
+	lat := t.lat
+	tile := max(lat.SX, lat.SY)
+	y0, y1 := lo*tile, min(hi*tile, t.Working.H)
+	if t.m >= 0 {
+		// y0 is a multiple of SY, so the round's first row in the band is
+		// its coset offset b below y0.
+		x0, b := lat.Coset(t.m)
+		if y := y0 + b; x0 < t.Working.W && y < y1 {
+			if err := t.span(worker, x0, y, lat.SX, lat.SY, (y1-y+lat.SY-1)/lat.SY); err != nil {
+				return err
+			}
+		}
+	}
+	t.stamp(y0, y1, tile)
+	if t.img != nil {
+		return t.forkRows(worker, y0, y1)
+	}
+	return nil
+}
+
+// forkRows copies Working's rows [lo, hi) into the version in flight.
+func (t *TreeImage) forkRows(_, lo, hi int) error {
+	row := t.Working.W * t.Working.C
+	copy(t.img.Pix[lo*row:hi*row], t.Working.Pix[lo*row:hi*row])
+	return nil
 }
 
 // Repaint runs a pass that rewrites pixels already computed: span applies
 // updates [lo, hi) of total, each rewriting whichever pixels of Working the
 // caller's update names, and at every round boundary cfg's publish policy
-// selects, Working is published as it stands. Nothing is hold-filled, so
-// Repaint is valid only once a Pass of this run has computed every pixel,
-// and fails before that. A total of zero publishes one version of Working
-// unchanged, the way to mark it final.
+// selects, Working is published as it stands, copied by a second fork in
+// bands of rows. Nothing is hold-filled, so Repaint is valid only once a
+// Pass of this run has computed every pixel, and fails before that. A total
+// of zero publishes one version of Working unchanged, the way to mark it
+// final.
 func (t *TreeImage) Repaint(c *core.Context, total int, span func(worker, lo, hi int) error, cfg core.RoundConfig, markFinal bool) error {
 	if t.shown < t.n {
 		return fmt.Errorf("%s: repaint before every pixel is computed", t.Out.Name())
 	}
-	return core.DiffusiveBatch(c, t.Out, total, span, func(int) (*pix.Image, error) {
-		return t.publish(t.Working.W * t.Working.H) // nothing to bring up to date
+	return core.DiffusiveRounds(c, t.Out, total, func(fork core.Fork, lo, hi int, publish bool) (*pix.Image, error) {
+		if err := fork.Run(lo, hi, span); err != nil || !publish {
+			return nil, err
+		}
+		if fork.Splits(t.Working.H) {
+			t.img = t.newVersion()
+			if err := fork.Run(0, t.Working.H, t.rowsPart); err != nil {
+				return nil, err
+			}
+		}
+		return t.publish(t.Working.W * t.Working.H), nil // nothing to bring up to date
 	}, cfg, markFinal)
 }
 
-// render brings Working up to date with the first processed counter
-// positions of the pass and returns the version to publish. Only a run's
-// first pass hold-fills: once every pixel is computed, a later pass leaves
-// nothing to fill.
-func (t *TreeImage) render(processed int) (*pix.Image, error) {
-	r := processed / t.lat.Size
-	for ; t.at < r; t.at++ {
-		t.done += t.lat.Pixels(t.at)
-	}
-	if processed > t.shown && !(t.seeded && t.stale == nil) {
-		t.stamp(t.shown/t.lat.Size, r)
-	}
-	t.shown = max(t.shown, processed)
-	return t.publish(t.done)
+// newVersion allocates the image a split fork copies Working into, band by
+// band. A fork that runs whole leaves the copy to publish: a clone does
+// not zero the image it then overwrites.
+func (t *TreeImage) newVersion() *pix.Image {
+	return pix.MustNew(t.Working.W, t.Working.H, t.Working.C)
 }
 
-func (t *TreeImage) publish(processed int) (*pix.Image, error) {
-	img := t.Working.Clone()
+// publish hands the version in flight — Working's clone if no fork copied
+// it — to OnSnapshot and returns it.
+func (t *TreeImage) publish(processed int) *pix.Image {
+	img := t.img
+	if img == nil {
+		img = t.Working.Clone()
+	}
+	t.img = nil
 	if t.OnSnapshot != nil {
 		t.OnSnapshot(processed, img)
 	}
-	return img, nil
+	return img
 }
 
-// stamp brings Working, the hold-filled image of the rounds before from, up
-// to date with rounds [from, r). Each point p of a round spreads over the
-// child blocks of its tree block that no computed origin claims — at each
-// level below p's side, the three beside p's own quadrant — since a claimed
-// child is covered by its own origin's spread and an unclaimed one holds no
-// computed pixel. Spreads write disjoint blocks, and whether a child is
-// claimed depends only on its residues, so a round's spreads are one pattern
-// of blocks over a tile of the larger spacing, stamped at every tile as
-// strided row fills. The tile's origin, a round-0 point, stops at the tile's
-// side: every coarser child is another tile's origin. A seeded run writes
-// only stale tiles; it reads only computed pixels, never a trusted tile.
-func (t *TreeImage) stamp(from, r int) {
+// pattern sets the fork's blocks to the stamp that brings Working, the
+// hold-filled image of the rounds before from, up to date with rounds
+// [from, r). Each point p of a round spreads over the child blocks of its
+// tree block that no computed origin claims — at each level below p's side,
+// the three beside p's own quadrant — since a claimed child is covered by
+// its own origin's spread and an unclaimed one holds no computed pixel.
+// Spreads write disjoint blocks, of one round or of several, and whether a
+// child is claimed depends only on its residues, so the stamp is one
+// pattern of blocks over a tile of the larger spacing, stamped at every
+// tile as strided row fills. The tile's origin, a round-0 point, stops at
+// the tile's side: every coarser child is another tile's origin.
+func (t *TreeImage) pattern(from, r int) {
 	lat := t.lat
 	tile := max(lat.SX, lat.SY)
-	w, h, c := t.Working.W, t.Working.H, t.Working.C
-	px := t.Working.Pix
+	w, h := t.Working.W, t.Working.H
+	blocks := t.blocks[:0]
 	for m := from; m < r; m++ {
 		a, b := lat.Coset(m)
-		blocks := t.blocks[:0]
 		for y := b; y < min(tile, h); y += lat.SY {
 			for x := a; x < min(tile, w); x += lat.SX {
 				side := tile
@@ -203,16 +281,24 @@ func (t *TreeImage) stamp(from, r int) {
 				}
 			}
 		}
-		t.blocks = blocks
-		for ty := 0; ty < h; ty += tile {
-			for _, q := range blocks {
-				for y := ty + q.y; y < min(ty+q.y+q.side, h); y++ {
-					src, dst := (ty+q.sy)*w+q.sx, y*w+q.x
-					if t.seeded {
-						t.fillStale(src, dst, q.side, tile, y)
-					} else {
-						fillRow(px, c, src, dst, q.side, tile, (y+1)*w)
-					}
+	}
+	t.blocks = blocks
+}
+
+// stamp writes the fork's blocks in the tiles of rows [y0, y1), which start
+// on a tile row. Every block and the pixel it reads lie in one tile. A
+// seeded run writes only stale tiles; it reads only computed pixels, never
+// a trusted tile.
+func (t *TreeImage) stamp(y0, y1, tile int) {
+	w, c, px := t.Working.W, t.Working.C, t.Working.Pix
+	for ty := y0; ty < y1; ty += tile {
+		for _, q := range t.blocks {
+			for y := ty + q.y; y < min(ty+q.y+q.side, y1); y++ {
+				src, dst := (ty+q.sy)*w+q.sx, y*w+q.x
+				if t.seeded {
+					t.fillStale(src, dst, q.side, tile, y)
+				} else {
+					fillRow(px, c, src, dst, q.side, tile, (y+1)*w)
 				}
 			}
 		}

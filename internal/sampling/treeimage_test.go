@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -506,6 +507,68 @@ func TestTreeImageRepaint(t *testing.T) {
 		}
 		if !v.Value.Equal(want) || v.Final != (i == 2) {
 			t.Errorf("repaint version %d (final %v) is not the pass with %d pixels repainted", v.Version, v.Final, painted)
+		}
+	}
+}
+
+// TestTreeImageBandsMatchSerial: a round is one fork in bands of whole tile
+// rows, each worker computing, stamping and copying its own band, so the
+// versions must not depend on the worker count. Every version of a cold
+// run, of the run after a Reset and of a warm and a delta seeded run is
+// bit-equal to one worker's, on lopsided images and on one whose tile rows
+// are fewer than the workers (512×8), at the default round size and at
+// small and large ones. The race detector convicts a band that writes
+// outside its tile rows.
+func TestTreeImageBandsMatchSerial(t *testing.T) {
+	testgate.Goroutines(t)
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2) // so the pool runs its workers as goroutines
+		defer runtime.GOMAXPROCS(prev)
+	}
+	runs := func(cfg treeConfig) [][]treeVersion {
+		f := newTreeFixture(t, cfg, true)
+		cached := pix.MustNew(cfg.w, cfg.h, cfg.c)
+		for i := range cached.Pix {
+			cached.Pix[i] = int32(i*13%251 + 3)
+		}
+		grid := pix.NewTileGrid(cfg.w, cfg.h, cfg.c)
+		stale := pix.NewDirtyTiles(grid)
+		for tile := 0; tile < grid.Tiles(); tile += 2 {
+			stale.Mark(tile)
+		}
+		var out [][]treeVersion
+		for _, seed := range []any{nil, nil, cached, &pix.SeedFrame{Image: cached, Stale: stale}} {
+			if len(out) > 0 {
+				if err := f.a.Reset(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if seed != nil {
+				if err := f.a.SeedFrom(seed, 7); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out = append(out, f.run(t))
+		}
+		return out
+	}
+	starts := []string{"cold", "reset", "warm", "delta"}
+	for _, g := range [][2]int{{37, 53}, {1, 64}, {64, 1}, {3, 3}, {512, 8}} {
+		for _, c := range []int{1, 3} {
+			for _, granularity := range []int{0, 64, g[0] * g[1] / 2} {
+				t.Run(fmt.Sprintf("%dx%dx%d/g%d", g[0], g[1], c, granularity), func(t *testing.T) {
+					cfg := treeConfig{g[0], g[1], c, 1, core.PublishEveryRound, granularity}
+					serial := runs(cfg)
+					for _, workers := range []int{2, 3, 5} {
+						cfg.workers = workers
+						for i, vs := range runs(cfg) {
+							if !sameVersions(vs, serial[i]) {
+								t.Errorf("w%d %s: %d versions differ from one worker's %d", workers, starts[i], len(vs), len(serial[i]))
+							}
+						}
+					}
+				})
+			}
 		}
 	}
 }
