@@ -8,7 +8,7 @@
 //	        [-size N] [-workers N] [-seed N]
 //	        [-halt FRACTION] [-in image.pgm] [-out image.pgm]
 //	        [-publish every|demand]
-//	        [-telemetry] [-curve curve.json] [-reqtrace] [-cache]
+//	        [-telemetry] [-curve curve.json] [-reqtrace]
 //
 // The tool measures the precise baseline, starts the automaton, halts it at
 // the requested fraction of the baseline runtime (1.0 or more lets it run
@@ -27,9 +27,6 @@
 // wires one (a Slot-bound publish observer, the run's lifecycle recorded by
 // internal/serve), and prints the span tree (run lifecycle, every publish,
 // delivery) with the publish timeline.
-// -cache runs the snapshot-cache demo (conv2d only): a cold run, a warm
-// start seeded from its cached output, and a delta start for a perturbed
-// next frame, all at the same wall-clock budget — see docs/CACHING.md.
 package main
 
 import (
@@ -77,7 +74,6 @@ type opts struct {
 	reqtrace  bool
 	curve     string
 	publish   string
-	cache     bool
 }
 
 func parseFlags(args []string) (opts, error) {
@@ -96,7 +92,6 @@ func parseFlags(args []string) (opts, error) {
 	fs.StringVar(&o.out, "out", "", "write the halted output image here (optional)")
 	fs.StringVar(&o.diff, "diff", "", "write an error heat image (|precise - output| x8) here (optional)")
 	fs.StringVar(&o.publish, "publish", "every", "round publish policy: every, demand")
-	fs.BoolVar(&o.cache, "cache", false, "run the snapshot-cache demo: cold, warm-started, and delta-started runs at one fixed budget (conv2d only)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -123,9 +118,6 @@ type appRun struct {
 }
 
 func run(o opts) error {
-	if o.cache {
-		return runCacheDemo(o)
-	}
 	ar, err := build(o)
 	if err != nil {
 		return err

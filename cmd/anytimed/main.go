@@ -9,7 +9,6 @@
 //	anytimed [-addr :8080] [-size 256] [-workers 2] [-slots 8] [-queue 32]
 //	         [-warm 1] [-pprof]
 //	         [-flight-recorder-size 256] [-trace-sample 16]
-//	         [-cache-size 64] [-cache-ttl 5m]
 //
 // Endpoints (all return binary PGM/PPM with X-Anytime-* headers):
 //
@@ -23,14 +22,8 @@
 //
 // Omitting every knob returns the bit-exact precise output.
 //
-// Deadline requests warm-start from the snapshot cache when a prior
-// request already computed the same content (same route, input, and
-// config): the automaton is seeded with the cached approximation and
-// spends the whole deadline refining past it. Responses carry
-// X-Anytime-Cache (hit, miss, or delta) and X-Anytime-Seed-Version.
-// ?input=KEY overrides the content key (for streams of distinct frames);
-// ?prior=KEY names a sibling key to delta-start from when the exact key
-// misses. -cache-size 0 disables the cache. See docs/CACHING.md.
+// Every request runs cold. ?input=KEY is read only by cmd/anytimerouter,
+// whose ring places requests by it; a backend serves it as a plain request.
 //
 // Running behind cmd/anytimerouter, a deadline request may arrive with an
 // X-Anytime-Budget header: the remaining deadline budget after the router's
@@ -69,7 +62,6 @@ import (
 	"flag"
 	"log"
 	"net/http"
-	"time"
 
 	"anytime/internal/daemon"
 )
@@ -84,14 +76,7 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	flightSize := flag.Int("flight-recorder-size", 256, "completed request traces retained for /debug/requests")
 	traceSample := flag.Int("trace-sample", 16, "retain 1 in N unremarkable OK request traces (errors, rejections, deadline misses and the slowest are always retained)")
-	cacheSize := flag.Int("cache-size", 64, "snapshot cache budget in MiB; deadline requests warm-start from cached approximations (0 disables)")
-	cacheTTL := flag.Duration("cache-ttl", 5*time.Minute, "snapshot cache entry time-to-live")
 	flag.Parse()
-
-	cacheBytes := int64(*cacheSize) << 20
-	if *cacheSize <= 0 {
-		cacheBytes = -1 // disabled; Config treats 0 as "use the default"
-	}
 
 	srv, err := daemon.New(*size, *workers, daemon.Config{
 		Pprof:       *pprofOn,
@@ -100,8 +85,6 @@ func main() {
 		Warm:        *warm,
 		FlightSize:  *flightSize,
 		TraceSample: *traceSample,
-		CacheBytes:  cacheBytes,
-		CacheTTL:    *cacheTTL,
 	})
 	if err != nil {
 		log.Fatal(err)

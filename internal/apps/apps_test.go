@@ -20,7 +20,7 @@ import (
 // TestEveryAppReachesItsPrecise: for every row, the automaton New builds,
 // run to completion under the serving contract, ends on a final snapshot
 // bit-identical to Precise — and a wrong-channel input is refused by both.
-// The four diffusive rows, which the daemon pools and warm-starts, reach it
+// The four diffusive rows, which the daemon pools, reach it
 // again after an interrupted run and Reset, and again when seeded with their
 // own mid-run snapshot, publishing first at the seed's version + 1.
 func TestEveryAppReachesItsPrecise(t *testing.T) {

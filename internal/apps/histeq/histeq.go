@@ -224,9 +224,9 @@ type Run struct {
 
 // New builds the four-stage histeq automaton described in the package
 // comment. A warm start seeds only the output image: the histogram, CDF and
-// LUT stages recompute from scratch (they are cheap and input-global, so a
-// delta start buys nothing there), and the apply stage's first pass
-// overwrites every pixel, so the precise final is unchanged.
+// LUT stages recompute from scratch (they are cheap and input-global), and
+// the apply stage's first pass overwrites every pixel, so the precise final
+// is unchanged.
 func New(in *pix.Image, cfg Config) (*Run, error) {
 	cfg = cfg.withDefaults(in.Pixels())
 	if err := cfg.validate(in); err != nil {

@@ -40,13 +40,9 @@ import (
 )
 
 // RingKey builds the ring key for a request: the app route plus the
-// request's input digest. Requests for the same (app, input) always land
-// on the same healthy backend, so the content-addressed state a backend
-// accumulates for that input keeps paying off: its warm pool, and its
-// snapshot cache — internal/snapcache keys entries by the same digest
-// (the daemon's ?input= knob), so repeats of a content key warm-start on
-// the shard that cached them. N shards therefore give N x aggregate
-// cache with no coordination; see docs/CACHING.md.
+// request's input key (the ?input= knob). Requests for the same (app,
+// input) always land on the same healthy backend, so whatever a backend
+// keeps for that input — its warm pool — keeps paying off.
 func RingKey(app, inputDigest string) string {
 	return app + "|" + inputDigest
 }

@@ -258,9 +258,9 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		rt.rec.Record(tr)
 	}()
 
-	// The routing key pins (app, input) to a backend so its warm pools and
-	// caches see the same keys across requests. The input digest arrives as
-	// the ?input query parameter; absent, the app alone routes (all
+	// The routing key pins (app, input) to a backend so its warm pools see
+	// the same keys across requests. The input key arrives as the ?input
+	// query parameter; absent, the app alone routes (all
 	// backends currently serve the same built-in input set).
 	key := RingKey(r.URL.Path, r.URL.Query().Get("input"))
 	ring := rt.members.Ring()

@@ -14,12 +14,12 @@ import (
 )
 
 // The seeded-cache sweep: warm-starting an automaton from a cached
-// approximation (core.Automaton.SeedFrom, the internal/snapcache serving
-// path) must preserve the §III guarantees relative to a cold run —
-// publishes stay strictly monotone from the seed version, every published
-// snapshot stays decodable, and the forced-precise final output is
-// bit-identical to the cold baseline. Runs in the nightly `-run Conform`
-// cron and under -race in the PR race pass.
+// approximation (core.Automaton.SeedFrom, serve.SeedFromCache) must
+// preserve the §III guarantees relative to a cold run — publishes stay
+// strictly monotone from the seed version, every published snapshot stays
+// decodable, and the forced-precise final output is bit-identical to the
+// cold baseline. Runs in the nightly `-run Conform` cron and under -race
+// in the PR race pass.
 
 // seededCase adapts one warm-startable app for the sweep.
 type seededCase struct {
@@ -178,78 +178,6 @@ func TestConformSeededWarmStart(t *testing.T) {
 			tc, workers := tc, workers
 			t.Run(tc.name, func(t *testing.T) { runSeeded(t, tc, workers) })
 		}
-	}
-}
-
-// TestConformSeededDeltaStart proves the cross-request delta path: frame
-// B's run is seeded with frame A's cached output plus the dilated
-// changed-tile set (pix.TileDiff of the two inputs), and must still
-// converge to exactly Precise(B).
-func TestConformSeededDeltaStart(t *testing.T) {
-	frameA, err := pix.SyntheticGray(conformSize, conformSize, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frameB := frameA.Clone()
-	for y := 8; y < 16; y++ {
-		for x := 8; x < 16; x++ {
-			frameB.SetGray(x, y, 255-frameB.Gray(x, y))
-		}
-	}
-
-	runA, err := conv2d.New(frameA, conv2d.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runA.Automaton.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := runA.Automaton.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	cached, ok := runA.Out.Peek()
-	if !ok || !cached.Final {
-		t.Fatal("frame A did not reach its precise output")
-	}
-
-	runB, err := conv2d.New(frameB, conv2d.Config{Workers: 2, Granularity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &Env{Col: &Collector{}}
-	sink := AttachProbe(env, runB.Out, sumImage, validImage(conformSize, conformSize, 1, 0, 255))
-	stale, err := pix.TileDiff(frameA, frameB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stale.Any() {
-		t.Fatal("tile diff of distinct frames is empty")
-	}
-	stale.Dilate()
-	if err := runB.Automaton.SeedFrom(&pix.SeedFrame{Image: cached.Value, Stale: stale}, cached.Version); err != nil {
-		t.Fatalf("delta SeedFrom: %v", err)
-	}
-	sink.seedVersion(cached.Version)
-	if err := runB.Automaton.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := runB.Automaton.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	sink.VerifyQuiescent()
-	if v := env.Col.Violations(); len(v) != 0 {
-		t.Fatalf("delta run violations: %v", v)
-	}
-	golden, err := conv2d.Precise(frameB, conv2d.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, _ := runB.Out.Peek()
-	if !fs.Final {
-		t.Fatal("delta run did not finish")
-	}
-	if !fs.Value.Equal(golden) {
-		t.Fatal("delta-seeded precise final differs from Precise(frame B)")
 	}
 }
 

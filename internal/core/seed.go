@@ -5,15 +5,18 @@ import (
 	"fmt"
 )
 
-// Warm starts. A content-addressed snapshot cache (internal/snapcache) can
-// hold the published output of a previous run — a valid approximation at a
-// known version. Seeding installs that approximation as a reused automaton's
-// starting published state, so a deadline-bounded rerun spends its whole
-// budget on refinement instead of recomputing the trajectory from version 1.
+// Warm starts. The published output of a previous run — a valid
+// approximation at a known version, held in a snapshot cache
+// (internal/snapcache) — can be installed as a reused automaton's starting
+// published state: readers see it before the first round, and the run's
+// publishes continue from its version. A diffusive stage still applies
+// every update from the first (§III-B2), so a seeded run's output is the
+// seed until the run recomputes past it; at the seed's own deadline a warm
+// start is a cold start, which is why anytimed runs every request cold.
 //
 // The seed path deliberately mirrors the Reset/OnReset machinery: apps
-// register an OnSeed hook next to their OnReset hook, and the serving tier
-// calls SeedFrom between Reset and Start. Seeding never touches a running
+// register an OnSeed hook next to their OnReset hook, and a caller calls
+// SeedFrom between Reset and Start. Seeding never touches a running
 // automaton and never fires buffer observers — a seed is starting state, not
 // a stage publish, so the single-writer property (Property 2) and the
 // conformance probes' publish accounting are unaffected.

@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"os"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -28,7 +30,6 @@ import (
 	"anytime/internal/pix"
 	"anytime/internal/reqtrace"
 	"anytime/internal/serve"
-	"anytime/internal/snapcache"
 	"anytime/internal/telemetry"
 )
 
@@ -67,27 +68,15 @@ type Server struct {
 	// POST/DELETE /drain.
 	draining atomic.Bool
 
-	// cache is the content-addressed snapshot cache (nil when disabled):
-	// deadline requests whose input digest hits it seed their automaton
-	// from the cached approximation and spend the whole budget refining.
-	// cacheEpoch fingerprints the app configuration so entries from a
-	// differently configured process can never seed a request. See
-	// docs/CACHING.md.
-	cache      *snapcache.Cache[*pix.Image]
-	cacheEpoch uint64
-
 	routes []route
 }
 
 // route is one served application: its warm pool (named after the URL
-// path, which is also the /metrics pool label and the cache key's app), the
-// prepared input with its content digest, and the precise reference
+// path, which is also the /metrics pool label) and the precise reference
 // deliveries are scored against.
 type route struct {
-	pool   *serve.Pool[*pix.Image]
-	ref    *pix.Image
-	input  *pix.Image
-	digest string
+	pool *serve.Pool[*pix.Image]
+	ref  *pix.Image
 }
 
 // routeTable maps each URL path to its row of the apps table; stream adds
@@ -111,11 +100,6 @@ type Config struct {
 	Warm        int // automata prebuilt per route pool (0 = 1)
 	FlightSize  int // completed traces retained for /debug/requests (0 = 256)
 	TraceSample int // retain 1 in N unremarkable OK traces (0 = 16)
-
-	// CacheBytes bounds the snapshot cache payload (0 = 64 MiB, -1 =
-	// caching disabled); CacheTTL bounds entry age (0 = 5m).
-	CacheBytes int64
-	CacheTTL   time.Duration
 }
 
 func (c *Config) normalize() {
@@ -137,16 +121,22 @@ func (c *Config) normalize() {
 	if c.TraceSample == 0 {
 		c.TraceSample = 16
 	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 64 << 20
-	}
-	if c.CacheTTL == 0 {
-		c.CacheTTL = 5 * time.Minute
-	}
 }
+
+// gcPercent is the collector's target heap growth (GOGC) the server sets
+// for its process unless the environment sets GOGC. Every published
+// version is a fresh image, about 3 MB of versions per 256² deadline
+// request against a live heap near 10 MB, so at Go's default of 100 the
+// collector runs every few requests; at overload its cycles cost answered
+// requests (the open-loop 150 req/s, 256² workload on 2 CPUs answered
+// 0.74 of its requests at 100 and 0.79–0.83 at 400).
+const gcPercent = 400
 
 func New(size, workers int, cfg Config) (*Server, error) {
 	cfg.normalize()
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(gcPercent)
+	}
 	reg := telemetry.NewRegistry()
 	serveSink := telemetry.ServeHooks(reg)
 	queue, err := serve.NewQueue(cfg.Slots, cfg.QueueLen, serveSink)
@@ -169,40 +159,25 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		recorder:   recorder,
 		started:    time.Now(),
 	}
-	if cfg.CacheBytes > 0 {
-		s.cache, err = snapcache.New(snapcache.Config[*pix.Image]{
-			MaxBytes: cfg.CacheBytes,
-			TTL:      cfg.CacheTTL,
-			// Pools publish a fresh image per version, immutable forever, so
-			// the cache can retain them without a defensive copy.
-			SizeOf: func(im *pix.Image) int { return len(im.Pix) * 4 },
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.cacheEpoch = cacheEpoch(size, workers)
-	// Routes over the same kind of input share one image and one digest:
-	// inputs keeps, per kind, a route with just those two fields set.
-	inputs := map[apps.Input]route{}
+	// Routes over the same kind of input share one image.
+	inputs := map[apps.Input]*pix.Image{}
 	for _, rd := range routeTable {
 		app, ok := apps.Named(rd.app)
 		if !ok {
 			return nil, fmt.Errorf("route /%s: unknown app %q", rd.path, rd.app)
 		}
-		rt, ok := inputs[app.Input]
-		if !ok {
-			if rt.input, err = app.Input.Synthetic(size, 1); err != nil {
+		in := inputs[app.Input]
+		if in == nil {
+			if in, err = app.Input.Synthetic(size, 1); err != nil {
 				return nil, err
 			}
-			rt.digest = snapcache.DigestImage(rt.input)
-			inputs[app.Input] = rt
+			inputs[app.Input] = in
 		}
 		opts := apps.Options{Workers: workers}
-		if rt.ref, err = app.Precise(rt.input, opts); err != nil {
+		var rt route
+		if rt.ref, err = app.Precise(in, opts); err != nil {
 			return nil, err
 		}
-		in := rt.input
 		build := func() (*core.Automaton, *core.Buffer[*pix.Image], error) { return app.New(in, opts) }
 		if rt.pool, err = s.newPool(rd.path, cfg, build); err != nil {
 			return nil, err
@@ -225,7 +200,6 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		fmt.Fprintln(w, "  GET /blur?accept=25      blur, stopped at 25 dB")
 		fmt.Fprintln(w, "  GET /equalize?deadline=10ms  histogram equalization")
 		fmt.Fprintln(w, "  GET /cluster?deadline=100ms  k-means clustering")
-		fmt.Fprintln(w, "  GET /blur?deadline=50ms&input=key   cache key override (ring-affine repeats warm-start)")
 		fmt.Fprintln(w, "  GET /blur/stream         live SSE: watch quality rise per version")
 		fmt.Fprintln(w, "  GET /cluster/stream      live SSE for k-means")
 		fmt.Fprintln(w, "  GET /metrics             Prometheus exposition (stages, buffers, pools, HTTP)")
@@ -284,10 +258,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // interesting ones — see /debug/requests.
 //
 // A deadline runs from the request's arrival: the run is granted what the
-// admission wait (and a cache seed) left of it, and a request whose
-// projected wait would leave nothing is refused before it waits.
+// admission wait left of it, and a request whose projected wait would
+// leave nothing is refused before it waits.
 func (s *Server) handleApp(rt route) http.HandlerFunc {
-	pool, ref, input, inputDigest := rt.pool, rt.ref, rt.input, rt.digest
+	pool, ref := rt.pool, rt.ref
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ctx, tr := reqtrace.New(r.Context(), pool.Name())
@@ -353,20 +327,11 @@ func (s *Server) handleApp(rt route) http.HandlerFunc {
 		}()
 
 		// Every knob runs through internal/serve, so one Result carries the
-		// delivered snapshot and whether the run was cut short.
+		// delivered snapshot and whether the run was cut short. Every run
+		// starts cold: a seeded run still computes every round from the
+		// first, so a warm start at the same deadline delivers the cold
+		// run's image.
 		var res serve.Result[*pix.Image]
-		// The cache key: the route input's content digest — overridable
-		// with ?input=, the same string the router's ring keys on
-		// (cluster.RingKey), so repeats of a key land on the shard whose
-		// cache holds the warm entry — plus the config epoch, so entries
-		// computed under another configuration can never seed.
-		cacheKey := snapcache.Key{App: pool.Name(), Digest: inputDigest, Epoch: s.cacheEpoch}
-		if in := r.URL.Query().Get("input"); in != "" {
-			cacheKey.Digest = in
-		}
-		cacheState := ""
-		var seedVersion core.Version
-		admitOut := false
 		switch {
 		case k.accept > 0:
 			res, err = serve.RunUntil(ctx, entry, func(sn core.Snapshot[*pix.Image]) bool {
@@ -374,33 +339,10 @@ func (s *Server) handleApp(rt route) http.HandlerFunc {
 				return err == nil && db >= k.accept
 			}, s.serveSink)
 		case k.deadline > 0:
-			// Warm start: a cache hit for this content key installs the
-			// cached approximation as the starting published state, so the
-			// deadline budget below is spent purely on refinement. Only the
-			// deadline contract seeds — the accept knob reasons about
-			// absolute version numbers and SNR trajectories from a cold
-			// start, and the no-knob path runs to precise regardless.
-			if s.cache != nil {
-				cacheState = "miss"
-				if ce, hit := serve.SeedFromCache(ctx, entry, s.cache, cacheKey); hit {
-					cacheState = "hit"
-					seedVersion = ce.Version
-				} else if prior := r.URL.Query().Get("prior"); prior != "" {
-					// Delta start: the client names a sibling key (the
-					// previous frame of a stream) whose entry we can reuse
-					// after masking the tiles where the inputs differ.
-					if mode, v := s.seedDelta(ctx, entry, pool.Name(), prior, input); mode != "" {
-						cacheState = mode
-						seedVersion = v
-					}
-				}
-			}
-			// The run gets what the wait and the seed left of the deadline.
+			// The run gets what the wait left of the deadline.
 			grant, _ = serve.ApplyBudget(k.deadline, k.budget, k.budgetSet, time.Since(start))
-			admitOut = true
 			res, err = serve.Run(ctx, entry, grant, s.serveSink)
 		default:
-			admitOut = true
 			res, err = serve.Run(ctx, entry, 0, s.serveSink)
 		}
 		if err != nil {
@@ -446,25 +388,10 @@ func (s *Server) handleApp(rt route) http.HandlerFunc {
 				w.Header().Set(serve.BudgetHeader, serve.FormatBudget(k.budget))
 			}
 		}
-		if cacheState != "" {
-			w.Header().Set("X-Anytime-Cache", cacheState)
-			if seedVersion > 0 {
-				w.Header().Set("X-Anytime-Seed-Version", fmt.Sprint(seedVersion))
-			}
-		}
 		if s.draining.Load() {
 			w.Header().Set("X-Anytime-Draining", "true")
 		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return
-		}
-		// Admission happens after the response bytes are written — off the
-		// request's critical path. The cache's own rules keep it sound: a
-		// version not newer than the stored one (including a re-admission of
-		// the very entry this run was seeded from) is refused.
-		if admitOut {
-			serve.Admit(s.cache, cacheKey, res, snrDB)
-		}
+		_, _ = w.Write(buf.Bytes()) // a failed write is a client gone: nothing is left to tell it
 	}
 }
 

@@ -359,3 +359,29 @@ func TestEveryRoutePreciseMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheDisabled: anytimed keeps no snapshot cache. A repeated ?input=
+// key and a ?prior= naming it are plain deadline requests, answered
+// without the removed cache headers, and /metrics carries no snapshot-cache
+// family.
+func TestCacheDisabled(t *testing.T) {
+	s := testServer(t)
+	for _, path := range []string{
+		"/blur?deadline=2s&input=k1",
+		"/blur?deadline=2s&input=k1",
+		"/blur?deadline=2s&input=k2&prior=k1",
+	} {
+		rec := get(t, s, path)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, rec.Code)
+		}
+		for _, h := range []string{"X-Anytime-Cache", "X-Anytime-Seed-Version"} {
+			if v := rec.Header().Get(h); v != "" {
+				t.Fatalf("%s: %s %q on a request that runs cold", path, h, v)
+			}
+		}
+	}
+	if body := get(t, s, "/metrics").Body.String(); strings.Contains(body, "anytime_snapcache_") {
+		t.Fatal("/metrics exposes a snapshot-cache family")
+	}
+}

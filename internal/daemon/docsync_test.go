@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"maps"
 	"net/http"
 	"os"
@@ -17,34 +16,29 @@ import (
 var metricToken = regexp.MustCompile(`anytimed?_[a-z_]+`)
 
 // liveServer drives a server through the traffic that registers every
-// family anytimed can expose: a precise request, a deadline repeat of its
-// key (cache hit and seed), a delta start naming it with ?prior= (whose
-// admission evicts it from a one-entry cache), an interrupted deadline run
-// (a delivered approximation), and a refusal with the single slot held.
+// family anytimed can expose: a precise request, a deadline request, an
+// interrupted deadline run (a delivered approximation), and a refusal with
+// the single slot held.
 //
 // A run this small can finish before a 1ns timer is seen on a loaded
-// machine, so the interrupted run is retried on fresh keys until one
-// delivers an approximation.
+// machine, so the interrupted run is retried until one delivers an
+// approximation.
 func liveServer(t *testing.T) *Server {
 	t.Helper()
-	s, err := New(64, 2, Config{Slots: 1, QueueLen: -1, CacheBytes: 64 * 64 * 4})
+	s, err := New(64, 2, Config{Slots: 1, QueueLen: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{
-		"/blur?input=k1",
-		"/blur?deadline=2s&input=k1",
-		"/blur?deadline=2s&input=k2&prior=k1",
-	} {
+	for _, path := range []string{"/blur", "/blur?deadline=2s"} {
 		if rec := get(t, s, path); rec.Code != http.StatusOK {
 			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body.String())
 		}
 	}
-	for try := 3; ; try++ {
-		if try == 50 {
+	for try := 0; ; try++ {
+		if try == 47 {
 			t.Fatal("no 1ns deadline run delivered an approximation")
 		}
-		path := fmt.Sprintf("/blur?deadline=1ns&input=k%d", try)
+		const path = "/blur?deadline=1ns"
 		rec := get(t, s, path)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body.String())
@@ -139,8 +133,8 @@ func TestOperationsCoversAllFamilies(t *testing.T) {
 
 // TestDebugVarsWithinInventory asserts /debug/vars, the expvar view of
 // the registry, exposes exactly the families /metrics does after the same
-// traffic, each of them documented in README's table, the cache counters
-// of a warm-started request among them.
+// traffic, each of them documented in README's table, the families only
+// an approximate delivery and a refusal register among them.
 func TestDebugVarsWithinInventory(t *testing.T) {
 	s := liveServer(t)
 	rec := get(t, s, "/debug/vars")
@@ -171,9 +165,9 @@ func TestDebugVarsWithinInventory(t *testing.T) {
 			t.Errorf("/metrics exposes %s, which /debug/vars does not", fam)
 		}
 	}
-	for _, fam := range []string{"anytime_snapcache_hits_total", "anytime_snapcache_seeds_total"} {
+	for _, fam := range []string{metricDeliveredSNR, metricSlotsRejected} {
 		if _, ok := vars.Anytime[fam]; !ok {
-			t.Errorf("expected %s to be live after a warm-started request", fam)
+			t.Errorf("expected %s to be live after liveServer's traffic", fam)
 		}
 	}
 }

@@ -144,21 +144,13 @@ func (s *Server) registerOps(enablePprof bool) {
 }
 
 // collect is the registry's collection callback: it refreshes every series
-// that mirrors state kept elsewhere — process uptime, the cache's Stats and
-// the flight recorder's Stats, each read once under its owner's lock — so
-// /metrics, /debug/vars and the summary table see the same values as
-// /debug/requests, current without a background ticker. Labeled series
-// appear with their first nonzero count, like the event-fed ones.
+// that mirrors state kept elsewhere — process uptime and the flight
+// recorder's Stats, read once under its lock — so /metrics, /debug/vars
+// and the summary table see the same values as /debug/requests, current
+// without a background ticker. Labeled series appear with their first
+// nonzero count, like the event-fed ones.
 func (s *Server) collect() {
 	s.reg.Gauge(metricUptime, nil).Set(int64(time.Since(s.started).Seconds()))
-	if s.cache != nil {
-		st := s.cache.Stats()
-		s.reg.Gauge(telemetry.MetricSnapcacheBytes, nil).Set(st.Bytes)
-		s.reg.Gauge(telemetry.MetricSnapcacheEntries, nil).Set(int64(st.Entries))
-		for reason, n := range st.Evictions {
-			s.reg.Counter(telemetry.MetricSnapcacheEvictions, telemetry.Labels{"reason": reason}).Store(n)
-		}
-	}
 	st := s.recorder.Stats()
 	s.reg.Counter(telemetry.MetricReqtraceSampledOut, nil).Store(st.SampledOut)
 	s.reg.Counter(telemetry.MetricReqtraceEvicted, nil).Store(st.Evicted)

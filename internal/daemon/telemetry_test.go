@@ -61,8 +61,8 @@ func TestMetricsExpositionReflectsTraffic(t *testing.T) {
 		t.Fatalf("blur request counter = %d after one request\n%s", requests, body)
 	}
 	publishes := counterValue(t, body, `anytime_buffer_publish_total{buffer="conv2d"}`)
-	// The repeat is warm-started from the first one's snapshot and may
-	// reach precise inside its 3ms, so runs are counted over both outcomes.
+	// The repeat may reach precise inside its 3ms, so runs are counted over
+	// both outcomes.
 	runsTotal := func(body string) int64 {
 		return max(counterValue(t, body, `anytime_automaton_runs_total{outcome="stopped"}`), 0) +
 			max(counterValue(t, body, `anytime_automaton_runs_total{outcome="precise"}`), 0)

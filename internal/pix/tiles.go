@@ -8,9 +8,8 @@ import (
 // This file is the tile substrate of the snapshot paths (paper §III-B2
 // granularity, §IV-C overheads). The app stages publish through
 // sampling.TreeImage, which keeps its image hold-filled in place and needs
-// only TileGrid and the DirtyTiles of a delta start. Snapshotter, which
-// renders any mask marked in any order, is kept for the benchmark's layer
-// probe:
+// none of it. Snapshotter, which renders any mask marked in any order, is
+// kept for the benchmark's layer probe:
 //
 //   - TileGrid / DirtyTiles: tile-granular (32×32 pixels) dirty tracking,
 //     marked by the apply loop as it writes the working image.
@@ -93,36 +92,6 @@ func (d *DirtyTiles) Has(t int) bool {
 	return d.words[t>>6]&(1<<(t&63)) != 0
 }
 
-// Dilate marks the 8-neighborhood of every currently marked tile — one ring
-// of growth per call. Delta starts use it to widen a changed-tile set by the
-// stencil halo of the computation that will consume it: a convolution whose
-// kernel reaches up to TileSize pixels past a changed pixel needs one ring.
-func (d *DirtyTiles) Dilate() {
-	if d.all {
-		return
-	}
-	grown := make([]uint64, len(d.words))
-	copy(grown, d.words)
-	d.forEach(func(t int) {
-		tx, ty := t%d.g.tx, t/d.g.tx
-		for dy := -1; dy <= 1; dy++ {
-			ny := ty + dy
-			if ny < 0 || ny >= d.g.ty {
-				continue
-			}
-			for dx := -1; dx <= 1; dx++ {
-				nx := tx + dx
-				if nx < 0 || nx >= d.g.tx {
-					continue
-				}
-				n := ny*d.g.tx + nx
-				grown[n>>6] |= 1 << (n & 63)
-			}
-		}
-	})
-	d.words = grown
-}
-
 // MarkRect marks every tile intersecting the pixel rectangle
 // [x, x+side) × [y, y+side), clipped to the image.
 func (d *DirtyTiles) MarkRect(x, y, side int) {
@@ -182,16 +151,6 @@ func (d *DirtyTiles) Or(src *DirtyTiles) {
 	for i, w := range src.words {
 		d.words[i] |= w
 	}
-}
-
-// Any reports whether any tile is marked.
-func (d *DirtyTiles) Any() bool {
-	for _, w := range d.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Count reports the number of marked tiles (at most Tiles(); the spare bits

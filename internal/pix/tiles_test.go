@@ -51,7 +51,7 @@ func TestTileGridGeometry(t *testing.T) {
 func TestDirtyTilesMarking(t *testing.T) {
 	g := NewTileGrid(100, 100, 1) // 4x4 tiles
 	d := NewDirtyTiles(g)
-	if d.Any() || d.Count() != 0 {
+	if d.Count() != 0 {
 		t.Fatal("fresh set not empty")
 	}
 	d.MarkPixel(0, 0)
@@ -60,11 +60,11 @@ func TestDirtyTilesMarking(t *testing.T) {
 		t.Errorf("count after same-tile marks = %d, want 1", d.Count())
 	}
 	d.MarkPixel(99, 99)
-	if d.Count() != 2 || !d.Any() {
+	if d.Count() != 2 {
 		t.Errorf("count = %d, want 2", d.Count())
 	}
 	d.Reset()
-	if d.Any() {
+	if d.Count() != 0 {
 		t.Fatal("reset left marks")
 	}
 	// A rect spanning tile boundaries marks every intersecting tile.

@@ -113,18 +113,6 @@ const (
 	// KindHedgeCancel: the race was decided and the losing in-flight
 	// request was cancelled. Name is the cancelled member, Note its role.
 	KindHedgeCancel
-	// KindCacheHit: the snapshot cache held an entry for the looked-up
-	// content key. Name is the app, Note the input digest, Version the
-	// cached version, Flag set when the key named a delta-start sibling.
-	KindCacheHit
-	// KindCacheMiss: no usable cache entry. Name is the app, Note the input
-	// digest, Flag set when the key named a delta-start sibling.
-	KindCacheMiss
-	// KindCacheSeed: the automaton was seeded from the cached entry. Name
-	// is the output buffer, Version the seed version the run continues
-	// from, Note the mode (warm = the whole cached snapshot | delta = a
-	// sibling's frame with its changed tiles marked stale).
-	KindCacheSeed
 	// KindHedgeWin: a race that launched both attempts was resolved. Name
 	// is the winning member, Note its role.
 	KindHedgeWin
@@ -153,9 +141,6 @@ var kindNames = [...]string{
 	KindForwardDone: "forward.done",
 	KindHedgeFire:   "hedge.fire",
 	KindHedgeCancel: "hedge.cancel",
-	KindCacheHit:    "cache.hit",
-	KindCacheMiss:   "cache.miss",
-	KindCacheSeed:   "cache.seed",
 	KindHedgeWin:    "hedge.win",
 	KindMemberState: "member.state",
 }
@@ -506,28 +491,6 @@ func (t *Trace) HedgeWin(member, role string) Event {
 // HedgeCancel records the losing in-flight request being cancelled.
 func (t *Trace) HedgeCancel(member, role string) Event {
 	return t.report(Event{Kind: KindHedgeCancel, Name: member, Note: role})
-}
-
-// Snapshot-cache helpers: the warm-start spans internal/serve and
-// cmd/anytimed record around internal/snapcache lookups.
-
-// CacheHit records the cache holding an entry for app's content digest at
-// the given version; delta marks a delta-start lookup (the key names a
-// sibling frame, to be reused through a tile diff).
-func (t *Trace) CacheHit(app, digest string, version uint64, delta bool) Event {
-	return t.report(Event{Kind: KindCacheHit, Name: app, Note: digest, Version: version, Flag: delta})
-}
-
-// CacheMiss records the cache holding no usable entry for app's digest.
-func (t *Trace) CacheMiss(app, digest string, delta bool) Event {
-	return t.report(Event{Kind: KindCacheMiss, Name: app, Note: digest, Flag: delta})
-}
-
-// CacheSeed records the automaton being seeded in the given mode (warm |
-// delta): its output buffer starts at version, and the run's publishes
-// continue from there.
-func (t *Trace) CacheSeed(buffer, mode string, version uint64) Event {
-	return t.report(Event{Kind: KindCacheSeed, Name: buffer, Note: mode, Version: version})
 }
 
 // Finish seals the trace with the response status, fixing its elapsed time

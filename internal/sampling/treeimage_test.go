@@ -275,48 +275,39 @@ func TestTreeImageResetAfterInterrupt(t *testing.T) {
 }
 
 // TestTreeImageSeed: a seeded run starts at the cached frame and the seed's
-// version; computed pixels replace it, and pixels of stale tiles hold-fill
-// instead of showing the cache.
+// version; computed pixels replace it, and nothing hold-fills, so every
+// pixel not yet computed shows the cache.
 func TestTreeImageSeed(t *testing.T) {
 	testgate.Goroutines(t)
 	cached := pix.MustNew(treeW, treeH, treeC)
 	cached.Fill(200)
-	grid := pix.NewTileGrid(treeW, treeH, treeC)
 	const seedVersion = 7
 	eachTreeConfig(t, func(t *testing.T, cfg treeConfig) {
-		stale := pix.NewDirtyTiles(grid)
-		stale.Mark(1)
-		stale.Mark(2)
-		for name, seed := range map[string]any{
-			"image": cached,
-			"frame": &pix.SeedFrame{Image: cached, Stale: stale},
-		} {
-			f := newTreeFixture(t, cfg, true)
-			if err := f.a.SeedFrom(seed, seedVersion); err != nil {
-				t.Fatalf("%s: %v", name, err)
+		f := newTreeFixture(t, cfg, true)
+		if err := f.a.SeedFrom(cached, seedVersion); err != nil {
+			t.Fatal(err)
+		}
+		if s, ok := f.t.Out.Latest(); !ok || s.Version != seedVersion || s.Final || !s.Value.Equal(cached) {
+			t.Fatalf("seeded buffer holds %+v", s)
+		}
+		vs := f.run(t)
+		for i, v := range vs {
+			if v.version != core.Version(seedVersion+1+i) {
+				t.Errorf("publish %d has version %d", i, v.version)
 			}
-			if s, ok := f.t.Out.Latest(); !ok || s.Version != seedVersion || s.Final || !s.Value.Equal(cached) {
-				t.Fatalf("%s: seeded buffer holds %+v", name, s)
-			}
-			vs := f.run(t)
-			for i, v := range vs {
-				if v.version != core.Version(seedVersion+1+i) {
-					t.Errorf("%s: publish %d has version %d", name, i, v.version)
-				}
-				// Trusted tiles: the cache, overwritten by what is computed.
-				want, mask := f.holdFilled(t, v.processed)
-				for p, done := range mask {
-					if !done && !(name == "frame" && stale.Has(grid.TileOf(p%treeW, p/treeW))) {
-						copy(want.Pix[p*treeC:p*treeC+treeC], cached.Pix[p*treeC:p*treeC+treeC])
-					}
-				}
-				if !v.img.Equal(want) {
-					t.Errorf("%s: version %d (processed %d) differs", name, v.version, v.processed)
+			// The cache, overwritten by what is computed.
+			want, mask := f.holdFilled(t, v.processed)
+			for p, done := range mask {
+				if !done {
+					copy(want.Pix[p*treeC:p*treeC+treeC], cached.Pix[p*treeC:p*treeC+treeC])
 				}
 			}
-			if last := vs[len(vs)-1]; !last.final || !last.img.Equal(f.ref) {
-				t.Errorf("%s: seeded run did not end on the reference", name)
+			if !v.img.Equal(want) {
+				t.Errorf("version %d (processed %d) differs", v.version, v.processed)
 			}
+		}
+		if last := vs[len(vs)-1]; !last.final || !last.img.Equal(f.ref) {
+			t.Error("seeded run did not end on the reference")
 		}
 	})
 }
@@ -331,8 +322,7 @@ func TestTreeImageSeedRefused(t *testing.T) {
 		for _, seed := range []any{
 			pix.MustNew(treeW+1, treeH, treeC),
 			pix.MustNew(treeW, treeH, 1),
-			&pix.SeedFrame{},
-			&pix.SeedFrame{Image: f.ref, Stale: pix.NewDirtyTiles(pix.NewTileGrid(treeW, treeH, 1))},
+			(*pix.Image)(nil),
 			"not an image",
 		} {
 			if err := f.a.Reset(); err != nil {
@@ -514,11 +504,11 @@ func TestTreeImageRepaint(t *testing.T) {
 // TestTreeImageBandsMatchSerial: a round is one fork in bands of whole tile
 // rows, each worker computing, stamping and copying its own band, so the
 // versions must not depend on the worker count. Every version of a cold
-// run, of the run after a Reset and of a warm and a delta seeded run is
-// bit-equal to one worker's, on lopsided images and on one whose tile rows
-// are fewer than the workers (512×8), at the default round size and at
-// small and large ones. The race detector convicts a band that writes
-// outside its tile rows.
+// run, of the run after a Reset and of a seeded run is bit-equal to one
+// worker's, on lopsided images and on one whose tile rows are fewer than
+// the workers (512×8), at the default round size and at small and large
+// ones. The race detector convicts a band that writes outside its tile
+// rows.
 func TestTreeImageBandsMatchSerial(t *testing.T) {
 	testgate.Goroutines(t)
 	if prev := runtime.GOMAXPROCS(0); prev < 2 {
@@ -531,13 +521,8 @@ func TestTreeImageBandsMatchSerial(t *testing.T) {
 		for i := range cached.Pix {
 			cached.Pix[i] = int32(i*13%251 + 3)
 		}
-		grid := pix.NewTileGrid(cfg.w, cfg.h, cfg.c)
-		stale := pix.NewDirtyTiles(grid)
-		for tile := 0; tile < grid.Tiles(); tile += 2 {
-			stale.Mark(tile)
-		}
 		var out [][]treeVersion
-		for _, seed := range []any{nil, nil, cached, &pix.SeedFrame{Image: cached, Stale: stale}} {
+		for _, seed := range []*pix.Image{nil, nil, cached} {
 			if len(out) > 0 {
 				if err := f.a.Reset(); err != nil {
 					t.Fatal(err)
@@ -552,7 +537,7 @@ func TestTreeImageBandsMatchSerial(t *testing.T) {
 		}
 		return out
 	}
-	starts := []string{"cold", "reset", "warm", "delta"}
+	starts := []string{"cold", "reset", "warm"}
 	for _, g := range [][2]int{{37, 53}, {1, 64}, {64, 1}, {3, 3}, {512, 8}} {
 		for _, c := range []int{1, 3} {
 			for _, granularity := range []int{0, 64, g[0] * g[1] / 2} {

@@ -8,64 +8,46 @@ import (
 	"anytime/internal/snapcache"
 )
 
-// Warm starts. The serving tier keeps a content-addressed cache of
-// delivered snapshots (internal/snapcache); a request whose input digest
-// hits the cache seeds its pooled automaton with the cached approximation
-// before Start, so the deadline budget is spent purely on refinement. The
-// helpers here are the pool-integrated glue: SeedFromCache between
-// Pool.Get and Run, Admit after the response is delivered — both nil-safe
-// so a daemon with caching disabled pays only a pointer check. Each lookup
-// and each seed is reported once, as a cache.hit / cache.miss / cache.seed
-// event into the request's trace and the sink of the pool the entry was
-// checked out of.
+// Warm starts. A snapshot cache (internal/snapcache) can hold delivered
+// snapshots, and a pooled automaton can be seeded with one before Start:
+// SeedFromCache between Pool.Get and Run, Admit after the response is
+// delivered, both nil-safe. A seeded image stage still computes every
+// round from the first (core.SeedFrom), so a warm start cut after as many
+// rounds as its seed had delivers the cold run's image; anytimed therefore
+// runs every request cold, and these helpers serve callers that measure
+// the seed path.
 
 // SeedFromCache looks up key and, on a hit, seeds the entry's automaton
 // with the cached value at its cached version. It returns the cache entry
-// (for response headers: seed version, cached SNR) and whether the
-// automaton was actually seeded. A hit that the automaton cannot apply
-// (no OnSeed hook, payload mismatch) falls back to a cold start: the
-// automaton is Reset to shed any partially applied seed and the request
-// proceeds as a miss. A nil cache is a miss without the lookup.
+// and whether the automaton was actually seeded. A hit that the automaton
+// cannot apply (no OnSeed hook, payload mismatch) falls back to a cold
+// start: the automaton is Reset to shed any partially applied seed and the
+// request proceeds as a miss. A nil cache is a miss without the lookup.
 func SeedFromCache[T any](ctx context.Context, e Entry[T], c *snapcache.Cache[T], key snapcache.Key) (snapcache.Entry[T], bool) {
 	var zero snapcache.Entry[T]
 	if c == nil {
 		return zero, false
 	}
-	tr := reqtrace.FromContext(ctx)
 	ce, ok := c.Get(key)
-	if !ok {
-		e.sink.Send(tr.CacheMiss(key.App, key.Digest, false))
-		return zero, false
-	}
-	e.sink.Send(tr.CacheHit(key.App, key.Digest, uint64(ce.Version), false))
-	if !Seed(ctx, e, ce.Value, ce.Version) {
+	if !ok || !Seed(ctx, e, ce.Value, ce.Version) {
 		return zero, false
 	}
 	return ce, true
 }
 
 // Seed installs payload as the entry's starting published state at the
-// given version, reporting success. The delta-start path calls it directly
-// with a pix.SeedFrame built from a sibling cache entry; the plain warm
-// start goes through SeedFromCache. The cache.seed event's mode follows
-// from the payload: a value of the buffer's own type is a whole snapshot
-// (warm), anything else a partial frame (delta). On failure the automaton
-// is Reset (a partially applied seed must never start) and the caller
-// should run cold.
-func Seed[T any](ctx context.Context, e Entry[T], payload any, version core.Version) bool {
-	tr := reqtrace.FromContext(ctx)
+// given version, reporting success. On failure the error lands in the
+// request's trace, the automaton is Reset (a partially applied seed must
+// never start), and the caller should run cold.
+func Seed[T any](ctx context.Context, e Entry[T], payload T, version core.Version) bool {
 	if err := e.Automaton.SeedFrom(payload, version); err != nil {
+		tr := reqtrace.FromContext(ctx)
 		tr.Error("seed: " + err.Error())
 		if rerr := e.Automaton.Reset(); rerr != nil {
 			tr.Error("seed reset: " + rerr.Error())
 		}
 		return false
 	}
-	mode := "delta"
-	if _, whole := payload.(T); whole {
-		mode = "warm"
-	}
-	e.sink.Send(tr.CacheSeed(e.Out.Name(), mode, uint64(version)))
 	return true
 }
 

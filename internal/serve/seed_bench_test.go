@@ -2,7 +2,7 @@ package serve_test
 
 import (
 	"context"
-	"sync"
+	"math"
 	"testing"
 	"time"
 
@@ -14,7 +14,7 @@ import (
 	"anytime/internal/snapcache"
 )
 
-// Warm-start cost and win, pinned in BENCH_snapcache.json.
+// Warm-start cost.
 //
 // BenchmarkWarmStartSetup measures what a cache hit adds to the pooled
 // request path: checkout alone versus checkout plus SeedFromCache — the
@@ -54,7 +54,7 @@ func seedBenchPool(tb testing.TB) (*serve.Pool[*pix.Image], *snapcache.Cache[*pi
 	if err != nil {
 		tb.Fatal(err)
 	}
-	key := snapcache.Key{App: "conv2d", Digest: snapcache.DigestImage(in), Epoch: 1}
+	key := snapcache.Key{App: "conv2d", Digest: "bench-input", Epoch: 1}
 
 	ctx := context.Background()
 	e, err := pool.Get(ctx)
@@ -155,99 +155,72 @@ func TestWarmStartSetupBudget(t *testing.T) {
 	}
 }
 
-// TestWarmStartBeatsColdAtVersionBudget pins the warm-start win
-// deterministically: with one worker and publish-every-round, a run
-// seeded at version K and given M more publishes must beat a cold run
-// given the same M publishes — the seeded run's untouched tiles carry K
-// rounds of prior refinement where the cold run still hold-fills.
+// TestWarmStartBeatsColdAtVersionBudget is the record of why anytimed runs
+// every request cold. A seeded image stage computes every round from the
+// first and never hold-fills, so a run seeded with a cold run's version s
+// and cut after k more publishes shows the seed wherever it has not
+// recomputed. Over ten 256² inputs at one worker, publishing every round,
+// for each seed version s:
 //
-// Publish counts are controlled exactly: an observer blocks the target
-// publish on the stage goroutine while the run context is cancelled, and
-// the diffusive driver's post-publish interrupt poll guarantees no
-// further version lands after the release.
+//   - at k = s/2 the warm start beats the cold run cut at k: it still
+//     shows s rounds of refinement;
+//   - at k = s the two agree within 0.01 dB: both are the cold run's
+//     version s, so a warm start at the same deadline is a cold start.
 func TestWarmStartBeatsColdAtVersionBudget(t *testing.T) {
-	const seedV, extra = 3, 2
-	in, err := pix.SyntheticGray(128, 128, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := conv2d.Config{Workers: 1, Granularity: 2048, Publish: core.PublishEveryRound}
-	ref, err := conv2d.Precise(in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runTo := func(run *conv2d.Run, target core.Version) core.Snapshot[*pix.Image] {
+	const inputs = 10
+	cfg := conv2d.Config{Workers: 1, Publish: core.PublishEveryRound}
+	// versions runs run to its final and returns every version it published.
+	versions := func(run *conv2d.Run) map[core.Version]*pix.Image {
 		t.Helper()
-		reached := make(chan struct{})
-		release := make(chan struct{})
-		var once sync.Once
-		run.Out.OnPublish(func(s core.Snapshot[*pix.Image]) {
-			if s.Version >= target {
-				once.Do(func() { close(reached) })
-				<-release
-			}
-		})
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		if err := run.Automaton.Start(ctx); err != nil {
+		got := map[core.Version]*pix.Image{}
+		run.Out.OnPublish(func(s core.Snapshot[*pix.Image]) { got[s.Version] = s.Value })
+		if err := run.Automaton.Start(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case <-reached:
-		case <-run.Automaton.Done():
-			t.Fatalf("run finished before reaching version %d", target)
-		}
-		cancel()
-		close(release)
-		if err := run.Automaton.Wait(); err != nil && err != core.ErrStopped {
+		if err := run.Automaton.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		s, ok := run.Out.Latest()
-		if !ok || s.Version != target {
-			t.Fatalf("stopped at version %d (ok=%v), want exactly %d", s.Version, ok, target)
-		}
-		return s
+		return got
 	}
-	snr := func(s core.Snapshot[*pix.Image]) float64 {
-		t.Helper()
-		db, err := metrics.SNR(ref.Pix, s.Value.Pix)
+	for seed := uint64(1); seed <= inputs; seed++ {
+		in, err := pix.SyntheticGray(256, 256, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return db
-	}
-
-	// The "cached" approximation: a prior request that got seedV publishes.
-	prior, err := conv2d.New(in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := runTo(prior, seedV)
-	if cached.Final {
-		t.Fatalf("seed snapshot already final at version %d", cached.Version)
-	}
-
-	// Cold: extra publishes from scratch.
-	coldRun, err := conv2d.New(in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := runTo(coldRun, extra)
-
-	// Warm: seeded at cached.Version, then the same extra publishes.
-	warmRun, err := conv2d.New(in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := warmRun.Automaton.SeedFrom(cached.Value, cached.Version); err != nil {
-		t.Fatal(err)
-	}
-	warm := runTo(warmRun, cached.Version+extra)
-
-	coldDB, warmDB := snr(cold), snr(warm)
-	t.Logf("cold %d publishes: %.2f dB; warm seed@%d + %d publishes: %.2f dB",
-		extra, coldDB, cached.Version, extra, warmDB)
-	if warmDB <= coldDB {
-		t.Fatalf("warm start (%.2f dB) does not beat cold (%.2f dB) at the same publish budget", warmDB, coldDB)
+		ref, err := conv2d.Precise(in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snr := func(im *pix.Image) float64 {
+			t.Helper()
+			db, err := metrics.SNR(ref.Pix, im.Pix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}
+		coldRun, err := conv2d.New(in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := versions(coldRun)
+		for _, s := range []core.Version{1, 2, 3, 4, 8} {
+			warmRun, err := conv2d.New(in, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := warmRun.Automaton.SeedFrom(cold[s], s); err != nil {
+				t.Fatal(err)
+			}
+			warm := versions(warmRun)
+			if k := s / 2; k > 0 {
+				if w, c := snr(warm[s+k]), snr(cold[k]); w <= c {
+					t.Errorf("input %d, seed %d, k %d: warm %.2f dB does not beat cold %.2f dB", seed, s, k, w, c)
+				}
+			}
+			if w, c := snr(warm[2*s]), snr(cold[s]); math.Abs(w-c) > 0.01 {
+				t.Errorf("input %d, seed %d, k %d: warm %.2f dB and cold %.2f dB differ by more than 0.01 dB", seed, s, s, w, c)
+			}
+		}
 	}
 }

@@ -1,31 +1,26 @@
 // Package snapcache is a content-addressed cache of published anytime
-// snapshots, the warm-start store of the serving tier (ROADMAP item 3).
+// snapshots: entries keyed by (app, input key, config epoch), each holding
+// a snapshot with the version it was published at and the SNR it measured,
+// so a later run over the same content could be seeded from it
+// (core.Automaton.SeedFrom, serve.SeedFromCache).
 //
-// Production anytime traffic is highly redundant: repeated and
-// near-duplicate inputs recompute identical approximation trajectories from
-// version 1 on every request, even though the previous request already
-// published exactly the artifact worth reusing — a snapshot at a known
-// version and measured SNR. The cache keys those artifacts by
-// (app, input digest, config epoch) so a later request for the same content
-// can seed its pooled automaton from the cached approximation
-// (core.Automaton.SeedFrom) and spend its whole deadline budget on
-// refinement. The keying, eviction, and warm-start invariants are
-// documented in docs/CACHING.md.
+// Seeding does not buy accuracy at a deadline: a seeded image stage still
+// computes every round from the first, so a warm start cut after as many
+// rounds as its seed had delivers the cold run's image. anytimed therefore
+// keeps no cache; this package is the seed path's store for the callers
+// that measure it.
 //
 // Concurrency model: lookups take only a read lock plus one atomic store (a
-// recency stamp), so the hot serving path never serializes on the cache.
-// Admissions are serialized by a dedicated writer mutex — a single-writer
-// admission path, mirroring the model's single-writer buffers — and do the
-// eviction scan there, off the request's critical path (the daemon admits
-// after the response is written).
+// recency stamp). Admissions are serialized by a dedicated writer mutex — a
+// single-writer admission path, mirroring the model's single-writer
+// buffers — and do the eviction scan there. Entries never expire; a full
+// cache evicts the least recently used.
 package snapcache
 
 import (
 	"fmt"
-	"maps"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"anytime/internal/core"
 )
@@ -34,9 +29,9 @@ import (
 type Key struct {
 	// App is the application the snapshot came from ("conv2d", ...).
 	App string
-	// Digest is the content digest of the request input (DigestImage, or
-	// a caller-supplied routing key). Two requests share a
-	// cache entry only if their digests match exactly.
+	// Digest is the content key of the input, a digest or a
+	// caller-supplied key. Two requests share a cache entry only if their
+	// digests match exactly.
 	Digest string
 	// Epoch fingerprints the app configuration the snapshot was computed
 	// under (kernel size, workers, image geometry, ...). A config change
@@ -58,41 +53,34 @@ type Entry[T any] struct {
 type Config[T any] struct {
 	// MaxBytes bounds the total payload size (per SizeOf). Default 64 MiB.
 	MaxBytes int64
-	// TTL bounds entry age; expired entries miss (and are dropped) at
-	// lookup time. Default 5 minutes.
-	TTL time.Duration
 	// SizeOf reports the payload size of a value in bytes. Required.
 	SizeOf func(T) int
-	// Now is the clock; nil means time.Now. A test seam for TTL behavior.
-	Now func() time.Time
 }
 
 type item[T any] struct {
 	e     Entry[T]
 	bytes int64
-	added time.Time
 	used  atomic.Int64 // logical recency stamp; stored without the write lock
 }
 
-// Cache is a content-addressed snapshot cache with TTL and size-bounded
-// LRU eviction. All methods are safe for concurrent use. Values are held
-// and handed out as admitted, never copied: the serving tier caches
-// published app versions, which are immutable.
+// Cache is a content-addressed snapshot cache with size-bounded LRU
+// eviction. All methods are safe for concurrent use. Values are held and
+// handed out as admitted, never copied: published app versions are
+// immutable.
 type Cache[T any] struct {
 	cfg Config[T]
 
 	admit sync.Mutex // serializes admissions (single-writer)
 
-	mu        sync.RWMutex
-	entries   map[Key]*item[T]
-	bytes     int64
-	evictions map[string]uint64 // by reason: lru | ttl | replaced
+	mu      sync.RWMutex
+	entries map[Key]*item[T]
+	bytes   int64
 
 	clock atomic.Int64 // logical time for LRU stamps
 }
 
-// New returns an empty cache. SizeOf is required; zero MaxBytes and TTL
-// take the defaults (64 MiB, 5 minutes).
+// New returns an empty cache. SizeOf is required; a zero MaxBytes takes
+// the default (64 MiB).
 func New[T any](cfg Config[T]) (*Cache[T], error) {
 	if cfg.SizeOf == nil {
 		return nil, fmt.Errorf("snapcache: Config.SizeOf is required")
@@ -103,46 +91,19 @@ func New[T any](cfg Config[T]) (*Cache[T], error) {
 	if cfg.MaxBytes < 0 {
 		return nil, fmt.Errorf("snapcache: MaxBytes %d must be positive", cfg.MaxBytes)
 	}
-	if cfg.TTL == 0 {
-		cfg.TTL = 5 * time.Minute
-	}
-	if cfg.TTL < 0 {
-		return nil, fmt.Errorf("snapcache: TTL %v must be positive", cfg.TTL)
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	return &Cache[T]{cfg: cfg, entries: make(map[Key]*item[T]), evictions: make(map[string]uint64)}, nil
+	return &Cache[T]{cfg: cfg, entries: make(map[Key]*item[T])}, nil
 }
 
-// Get looks up the entry for k. The hot path takes only the read lock and
-// one atomic store; an entry found expired is dropped (reason "ttl") and
-// reported as a miss.
+// Get looks up the entry for k. It takes only the read lock and one atomic
+// store.
 func (c *Cache[T]) Get(k Key) (Entry[T], bool) {
 	c.mu.RLock()
+	defer c.mu.RUnlock()
 	it, ok := c.entries[k]
-	var expired bool
-	if ok {
-		expired = c.cfg.Now().Sub(it.added) > c.cfg.TTL
-		if !expired {
-			it.used.Store(c.clock.Add(1))
-		}
-	}
-	c.mu.RUnlock()
-
-	if ok && expired {
-		c.mu.Lock()
-		// Recheck: a concurrent Put may have replaced the item.
-		if cur, still := c.entries[k]; still && cur == it {
-			c.drop(k, cur, "ttl")
-		}
-		c.mu.Unlock()
-		ok = false
-	}
 	if !ok {
-		var zero Entry[T]
-		return zero, false
+		return Entry[T]{}, false
 	}
+	it.used.Store(c.clock.Add(1))
 	return it.e, true
 }
 
@@ -151,7 +112,7 @@ func (c *Cache[T]) Get(k Key) (Entry[T], bool) {
 // an entry larger than the whole cache is refused, and an existing entry
 // is only replaced by a strictly newer version (replacing a refined
 // approximation with an earlier one would regress every future warm
-// start). Admissions are serialized; callers on the serving path should
+// start). Admissions are serialized; a caller serving requests should
 // admit after the response is delivered.
 func (c *Cache[T]) Put(k Key, e Entry[T]) bool {
 	if e.Version == 0 {
@@ -163,18 +124,16 @@ func (c *Cache[T]) Put(k Key, e Entry[T]) bool {
 	}
 	c.admit.Lock()
 	defer c.admit.Unlock()
-	now := c.cfg.Now()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.entries[k]; ok {
-		fresh := now.Sub(old.added) <= c.cfg.TTL
-		if fresh && old.e.Version >= e.Version {
+		if old.e.Version >= e.Version {
 			return false
 		}
-		c.drop(k, old, "replaced")
+		c.drop(k, old)
 	}
-	it := &item[T]{e: e, bytes: bytes, added: now}
+	it := &item[T]{e: e, bytes: bytes}
 	it.used.Store(c.clock.Add(1))
 	c.entries[k] = it
 	c.bytes += bytes
@@ -183,7 +142,7 @@ func (c *Cache[T]) Put(k Key, e Entry[T]) bool {
 		if victim == nil {
 			break
 		}
-		c.drop(vk, victim, "lru")
+		c.drop(vk, victim)
 	}
 	return true
 }
@@ -207,37 +166,10 @@ func (c *Cache[T]) lruLocked(keep *item[T]) (Key, *item[T]) {
 	return vk, victim
 }
 
-// drop removes it (known present under k) and counts the eviction under
-// its reason: "lru" (capacity), "ttl" (expired at lookup), or "replaced"
-// (overwritten by a newer version). Called with mu held.
-func (c *Cache[T]) drop(k Key, it *item[T], reason string) {
+// drop removes it, known present under k. Called with mu held.
+func (c *Cache[T]) drop(k Key, it *item[T]) {
 	delete(c.entries, k)
 	c.bytes -= it.bytes
-	c.evictions[reason]++
-}
-
-// Stats is the cache's own bookkeeping, one consistent reading under its
-// lock. Hits and misses are not here: the serving tier reports each lookup
-// as a reqtrace event (cache.hit / cache.miss), which is what /metrics
-// counts.
-type Stats struct {
-	Entries   int
-	Bytes     int64
-	Evictions map[string]uint64 // entries dropped, by reason
-}
-
-// Stats returns the cache's current size and eviction counts.
-func (c *Cache[T]) Stats() Stats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return Stats{Entries: len(c.entries), Bytes: c.bytes, Evictions: maps.Clone(c.evictions)}
-}
-
-// Len reports the number of cached entries.
-func (c *Cache[T]) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
 }
 
 // Bytes reports the total payload size of cached entries.

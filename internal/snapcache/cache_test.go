@@ -4,30 +4,25 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"anytime/internal/core"
-	"anytime/internal/pix"
 )
 
-// testCache builds a byte-slice cache with a controllable clock.
-func testCache(t *testing.T, maxBytes int64, ttl time.Duration) (*Cache[[]byte], *time.Time) {
+// testCache builds a byte-slice cache of maxBytes.
+func testCache(t *testing.T, maxBytes int64) *Cache[[]byte] {
 	t.Helper()
-	now := time.Unix(1000, 0)
 	c, err := New(Config[[]byte]{
 		MaxBytes: maxBytes,
-		TTL:      ttl,
 		SizeOf:   func(b []byte) int { return len(b) },
-		Now:      func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, &now
+	return c
 }
 
 func TestCacheHitMiss(t *testing.T) {
-	c, _ := testCache(t, 1<<20, time.Minute)
+	c := testCache(t, 1<<20)
 	k := Key{App: "conv2d", Digest: "abc", Epoch: 1}
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
@@ -39,8 +34,8 @@ func TestCacheHitMiss(t *testing.T) {
 	if !ok || string(e.Value) != "snap" || e.Version != 3 || e.SNRdB != 21.5 {
 		t.Fatalf("Get = %+v, %v", e, ok)
 	}
-	if st := c.Stats(); c.Len() != 1 || c.Bytes() != 4 || st.Bytes != 4 || st.Entries != 1 || len(st.Evictions) != 0 {
-		t.Fatalf("size: Len=%d Bytes=%d Stats=%+v", c.Len(), c.Bytes(), st)
+	if c.Bytes() != 4 {
+		t.Fatalf("Bytes = %d, want 4", c.Bytes())
 	}
 }
 
@@ -48,7 +43,7 @@ func TestCacheHitMiss(t *testing.T) {
 // The epoch check is what guarantees a config change can never seed a
 // request with an approximation computed under the old config.
 func TestCacheKeyHygiene(t *testing.T) {
-	c, _ := testCache(t, 1<<20, time.Minute)
+	c := testCache(t, 1<<20)
 	base := Key{App: "conv2d", Digest: "abc", Epoch: 1}
 	c.Put(base, Entry[[]byte]{Value: []byte("base"), Version: 1})
 	for _, k := range []Key{
@@ -67,53 +62,8 @@ func TestCacheKeyHygiene(t *testing.T) {
 	}
 }
 
-func TestCacheTTLExpiryMidStream(t *testing.T) {
-	c, now := testCache(t, 1<<20, time.Minute)
-	k := Key{App: "conv2d", Digest: "abc", Epoch: 1}
-	c.Put(k, Entry[[]byte]{Value: []byte("old"), Version: 9})
-	*now = now.Add(30 * time.Second)
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("entry missed before TTL")
-	}
-	// The entry expires between two requests of the same stream: the later
-	// request must miss (never seed from an expired entry) and the entry
-	// must be dropped with reason "ttl".
-	*now = now.Add(31 * time.Second)
-	if _, ok := c.Get(k); ok {
-		t.Fatal("expired entry hit")
-	}
-	if got := c.Stats().Evictions; got["ttl"] != 1 || len(got) != 1 {
-		t.Fatalf("evictions = %v, want only ttl: 1", got)
-	}
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("expired entry retained: Len=%d Bytes=%d", c.Len(), c.Bytes())
-	}
-	// An expired (but not yet dropped) entry must not block re-admission
-	// at a lower version: the fresh run's output is the only valid one.
-	c.Put(k, Entry[[]byte]{Value: []byte("new"), Version: 2})
-	e, ok := c.Get(k)
-	if !ok || string(e.Value) != "new" {
-		t.Fatalf("re-admission after expiry: %+v %v", e, ok)
-	}
-}
-
-func TestCacheExpiredEntryReplaceable(t *testing.T) {
-	c, now := testCache(t, 1<<20, time.Minute)
-	k := Key{App: "conv2d", Digest: "abc", Epoch: 1}
-	c.Put(k, Entry[[]byte]{Value: []byte("old"), Version: 9})
-	*now = now.Add(2 * time.Minute)
-	// No Get dropped it; Put must still treat it as gone.
-	if !c.Put(k, Entry[[]byte]{Value: []byte("new"), Version: 1}) {
-		t.Fatal("expired entry blocked a lower-version Put")
-	}
-	e, _ := c.Get(k)
-	if string(e.Value) != "new" {
-		t.Fatalf("value = %q", e.Value)
-	}
-}
-
 func TestCacheVersionMonotoneReplace(t *testing.T) {
-	c, _ := testCache(t, 1<<20, time.Minute)
+	c := testCache(t, 1<<20)
 	k := Key{App: "conv2d", Digest: "abc", Epoch: 1}
 	c.Put(k, Entry[[]byte]{Value: []byte("v5"), Version: 5})
 	// An older or equal version must not replace a refined entry.
@@ -130,8 +80,8 @@ func TestCacheVersionMonotoneReplace(t *testing.T) {
 	if string(e.Value) != "v6" {
 		t.Fatalf("value = %q", e.Value)
 	}
-	if got := c.Stats().Evictions; got["replaced"] != 1 || len(got) != 1 {
-		t.Fatalf("evictions = %v, want only replaced: 1", got)
+	if c.Bytes() != 2 {
+		t.Fatalf("Bytes = %d after a replacement, want 2", c.Bytes())
 	}
 	// Version 0 is never admissible (it promises a seed that has no
 	// published state).
@@ -141,7 +91,7 @@ func TestCacheVersionMonotoneReplace(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c, _ := testCache(t, 30, time.Minute)
+	c := testCache(t, 30)
 	keys := make([]Key, 3)
 	for i := range keys {
 		keys[i] = Key{App: "a", Digest: fmt.Sprintf("d%d", i), Epoch: 1}
@@ -159,9 +109,6 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Errorf("recently used %+v evicted", k)
 		}
 	}
-	if got := c.Stats().Evictions; got["lru"] != 1 || len(got) != 1 {
-		t.Fatalf("evictions = %v, want only lru: 1", got)
-	}
 	if c.Bytes() > 30 {
 		t.Fatalf("cache over budget: %d", c.Bytes())
 	}
@@ -173,9 +120,10 @@ func TestCacheLRUEviction(t *testing.T) {
 
 // Eviction under concurrent admission: hammer a small cache from many
 // writers and readers at once (run with -race). The invariants: never over
-// budget at rest, and Stats reads a consistent size while they run.
+// budget, every size a reader sees is whole entries, and the recently used
+// key stays admitted.
 func TestCacheConcurrentAdmission(t *testing.T) {
-	c, _ := testCache(t, 200, time.Minute)
+	c := testCache(t, 200)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -186,8 +134,8 @@ func TestCacheConcurrentAdmission(t *testing.T) {
 				c.Put(k, Entry[[]byte]{Value: make([]byte, 20), Version: core.Version(i + 1)})
 				c.Get(k)
 				c.Get(Key{App: "a", Digest: "d0", Epoch: 1})
-				if st := c.Stats(); st.Bytes != int64(st.Entries)*20 {
-					t.Errorf("torn Stats: %+v", st)
+				if b := c.Bytes(); b%20 != 0 || b > 200 {
+					t.Errorf("torn size: %d bytes", b)
 				}
 			}
 		}(w)
@@ -195,25 +143,5 @@ func TestCacheConcurrentAdmission(t *testing.T) {
 	wg.Wait()
 	if c.Bytes() > 200 {
 		t.Fatalf("cache over budget after concurrent admission: %d", c.Bytes())
-	}
-	if c.Len() > 10 {
-		t.Fatalf("too many entries for budget: %d", c.Len())
-	}
-}
-
-func TestDigestImage(t *testing.T) {
-	a := pix.MustNew(8, 8, 1)
-	b := pix.MustNew(8, 8, 1)
-	if DigestImage(a) != DigestImage(b) {
-		t.Fatal("equal images digest differently")
-	}
-	b.SetGray(3, 3, 1)
-	if DigestImage(a) == DigestImage(b) {
-		t.Fatal("single-sample change not reflected")
-	}
-	// Same samples, different shape.
-	c := pix.MustNew(4, 16, 1)
-	if DigestImage(a) == DigestImage(c) {
-		t.Fatal("geometry not folded in")
 	}
 }

@@ -7,11 +7,11 @@ import (
 	"anytime/internal/snapcache"
 )
 
-// Example_warmStart walks the serving tier's cache protocol end to end:
-// the first request for a piece of content misses and runs cold, its
-// delivered snapshot is admitted on the way out, and the repeat request
-// finds the approximation — version and measured SNR intact — ready to
-// seed a warm start (core.Automaton.SeedFrom).
+// Example_warmStart walks the cache protocol end to end: the first request
+// for a piece of content misses and runs cold, its delivered snapshot is
+// admitted on the way out, and the repeat request finds the approximation
+// — version and measured SNR intact — ready to seed a warm start
+// (core.Automaton.SeedFrom).
 func Example_warmStart() {
 	cache, err := snapcache.New(snapcache.Config[*pix.Image]{
 		SizeOf: func(im *pix.Image) int { return len(im.Pix) * 4 },
@@ -20,10 +20,9 @@ func Example_warmStart() {
 		panic(err)
 	}
 
-	// The key is content-addressed: the app, a digest of the input bytes,
-	// and the config epoch. Same pixels + same config = same key.
-	input, _ := pix.SyntheticGray(32, 32, 7)
-	key := snapcache.Key{App: "conv2d", Digest: snapcache.DigestImage(input), Epoch: 0x2a}
+	// The key is content-addressed: the app, a key for the input, and the
+	// config epoch. Same input + same config = same key.
+	key := snapcache.Key{App: "conv2d", Digest: "frame-7", Epoch: 0x2a}
 
 	if _, ok := cache.Get(key); !ok {
 		fmt.Println("request 1: miss, run cold from version 1")
@@ -48,41 +47,4 @@ func Example_warmStart() {
 	// request 1: miss, run cold from version 1
 	// request 2: hit, seed at version 6 (23.4 dB) and publish 7 next
 	// after config change: miss
-}
-
-// Example_deltaTiles shows the cross-request delta workflow for streams:
-// when frame N misses but frame N-1 is cached, pix.TileDiff marks the
-// tiles where the inputs differ, Dilate widens them by one ring for the
-// consumers' stencil halo, and a pix.SeedFrame warm-starts the run with
-// only the changed region falling back to recomputation.
-func Example_deltaTiles() {
-	prev, _ := pix.SyntheticGray(128, 128, 7)
-	next := prev.Clone()
-	// One 8x8 block changed between the frames, inside tile (1,1).
-	for y := 40; y < 48; y++ {
-		for x := 40; x < 48; x++ {
-			next.SetGray(x, y, 255-next.Gray(x, y))
-		}
-	}
-
-	stale, err := pix.TileDiff(prev, next)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("changed tiles: %d of 16\n", stale.Count())
-
-	stale.Dilate() // one ring of halo for stencil consumers
-	fmt.Printf("stale after dilation: %d of 16\n", stale.Count())
-
-	// cachedPrev would be the prior frame's cached output; the seeded run
-	// republishes from the cached version and recomputes only stale tiles
-	// first.
-	cachedPrev := pix.MustNew(128, 128, 1)
-	seed := &pix.SeedFrame{Image: cachedPrev, Stale: stale}
-	fmt.Printf("seed frame ready: %v\n", seed.Stale.Any())
-
-	// Output:
-	// changed tiles: 1 of 16
-	// stale after dilation: 9 of 16
-	// seed frame ready: true
 }

@@ -14,18 +14,10 @@ const (
 	MetricServeDeliveryTime  = "anytime_serve_delivery_seconds"
 )
 
-// Metric names of the snapshot cache and the flight recorder. Hits, misses
-// and seeds are counted by ServeHooks from the cache.* events; the rest
-// mirror the Stats() their owners keep and are filled in at collection time
-// (Registry.OnCollect) by whoever owns the cache and the recorder.
+// Metric names of the flight recorder. They mirror the Stats() the recorder
+// keeps and are filled in at collection time (Registry.OnCollect) by
+// whoever owns the recorder.
 const (
-	MetricSnapcacheHits      = "anytime_snapcache_hits_total"
-	MetricSnapcacheMisses    = "anytime_snapcache_misses_total"
-	MetricSnapcacheSeeds     = "anytime_snapcache_seeds_total"
-	MetricSnapcacheEvictions = "anytime_snapcache_evictions_total"
-	MetricSnapcacheBytes     = "anytime_snapcache_bytes"
-	MetricSnapcacheEntries   = "anytime_snapcache_entries"
-
 	MetricReqtraceRecorded   = "anytime_reqtrace_recorded_total"
 	MetricReqtraceSampledOut = "anytime_reqtrace_sampled_out_total"
 	MetricReqtraceEvicted    = "anytime_reqtrace_evicted_total"
@@ -52,12 +44,6 @@ const (
 //     snapshots by outcome (precise | approximate), and
 //     anytime_serve_delivery_seconds{outcome}: request run time from
 //     automaton start to delivery, excluding queue wait.
-//   - cache.hit / cache.miss → anytime_snapcache_hits_total{app} /
-//     anytime_snapcache_misses_total{app}: cache lookups by outcome, sibling
-//     (?prior=) lookups included; the hit fraction is the repeat-traffic
-//     rate the cache is actually capturing.
-//   - cache.seed → anytime_snapcache_seeds_total{mode}: hits that actually
-//     seeded an automaton (mode = warm | delta).
 //
 // One sink serves every pool and queue in the process; all instruments are
 // safe for concurrent use.
@@ -81,12 +67,6 @@ func ServeHooks(reg *Registry) reqtrace.Sink {
 			labels := Labels{"outcome": pick(e.Flag, "precise", "approximate")}
 			reg.Counter(MetricServeDeliveries, labels).Inc()
 			reg.DurationHistogram(MetricServeDeliveryTime, labels).ObserveDuration(e.Dur)
-		case reqtrace.KindCacheHit:
-			reg.Counter(MetricSnapcacheHits, Labels{"app": e.Name}).Inc()
-		case reqtrace.KindCacheMiss:
-			reg.Counter(MetricSnapcacheMisses, Labels{"app": e.Name}).Inc()
-		case reqtrace.KindCacheSeed:
-			reg.Counter(MetricSnapcacheSeeds, Labels{"mode": e.Note}).Inc()
 		}
 	}
 }

@@ -57,25 +57,4 @@ func TestServeHooksRecord(t *testing.T) {
 	if got := reg.DurationHistogram(MetricServeDeliveryTime, Labels{"outcome": "precise"}).Count(); got != 1 {
 		t.Errorf("precise delivery observations = %d, want 1", got)
 	}
-
-	sink(tr.CacheMiss("blur", "k2", false))
-	sink(tr.CacheMiss("blur", "k1", true)) // a sibling lookup counts like any other
-	sink(tr.CacheHit("blur", "k1", 7, false))
-	sink(tr.CacheSeed("conv2d", "warm", 7))
-	sink(tr.CacheSeed("conv2d", "delta", 7))
-	sink(tr.CacheSeed("conv2d", "delta", 9))
-	for _, c := range []struct {
-		name   string
-		labels Labels
-		want   uint64
-	}{
-		{MetricSnapcacheMisses, Labels{"app": "blur"}, 2},
-		{MetricSnapcacheHits, Labels{"app": "blur"}, 1},
-		{MetricSnapcacheSeeds, Labels{"mode": "warm"}, 1},
-		{MetricSnapcacheSeeds, Labels{"mode": "delta"}, 2},
-	} {
-		if got := reg.Counter(c.name, c.labels).Value(); got != c.want {
-			t.Errorf("%s%v = %d, want %d", c.name, c.labels, got, c.want)
-		}
-	}
 }
