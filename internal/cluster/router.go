@@ -145,10 +145,6 @@ func (rt *Router) Close() { rt.checker.Stop() }
 // Membership exposes the fleet registry (tests, admin tooling).
 func (rt *Router) Membership() *Membership { return rt.members }
 
-// Checker exposes the health checker (tests force Sweep instead of waiting
-// out the probe interval).
-func (rt *Router) Checker() *Checker { return rt.checker }
-
 // HedgeDelay returns the current hedge delay: the configured quantile of
 // the latency digest clamped to [HedgeMin, HedgeMax], HedgeMax before any
 // samples arrive, and a negative value (hedging disabled) when HedgeMax<0.

@@ -407,9 +407,13 @@ func httpRunError(w http.ResponseWriter, err error) {
 
 // recordDelivered records the delivered-accuracy metric: approximate
 // deliveries observe their SNR (in millidecibels — the registry is
-// integer-valued), precise ones only count (their SNR is +Inf).
+// integer-valued), precise ones only count (their SNR is +Inf). A
+// non-final version can already be exact (kmeans republishes its exact
+// image): its +Inf SNR is skipped as a final's is, since converted to an
+// integer it would land past the last bucket and swamp the sum. The trace
+// records such a delivery as unmeasured.
 func (s *Server) recordDelivered(db float64, final bool) {
-	if final {
+	if final || math.IsInf(db, 1) {
 		return
 	}
 	if db < 0 {

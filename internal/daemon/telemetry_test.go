@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -101,6 +102,36 @@ func TestHealthzAndExpvar(t *testing.T) {
 	body := rec.Body.String()
 	if !strings.Contains(body, `"anytime"`) || !strings.Contains(body, "anytimed_http_requests_total") {
 		t.Errorf("expvar missing the registry:\n%s", body)
+	}
+}
+
+// TestExactNonFinalDeliveryKeepsMetricsValid: a non-final version can be
+// exact (kmeans republishes its exact image), so its delivery reads an SNR
+// of +Inf. It is not observed, so /debug/vars stays valid JSON and /metrics
+// writes the delivered-SNR histogram's +Inf bucket once.
+func TestExactNonFinalDeliveryKeepsMetricsValid(t *testing.T) {
+	s := testServer(t)
+	s.recordDelivered(25, false)
+	s.recordDelivered(math.Inf(1), false)
+	var vars struct {
+		Anytime map[string]json.RawMessage `json:"anytime"`
+	}
+	if err := json.Unmarshal(get(t, s, "/debug/vars").Body.Bytes(), &vars); err != nil {
+		t.Fatalf("/debug/vars is not valid JSON: %v", err)
+	}
+	var series map[string]struct {
+		Count uint64  `json:"count"`
+		Sum   float64 `json:"sum"`
+	}
+	if err := json.Unmarshal(vars.Anytime[metricDeliveredSNR], &series); err != nil {
+		t.Fatalf("/debug/vars %s: %v", metricDeliveredSNR, err)
+	}
+	if got := series["{}"]; got.Count != 1 || got.Sum != 25000 {
+		t.Errorf("/debug/vars %s = %+v, want the one finite delivery (count 1, sum 25000)", metricDeliveredSNR, got)
+	}
+	body := get(t, s, "/metrics").Body.String()
+	if n := strings.Count(body, metricDeliveredSNR+`_bucket{le="+Inf"}`); n != 1 {
+		t.Errorf("/metrics writes %d %s +Inf bucket lines, want 1", n, metricDeliveredSNR)
 	}
 }
 

@@ -8,14 +8,16 @@ import (
 	"anytime/internal/snapcache"
 )
 
-// Warm starts. A snapshot cache (internal/snapcache) can hold delivered
-// snapshots, and a pooled automaton can be seeded with one before Start:
-// SeedFromCache between Pool.Get and Run, Admit after the response is
-// delivered, both nil-safe. A seeded image stage still computes every
-// round from the first (core.SeedFrom), so a warm start cut after as many
-// rounds as its seed had delivers the cold run's image; anytimed therefore
-// runs every request cold, and these helpers serve callers that measure
-// the seed path.
+// Only the frozen benchmark (cmd/anytimebench: the serve.seed_us and
+// serve.admit_us probes, and its replay of the seed path) and this
+// package's tests call this file; it can be deleted whole once the
+// benchmark stops calling it. A snapshot cache (internal/snapcache) can
+// hold delivered snapshots, and a pooled automaton can be seeded with one
+// before Start: SeedFromCache between Pool.Get and Run, Admit after the
+// response is delivered, both nil-safe. A seeded image stage still
+// computes every round from the first (core.SeedFrom), so a warm start cut
+// after as many rounds as its seed had delivers the cold run's image;
+// anytimed therefore runs every request cold.
 
 // SeedFromCache looks up key and, on a hit, seeds the entry's automaton
 // with the cached value at its cached version. It returns the cache entry

@@ -4,11 +4,12 @@
 // so a later run over the same content could be seeded from it
 // (core.Automaton.SeedFrom, serve.SeedFromCache).
 //
-// Seeding does not buy accuracy at a deadline: a seeded image stage still
-// computes every round from the first, so a warm start cut after as many
-// rounds as its seed had delivers the cold run's image. anytimed therefore
-// keeps no cache; this package is the seed path's store for the callers
-// that measure it.
+// Only the frozen benchmark (cmd/anytimebench: the snapcache.* probes and
+// serve.Admit) and serve's benchcompat.go call this package; it can be
+// deleted whole once the benchmark stops calling it. Seeding does not buy
+// accuracy at a deadline: a seeded image stage still computes every round
+// from the first, so a warm start cut after as many rounds as its seed had
+// delivers the cold run's image, and anytimed keeps no cache.
 //
 // Concurrency model: lookups take only a read lock plus one atomic store (a
 // recency stamp). Admissions are serialized by a dedicated writer mutex — a

@@ -312,31 +312,34 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if rank == 0 {
 		rank = 1
 	}
+	// A rank in bucket 64 (values of 2^63 and up) reports bucket 63's
+	// upper edge, as Prometheus' histogram_quantile does for the +Inf
+	// bucket, so the estimate stays finite.
 	var cum uint64
-	for i := range h.buckets {
+	for i := range histBuckets - 1 {
 		cum += h.buckets[i].Load()
 		if cum >= rank {
 			return h.bucketUpper(i)
 		}
 	}
-	return h.bucketUpper(histBuckets - 1)
+	return h.bucketUpper(histBuckets - 2)
 }
 
-// bucketUpper is bucket i's inclusive upper bound in exposition units.
+// bucketUpper is finite bucket i's (i < 64) inclusive upper bound in
+// exposition units.
 func (h *Histogram) bucketUpper(i int) float64 {
-	if i >= 64 {
-		return math.Inf(1)
-	}
 	// Bucket i holds values < 2^i (bits.Len64(v) == i ⇒ v <= 2^i - 1).
 	return float64(uint64(1)<<uint(i)) * h.scale
 }
 
 // cumulative returns the per-bucket cumulative counts up to and including
-// the highest nonempty bucket, ready for Prometheus `le` exposition.
+// the highest nonempty finite bucket, ready for Prometheus `le`
+// exposition. Bucket 64, whose upper edge is +Inf, is left out: the
+// exposition writes the +Inf bucket itself, from the total count.
 func (h *Histogram) cumulative() (uppers []float64, counts []uint64) {
 	top := -1
-	var raw [histBuckets]uint64
-	for i := range h.buckets {
+	var raw [histBuckets - 1]uint64
+	for i := range raw {
 		raw[i] = h.buckets[i].Load()
 		if raw[i] > 0 {
 			top = i

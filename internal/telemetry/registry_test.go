@@ -98,6 +98,29 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramTopBucketExposition: an observation of 2^63 or more lands in
+// the last bucket, whose upper edge is +Inf. The exposition still writes
+// exactly one +Inf bucket line, the quantiles stay finite, and the expvar
+// view still marshals.
+func TestHistogramTopBucketExposition(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("h", nil)
+	h.Observe(1 << 63)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(b.String(), `h_bucket{le="+Inf"} 1`+"\n"); n != 1 || strings.Count(b.String(), `le="+Inf"`) != 1 {
+		t.Errorf("want exactly one +Inf bucket line, counting 1:\n%s", b.String())
+	}
+	if q := h.Quantile(0.99); math.IsInf(q, 0) || q != 1<<63 {
+		t.Errorf("p99 = %v, want bucket 63's upper edge 2^63", q)
+	}
+	if _, err := json.Marshal(reg.Expvar()); err != nil {
+		t.Errorf("expvar view does not marshal: %v", err)
+	}
+}
+
 func TestDurationHistogramExposesSeconds(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.DurationHistogram("d_seconds", nil)
