@@ -80,11 +80,13 @@ type race struct {
 //
 //  1. The primary forward launches immediately.
 //  2. If it answers usably before the hedge delay, it wins outright.
-//  3. When the hedge delay fires (or the primary fails outright), the
-//     secondary launches; both race under the remaining budget.
-//  4. When the budget fires, the best usable response received so far is
-//     delivered and the outstanding attempt is cancelled. If both arrive
-//     before the budget, the higher-SNR snapshot wins immediately.
+//  3. If it fails outright before the hedge delay, the secondary launches
+//     at once and its answer is the outcome: a rescue, not a hedge.
+//  4. When the hedge delay fires, the secondary launches and both race
+//     under the budget, armed at that moment. When the budget fires, the
+//     best usable response received so far is delivered and the
+//     outstanding attempt is cancelled. If both answer before the budget,
+//     the higher-SNR snapshot wins.
 //  5. If nothing usable has arrived when the budget fires, the race keeps
 //     waiting and delivers the first usable response — budget exhaustion
 //     degrades the answer, it never empties it. Only every attempt
@@ -100,13 +102,20 @@ func runRace(ctx context.Context, rc race, primary, secondary *upstream) (*backe
 		resp *backendResponse
 		up   *upstream
 	}
-	results := make(chan outcome, 2)
-	launched := 0
-	cancels := make(map[*upstream]context.CancelFunc, 2)
+	results := make(chan outcome, 2) // one per attempt: a loser never blocks
+	inFlight := make(map[*upstream]context.CancelFunc, 2)
+	var stops []func() bool
+	defer func() {
+		for _, cancel := range inFlight {
+			cancel()
+		}
+		for _, stop := range stops {
+			stop()
+		}
+	}()
 	launch := func(up *upstream) {
 		upCtx, cancel := context.WithCancel(ctx)
-		cancels[up] = cancel
-		launched++
+		inFlight[up] = cancel
 		rc.sink.Send(rc.tr.Forward(up.member, up.role))
 		go func() {
 			resp := up.do(upCtx)
@@ -118,137 +127,64 @@ func runRace(ctx context.Context, rc race, primary, secondary *upstream) (*backe
 			results <- outcome{resp, up}
 		}()
 	}
-	// deliver resolves the race: cancel the straggler (if any), credit the
-	// win, hand the response up.
-	pending := func(won *upstream) *upstream {
-		for up, cancel := range cancels {
-			if up != won && cancel != nil {
-				return up
-			}
-		}
-		return nil
-	}
-	deliver := func(o outcome) (*backendResponse, error) {
-		if loser := pending(o.up); loser != nil {
-			cancels[loser]()
-			rc.sink.Send(rc.tr.HedgeCancel(loser.member, loser.role))
-		}
-		if launched > 1 {
-			rc.sink.Send(rc.tr.HedgeWin(o.up.member, o.up.role))
-		}
-		return o.resp, nil
+	arm := func(d time.Duration) <-chan time.Time {
+		c, stop := rc.timer(d)
+		stops = append(stops, stop)
+		return c
 	}
 
 	launch(primary)
-	defer func() {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}()
-
-	// Phase one: primary alone, hedge timer armed.
+	var hedgeC, budgetC <-chan time.Time
 	if secondary != nil && rc.hedgeDelay > 0 {
-		hedgeC, stopHedge := rc.timer(rc.hedgeDelay)
-		select {
-		case <-ctx.Done():
-			stopHedge()
-			return nil, ctx.Err()
-		case o := <-results:
-			stopHedge()
-			if o.resp.usable() {
-				return deliver(o)
-			}
-			// Primary failed outright: fail over to the secondary without
-			// waiting for the delay. Not a hedge win — a rescue.
-			delete(cancels, o.up)
-			launch(secondary)
-			secondary = nil
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case o := <-results:
-				if o.resp.usable() {
-					return deliver(o)
-				}
-				return nil, ErrNoBackend
-			}
-		case <-hedgeC:
-			rc.sink.Send(rc.tr.HedgeFire(rc.hedgeDelay))
-			launch(secondary)
-		}
-	} else {
-		// No hedging possible: wait the primary out, fail over only on
-		// outright failure.
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case o := <-results:
-			if o.resp.usable() {
-				return deliver(o)
-			}
-			if secondary == nil {
-				return nil, ErrNoBackend
-			}
-			delete(cancels, o.up)
-			launch(secondary)
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case o := <-results:
-				if o.resp.usable() {
-					return deliver(o)
-				}
-				return nil, ErrNoBackend
-			}
-		}
+		hedgeC = arm(rc.hedgeDelay)
 	}
-
-	// Phase two: primary and hedge both in flight. Collect until the
-	// budget fires or both answer; then deliver the best usable response.
-	var budgetC <-chan time.Time
-	var stopBudget func() bool
-	if rc.budget > 0 {
-		budgetC, stopBudget = rc.timer(rc.budget)
-		defer stopBudget()
-	}
-	var best outcome
+	hedged := false
 	// With no budget (precise requests) there is nothing to wait out: the
 	// first usable answer wins, exactly as if the budget had already fired.
 	budgetFired := rc.budget <= 0
-	answered := 0
+	var best outcome
 	for {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case o := <-results:
-			answered++
-			delete(cancels, o.up) // done; nothing to cancel
-			if o.resp.usable() && (best.resp == nil || o.resp.score() > best.resp.score()) {
-				best = o
+		case <-hedgeC:
+			hedgeC, hedged = nil, true
+			rc.sink.Send(rc.tr.HedgeFire(rc.hedgeDelay))
+			launch(secondary)
+			secondary = nil
+			if rc.budget > 0 {
+				budgetC = arm(rc.budget)
 			}
-			if o.resp.usable() && budgetFired {
-				// The budget already fired; the first usable answer is the
-				// delivery (best is o or an earlier better one).
-				return deliver(best)
-			}
-			if answered == 2 {
-				if best.resp == nil {
-					return nil, ErrNoBackend
-				}
-				return deliver(best)
-			}
-			// One answered, one outstanding, budget still running: an
-			// unusable answer leaves us waiting on the other; a usable one
-			// is held as champion until the budget or the challenger
-			// resolves the race.
 		case <-budgetC:
-			budgetFired = true
-			budgetC = nil
-			if best.resp != nil {
-				return deliver(best)
+			budgetC, budgetFired = nil, true
+		case o := <-results:
+			inFlight[o.up]() // answered: release its context now
+			delete(inFlight, o.up)
+			switch {
+			case o.resp.usable():
+				if best.resp == nil || o.resp.score() > best.resp.score() {
+					best = o
+				}
+			case !hedged && secondary != nil:
+				// The primary failed outright: fail over without waiting
+				// out the hedge delay.
+				hedgeC = nil
+				launch(secondary)
+				secondary = nil
 			}
-			// Nothing usable yet: never empty-handed — keep waiting for
-			// the first usable answer.
+		}
+		if best.resp != nil && (!hedged || budgetFired || len(inFlight) == 0) {
+			for up, cancel := range inFlight {
+				cancel()
+				rc.sink.Send(rc.tr.HedgeCancel(up.member, up.role))
+			}
+			if hedged {
+				rc.sink.Send(rc.tr.HedgeWin(best.up.member, best.up.role))
+			}
+			return best.resp, nil
+		}
+		if len(inFlight) == 0 {
+			return nil, ErrNoBackend
 		}
 	}
 }

@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,20 +49,20 @@ type scriptedUpstream struct {
 	up        *upstream
 	release   chan struct{}
 	cancelled atomic.Bool
-	started   chan struct{}
+	started   chan context.Context // the attempt's context, once launched
 }
 
 func newScripted(member, role string, resp *backendResponse) *scriptedUpstream {
 	s := &scriptedUpstream{
 		release: make(chan struct{}),
-		started: make(chan struct{}, 1),
+		started: make(chan context.Context, 1),
 	}
 	s.up = &upstream{
 		member: member,
 		role:   role,
 		do: func(ctx context.Context) *backendResponse {
 			select {
-			case s.started <- struct{}{}:
+			case s.started <- ctx:
 			default:
 			}
 			select {
@@ -261,7 +263,7 @@ func TestRaceBudgetNeverEmptyHanded(t *testing.T) {
 
 // TestRacePrimaryFailureFailsOver: an unusable primary answer (backend
 // rejected or errored) fails over to the secondary immediately, without
-// waiting out the hedge delay, and is not credited as a hedge win.
+// waiting out the hedge delay, and is neither a hedge nor a hedge win.
 func TestRacePrimaryFailureFailsOver(t *testing.T) {
 	clk := newFakeClock(1)
 	var ch counterSink
@@ -276,8 +278,8 @@ func TestRacePrimaryFailureFailsOver(t *testing.T) {
 	if err != nil || resp.member != "b" {
 		t.Fatalf("resp=%+v err=%v, want failover to b", resp, err)
 	}
-	if ch.hedges.Load() != 0 {
-		t.Errorf("failover counted as a hedge")
+	if ch.hedges.Load() != 0 || ch.wins.Load() != 0 {
+		t.Errorf("failover counted as a hedge: hedges=%d wins=%d", ch.hedges.Load(), ch.wins.Load())
 	}
 }
 
@@ -366,6 +368,190 @@ func TestRaceNoBudgetFirstUsableWins(t *testing.T) {
 	}
 	if !waitTrue(t, func() bool { return p.cancelled.Load() }) {
 		t.Error("outstanding primary not cancelled after first-usable delivery")
+	}
+}
+
+// TestRaceExactlyOnce sweeps every script of a hedged race: each attempt
+// answers usable, unusable or final, and the primary's answer (P), the
+// hedge timer (H), the secondary's answer (S) and the budget timer (B)
+// come in every order, with a budget and without. Each event is fed only
+// once the race has taken the one before — timers are unbuffered, and the
+// race releases an attempt's context when it takes its answer — so the
+// scripted order is the order the race sees. An event that cannot happen
+// yet (S before the secondary launched) waits at the back of the line; one
+// that can no longer happen (H after the primary answered, B with no
+// budget armed) is dropped. 3×3 outcomes × 24 orders × 2 budgets is 432
+// races, few enough to enumerate, so no interleaving is left to a random
+// seed.
+func TestRaceExactlyOnce(t *testing.T) {
+	testgate.Goroutines(t)
+	outcomes := []struct {
+		name string
+		resp func(member, role string) *backendResponse
+	}{
+		{"usable", func(m, r string) *backendResponse { return ok(m, r, 20) }},
+		{"unusable", bad},
+		{"final", func(m, r string) *backendResponse {
+			resp := ok(m, r, 0)
+			resp.final = true
+			return resp
+		}},
+	}
+	var orders []string
+	var permute func(prefix, rest string)
+	permute = func(prefix, rest string) {
+		if rest == "" {
+			orders = append(orders, prefix)
+		}
+		for i := range rest {
+			permute(prefix+rest[i:i+1], rest[:i]+rest[i+1:])
+		}
+	}
+	permute("", "PHSB")
+
+	for _, budget := range []time.Duration{50 * time.Millisecond, 0} {
+		for _, po := range outcomes {
+			for _, so := range outcomes {
+				for _, order := range orders {
+					name := fmt.Sprintf("budget=%v/%s-%s/%s", budget, po.name, so.name, order)
+					t.Run(name, func(t *testing.T) {
+						raceScript(t, budget, po.resp("a", "primary"), so.resp("b", "hedge"), order)
+					})
+				}
+			}
+		}
+	}
+}
+
+// raceScript runs one race of TestRaceExactlyOnce's sweep and checks the
+// exactly-once invariants on what it delivered and reported.
+func raceScript(t *testing.T, budget time.Duration, pResp, sResp *backendResponse, order string) {
+	clk := &fakeClock{timers: []chan time.Time{make(chan time.Time), make(chan time.Time)}}
+	var mu sync.Mutex
+	var events []reqtrace.Event
+	sink := func(e reqtrace.Event) {
+		mu.Lock()
+		events = append(events, e)
+		mu.Unlock()
+	}
+	p := newScripted("a", "primary", pResp)
+	s := newScripted("b", "hedge", sResp)
+	done := make(chan struct{})
+	var resp *backendResponse
+	var err error
+	go func() {
+		defer close(done)
+		resp, err = runRace(context.Background(), race{
+			hedgeDelay: 10 * time.Millisecond, budget: budget, timer: clk.timer, sink: sink,
+		}, p.up, s.up)
+	}()
+	stuck := func(what string) { t.Fatalf("%s: race neither took %s nor returned", order, what) }
+	// answer releases a launched attempt and waits for the race to take
+	// its answer. The invariants below hold in any order, so a race that
+	// kept the context open would only lose the ordering, after a pause.
+	answer := func(a *scriptedUpstream) bool {
+		var ctx context.Context
+		select {
+		case ctx = <-a.started:
+		case <-done:
+			return false
+		case <-time.After(time.Second):
+			stuck(a.up.role + "'s launch")
+		}
+		close(a.release)
+		select {
+		case <-ctx.Done():
+		case <-done:
+		case <-time.After(50 * time.Millisecond):
+		}
+		return true
+	}
+	fire := func(i int, what string) bool {
+		select {
+		case clk.timers[i] <- time.Time{}:
+			return true
+		case <-done:
+			return false
+		case <-time.After(time.Second):
+			stuck(what)
+		}
+		return false
+	}
+
+	var pAnswered, sAnswered, hedgeFired, sWaited bool
+	for line := []byte(order); len(line) > 0; line = line[1:] {
+		switch line[0] {
+		case 'P':
+			pAnswered = answer(p)
+		case 'H':
+			if !pAnswered {
+				hedgeFired = fire(0, "the hedge timer")
+			}
+		case 'B':
+			if hedgeFired && budget > 0 {
+				fire(1, "the budget timer")
+			}
+		case 'S':
+			if hedgeFired || pAnswered && !pResp.usable() {
+				sAnswered = answer(s)
+			} else if !sWaited {
+				sWaited = true
+				line = append(line, 'S')
+			}
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatalf("%s: race did not return once every event was fed", order)
+	}
+
+	// Exactly one outcome: a response or ErrNoBackend, never both or
+	// neither.
+	if (resp == nil) == (err == nil) || err != nil && !errors.Is(err, ErrNoBackend) {
+		t.Fatalf("resp=%+v err=%v, want exactly one of a response and ErrNoBackend", resp, err)
+	}
+	// Every launched attempt answers in the script, so a usable answer
+	// always arrives unless both are unusable — and then it must be
+	// delivered.
+	if want := pResp.usable() || sResp.usable(); (resp != nil) != want || resp != nil && !resp.usable() {
+		t.Fatalf("resp=%+v err=%v, want a usable response: %v", resp, err, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var fires int
+	var wins, cancels []reqtrace.Event
+	for _, e := range events {
+		switch e.Kind {
+		case reqtrace.KindHedgeFire:
+			fires++
+		case reqtrace.KindHedgeWin:
+			wins = append(wins, e)
+		case reqtrace.KindHedgeCancel:
+			cancels = append(cancels, e)
+		}
+	}
+	if fires != 0 && !hedgeFired || fires > 1 || hedgeFired && fires != 1 {
+		t.Errorf("hedge.fire sent %d times, hedge timer taken: %v", fires, hedgeFired)
+	}
+	// At most one hedge.win, and one exactly when a hedged race delivered.
+	if len(wins) > 1 || len(wins) == 1 && fires == 0 {
+		t.Errorf("hedge.win %+v with %d hedge.fire", wins, fires)
+	}
+	if fires == 1 && resp != nil && (len(wins) != 1 || wins[0].Name != resp.member) {
+		t.Errorf("hedged race delivered %s but credited %+v", resp.member, wins)
+	}
+	// At most one hedge.cancel, naming the attempt still in flight at the
+	// delivery: the hedged race's loser, always when it never answered.
+	loser, answered := "b", sAnswered
+	if resp != nil && resp.member == "b" {
+		loser, answered = "a", pAnswered
+	}
+	switch {
+	case len(cancels) > 1 || len(cancels) == 1 && (fires == 0 || resp == nil || cancels[0].Name != loser):
+		t.Errorf("hedge.cancel %+v, delivered %+v, loser %s", cancels, resp, loser)
+	case fires == 1 && resp != nil && !answered && len(cancels) != 1:
+		t.Errorf("loser %s never answered but was not cancelled: %+v", loser, cancels)
 	}
 }
 

@@ -483,7 +483,7 @@ func (t *Trace) HedgeFire(delay time.Duration) Event {
 }
 
 // HedgeWin records member, forwarded to in the given role, winning a race
-// that launched both attempts.
+// whose hedge timer fired.
 func (t *Trace) HedgeWin(member, role string) Event {
 	return t.report(Event{Kind: KindHedgeWin, Name: member, Note: role})
 }

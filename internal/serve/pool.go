@@ -78,7 +78,6 @@ func (p *Pool[T]) Get(ctx context.Context) (Entry[T], error) {
 		p.idle[n-1] = Entry[T]{} // release the reference
 		p.idle = p.idle[:n-1]
 		p.mu.Unlock()
-		e.sink = p.sink
 		p.sink.Send(tr.PoolGet(p.name, true))
 		return e, nil
 	}
@@ -87,7 +86,6 @@ func (p *Pool[T]) Get(ctx context.Context) (Entry[T], error) {
 	if err != nil {
 		return Entry[T]{}, err
 	}
-	e.sink = p.sink
 	p.sink.Send(tr.PoolGet(p.name, false))
 	return e, nil
 }

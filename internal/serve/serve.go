@@ -66,11 +66,6 @@ type Entry[T any] struct {
 	// and Unbinds after Put; a nil Slot (tracing disabled) costs each
 	// observer one pointer check.
 	Slot *reqtrace.Slot
-
-	// sink is the observer of the pool the entry was checked out of
-	// (Pool.Get stamps it), so the seed helpers report to the same place
-	// the checkout did; nil for an entry built outside a pool.
-	sink reqtrace.Sink
 }
 
 // Result is the outcome of a Run or RunUntil: the delivered snapshot and
@@ -104,71 +99,39 @@ type Result[T any] struct {
 // entry throughout and must still check it back into its pool afterwards;
 // Run always leaves the automaton stopped or finished, ready for Reset.
 func Run[T any](ctx context.Context, e Entry[T], deadline time.Duration, sink reqtrace.Sink) (Result[T], error) {
-	tr := reqtrace.FromContext(ctx)
-	var region *rtrace.Region
-	if tr != nil {
-		region = rtrace.StartRegion(ctx, "anytime.run")
+	r, err := begin(ctx, e, deadline, sink)
+	if err != nil {
+		return Result[T]{}, err
 	}
-	start := time.Now()
-	if err := e.Automaton.Start(ctx); err != nil {
-		return runFail[T](tr, region, err)
-	}
-	tr.RunStart(deadline)
-	done := e.Automaton.Done()
-	interrupted := false
+	var fired <-chan time.Time // nil without a deadline: never fires
 	if deadline > 0 {
 		timer := time.NewTimer(deadline)
-		select {
-		case <-done:
-		case <-ctx.Done():
-			timer.Stop()
-			e.Automaton.Stop()
-			return runFail[T](tr, region, ctx.Err())
-		case <-timer.C:
-			interrupted = true
-			tr.DeadlineFired(deadline)
-			// Contract: deliver *something*. If the automaton has yet to
-			// publish its first version, wait for it (bounded by the
-			// client's context) before interrupting.
-			if _, ok := e.Out.Peek(); !ok {
-				if _, err := waitFirst(ctx, e, done); err != nil {
-					timer.Stop()
-					e.Automaton.Stop()
-					return runFail[T](tr, region, err)
-				}
-			}
+		defer timer.Stop()
+		fired = timer.C
+	}
+	select {
+	case <-e.Automaton.Done():
+		// Finishing on its own before the deadline delivered the precise
+		// output (or failed); it is no interruption.
+		return r.ended(nil, false)
+	case <-ctx.Done():
+		return r.ended(ctx.Err(), false)
+	case <-fired:
+		r.tr.DeadlineFired(deadline)
+		// Contract: deliver *something*. If the automaton has yet to
+		// publish its first version, wait for it (bounded by the client's
+		// context) before interrupting.
+		if _, ok := e.Out.Peek(); ok {
+			return r.ended(nil, true)
 		}
-		timer.Stop()
-	} else {
-		select {
-		case <-done:
-		case <-ctx.Done():
-			e.Automaton.Stop()
-			return runFail[T](tr, region, ctx.Err())
+		wait, stop := r.whileRunning(ctx)
+		_, err := e.Out.WaitNewer(wait, 0)
+		stop()
+		if err != nil {
+			err = ctx.Err() // nil when the automaton ended: ended reports how
 		}
+		return r.ended(err, true)
 	}
-	e.Automaton.Stop()
-	if err := e.Automaton.Err(); err != nil && !errors.Is(err, core.ErrStopped) {
-		return runFail[T](tr, region, err)
-	}
-	snap, ok := e.Out.Latest()
-	if !ok {
-		return runFail[T](tr, region, ErrNoOutput)
-	}
-	// A run that finished on its own before the deadline delivered the
-	// precise output; only a fired deadline that truly cut work short is an
-	// interruption.
-	return deliverTraced(sink, tr, region, e.Automaton, snap, interrupted && !snap.Final, start), nil
-}
-
-// runFail ends the trace region and records the failure before returning
-// it.
-func runFail[T any](tr *reqtrace.Trace, region *rtrace.Region, err error) (Result[T], error) {
-	if region != nil {
-		region.End()
-	}
-	tr.Error(err.Error())
-	return Result[T]{}, err
 }
 
 // RunUntil executes a checked-out entry until accept admits a published
@@ -183,92 +146,107 @@ func RunUntil[T any](ctx context.Context, e Entry[T], accept func(core.Snapshot[
 	if accept == nil {
 		return Result[T]{}, fmt.Errorf("serve: RunUntil requires an accept predicate")
 	}
-	tr := reqtrace.FromContext(ctx)
-	var region *rtrace.Region
-	if tr != nil {
-		region = rtrace.StartRegion(ctx, "anytime.run")
+	r, err := begin(ctx, e, 0, sink)
+	if err != nil {
+		return Result[T]{}, err
 	}
-	start := time.Now()
-	if err := e.Automaton.Start(ctx); err != nil {
-		return runFail[T](tr, region, err)
-	}
-	tr.RunStart(0)
-	done := e.Automaton.Done()
-	// waitCtx unblocks WaitNewer when the automaton finishes on its own
-	// (clean precise completion or stage failure), not only on client
-	// disconnect.
-	waitCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	go func() {
-		select {
-		case <-done:
-			cancel()
-		case <-waitCtx.Done():
-		}
-	}()
+	wait, stop := r.whileRunning(ctx)
+	defer stop()
 	var last core.Version
 	for {
-		snap, err := e.Out.WaitNewer(waitCtx, last)
+		snap, err := e.Out.WaitNewer(wait, last)
 		if err != nil {
-			e.Automaton.Stop()
-			if ctx.Err() != nil {
-				return runFail[T](tr, region, ctx.Err())
-			}
-			// The automaton finished while we waited: deliver its terminal
-			// output, or its failure.
-			if err := e.Automaton.Err(); err != nil && !errors.Is(err, core.ErrStopped) {
-				return runFail[T](tr, region, err)
-			}
-			final, ok := e.Out.Latest()
-			if !ok {
-				return runFail[T](tr, region, ErrNoOutput)
-			}
-			return deliverTraced(sink, tr, region, e.Automaton, final, false, start), nil
+			// The client went away, or the automaton ended while we waited:
+			// deliver its terminal output, or its failure.
+			return r.ended(ctx.Err(), false)
 		}
 		last = snap.Version
 		if snap.Final || accept(snap) {
 			e.Automaton.Stop()
-			return deliverTraced(sink, tr, region, e.Automaton, snap, !snap.Final, start), nil
+			return r.deliver(snap, !snap.Final), nil
 		}
 	}
 }
 
-// waitFirst blocks for the buffer's first published version, giving up if
-// the client disconnects or the automaton dies without publishing.
-func waitFirst[T any](ctx context.Context, e Entry[T], done <-chan struct{}) (core.Snapshot[T], error) {
-	waitCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// run is one Run or RunUntil call in progress: the entry it drives, the
+// request's trace and runtime/trace region, and when it started.
+type run[T any] struct {
+	e      Entry[T]
+	tr     *reqtrace.Trace
+	region *rtrace.Region // nil when the request is not traced
+	sink   reqtrace.Sink
+	start  time.Time
+}
+
+// begin starts e's automaton, under an "anytime.run" region when the
+// request is traced.
+func begin[T any](ctx context.Context, e Entry[T], deadline time.Duration, sink reqtrace.Sink) (run[T], error) {
+	r := run[T]{e: e, tr: reqtrace.FromContext(ctx), sink: sink}
+	if r.tr != nil {
+		r.region = rtrace.StartRegion(ctx, "anytime.run")
+	}
+	r.start = time.Now()
+	if err := e.Automaton.Start(ctx); err != nil {
+		return r, r.fail(err)
+	}
+	r.tr.RunStart(deadline)
+	return r, nil
+}
+
+// whileRunning returns a context that ends with ctx or as soon as the
+// automaton ends on its own (precise output or stage failure), so a
+// WaitNewer under it wakes when no newer version can come. The caller
+// must call stop; the watcher goroutine exits with it.
+func (r *run[T]) whileRunning(ctx context.Context) (context.Context, context.CancelFunc) {
+	wait, stop := context.WithCancel(ctx)
+	done := r.e.Automaton.Done()
 	go func() {
 		select {
 		case <-done:
-			cancel()
-		case <-waitCtx.Done():
+			stop()
+		case <-wait.Done():
 		}
 	}()
-	snap, err := e.Out.WaitNewer(waitCtx, 0)
-	if err == nil {
-		return snap, nil
-	}
-	if ctx.Err() != nil {
-		return core.Snapshot[T]{}, ctx.Err()
-	}
-	// Automaton finished: it either published on its way out or failed.
-	if snap, ok := e.Out.Peek(); ok {
-		return snap, nil
-	}
-	if aerr := e.Automaton.Err(); aerr != nil && !errors.Is(aerr, core.ErrStopped) {
-		return core.Snapshot[T]{}, aerr
-	}
-	return core.Snapshot[T]{}, ErrNoOutput
+	return wait, stop
 }
 
-// deliverTraced ends the run's region and reports the hand-over — the one
-// run.finish event both the trace and the delivery metrics are read from.
-func deliverTraced[T any](sink reqtrace.Sink, tr *reqtrace.Trace, region *rtrace.Region, a *core.Automaton, snap core.Snapshot[T], interrupted bool, start time.Time) Result[T] {
-	res := Result[T]{Snapshot: snap, Interrupted: interrupted, Elapsed: time.Since(start)}
-	if region != nil {
-		region.End()
+// ended stops the automaton and closes the run. A non-nil cause (the
+// client went away) is the run's failure; otherwise the run delivers the
+// newest published snapshot, unless a stage failed or nothing was
+// published (ErrNoOutput). interrupted reports that the deadline fired; it
+// is dropped when the snapshot is the precise output anyway.
+func (r *run[T]) ended(cause error, interrupted bool) (Result[T], error) {
+	r.e.Automaton.Stop()
+	if cause == nil {
+		if err := r.e.Automaton.Err(); err != nil && !errors.Is(err, core.ErrStopped) {
+			cause = err
+		}
 	}
-	sink.Send(tr.RunFinish(core.Outcome(a.Err()), snap.Final, res.Elapsed))
+	if cause == nil {
+		if snap, ok := r.e.Out.Latest(); ok {
+			return r.deliver(snap, interrupted && !snap.Final), nil
+		}
+		cause = ErrNoOutput
+	}
+	return Result[T]{}, r.fail(cause)
+}
+
+// fail ends the region and records err on the trace before it is returned.
+func (r *run[T]) fail(err error) error {
+	if r.region != nil {
+		r.region.End()
+	}
+	r.tr.Error(err.Error())
+	return err
+}
+
+// deliver ends the region and reports the hand-over — the one run.finish
+// event both the trace and the delivery metrics are read from.
+func (r *run[T]) deliver(snap core.Snapshot[T], interrupted bool) Result[T] {
+	res := Result[T]{Snapshot: snap, Interrupted: interrupted, Elapsed: time.Since(r.start)}
+	if r.region != nil {
+		r.region.End()
+	}
+	r.sink.Send(r.tr.RunFinish(core.Outcome(r.e.Automaton.Err()), snap.Final, res.Elapsed))
 	return res
 }

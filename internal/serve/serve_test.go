@@ -100,17 +100,27 @@ func TestRunDeadlineWaitsForFirstPublish(t *testing.T) {
 		t.Fatalf("result %+v, want interrupted version 1", res)
 	}
 
-	// The wait is bounded by the automaton: one that finishes without ever
+	// The wait is bounded by the automaton: one that ends without ever
 	// publishing — before the deadline or while Run waits past it — is the
-	// one way an admitted request ends empty-handed.
+	// one way an admitted request ends empty-handed, with ErrNoOutput or
+	// the stage's failure.
+	boom := errors.New("boom")
 	for _, linger := range []time.Duration{0, 30 * time.Millisecond} {
-		a := core.New()
-		if err := a.AddStage("mute", func(*core.Context) error { time.Sleep(linger); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		mute := Entry[int]{Automaton: a, Out: core.NewBuffer[int]("mute", nil)}
-		if _, err := Run(context.Background(), mute, 5*time.Millisecond, nil); !errors.Is(err, ErrNoOutput) {
-			t.Errorf("mute automaton finishing after %v: %v, want ErrNoOutput", linger, err)
+		for _, want := range []error{ErrNoOutput, boom} {
+			a := core.New()
+			if err := a.AddStage("mute", func(*core.Context) error {
+				time.Sleep(linger)
+				if want == boom {
+					return boom
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			mute := Entry[int]{Automaton: a, Out: core.NewBuffer[int]("mute", nil)}
+			if _, err := Run(context.Background(), mute, 5*time.Millisecond, nil); !errors.Is(err, want) {
+				t.Errorf("mute automaton ending after %v: %v, want %v", linger, err, want)
+			}
 		}
 	}
 }
@@ -218,6 +228,100 @@ func TestRunUntilClientDisconnect(t *testing.T) {
 	}()
 	if _, err := RunUntil(ctx, e, func(core.Snapshot[int]) bool { return false }, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("disconnected RunUntil: %v", err)
+	}
+}
+
+// TestRunOutcomes pins what a run leaves to deliver when its automaton
+// ends on its own or its client goes away, the same through every entry
+// point: Run without a deadline, Run under a deadline the run never
+// reaches, and RunUntil with a predicate that admits nothing early. A
+// delivery reports exactly one run.finish; a failure reports none.
+func TestRunOutcomes(t *testing.T) {
+	testgate.Goroutines(t)
+	boom := errors.New("boom")
+	rows := []struct {
+		name  string
+		stage func(c *core.Context, out *core.Buffer[int]) error
+		leave bool // the client goes away mid-run
+		// what is delivered: version and finality, or the error
+		version core.Version
+		final   bool
+		err     error
+	}{
+		{name: "precise", stage: func(c *core.Context, out *core.Buffer[int]) error {
+			for i := 1; i <= 3; i++ {
+				if _, err := out.Publish(i, i == 3); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, version: 3, final: true},
+		{name: "fails after publishing", stage: func(c *core.Context, out *core.Buffer[int]) error {
+			if _, err := out.Publish(1, false); err != nil {
+				return err
+			}
+			return boom
+		}, err: boom},
+		{name: "fails before publishing", stage: func(*core.Context, *core.Buffer[int]) error {
+			return boom
+		}, err: boom},
+		{name: "ends with nothing published", stage: func(*core.Context, *core.Buffer[int]) error {
+			return nil
+		}, err: ErrNoOutput},
+		{name: "ends after a non-final version", stage: func(c *core.Context, out *core.Buffer[int]) error {
+			_, err := out.Publish(1, false)
+			return err
+		}, version: 1},
+		{name: "client goes away", stage: func(c *core.Context, _ *core.Buffer[int]) error {
+			<-c.Context().Done()
+			return c.Context().Err()
+		}, leave: true, err: context.Canceled},
+	}
+	entries := []struct {
+		name string
+		run  func(context.Context, Entry[int], reqtrace.Sink) (Result[int], error)
+	}{
+		{"Run(0)", func(ctx context.Context, e Entry[int], sink reqtrace.Sink) (Result[int], error) {
+			return Run(ctx, e, 0, sink)
+		}},
+		{"Run(deadline)", func(ctx context.Context, e Entry[int], sink reqtrace.Sink) (Result[int], error) {
+			return Run(ctx, e, time.Minute, sink)
+		}},
+		{"RunUntil", func(ctx context.Context, e Entry[int], sink reqtrace.Sink) (Result[int], error) {
+			return RunUntil(ctx, e, func(core.Snapshot[int]) bool { return false }, sink)
+		}},
+	}
+	for _, row := range rows {
+		for _, entry := range entries {
+			t.Run(row.name+"/"+entry.name, func(t *testing.T) {
+				out := core.NewBuffer[int]("outcome", nil)
+				a := core.New()
+				if err := a.AddStage("outcome", func(c *core.Context) error { return row.stage(c, out) }); err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if row.leave {
+					defer time.AfterFunc(10*time.Millisecond, cancel).Stop()
+				}
+				finishes := 0
+				res, err := entry.run(ctx, Entry[int]{Automaton: a, Out: out},
+					onKind(reqtrace.KindRunFinish, func(reqtrace.Event) { finishes++ }))
+				if row.err != nil {
+					if !errors.Is(err, row.err) || finishes != 0 {
+						t.Fatalf("err=%v with %d run.finish, want %v and none", err, finishes, row.err)
+					}
+				} else if err != nil || res.Snapshot.Version != row.version || res.Snapshot.Final != row.final ||
+					res.Interrupted || finishes != 1 {
+					t.Fatalf("res=%+v err=%v with %d run.finish, want version %d final=%v uninterrupted and one",
+						res, err, finishes, row.version, row.final)
+				}
+				// Every way out leaves the automaton ready for its pool.
+				if err := a.Reset(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

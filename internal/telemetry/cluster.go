@@ -32,9 +32,10 @@ const (
 //   - hedge.fire → anytime_router_hedges_total: hedge timers that fired (a
 //     secondary request was issued). The ratio to deliveries is the hedge
 //     rate; it should track 1 - HedgeQuantile (~1% at p99).
-//   - hedge.win → anytime_router_hedge_wins_total{role}: resolved races by
-//     winning role. A high hedge share means the hedge delay is too long
-//     or a backend is sick.
+//   - hedge.win → anytime_router_hedge_wins_total{role}: hedged races (the
+//     hedge timer fired) by winning role; a failover is a rescue and counts
+//     none, so wins never exceed hedges. A high hedge share means the hedge
+//     delay is too long or a backend is sick.
 //   - hedge.cancel → anytime_router_hedge_cancels_total{member}: in-flight
 //     losers cancelled, by backend — who keeps losing races.
 //   - budget (floored) → anytime_router_budget_floored_total: requests
@@ -44,7 +45,8 @@ const (
 //   - member.state → anytime_router_member_state_changes_total{member,state}:
 //     health transitions (healthy | draining | down).
 //   - deliver → anytime_router_deliveries_total{member,hedged}: responses
-//     written, by serving backend and whether the request hedged, and
+//     written, by serving backend and whether the secondary answered (a
+//     hedge or a failover), and
 //     anytime_router_delivery_seconds{hedged}: router-side end-to-end
 //     latency (arrival to response written).
 //
